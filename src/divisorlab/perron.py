@@ -2,20 +2,25 @@
 residue quadrature, truncation-decay measurement, and a rectangle residue
 bookkeeping check.
 
-Vertical and horizontal line segments use composite Gauss-Legendre panels
-narrow enough to resolve the x^(it) oscillation, evaluated in vectorized
-float64 (thousands of nodes at double accuracy).  Circles use the trapezoid
-rule in multiprecision, which is spectrally accurate on periodic contours:
-with N nodes, principal parts are integrated exactly and the analytic
-remainder contributes O((r/R)^N) for the distance R to the nearest other
-singularity.
+Every straight edge -- each half-line of a Perron segment and each side of
+the rectangle -- goes through one nested segment quadrature: composite
+16-point Gauss-Legendre on panels at most a quarter period of x^(it) wide,
+with every requested height a panel edge, evaluated in vectorized float64.
+The integral up to each height is a prefix sum of panel integrals, so a
+sweep over T evaluates F(s) once per node for all heights together.  Perron
+values carry a node-doubling check at every T: the panels are bisected and
+the two results must agree.  Circles use the trapezoid rule in
+multiprecision, which is spectrally accurate on periodic contours: with N
+nodes, principal parts are integrated exactly and the analytic remainder
+contributes O((r/R)^N) for the distance R to the nearest other singularity.
 
-All line quadratures carry a node-doubling self-check.  Evaluation points x
-must be non-integers (half-integers in practice) to avoid the Perron jump.
+Evaluation points x must be non-integers (half-integers in practice) to
+avoid the Perron jump.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,45 +33,13 @@ from .zeta import dirichlet_quotient_f64
 
 MIN_NODES = 64
 DEFAULT_PRECISION = 128
+GAUSS_ORDER = 16
+#: Panels per float64 zeta batch (1024 nodes): a short stretch of height,
+#: so the N each batch picks from its tallest node stays near its own.
+_BATCH_PANELS = 64
 
 #: Known fixed poles of F(s) x^s / s on the desk-scale window.
 _FIXED_POLES = (0.0 + 0.0j, 1.0 + 0.0j)
-
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """Description of one quadrature contour.
-
-    kind 'vertical_segment': the line Re s = abscissa from -height to height.
-    kind 'circle': circle of given radius about center.
-    """
-
-    kind: str
-    x: float
-    node_count: int = 512
-    abscissa: float | None = None
-    height: float | None = None
-    center: complex | None = None
-    radius: float | None = None
-    precision: int = DEFAULT_PRECISION
-
-    def __post_init__(self):
-        if self.kind not in ("vertical_segment", "circle"):
-            raise DomainError(f"unknown contour kind {self.kind!r}")
-        if self.node_count < MIN_NODES:
-            raise DomainError(f"node count must be >= {MIN_NODES}")
-        if self.kind == "vertical_segment":
-            if self.abscissa is None or self.height is None:
-                raise DomainError("vertical segment needs abscissa and height")
-        else:
-            if self.center is None or self.radius is None:
-                raise DomainError("circle needs center and radius")
-            for pole in _FIXED_POLES:
-                gap = abs(abs(complex(self.center) - pole) - self.radius)
-                if gap < 1.0e-3:
-                    raise ContourError(
-                        f"circle passes within 1e-3 of the pole at {pole}"
-                    )
 
 
 def _integrand_line(s: np.ndarray, x: float) -> np.ndarray:
@@ -74,34 +47,65 @@ def _integrand_line(s: np.ndarray, x: float) -> np.ndarray:
     return dirichlet_quotient_f64(s) * np.exp(s * math.log(x)) / s
 
 
-def _gauss_line(t_lo: float, t_hi: float, abscissa: float, x: float,
-                panels: int, order: int = 16) -> complex:
-    """integral of F(sigma + i t) x^s / s dt over [t_lo, t_hi]."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(t_lo, t_hi, panels + 1)
-    mid = (edges[1:] + edges[:-1]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    total = 0.0 + 0.0j
-    chunk = 4096
-    for i in range(0, len(t), chunk):
-        s = abscissa + 1j * t[i: i + chunk]
-        total += np.sum(_integrand_line(s, x) * w[i: i + chunk])
-    return complex(total)
+@functools.cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """GAUSS_ORDER-point Gauss-Legendre nodes and weights on [-1, 1].
+
+    Built on first use: importing numpy.polynomial adds about 1.5 MiB and
+    25 ms, which runs that integrate no line should not pay.
+    """
+    return np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 
-def _gauss_horizontal(sigma_lo: float, sigma_hi: float, t: float, x: float,
-                      panels: int, order: int = 16) -> complex:
-    """integral of F(sigma + i t) x^s / s dsigma over [sigma_lo, sigma_hi]."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(sigma_lo, sigma_hi, panels + 1)
+def _panel_integrals(start: complex, direction: complex, edges: np.ndarray,
+                     x: float) -> np.ndarray:
+    """integral of F(s) x^s / s ds along s = start + direction u over each
+    panel edges[k] <= u <= edges[k + 1].
+
+    Edges ascend, so each batch of nodes sits at a similar height and the
+    float64 zeta picks its N from that height.
+    """
+    nodes, weights = _gauss_rule()
     mid = (edges[1:] + edges[:-1]) / 2.0
     half = (edges[1:] - edges[:-1]) / 2.0
-    sig = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    s = sig + 1j * t
-    return complex(np.sum(_integrand_line(s, x) * w))
+    s = start + direction * (mid[:, None] + half[:, None] * nodes)
+    f = np.empty_like(s)
+    for i in range(0, len(s), _BATCH_PANELS):
+        block = s[i: i + _BATCH_PANELS]
+        f[i: i + _BATCH_PANELS] = _integrand_line(block.ravel(), x).reshape(block.shape)
+    # An elementwise sum, not a BLAS product: BLAS worker threads would spin
+    # on the second core after every batch.
+    return direction * half * (f * weights).sum(axis=1)
+
+
+def _segment_integrals(start: complex, direction: complex, heights: list[float],
+                       x: float, nodes: int, bisect: bool = True):
+    """integral of F(s) x^s / s ds along s = start + direction u from u = 0
+    to each of the ascending heights.
+
+    Panels are at most a quarter period of x^(it) wide, narrower where needed
+    so that every height spans at least nodes // GAUSS_ORDER of them, and
+    each height is a panel edge.  Returns (coarse, fine) arrays over the
+    heights; fine comes from the same panels bisected, and is None unless
+    bisect is set.
+    """
+    period = 2.0 * math.pi / max(math.log(x), 1.0)
+    width = min(period / 4.0, heights[0] / (nodes // GAUSS_ORDER))
+    edges, ends = [0.0], []
+    for h in heights:
+        count = math.ceil((h - edges[-1]) / width)
+        edges.extend(np.linspace(edges[-1], h, count + 1)[1:])
+        ends.append(len(edges) - 2)  # prefix-sum index of the panel ending at h
+    edges = np.array(edges)
+    coarse = np.cumsum(_panel_integrals(start, direction, edges, x))[ends]
+    if not bisect:
+        return coarse, None
+    fine_edges = np.empty(2 * len(edges) - 1)
+    fine_edges[0::2] = edges
+    fine_edges[1::2] = (edges[1:] + edges[:-1]) / 2.0
+    halves = _panel_integrals(start, direction, fine_edges, x)
+    fine = np.cumsum(halves[0::2] + halves[1::2])[ends]
+    return coarse, fine
 
 
 def _require_half_convention(x: float) -> None:
@@ -112,11 +116,34 @@ def _require_half_convention(x: float) -> None:
         )
 
 
-def _panels_for(span: float, x: float, nodes: int, order: int = 16) -> int:
-    # Enough panels that each spans at most a quarter oscillation period
-    # of x^(it), and at least nodes/order panels overall.
-    period = 2.0 * math.pi / max(math.log(x), 1.0)
-    return max(int(math.ceil(span / (period / 4.0))), nodes // order, 1)
+def _perron_sweep(x: float, c: float, T_list, nodes: int,
+                  tol: float) -> np.ndarray:
+    """Truncated Perron values I(T) for strictly ascending heights T, all
+    from one pass over the nodes of the tallest segment."""
+    _require_half_convention(x)
+    heights = [float(T) for T in T_list]
+    if c <= 1:
+        raise DomainError("abscissa c must exceed 1 (absolute convergence)")
+    if not heights[0] > 0:
+        raise DomainError("height T must be positive")
+    if any(b <= a for a, b in zip(heights, heights[1:])):
+        raise DomainError("heights T must be strictly ascending")
+    if nodes < MIN_NODES:
+        raise DomainError(f"node count must be >= {MIN_NODES}")
+    # c - iT .. c + iT is the upward half-line minus the downward one.
+    up_coarse, up_fine = _segment_integrals(c, 1j, heights, x, nodes)
+    down_coarse, down_fine = _segment_integrals(c, -1j, heights, x, nodes)
+    coarse = (up_coarse - down_coarse) / (2j * math.pi)
+    fine = (up_fine - down_fine) / (2j * math.pi)
+    gap = np.abs(fine - coarse)
+    failed = np.flatnonzero(gap > tol * np.maximum(1.0, np.abs(fine)))
+    if failed.size:
+        k = failed[0]
+        raise QuadratureError(
+            f"node doubling changed the Perron value at T = {heights[k]} by "
+            f"{gap[k]:.3e} (tolerance {tol:.1e} relative)"
+        )
+    return fine
 
 
 def perron_truncated(x: float, c: float, T: float, nodes: int = 1024,
@@ -124,32 +151,11 @@ def perron_truncated(x: float, c: float, T: float, nodes: int = 1024,
     """(1/2 pi i) integral of F(s) x^s / s ds on the segment c - iT .. c + iT.
 
     The two half-lines are integrated independently (no conjugate-symmetry
-    shortcut), so the smallness of the imaginary part is a real check.  A
-    node-doubling comparison guards the quadrature; disagreement beyond tol
-    raises QuadratureError.
+    shortcut), so the smallness of the imaginary part is a real check; each
+    gets at least `nodes` Gauss nodes.  A node-doubling comparison guards
+    the quadrature; disagreement beyond tol raises QuadratureError.
     """
-    _require_half_convention(x)
-    if c <= 1:
-        raise DomainError("abscissa c must exceed 1 (absolute convergence)")
-    if T <= 0:
-        raise DomainError("height T must be positive")
-    if nodes < MIN_NODES:
-        raise DomainError(f"node count must be >= {MIN_NODES}")
-
-    def value(panel_count: int) -> complex:
-        integral = _gauss_line(-T, T, c, x, panel_count)
-        return integral * 1j / (2.0j * math.pi)
-
-    panels = _panels_for(2 * T, x, nodes)
-    coarse = value(panels)
-    fine = value(2 * panels)
-    scale = max(1.0, abs(fine))
-    if abs(fine - coarse) > tol * scale:
-        raise QuadratureError(
-            f"node doubling changed the Perron value by {abs(fine - coarse):.3e} "
-            f"(tolerance {tol:.1e} relative)"
-        )
-    return fine
+    return complex(_perron_sweep(x, c, [T], nodes, tol)[0])
 
 
 def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
@@ -165,6 +171,9 @@ def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
         raise DomainError(f"node count must be >= {MIN_NODES}")
     if radius <= 0:
         raise DomainError("radius must be positive")
+    for pole in _FIXED_POLES:
+        if abs(abs(complex(center) - pole) - radius) < 1.0e-3:
+            raise ContourError(f"circle passes within 1e-3 of the pole at {pole}")
     with mp.workprec(precision + 16):
         c0 = mpc(center)
         r = mpf(radius)
@@ -192,15 +201,17 @@ def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
 
 def truncation_decay(x: float, c: float, T_list, exact_sum: int,
                      nodes: int = 1024) -> tuple[list[tuple[float, float]], float]:
-    """Perron truncation error |I(T) - S(x)| over ascending T, plus the
-    fitted log-log slope."""
-    _require_half_convention(x)
-    if list(T_list) != sorted(T_list):
-        raise DomainError("T_list must be ascending")
-    rows = []
-    for T in T_list:
-        approx = perron_truncated(x, c, T, nodes)
-        rows.append((float(T), abs(approx.real - exact_sum)))
+    """Perron truncation error |I(T) - S(x)| over strictly ascending T, plus
+    the fitted log-log slope.
+
+    At least two heights are needed for a slope.  One nested quadrature
+    serves every T; the node-doubling check runs at each of them.
+    """
+    heights = [float(T) for T in T_list]
+    if len(heights) < 2:
+        raise DomainError("a decay fit needs at least two heights T")
+    values = _perron_sweep(x, c, heights, nodes, tol=1.0e-6)
+    rows = [(T, float(abs(v.real - exact_sum))) for T, v in zip(heights, values)]
     logs_T = np.log([r[0] for r in rows])
     logs_e = np.log([max(r[1], 1e-300) for r in rows])
     slope = float(np.polyfit(logs_T, logs_e, 1)[0])
@@ -227,16 +238,23 @@ def rectangle_consistency(x: float, T: float = 50.0, right: float = 1.25,
     the pole at s = 0 stay outside and are tested individually by circles.
     """
     _require_half_convention(x)
+    if T <= 0:
+        raise DomainError("height T must be positive")
     if not 0.5 < left < 1.0 < right:
         raise ContourError(
             "rectangle must satisfy 1/2 < left < 1 < right to enclose s = 1 only"
         )
-    v_panels = _panels_for(2 * T, x, nodes)
-    h_panels = _panels_for(right - left, x, max(nodes // 8, 128))
-    right_edge = _gauss_line(-T, T, right, x, v_panels) * 1j
-    left_edge = -_gauss_line(-T, T, left, x, v_panels) * 1j
-    top_edge = -_gauss_horizontal(left, right, T, x, h_panels)
-    bottom_edge = _gauss_horizontal(left, right, -T, x, h_panels)
+
+    def edge(start: complex, direction: complex, length: float, count: int) -> complex:
+        coarse, _ = _segment_integrals(start, direction, [length], x, count,
+                                       bisect=False)
+        return complex(coarse[0])
+
+    h_nodes = max(nodes // 8, 128)
+    right_edge = edge(right, 1j, T, nodes) - edge(right, -1j, T, nodes)
+    left_edge = edge(left, -1j, T, nodes) - edge(left, 1j, T, nodes)
+    top_edge = -edge(left + 1j * T, 1.0, right - left, h_nodes)
+    bottom_edge = edge(left - 1j * T, 1.0, right - left, h_nodes)
     two_pi_i = 2.0j * math.pi
     contour = (right_edge + left_edge + top_edge + bottom_edge) / two_pi_i
     if residue_value is None:

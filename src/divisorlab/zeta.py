@@ -16,13 +16,13 @@ chi(s) = 2^s pi^(s-1) sin(pi s / 2) Gamma(1 - s), and Newton polishing of
 critical-line zero ordinates.
 
 A vectorized float64 evaluator is provided for contour quadrature, where
-thousands of nodes are needed at only double accuracy.
+thousands of nodes are needed at only double accuracy.  It picks (N, J) by
+the same rule as the multiprecision engine, at 53 bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp, mpc, mpf
@@ -53,23 +53,6 @@ def reset_call_count() -> None:
     _calls = 0
 
 
-@dataclass(frozen=True)
-class ComplexPoint:
-    """A point s = sigma + i t with multiprecision components."""
-
-    sigma: mpf
-    t: mpf
-
-    def to_mpc(self) -> mpc:
-        return mpc(self.sigma, self.t)
-
-
-def _as_mpc(s) -> mpc:
-    if isinstance(s, ComplexPoint):
-        return s.to_mpc()
-    return mpc(s)
-
-
 def _em_parameters(precision: int, t_abs: float, sigma: float) -> tuple[int, int]:
     """Choose (N, J) so the Euler-Maclaurin remainder is below 2^-(precision+8).
 
@@ -95,7 +78,7 @@ def zeta_with_derivatives(
     """[zeta(s), zeta'(s), ..., zeta^(kmax)(s)] in one Euler-Maclaurin pass."""
     global _calls
     _calls += 1
-    z = _as_mpc(s)
+    z = mpc(s)
     if z == 1:
         raise PoleError("zeta has a pole at s = 1")
     t_abs = abs(float(z.imag))
@@ -272,7 +255,7 @@ def chi(s, precision: int = DEFAULT_PRECISION) -> mpc:
     integers s >= 2 where the sin factor cancels the Gamma pole.  Genuine
     poles sit at the odd integers s = 1, 3, 5, ... only.
     """
-    z = _as_mpc(s)
+    z = mpc(s)
     with mp.workprec(precision + 24):
         z = mpc(z)
         w = (1 - z) / 2
@@ -285,7 +268,7 @@ def chi(s, precision: int = DEFAULT_PRECISION) -> mpc:
 
 def functional_equation_residual(s, precision: int = DEFAULT_PRECISION) -> mpf:
     """|zeta(s) - chi(s) zeta(1-s)|; a self-test of the whole engine."""
-    z = _as_mpc(s)
+    z = mpc(s)
     if z == 1:
         raise PoleError("s = 1 is the zeta pole")
     with mp.workprec(precision + 24):
@@ -336,14 +319,16 @@ def refine_zero(approx_ordinate, precision: int = DEFAULT_PRECISION,
 # Vectorized float64 evaluation for contour quadrature
 # ---------------------------------------------------------------------------
 
-_BERNOULLI_F64 = None
+#: Float64 table of B_2j / (2j)!, j = 1, 2, ...; grown on demand.
+_BERNOULLI_F64 = np.empty(0)
 
 
 def _bernoulli_f64(J: int) -> np.ndarray:
+    """B_2j / (2j)! for j = 1..J in float64."""
     global _BERNOULLI_F64
-    if _BERNOULLI_F64 is None or len(_BERNOULLI_F64) < J:
+    if len(_BERNOULLI_F64) < J:
         _BERNOULLI_F64 = np.array(
-            [float(mp.bernoulli(2 * j) / mp.factorial(2 * j)) for j in range(1, 25)]
+            [float(mp.bernoulli(2 * j) / mp.factorial(2 * j)) for j in range(1, J + 1)]
         )
     return _BERNOULLI_F64[:J]
 
@@ -351,13 +336,15 @@ def _bernoulli_f64(J: int) -> np.ndarray:
 def zeta_f64(s: np.ndarray) -> np.ndarray:
     """Euler-Maclaurin zeta over an array of complex128 points.
 
-    Double accuracy only; meant for dense contour quadrature.  A single N is
-    chosen from the largest |Im s| in the batch.
+    Double accuracy only; meant for dense contour quadrature.  (N, J) follow
+    the multiprecision engine's rule, _em_parameters at 53 bits, with N
+    chosen from the batch's largest |Im s| and smallest Re s, so batches
+    grouped by height keep N local.
     """
     s = np.asarray(s, dtype=np.complex128)
-    tmax = float(np.abs(s.imag).max()) if s.size else 0.0
-    J = 12
-    N = max(64, int(math.ceil(1.5 * (tmax + 2 * J + 10))))
+    if s.size == 0:
+        return np.zeros_like(s)
+    N, J = _em_parameters(53, float(np.abs(s.imag).max()), float(s.real.min()))
     n = np.arange(1, N, dtype=np.float64)
     ln_n = np.log(n)
     flat = s.reshape(-1, 1)

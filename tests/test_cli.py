@@ -123,6 +123,15 @@ def test_perron_decay(capsys, tmp_path):
     assert (tmp_path / "perron_decay.csv").exists()
 
 
+@pytest.mark.parametrize("heights", [["100"], ["50", "50"], ["100", "50"]])
+def test_perron_decay_degenerate_heights(capsys, tmp_path, heights):
+    code, captured = run(capsys, "perron", "decay", "100.5", "--T", *heights,
+                         "--output-dir", str(tmp_path))
+    assert code == 2
+    assert json.loads(captured.err)["error"] == "DomainError"
+    assert not (tmp_path / "perron_decay.csv").exists()
+
+
 def test_dirichlet_verify(capsys):
     payload = run_json(capsys, "dirichlet-verify", "3", "2000")
     assert payload["pass"] is True

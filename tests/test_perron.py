@@ -1,37 +1,20 @@
 """Contour quadrature: truncated Perron integrals against exact sieve sums,
 small-circle residues against series closed forms, and the rectangle check."""
 
+import math
+
+import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
 
 from divisorlab import perron, series, sieve, zeros
-from divisorlab.errors import ContourError, ConventionError, DomainError
-from divisorlab.perron import ContourSpec
+from divisorlab.errors import (
+    ContourError,
+    ConventionError,
+    DomainError,
+    QuadratureError,
+)
 from divisorlab.sieve import ArithmeticFunction as AF
-
-
-class TestContourSpec:
-    def test_vertical_requires_geometry(self):
-        with pytest.raises(DomainError):
-            ContourSpec(kind="vertical_segment", x=10.5)
-        ContourSpec(kind="vertical_segment", x=10.5, abscissa=1.5, height=50.0)
-
-    def test_circle_requires_geometry(self):
-        with pytest.raises(DomainError):
-            ContourSpec(kind="circle", x=10.5)
-
-    def test_circle_through_pole_rejected(self):
-        with pytest.raises(ContourError):
-            ContourSpec(kind="circle", x=10.5, center=0.5 + 0j, radius=0.5)
-
-    def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            ContourSpec(kind="box", x=10.5)
-
-    def test_node_floor(self):
-        with pytest.raises(DomainError):
-            ContourSpec(kind="circle", x=10.5, center=1 + 0j, radius=0.1,
-                        node_count=32)
 
 
 class TestPerronTruncated:
@@ -65,6 +48,44 @@ class TestPerronTruncated:
             perron.perron_truncated(10.5, 1.5, -5.0)
         with pytest.raises(DomainError):
             perron.perron_truncated(10.5, 1.5, 100.0, nodes=16)
+
+    def test_node_floor(self):
+        with pytest.raises(DomainError):
+            perron.perron_truncated(10.5, 1.5, 50.0, nodes=32)
+        with pytest.raises(DomainError):
+            perron.perron_truncated(10.5, 1.5, 50.0, nodes=perron.MIN_NODES - 1)
+        perron.perron_truncated(10.5, 1.5, 50.0, nodes=perron.MIN_NODES)
+
+    def test_node_doubling_raises_below_gap(self):
+        # The coarse and fine grids differ by rounding at least; a tolerance
+        # below that gap must fail, and the default must pass.
+        perron.perron_truncated(10.5, 2.0, 50.0)
+        with pytest.raises(QuadratureError, match="T = 50"):
+            perron.perron_truncated(10.5, 2.0, 50.0, tol=1e-18)
+
+    def test_panel_layout(self, monkeypatch):
+        """Every height is a panel edge, panels are at most a quarter period
+        of x^(it) wide, and the fine grid bisects every coarse panel."""
+        grids = []
+        panel_integrals = perron._panel_integrals
+
+        def spy(start, direction, edges, x):
+            grids.append((direction, edges.copy()))
+            return panel_integrals(start, direction, edges, x)
+
+        monkeypatch.setattr(perron, "_panel_integrals", spy)
+        exact = sieve.prefix_sum(AF.D_SQUARE, 100).value
+        perron.truncation_decay(100.5, 2.0, [10, 25, 40], exact, nodes=256)
+        assert [d for d, _ in grids] == [1j, 1j, -1j, -1j]
+        quarter = 2 * math.pi / math.log(100.5) / 4
+        for (_, coarse), (_, fine) in (grids[0:2], grids[2:4]):
+            widths = np.diff(coarse)
+            assert coarse[0] == 0.0 and widths.max() <= quarter * (1 + 1e-12)
+            assert {10.0, 25.0, 40.0} <= set(coarse)
+            assert np.count_nonzero(coarse <= 10.0) - 1 >= 256 // 16
+            np.testing.assert_array_equal(fine[0::2], coarse)
+            np.testing.assert_allclose(fine[1::2], (coarse[1:] + coarse[:-1]) / 2,
+                                       rtol=0, atol=0)
 
 
 class TestCircleResidues:
@@ -106,6 +127,21 @@ class TestCircleResidues:
         with pytest.raises(DomainError):
             perron.residue_by_circle(1.0, 0.1, 100.0, nodes=16)
 
+    def test_node_floor(self):
+        with pytest.raises(DomainError):
+            perron.residue_by_circle(1 + 0j, 0.1, 10.5, nodes=32)
+        with pytest.raises(DomainError):
+            perron.residue_by_circle(1 + 0j, 0.1, 10.5, nodes=perron.MIN_NODES - 1)
+
+    def test_circle_through_pole_rejected(self):
+        # centre 0.5, radius 0.5 passes through both s = 0 and s = 1
+        with pytest.raises(ContourError):
+            perron.residue_by_circle(0.5 + 0j, 0.5, 10.5)
+        with pytest.raises(ContourError, match="pole at 0j"):
+            perron.residue_by_circle(-0.3 + 0j, 0.3005, 10.5)
+        with pytest.raises(ContourError, match=r"pole at \(1\+0j\)"):
+            perron.residue_by_circle(1.2 + 0.1j, abs(0.2 + 0.1j) - 0.0009, 10.5)
+
 
 class TestTruncationDecay:
     def test_rows_and_slope(self):
@@ -119,6 +155,33 @@ class TestTruncationDecay:
     def test_unsorted_T_rejected(self):
         with pytest.raises(DomainError):
             perron.truncation_decay(100.5, 2.0, [100, 50], 48)
+
+    @pytest.mark.parametrize("T_list", [[], [100], [50, 50], [50, 100, 100]])
+    def test_degenerate_sweep_rejected(self, T_list):
+        with pytest.raises(DomainError):
+            perron.truncation_decay(100.5, 2.0, T_list, 48)
+
+    def test_sweep_validation(self):
+        with pytest.raises(DomainError):
+            perron.truncation_decay(100.5, 1.0, [50, 100], 48)
+        with pytest.raises(DomainError):
+            perron.truncation_decay(100.5, 2.0, [0, 100], 48)
+        with pytest.raises(DomainError):
+            perron.truncation_decay(100.5, 2.0, [-50, 100], 48)
+        with pytest.raises(DomainError):
+            perron.truncation_decay(100.5, 2.0, [float("nan"), 100], 48)
+        with pytest.raises(DomainError):
+            perron.truncation_decay(100.5, 2.0, [50, 100], 48, nodes=32)
+        with pytest.raises(ConventionError):
+            perron.truncation_decay(100.0, 2.0, [50, 100], 48)
+
+    def test_sweep_matches_single_heights(self):
+        T_list = [20.0, 50.0, 100.0]
+        exact = sieve.prefix_sum(AF.D_SQUARE, 100).value
+        rows, _ = perron.truncation_decay(100.5, 2.0, T_list, exact)
+        for T, err in rows:
+            single = perron.perron_truncated(100.5, 2.0, T)
+            assert abs(err - abs(single.real - exact)) <= 1e-10 * abs(single.real)
 
 
 class TestRectangle:
@@ -136,3 +199,5 @@ class TestRectangle:
             perron.rectangle_consistency(100.5, right=0.9)
         with pytest.raises(ConventionError):
             perron.rectangle_consistency(100.0)
+        with pytest.raises(DomainError):
+            perron.rectangle_consistency(100.5, T=0.0)

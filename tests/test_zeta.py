@@ -13,6 +13,7 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
 
@@ -221,3 +222,61 @@ def test_call_counter():
     engine.zeta(2)
     engine.zeta_with_derivatives(3, 1)
     assert engine.call_count() == 2
+
+
+class TestZetaF64:
+    SIGMAS = (0.6, 1.25, 1.5, 2.0, 3.0, 4.0)
+
+    def test_against_mpmath(self):
+        """Each point alone, so N is chosen from that point's own height.
+
+        Relative error is bounded by 1e-12 wherever |zeta| is bounded away
+        from 0 (sigma >= 1.25).  At sigma = 0.6 |zeta| dips to ~0.1 and the
+        float64 phase rounding of t log n (~5e-13 absolute at t = 800) is
+        not relative to it, so there the bound is 1e-12 max(|zeta|, 1).
+        """
+        with mp.workdps(20):
+            for sigma in self.SIGMAS:
+                for t in range(-800, 801, 50):
+                    ours = complex(engine.zeta_f64(np.array([complex(sigma, t)]))[0])
+                    theirs = complex(mpmath.zeta(mpc(sigma, t)))
+                    scale = abs(theirs) if sigma > 1 else max(abs(theirs), 1.0)
+                    assert abs(ours - theirs) <= 1e-12 * scale, (sigma, t)
+
+    def test_batch_shape_and_empty(self):
+        s = np.array([[2.0 + 1j, 3.0 - 5j], [0.6 + 100j, 1.5 + 0j]])
+        values = engine.zeta_f64(s)
+        assert values.shape == s.shape
+        for got, point in zip(values.ravel(), s.ravel()):
+            want = complex(engine.zeta(mpc(point.real, point.imag)))
+            assert abs(got - want) <= 1e-12 * abs(want)
+        assert engine.zeta_f64(np.array([], dtype=complex)).shape == (0,)
+
+    def test_uses_shared_parameter_rule(self, monkeypatch):
+        chosen, sizes = [], []
+        em_parameters = engine._em_parameters
+        bernoulli_f64 = engine._bernoulli_f64
+
+        def spy_em(*args):
+            chosen.append((args, em_parameters(*args)))
+            return chosen[-1][1]
+
+        def spy_bernoulli(J):
+            sizes.append(J)
+            return bernoulli_f64(J)
+
+        monkeypatch.setattr(engine, "_em_parameters", spy_em)
+        monkeypatch.setattr(engine, "_bernoulli_f64", spy_bernoulli)
+        engine.zeta_f64(np.array([2.0 + 10j, 0.6 - 800j, 4.0 + 300j]))
+        assert chosen == [((53, 800.0, 0.6), em_parameters(53, 800.0, 0.6))]
+        assert sizes == [chosen[0][1][1]]
+        # far fewer terms than the former 1.5 (|t| + 2J + 10) rule at |t| = 800
+        assert em_parameters(53, 800.0, 4.0)[0] == 500
+
+    def test_bernoulli_table_sized_by_request(self):
+        for J in (5, 30, 12):
+            table = engine._bernoulli_f64(J)
+            assert len(table) == J
+            for j in (1, J):
+                want = float(mp.bernoulli(2 * j) / mp.factorial(2 * j))
+                assert table[j - 1] == want
