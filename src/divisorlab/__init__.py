@@ -1,7 +1,7 @@
 """divisorlab: exact and analytic study of the divisor-square summatory sum.
 
 Modules:
-    sieve    segmented factorization sieve and exact prefix sums
+    sieve    exact prefix sums by mu * D_j; segmented factorization sieve
     zeta     multiprecision zeta, Stieltjes constants, functional equation
     series   truncated Laurent arithmetic and residue coefficients
     zeros    zero-table ingestion and explicit-formula coefficients

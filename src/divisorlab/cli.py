@@ -5,7 +5,7 @@ Subcommands
     constants        analytic constants in both coefficient modes
     zeros import     ingest/validate (optionally polish) a zero table
     zeros coeffs     compute and cache explicit-formula coefficients
-    formula compare  sieve vs. decomposition over a grid, CSV + JSON out
+    formula compare  exact sums vs. decomposition over a grid, CSV + JSON out
     formula conjecture  zero-sum growth scan against x^(1/3+eps)
     perron integral  one truncated Perron value
     perron decay     truncation-error decay table and fitted slope
@@ -41,7 +41,7 @@ DIGITS = 20
 
 @dataclass
 class RunConfig:
-    precision_bits: int = 128
+    precision_bits: int = zeta_engine.DEFAULT_PRECISION
     sieve_cap: int = sieve.LIMIT_CAP
     segment_size: int = sieve.DEFAULT_SEGMENT_SIZE
     zeros_path: str | None = None
@@ -122,7 +122,7 @@ def _table_and_coefficients(cfg: RunConfig, count: int | None, refine: bool):
 
 def cmd_sum(args, cfg: RunConfig) -> int:
     function = ArithmeticFunction(args.function)
-    result = sieve.prefix_sum(function, args.x, cfg.segment_size, cfg.workers)
+    result = sieve.prefix_sum(function, args.x, cfg.segment_size)
     _emit({"function": function.value, "x": result.x, "value": str(result.value)})
     return 0
 
@@ -230,7 +230,7 @@ def cmd_perron_integral(args, cfg: RunConfig) -> int:
 
 def cmd_perron_decay(args, cfg: RunConfig) -> int:
     exact = sieve.prefix_sum(ArithmeticFunction.D_SQUARE, int(args.x),
-                             cfg.segment_size, cfg.workers).value
+                             cfg.segment_size).value
     rows, slope = perron.truncation_decay(args.x, args.c, args.T, exact,
                                           args.nodes)
     out = Path(cfg.output_dir) / "perron_decay.csv"
@@ -324,7 +324,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--zeros-path", dest="zeros_path")
     p.add_argument("--cache-path", dest="cache_path")
     p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int,
+                   help="processes for zero coefficients (zeros coeffs, or a cold "
+                        "cache in formula compare/conjecture)")
     p.add_argument("--mode", choices=["paper", "exact"])
 
 
@@ -362,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pf = sub.add_parser("formula", help="explicit-formula experiments")
     fsub = pf.add_subparsers(dest="formula_command", required=True)
-    p = fsub.add_parser("compare", help="sieve vs decomposition over a grid")
+    p = fsub.add_parser("compare", help="exact sums vs decomposition over a grid")
     p.add_argument("--function", default="d_square",
                    choices=["d_square", "two_omega", "mu_squared"])
     p.add_argument("--grid-start", type=float, default=1e3)

@@ -16,13 +16,13 @@ no zero sum) and the squarefree-indicator sum (main term x / zeta(2)).
 
 from __future__ import annotations
 
-import cmath
 import csv
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 from mpmath import mp, mpf
 
 from .errors import DomainError
@@ -34,8 +34,7 @@ from .series import (
 from .sieve import ArithmeticFunction, prefix_sums_at, DEFAULT_SEGMENT_SIZE
 from .zeros import ZeroTable, ZeroTermCoefficient
 from . import zeta as zeta_engine
-
-DEFAULT_PRECISION = 128
+from .zeta import DEFAULT_PRECISION
 
 CSV_COLUMNS = ["x", "S", "main", "zero_sum", "zeros_used", "E", "E_x14", "E_x13"]
 
@@ -158,24 +157,25 @@ def select_zero_terms(
     return chosen, warnings
 
 
-def zero_sum_terms(x: float, terms: list[ZeroTermCoefficient]) -> tuple[float, float]:
-    """(real zero sum, pre-pairing imaginary residue) at x.
+def zero_sum_terms(x, terms: list[ZeroTermCoefficient]):
+    """(real zero sum, pre-pairing imaginary residue) at x, a float or an array.
 
     Each zero contributes A x^(1/4 + i g/2) plus the conjugate term; both
     halves are evaluated independently and the leftover imaginary part is
-    returned as a realness diagnostic.
+    returned as a realness diagnostic.  The coefficients are converted to
+    complex once, and a grid of x is one (x by zero) array product; an array
+    x gives arrays back, a scalar x gives floats.
     """
-    if x <= 1:
+    xs = np.asarray(x, dtype=np.float64)
+    if np.any(xs <= 1):
         raise DomainError("x must be > 1")
-    lx = math.log(x)
-    total = 0.0 + 0.0j
-    for c in terms:
-        rho = complex(c.rho_half)
-        a = complex(c.coefficient)
-        plus = a * cmath.exp(rho * lx)
-        minus = a.conjugate() * cmath.exp(rho.conjugate() * lx)
-        total += plus + minus
-    return total.real, abs(total.imag)
+    rho = np.array([complex(c.rho_half) for c in terms], dtype=np.complex128)
+    a = np.array([complex(c.coefficient) for c in terms], dtype=np.complex128)
+    lx = np.log(xs)[..., None]
+    total = (a * np.exp(rho * lx) + a.conj() * np.exp(rho.conj() * lx)).sum(axis=-1)
+    if xs.ndim == 0:
+        return float(total.real), float(abs(total.imag))
+    return total.real, np.abs(total.imag)
 
 
 def zero_sum(x: float, table: ZeroTable, coefficients: list[ZeroTermCoefficient],
@@ -199,10 +199,11 @@ def compare(
     precision: int = DEFAULT_PRECISION,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> ErrorReport:
-    """Exact sieve sums versus the analytic decomposition over a grid.
+    """Exact prefix sums versus the analytic decomposition over a grid.
 
-    The sieve runs once in ascending order over the whole grid; the zero sum
-    applies only to the divisor-square function.
+    The exact sums come from one prefix_sums_at call for the whole grid
+    (sum mu(k) D_j(x // k^2), one D_j table); the zero sum applies only to
+    the divisor-square function and is one array product over the grid.
     """
     xs = sorted(float(x) for x in x_grid)
     if xs[0] <= 1:
@@ -233,17 +234,15 @@ def compare(
         chosen, warns = select_zero_terms(zero_coefficients, cutoff)
         report.warnings.extend(warns)
 
-    for x, fl in zip(xs, floors):
+    zero_sums, imag_resids = zero_sum_terms(np.array(xs), chosen)
+    for x, fl, zs, imag_resid in zip(xs, floors, zero_sums.tolist(),
+                                     imag_resids.tolist()):
         s_exact = sums[fl]
         main = main_of(x)
-        if chosen:
-            zs, imag_resid = zero_sum_terms(x, chosen)
-            if imag_resid >= 1e-10 * x ** 0.25:
-                report.warnings.append(
-                    f"pre-pairing imaginary residue {imag_resid} at x = {x}"
-                )
-        else:
-            zs = 0.0
+        if imag_resid >= 1e-10 * x ** 0.25:
+            report.warnings.append(
+                f"pre-pairing imaginary residue {imag_resid} at x = {x}"
+            )
         e = float(s_exact) - main - zs
         report.rows.append(ReportRow(
             x=x, S_exact=s_exact, main=main, zero_sum=zs,
@@ -276,10 +275,11 @@ def conjecture_scan(
         raise DomainError("epsilon must be >= 0")
     cutoff = cutoff or Cutoff("count", len(table))
     chosen, _ = select_zero_terms(zero_coefficients, cutoff)
+    xs = sorted(float(x) for x in x_grid)
+    values, _ = zero_sum_terms(np.array(xs), chosen)
     trace = []
     sup_ratio, argmax = 0.0, float("nan")
-    for x in sorted(float(x) for x in x_grid):
-        value, _ = zero_sum_terms(x, chosen) if chosen else (0.0, 0.0)
+    for x, value in zip(xs, values.tolist()):
         ratio = abs(value) / x ** (1.0 / 3.0 + epsilon)
         trace.append((x, abs(value), ratio))
         if ratio > sup_ratio:

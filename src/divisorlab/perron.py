@@ -29,10 +29,9 @@ from mpmath import mp, mpc, mpf
 
 from .errors import ContourError, ConventionError, DomainError, QuadratureError
 from . import zeta as zeta_engine
-from .zeta import dirichlet_quotient_f64
+from .zeta import DEFAULT_PRECISION, dirichlet_quotient_f64
 
 MIN_NODES = 64
-DEFAULT_PRECISION = 128
 GAUSS_ORDER = 16
 #: Panels per float64 zeta batch (1024 nodes): a short stretch of height,
 #: so the N each batch picks from its tallest node stays near its own.

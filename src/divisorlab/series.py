@@ -24,10 +24,10 @@ from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, PrecisionError
 from . import zeta as zeta_engine
+from .zeta import DEFAULT_PRECISION
 
 MIN_PRECISION = 64
 DEFAULT_ORDER = 8
-DEFAULT_PRECISION = 128
 
 
 @dataclass(frozen=True)

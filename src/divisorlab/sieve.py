@@ -1,22 +1,40 @@
-"""Segmented smallest-prime-factor sieve and multiplicative prefix sums.
+"""Exact prefix sums by S(x) = sum mu(k) D_j(x // k^2); the segmented sieve
+supplies per-n values, the D_j table and the oracle.
 
-Computes d(n^2), 2^omega(n), |mu(n)|, d(n), d(n)^2 exactly for all n up to a
-limit, segment by segment, and accumulates their prefix sums in exact Python
-integers.  Segments are independent work units; the reduction is integer
-addition in fixed segment order, so results are bit-identical for any segment
-size and any worker count.
+Each summable function f has Dirichlet series zeta^j(s) / zeta(2s), so
 
-Local rules at a prime power p^a:
+    sum_{n <= x} f(n) = sum_{k <= sqrt x} mu(k) D_j(floor(x / k^2)),
+
+where D_j(y) = sum_{n <= y} d_j(n) counts ordered j-tuples with product
+<= y:
+
+    d(n^2)    : j = 3        2^omega   : j = 2
+    |mu|      : j = 1        d(n)^2    : j = 4
+    d         : j = 2, the k = 1 term alone (its series is zeta^2(s)).
+
+D_j(y) is read from a cumulative table of d_j for y up to a limit Y, chosen
+from the largest cut point X as max(X^(2/3), min(X, 2^16)), capped at 2^22
+entries, and evaluated by the Dirichlet hyperbola method above Y.  All cut
+points are handled together, one numpy array per squarefree k, and results
+are returned as Python integers (every intermediate fits int64 below
+LIMIT_CAP).
+
+The segmented smallest-prime-factor sieve factors every n in a range; it
+gives f(n) for single n (function_values, identity checks), builds the D_j
+table, and stays the oracle the tests hold the prefix sums to.
+
+Local rules at a prime power p^a (_local_factor):
     d(n^2)    : 2a + 1
     2^omega   : 2
     |mu|      : 1 if a == 1 else 0
     d         : a + 1
-    d(n)^2    : (a + 1)^2  (accumulated as d, squared at the end)
+    d(n)^2    : (a + 1)^2
+    d_j       : C(a + j - 1, j - 1)
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
@@ -31,6 +49,12 @@ LIMIT_CAP = 1 << 40
 
 DEFAULT_SEGMENT_SIZE = 1 << 18
 
+#: Largest D_j table (32 MiB of int64); above it the hyperbola method takes over.
+_TABLE_CAP = 1 << 22
+
+#: Terms the hyperbola method expands into flat arrays at a time.
+_CHUNK = 1 << 18
+
 
 class ArithmeticFunction(Enum):
     """Multiplicative functions whose prefix sums the library computes."""
@@ -42,26 +66,36 @@ class ArithmeticFunction(Enum):
     D_SQUARED = "d_squared"    # d(n)^2
 
 
-def _local_factor(function: ArithmeticFunction, exponents: np.ndarray) -> np.ndarray:
-    """Vectorized local rule: multiplier contributed by p^a for each exponent a."""
-    if function is ArithmeticFunction.D_SQUARE:
-        return 2 * exponents + 1
-    if function is ArithmeticFunction.TWO_OMEGA:
-        return np.full_like(exponents, 2)
-    if function is ArithmeticFunction.MU_SQUARED:
-        return (exponents == 1).astype(np.int64)
-    # D and D_SQUARED accumulate d(n); D_SQUARED squares afterwards.
-    return exponents + 1
+#: function -> (j, whether mu(k) D_j(x // k^2) runs over all k or k = 1 only)
+_ROUTES = {
+    ArithmeticFunction.D_SQUARE: (3, True),
+    ArithmeticFunction.TWO_OMEGA: (2, True),
+    ArithmeticFunction.MU_SQUARED: (1, True),
+    ArithmeticFunction.D: (2, False),
+    ArithmeticFunction.D_SQUARED: (4, True),
+}
 
 
-def _local_factor_int(function: ArithmeticFunction, a: int) -> int:
-    if function is ArithmeticFunction.D_SQUARE:
+def _local_factor(rule: ArithmeticFunction | int, a):
+    """f(p^a) for an int exponent a or an int64 array of them.
+
+    rule is an ArithmeticFunction, or an int j >= 1 for the j-fold divisor
+    function d_j.
+    """
+    if rule is ArithmeticFunction.D_SQUARE:
         return 2 * a + 1
-    if function is ArithmeticFunction.TWO_OMEGA:
-        return 2
-    if function is ArithmeticFunction.MU_SQUARED:
-        return 1 if a == 1 else 0
-    return a + 1
+    if rule is ArithmeticFunction.TWO_OMEGA:
+        return 0 * a + 2
+    if rule is ArithmeticFunction.MU_SQUARED:
+        return (a == 1) * 1
+    if rule is ArithmeticFunction.D:
+        return a + 1
+    if rule is ArithmeticFunction.D_SQUARED:
+        return (a + 1) ** 2
+    factor = 0 * a + 1  # C(a + i, i) after step i
+    for i in range(1, rule):
+        factor = factor * (a + i) // i
+    return factor
 
 
 def small_primes(limit: int) -> np.ndarray:
@@ -74,6 +108,17 @@ def small_primes(limit: int) -> np.ndarray:
         if is_prime[i]:
             is_prime[i * i:: i] = False
     return np.nonzero(is_prime)[0].astype(np.int64)
+
+
+def _mobius(limit: int) -> np.ndarray:
+    """mu(k) for 0 <= k <= limit (mu(0) = 0)."""
+    mu = np.ones(limit + 1, dtype=np.int64)
+    mu[0] = 0
+    for p in small_primes(limit):
+        p = int(p)
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+    return mu
 
 
 @dataclass
@@ -109,16 +154,12 @@ class SieveSegment:
             factors.append((r, 1))
         return factors
 
-    def values(self, function: ArithmeticFunction) -> np.ndarray:
-        """Function values for every n in the segment, as int64."""
+    def values(self, rule: ArithmeticFunction | int) -> np.ndarray:
+        """Values of a function (or of d_j, for an int j) on the segment, as int64."""
         vals = np.ones(len(self), dtype=np.int64)
         for _, offsets, exps in self.prime_hits:
-            vals[offsets] *= _local_factor(function, exps)
-        big = self.residual > 1
-        if big.any():
-            vals[big] *= _local_factor_int(function, 1)
-        if function is ArithmeticFunction.D_SQUARED:
-            vals = vals * vals
+            vals[offsets] *= _local_factor(rule, exps)
+        vals[self.residual > 1] *= _local_factor(rule, 1)
         return vals
 
 
@@ -189,9 +230,7 @@ def evaluate(function: ArithmeticFunction, factorization: Sequence[tuple[int, in
     """Multiplicative function value from an exact factorization [(p, a), ...]."""
     value = 1
     for _, a in factorization:
-        value *= _local_factor_int(function, a)
-    if function is ArithmeticFunction.D_SQUARED:
-        value *= value
+        value *= _local_factor(function, a)
     return value
 
 
@@ -205,34 +244,119 @@ def function_values(
         yield seg.values(function)
 
 
+def _isqrt_array(z: np.ndarray) -> np.ndarray:
+    """floor(sqrt(z)) for an int64 array below 2^53."""
+    r = np.sqrt(z.astype(np.float64)).astype(np.int64)
+    r -= r * r > z
+    r += (r + 1) * (r + 1) <= z
+    return r
+
+
+def _quotient_sum(z: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  weight: np.ndarray) -> int:
+    """sum_i weight[i] * sum_{lo[i] <= b <= hi[i]} floor(z[i] / b).
+
+    The (i, b) pairs are expanded into flat arrays a few rows at a time, up
+    to _CHUNK entries (or one row, at most sqrt(LIMIT_CAP) long), so memory
+    stays bounded whatever the number of terms.
+    """
+    counts = np.maximum(hi - lo + 1, 0)
+    ends = np.cumsum(counts)
+    total, i = 0, 0
+    while i < len(z):
+        stop = max(int(np.searchsorted(ends, ends[i] - counts[i] + _CHUNK, "right")),
+                   i + 1)
+        c = counts[i:stop]
+        row = np.repeat(np.arange(i, stop), c)
+        b = lo[row] + np.arange(len(row)) - np.repeat(np.cumsum(c) - c, c)
+        total += int(np.dot(weight[row], z[row] // b))
+        i = stop
+    return total
+
+
+def divisor_summatory(j: int, y: int) -> int:
+    """D_j(y) = sum_{n <= y} d_j(n) by the Dirichlet hyperbola method, j = 1..4.
+
+    D_j(y) counts ordered j-tuples of positive integers with product <= y.
+    """
+    if y < 1:
+        return 0
+    if j == 1:
+        return y
+    one = np.ones(1, dtype=np.int64)
+    if j == 2:  # pairs ab <= y have a or b <= sqrt y; the square is counted twice
+        s = isqrt(y)
+        return 2 * _quotient_sum(y * one, one, s * one, one) - s * s
+    if j == 3:
+        # Sorted triples a <= b <= c <= y / (ab), weighted by their 1, 3 or 6
+        # orderings: b = a gives 3 (y // a^2) - 3a + 1, and each b in
+        # (a, sqrt(y/a)] gives 6 (y // ab) - 6b + 3, whose b-part sums to
+        # -3 (top^2 - a^2).
+        c = round(y ** (1 / 3))
+        c -= c ** 3 > y
+        c += (c + 1) ** 3 <= y
+        a = np.arange(1, c + 1)
+        z = y // a
+        top = _isqrt_array(z)
+        closed = int((3 * (z // a) - 3 * a + 1 - 3 * (top * top - a * a)).sum())
+        return closed + 6 * _quotient_sum(z, a + 1, top, np.ones_like(a))
+    if j == 4:
+        # d_4 = d * d split at s = sqrt y: 2 sum_{a <= s} d(a) D_2(y // a) - D_2(s)^2
+        s = isqrt(y)
+        d = np.concatenate(list(function_values(ArithmeticFunction.D, s)))
+        z = y // np.arange(1, s + 1)
+        r = _isqrt_array(z)
+        d2_sum = 2 * _quotient_sum(z, np.ones_like(z), r, d) - int(np.dot(d, r * r))
+        return 2 * d2_sum - divisor_summatory(2, s) ** 2
+    raise DomainError(f"divisor_summatory needs 1 <= j <= 4, got {j}")
+
+
+def _table_limit(x_max: int) -> int:
+    """Y, the largest argument read from the D_j table rather than computed."""
+    return min(max(round(x_max ** (2 / 3)), min(x_max, 1 << 16)), _TABLE_CAP)
+
+
+def _summatory_table(j: int, limit: int, segment_size: int) -> np.ndarray:
+    """table[y] = D_j(y) for 0 <= y <= limit, from one sieve pass."""
+    table = np.zeros(limit + 1, dtype=np.int64)
+    for seg in build_sieve(limit, segment_size):
+        table[seg.lo: seg.hi + 1] = seg.values(j)
+    return np.cumsum(table, out=table)
+
+
+def _prefix_sums(
+    function: ArithmeticFunction,
+    cuts: list[int],
+    segment_size: int,
+    table_limit: int | None = None,
+) -> dict[int, int]:
+    """sum mu(k) D_j(x // k^2) at ascending cut points; table_limit overrides Y."""
+    j, all_k = _ROUTES[function]
+    x_max = cuts[-1]
+    y_max = min(table_limit or _table_limit(x_max), x_max)
+    table = _summatory_table(j, y_max, segment_size)
+    mu = _mobius(isqrt(x_max) if all_k else 1)
+    xs = np.array(cuts, dtype=np.int64)
+    total = np.zeros(len(xs), dtype=np.int64)
+    for k in np.flatnonzero(mu).tolist():
+        start = bisect_left(cuts, k * k)
+        ys = xs[start:] // (k * k)
+        split = int(np.searchsorted(ys, y_max, side="right"))
+        total[start: start + split] += mu[k] * table[ys[:split]]
+        for i, y in enumerate(ys[split:].tolist(), start + split):
+            total[i] += mu[k] * divisor_summatory(j, y)
+    return dict(zip(cuts, total.tolist()))
+
+
 def prefix_sum(
     function: ArithmeticFunction,
     x: int,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
 ) -> PrefixSumResult:
-    """Exact sum of f(n) for n <= x, as an unbounded Python integer.
-
-    Segments are independent; with workers > 1 they are sieved concurrently
-    and reduced in ascending segment order, so the result is deterministic.
-    """
+    """Exact sum of f(n) for n <= x, as an unbounded Python integer."""
     _check_limit(x)
-    bounds = segment_bounds(x, segment_size)
-    primes = small_primes(isqrt(x))
-
-    def one(bound: tuple[int, int]) -> int:
-        lo, hi = bound
-        return int(sieve_segment(lo, hi, primes).values(function).sum())
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(one, bounds))
-    else:
-        partials = [one(b) for b in bounds]
-    total = 0
-    for part in partials:  # fixed ascending order
-        total += part
-    return PrefixSumResult(x=x, value=total, function=function)
+    value = _prefix_sums(function, [int(x)], segment_size)[int(x)]
+    return PrefixSumResult(x=x, value=value, function=function)
 
 
 def prefix_sums_at(
@@ -240,23 +364,14 @@ def prefix_sums_at(
     xs: Iterable[int],
     segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> dict[int, int]:
-    """Prefix sums at several cut points in one ascending sieve pass."""
+    """Exact prefix sums at several cut points, from one D_j table."""
     cuts = sorted(set(int(x) for x in xs))
     if not cuts:
         return {}
     if cuts[0] < 1:
         raise DomainError("prefix sum cut points must be >= 1")
-    limit = cuts[-1]
-    out: dict[int, int] = {}
-    running = 0
-    pending = list(cuts)
-    for seg in build_sieve(limit, segment_size):
-        csum = np.cumsum(seg.values(function))
-        while pending and pending[0] <= seg.hi:
-            x = pending.pop(0)
-            out[x] = running + int(csum[x - seg.lo])
-        running += int(csum[-1])
-    return out
+    _check_limit(cuts[-1])
+    return _prefix_sums(function, cuts, segment_size)
 
 
 def trial_factorize(n: int) -> list[tuple[int, int]]:

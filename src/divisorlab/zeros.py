@@ -31,8 +31,8 @@ from .errors import (
     ZeroFileParseError,
 )
 from . import zeta as zeta_engine
+from .zeta import DEFAULT_PRECISION
 
-DEFAULT_PRECISION = 128
 CACHE_DIGITS = 30
 
 

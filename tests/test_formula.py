@@ -1,10 +1,12 @@
 """Explicit-formula assembly: grids, truncation rules, the cosine form of a
 zero term, and exact bookkeeping of the error decomposition."""
 
+import cmath
 import csv
 import json
 import math
 
+import numpy as np
 import pytest
 from mpmath import mpf
 
@@ -111,9 +113,33 @@ class TestZeroSum:
             formula.zero_sum(100.5, ZeroTable((), "0" * 64),
                              zero_coefficients, Cutoff("count", 10))
 
+    def test_grid_matches_per_x_loop(self, zero_coefficients):
+        """The (x by zero) array form against the pairwise per-x loop it replaced."""
+
+        def per_x(x):
+            lx = math.log(x)
+            total = 0j
+            for c in zero_coefficients:
+                rho, a = complex(c.rho_half), complex(c.coefficient)
+                total += (a * cmath.exp(rho * lx)
+                          + a.conjugate() * cmath.exp(rho.conjugate() * lx))
+            return total.real, abs(total.imag)
+
+        grid = log_grid(2, 1.0e12, 400)
+        values, residues = formula.zero_sum_terms(np.array(grid), zero_coefficients)
+        assert values.shape == residues.shape == (len(grid),)
+        abs_sum = sum(2 * abs(complex(c.coefficient)) for c in zero_coefficients)
+        for x, value, residue in zip(grid, values, residues):
+            want, want_residue = per_x(x)
+            ulps = 4 * 2.0 ** -53 * abs_sum * x ** 0.25
+            assert abs(value - want) <= ulps
+            assert abs(residue - want_residue) <= ulps
+
     def test_domain(self, zero_coefficients):
         with pytest.raises(DomainError):
             formula.zero_sum_terms(1.0, zero_coefficients)
+        with pytest.raises(DomainError):
+            formula.zero_sum_terms(np.array([100.5, 1.0]), zero_coefficients)
 
 
 class TestCompare:

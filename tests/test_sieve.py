@@ -91,26 +91,93 @@ def test_prefix_sum_increments_by_point_values():
         assert running == int(vals[:x].sum())
 
 
+def sieve_cumsum(function, limit, segment_size=sieve.DEFAULT_SEGMENT_SIZE):
+    """[S(1), ..., S(limit)] from the sieve's per-n values: the oracle."""
+    values = np.concatenate(list(sieve.function_values(function, limit, segment_size)))
+    return np.cumsum(values)
+
+
+def tuple_count(j: int, y: int) -> int:
+    """Ordered j-tuples of positive integers with product <= y, by enumeration."""
+    if j == 1:
+        return y
+    return sum(tuple_count(j - 1, y // a) for a in range(1, y + 1))
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_divisor_summatory_counts_tuples(j):
+    for y in range(0, 301):
+        assert sieve.divisor_summatory(j, y) == tuple_count(j, y)
+
+
+def test_divisor_summatory_chunking(monkeypatch):
+    # pair expansion split into many tiny chunks gives the same counts
+    expected = {(j, y): sieve.divisor_summatory(j, y)
+                for j in (2, 3, 4) for y in (97, 300)}
+    monkeypatch.setattr(sieve, "_CHUNK", 5)
+    for (j, y), value in expected.items():
+        assert sieve.divisor_summatory(j, y) == value
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     x=st.integers(min_value=1, max_value=30000),
     segment_size=st.integers(min_value=2, max_value=9999),
-    workers=st.integers(min_value=1, max_value=4),
+    function=st.sampled_from(list(AF)),
 )
-def test_prefix_sum_schedule_invariance(x, segment_size, workers):
-    baseline = sieve.prefix_sum(AF.D_SQUARE, x).value
-    assert sieve.prefix_sum(AF.D_SQUARE, x, segment_size, workers).value == baseline
+def test_prefix_sum_schedule_invariance(x, segment_size, function):
+    oracle = int(sieve_cumsum(function, x)[-1])
+    assert sieve.prefix_sum(function, x, segment_size).value == oracle
+
+
+@pytest.mark.parametrize("function", list(AF))
+def test_prefix_sums_at_dense_cuts(function):
+    oracle = sieve_cumsum(function, 5000, 1024)
+    got = sieve.prefix_sums_at(function, range(1, 5001))
+    assert [got[x] for x in range(1, 5001)] == oracle.tolist()
+
+
+def test_prefix_sums_at_sparse_cuts_to_2e6():
+    limit = 2 * 10**6
+    rng = np.random.default_rng(11)
+    cuts = sorted(set(rng.integers(1, limit, 60).tolist()) | {1, 65536, 65537, limit})
+    for function in AF:
+        oracle = sieve_cumsum(function, limit)
+        got = sieve.prefix_sums_at(function, cuts)
+        assert got == {x: int(oracle[x - 1]) for x in cuts}, function
+
+
+def test_mobius_matches_trial_division():
+    # mu(k) for every k the 1e8 sums below use
+    mu = sieve._mobius(10**4)
+    for k in range(1, 10**4 + 1):
+        exps = [a for _, a in sieve.trial_factorize(k)]
+        assert mu[k] == (0 if any(a > 1 for a in exps) else (-1) ** len(exps))
+
+
+@pytest.mark.parametrize("function", list(AF))
+def test_table_and_hyperbola_agree_at_1e8(function):
+    x = 10**8
+    small = sieve._prefix_sums(function, [x], 2**16, table_limit=2**10)[x]
+    large = sieve._prefix_sums(function, [x], 2**16, table_limit=2**20)[x]
+    assert small == large == sieve.prefix_sum(function, x).value
+    assert isinstance(large, int)
 
 
 def test_domain_and_capacity_errors():
     with pytest.raises(DomainError):
         sieve.prefix_sum(AF.D_SQUARE, 0)
     with pytest.raises(DomainError):
+        sieve.prefix_sums_at(AF.D_SQUARE, [5, 0])
+    with pytest.raises(DomainError):
         list(sieve.build_sieve(0, 16))
     with pytest.raises(DomainError):
         list(sieve.build_sieve(10, 1))
     with pytest.raises(CapacityError):
         sieve.prefix_sum(AF.D_SQUARE, sieve.LIMIT_CAP + 1)
+    with pytest.raises(CapacityError):
+        sieve.prefix_sums_at(AF.D_SQUARE, [10, sieve.LIMIT_CAP + 1])
+    assert sieve.prefix_sums_at(AF.D_SQUARE, []) == {}
 
 
 def test_identity_check_examples():
