@@ -3,7 +3,7 @@
 Modules:
     sieve    exact prefix sums by mu * D_j; segmented factorization sieve
     zeta     multiprecision zeta, Stieltjes constants, functional equation
-    series   truncated Laurent arithmetic and residue coefficients
+    series   main-term residue coefficients from three-term Taylor jets
     zeros    zero-table ingestion and explicit-formula coefficients
     formula  explicit-formula assembly and error reports
     perron   contour quadrature verification

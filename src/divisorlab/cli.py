@@ -42,7 +42,6 @@ DIGITS = 20
 @dataclass
 class RunConfig:
     precision_bits: int = zeta_engine.DEFAULT_PRECISION
-    sieve_cap: int = sieve.LIMIT_CAP
     segment_size: int = sieve.DEFAULT_SEGMENT_SIZE
     zeros_path: str | None = None
     cache_path: str | None = None
@@ -91,7 +90,8 @@ def _read_config_file(path) -> dict:
 
 
 def _num(value, digits: int = DIGITS) -> str:
-    return mp.nstr(mpf(value), digits)
+    """`digits` significant digits; an mpf is formatted from all its bits."""
+    return mp.nstr(value if isinstance(value, mpf) else mpf(value), digits)
 
 
 def _emit(payload: dict) -> None:
@@ -167,10 +167,12 @@ def cmd_zeros_import(args, cfg: RunConfig) -> int:
 
 def cmd_zeros_coeffs(args, cfg: RunConfig) -> int:
     table, coeffs = _table_and_coefficients(cfg, args.count, args.refine)
+    with mp.workprec(cfg.precision_bits + 16):
+        sum_2_abs = sum(2 * abs(c.coefficient) for c in coeffs)
     _emit({
         "count": len(coeffs),
         "cache_path": cfg.cache_path,
-        "sum_2_abs": _num(sum(2 * abs(c.coefficient) for c in coeffs)),
+        "sum_2_abs": _num(sum_2_abs),
         "first_coefficient": {
             "re": _num(coeffs[0].coefficient.real, 30),
             "im": _num(coeffs[0].coefficient.imag, 30),

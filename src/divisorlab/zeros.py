@@ -113,10 +113,10 @@ def coefficient_for(gamma, precision: int = DEFAULT_PRECISION) -> ZeroTermCoeffi
     gamma must already be polished (|zeta(1/2 + i gamma)| < 1e-8).  Negative
     ordinates are handled by conjugation of the positive-gamma result.
     """
-    g = mpf(gamma)
-    if g < 0:
-        return coefficient_for(-g, precision).conjugate()
     with mp.workprec(precision + 16):
+        g = mpf(gamma)
+        if g < 0:
+            return coefficient_for(-g, precision).conjugate()
         rho = mpc(mpf("0.5"), g)
         val, der = zeta_engine.zeta_with_derivatives(rho, 1, precision)[:2]
         if abs(val) >= mpf("1e-8"):

@@ -6,9 +6,12 @@ Everything is built on one Euler-Maclaurin continuation
               + sum_{j=1..J} B_2j/(2j)! * s(s+1)...(s+2j-2) * N^(1-s-2j) + R,
 
 with N and J chosen from the target precision and |Im s| so that |R| stays
-below the last retained bit.  Derivatives in s are obtained by differentiating
-the same formula term by term (Leibniz on each product), which costs a single
-pass and keeps the derivative values consistent with the base evaluation.
+below the last retained bit.  Derivatives in s come from the same pass: every
+term is carried as a Taylor jet (its coefficients f^(k)(s)/k!), exponentials
+as value * rate^k / k! and products by one truncated Cauchy product, so the
+derivative values stay consistent with the base evaluation.  One table of
+B_2j/(2j)!, cached per (J, precision), serves both engines and the Stieltjes
+constants.
 
 Also here: Stieltjes constants via the Euler-Maclaurin-accelerated tail of
 their defining limit, the functional-equation conversion factor
@@ -22,6 +25,7 @@ the same rule as the multiprecision engine, at 53 bits.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -36,6 +40,9 @@ from .errors import (
 )
 
 DEFAULT_PRECISION = 128
+
+#: Lowest working precision; below it the engines' guard bits are not enough.
+MIN_PRECISION = 64
 
 #: Default cap on |Im s|; Riemann-Siegel large-height evaluation is out of scope.
 DEFAULT_HEIGHT_CAP = 1.0e4
@@ -69,6 +76,49 @@ def _em_parameters(precision: int, t_abs: float, sigma: float) -> tuple[int, int
     return max(int(math.ceil(N)), 2 * J, 20), J
 
 
+@functools.cache
+def _bernoulli_table(J: int, precision: int) -> tuple[mpf, ...]:
+    """B_2j / (2j)! for j = 1..J, correctly rounded to `precision` bits.
+
+    Built from the exact fractions: mp.bernoulli's last bit depends on what
+    its own cache already holds.
+    """
+    table = []
+    for j in range(1, J + 1):
+        p, q = mp.bernfrac(2 * j)
+        table.append(mp.fdiv(p, q * math.factorial(2 * j), prec=precision))
+    return tuple(table)
+
+
+# ---------------------------------------------------------------------------
+# Taylor jets: [f(s), f'(s), f''(s)/2!, ..., f^(k)(s)/k!], truncated
+# ---------------------------------------------------------------------------
+
+def _exp_jet(value, rate, K: int) -> list:
+    """Jet of value * exp(rate * h) at h = 0: value rate^k / k!, k < K."""
+    jet = [value]
+    for k in range(1, K):
+        jet.append(jet[-1] * (rate / k))
+    return jet
+
+
+def jet_mul(a, b) -> list:
+    """Jet of a product (Cauchy product), truncated to the shorter jet."""
+    return [sum((a[i] * b[k - i] for i in range(1, k + 1)), a[0] * b[k])
+            for k in range(min(len(a), len(b)))]
+
+
+def jet_inverse(a) -> list:
+    """Jet of 1/f from the jet of f; f(s) must not vanish."""
+    if a[0] == 0:
+        raise DomainError("cannot invert a jet with zero leading coefficient")
+    inv = 1 / a[0]
+    out = [inv]
+    for n in range(1, len(a)):
+        out.append(-inv * sum(a[k] * out[n - k] for k in range(1, n + 1)))
+    return out
+
+
 def zeta_with_derivatives(
     s,
     kmax: int = 0,
@@ -78,6 +128,8 @@ def zeta_with_derivatives(
     """[zeta(s), zeta'(s), ..., zeta^(kmax)(s)] in one Euler-Maclaurin pass."""
     global _calls
     _calls += 1
+    if precision < MIN_PRECISION:
+        raise PrecisionError(f"precision must be >= {MIN_PRECISION} bits")
     z = mpc(s)
     if z == 1:
         raise PoleError("zeta has a pole at s = 1")
@@ -90,70 +142,38 @@ def zeta_with_derivatives(
     K = kmax + 1
     with mp.workprec(precision + 24):
         z = mpc(z)
-        out = [mpc(0) for _ in range(K)]
+        out = [mpc(0)] * K
         out[0] += 1  # n = 1 term
         for n in range(2, N):
             ln_n = mp.ln(n)
-            npow = mp.exp(-z * ln_n)
-            fac = npow
-            out[0] += fac
-            for k in range(1, K):
-                fac *= -ln_n
-                out[k] += fac
+            for k, c in enumerate(_exp_jet(mp.exp(-z * ln_n), -ln_n, K)):
+                out[k] += c
 
         L = mp.ln(N)
-        # N^(1-s)/(s-1): Leibniz over u = N^(1-s), v = 1/(s-1).
-        u = mp.exp((1 - z) * L)
-        u_der = [u]
+        # N^(1-s)/(s-1), with 1/(s-1+h) = sum_k (-1)^k h^k / (s-1)^(k+1)
+        v = 1 / (z - 1)
+        pole = [v]
         for _ in range(1, K):
-            u_der.append(u_der[-1] * (-L))
-        v_der = []
-        vb = 1 / (z - 1)
-        for b in range(K):
-            v_der.append(vb)
-            vb = vb * (-(b + 1)) / (z - 1)
-        for k in range(K):
-            acc = mpc(0)
-            for a in range(k + 1):
-                acc += mp.binomial(k, a) * u_der[a] * v_der[k - a]
-            out[k] += acc
+            pole.append(pole[-1] * -v)
+        pieces = [jet_mul(_exp_jet(mp.exp((1 - z) * L), -L, K), pole),
+                  _exp_jet(mp.exp(-z * L) / 2, -L, K)]  # N^-s / 2
 
-        # N^-s / 2
-        half = mp.exp(-z * L) / 2
-        fac = half
-        out[0] += fac
-        for k in range(1, K):
-            fac *= -L
-            out[k] += fac
-
-        # Bernoulli corrections with P_j(s) = s(s+1)...(s+2j-2) kept as a
-        # derivative vector p[a] = P_j^(a)(s), updated factor by factor.
-        p = [mpc(0) for _ in range(K)]
-        p[0] = z  # P_1(s) = s
-        if K > 1:
-            p[1] = mpc(1)
+        # Bernoulli corrections B_2j/(2j)! P_j(s) N^(1-s-2j), with the jet of
+        # P_j(s) = s(s+1)...(s+2j-2) updated factor by factor.
+        p = ([z, mpc(1)] + [mpc(0)] * K)[:K]  # P_1(s + h) = s + h
         w = mp.exp((-z - 1) * L)  # N^(1-s-2j) at j = 1
         w_scale = mp.exp(-2 * L)
-        for j in range(1, J + 1):
+        for j, coeff in enumerate(_bernoulli_table(J, mp.prec), start=1):
             if j > 1:
                 for c in (2 * j - 3, 2 * j - 2):
-                    newp = [mpc(0) for _ in range(K)]
-                    for a in range(K):
-                        newp[a] = (z + c) * p[a]
-                        if a >= 1:
-                            newp[a] += a * p[a - 1]
-                    p = newp
+                    for a in reversed(range(K)):
+                        p[a] = (z + c) * p[a] + (p[a - 1] if a else 0)
                 w = w * w_scale
-            coeff = mp.bernoulli(2 * j) / mp.factorial(2 * j)
-            w_der = [w]
-            for _ in range(1, K):
-                w_der.append(w_der[-1] * (-L))
-            for k in range(K):
-                acc = mpc(0)
-                for a in range(k + 1):
-                    acc += mp.binomial(k, a) * p[a] * w_der[k - a]
-                out[k] += coeff * acc
-        return [+v for v in out]
+            pieces.append([coeff * c for c in jet_mul(p, _exp_jet(w, -L, K))])
+        for piece in pieces:
+            for k, c in enumerate(piece):
+                out[k] += c
+        return [+(c * math.factorial(k)) for k, c in enumerate(out)]
 
 
 def zeta(s, precision: int = DEFAULT_PRECISION,
@@ -168,13 +188,6 @@ def zeta_derivative(s, k: int, precision: int = DEFAULT_PRECISION,
     if not 0 <= k <= 4:
         raise DomainError("derivative order must satisfy 0 <= k <= 4")
     return zeta_with_derivatives(s, k, precision, height_cap)[k]
-
-
-def zeta_taylor(center, order: int, precision: int = DEFAULT_PRECISION) -> list[mpc]:
-    """Taylor coefficients zeta^(k)(center)/k! for k = 0..order."""
-    ders = zeta_with_derivatives(center, order, precision)
-    with mp.workprec(precision + 24):
-        return [ders[k] / mp.factorial(k) for k in range(order + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +237,13 @@ def stieltjes(m: int, precision: int = DEFAULT_PRECISION,
         result -= log_pows[m] / (2 * n0)
         inv_n = mpf(1) / n0
         npow = inv_n * inv_n  # n^-(j+1) at j = 1 is n^-2
-        for j in range(1, J + 1):
+        for j, bernoulli in enumerate(_bernoulli_table(J, mp.prec), start=1):
             deriv = mpf(0)
             for a, ca in enumerate(coeffs[2 * j - 1]):
                 if ca:
                     deriv += ca * log_pows[a]
             deriv *= npow
-            result -= mp.bernoulli(2 * j) / mp.factorial(2 * j) * deriv
+            result -= bernoulli * deriv
             npow *= inv_n * inv_n
         return +result
 
@@ -319,20 +332,6 @@ def refine_zero(approx_ordinate, precision: int = DEFAULT_PRECISION,
 # Vectorized float64 evaluation for contour quadrature
 # ---------------------------------------------------------------------------
 
-#: Float64 table of B_2j / (2j)!, j = 1, 2, ...; grown on demand.
-_BERNOULLI_F64 = np.empty(0)
-
-
-def _bernoulli_f64(J: int) -> np.ndarray:
-    """B_2j / (2j)! for j = 1..J in float64."""
-    global _BERNOULLI_F64
-    if len(_BERNOULLI_F64) < J:
-        _BERNOULLI_F64 = np.array(
-            [float(mp.bernoulli(2 * j) / mp.factorial(2 * j)) for j in range(1, J + 1)]
-        )
-    return _BERNOULLI_F64[:J]
-
-
 def zeta_f64(s: np.ndarray) -> np.ndarray:
     """Euler-Maclaurin zeta over an array of complex128 points.
 
@@ -353,7 +352,7 @@ def zeta_f64(s: np.ndarray) -> np.ndarray:
     L = math.log(N)
     out += np.exp((1 - sf) * L) / (sf - 1)
     out += np.exp(-sf * L) / 2.0
-    bern = _bernoulli_f64(J)
+    bern = [float(b) for b in _bernoulli_table(J, 53)]
     p = sf.copy()  # P_1(s) = s
     w = np.exp((-sf - 1) * L)
     w_scale = math.exp(-2 * L)

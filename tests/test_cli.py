@@ -3,8 +3,9 @@
 import json
 
 import pytest
+from mpmath import mp, mpf
 
-from divisorlab import cli
+from divisorlab import cli, perron
 
 from conftest import ZEROS_PATH
 
@@ -115,6 +116,27 @@ def test_perron_residue(capsys):
     assert abs(float(payload["real"]) - 0.25) < 1e-8
 
 
+def test_perron_residue_prints_computed_digits(capsys):
+    """All 20 printed digits are the computed value's, also at mpmath's
+    default 53-bit ambient precision, the one a fresh process runs at."""
+    with mp.workprec(53):
+        payload = run_json(capsys, "perron", "residue", "--center-re", "1",
+                           "--radius", "0.2", "--x", "1000.5", "--nodes", "64")
+    value = perron.residue_by_circle(1.0, 0.2, 1000.5, nodes=64).real
+    assert abs(mpf(payload["real"]) - value) / value < mpf("1e-19")
+
+
+@pytest.mark.parametrize("argv", [
+    ["perron", "residue", "--center-re", "1", "--radius", "0.2", "--x", "1000.5"],
+    ["zeros", "coeffs", "--count", "2", "--zeros-path", str(ZEROS_PATH)],
+    ["constants"],
+], ids=["perron_residue", "zeros_coeffs", "constants"])
+def test_precision_floor(capsys, argv):
+    code, captured = run(capsys, *argv, "--precision-bits", "8")
+    assert code == 2
+    assert json.loads(captured.err)["error"] == "PrecisionError"
+
+
 def test_perron_decay(capsys, tmp_path):
     payload = run_json(capsys, "perron", "decay", "100.5",
                        "--c", "2.0", "--T", "50", "100",
@@ -157,11 +179,12 @@ def test_config_file(capsys, tmp_path):
 
 def test_unknown_config_key(capsys, tmp_path):
     cfg = tmp_path / "lab.cfg"
-    cfg.write_text("segmnt_size = 4096\n")
-    code, captured = run(capsys, "sum", "d_square", "10", "--config", str(cfg))
-    assert code == 2
-    err = json.loads(captured.err)
-    assert err["error"] == "DomainError"
+    for line in ("segmnt_size = 4096\n", "sieve_cap = 1000\n"):
+        cfg.write_text(line)
+        code, captured = run(capsys, "sum", "d_square", "10", "--config", str(cfg))
+        assert code == 2
+        err = json.loads(captured.err)
+        assert err["error"] == "DomainError"
 
 
 def test_error_exit_code_and_payload(capsys):

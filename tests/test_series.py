@@ -1,22 +1,21 @@
-"""Series arithmetic against an exact integer-convolution oracle, and the
-residue coefficients against closed forms and contour quadrature."""
+"""Jet arithmetic against an exact integer-convolution oracle, and the
+residue coefficients against closed forms, mpmath and contour quadrature."""
 
-import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from divisorlab import series, zeta as zeta_engine
-from divisorlab.errors import DomainError, PrecisionError
-from divisorlab.series import TruncatedLaurentSeries
+from divisorlab.errors import DomainError
+from divisorlab.zeta import jet_inverse, jet_mul
 
 
-def make(coeffs, lowest=0, precision=128):
-    return TruncatedLaurentSeries(mpc(1), lowest, tuple(mpc(c) for c in coeffs),
-                                  precision)
+def make(coeffs):
+    return [mpc(c) for c in coeffs]
 
 
 def convolve(a, b, length):
@@ -34,123 +33,80 @@ small_ints = st.lists(st.integers(min_value=-9, max_value=9),
 
 
 @settings(max_examples=60, deadline=None)
-@given(a=small_ints, b=small_ints, lo_a=st.integers(-3, 2), lo_b=st.integers(-3, 2))
-def test_product_matches_integer_convolution(a, b, lo_a, lo_b):
-    length = min(len(a), len(b))
-    product = make(a, lo_a) * make(b, lo_b)
-    assert product.lowest_order == lo_a + lo_b
-    oracle = convolve(a, b, length)
-    for k, expected in enumerate(oracle):
-        got = product.coefficient(lo_a + lo_b + k)
+@given(a=small_ints, b=small_ints)
+def test_product_matches_integer_convolution(a, b):
+    product = jet_mul(make(a), make(b))
+    oracle = convolve(a, b, min(len(a), len(b)))
+    assert len(product) == len(oracle)
+    for got, expected in zip(product, oracle):
         assert got.real == expected and got.imag == 0
-
-
-@settings(max_examples=40, deadline=None)
-@given(a=small_ints, b=small_ints, lo=st.integers(-2, 2))
-def test_addition_is_coefficientwise(a, b, lo):
-    length = min(len(a), len(b))
-    total = make(a, lo) + make(b, lo)
-    for k in range(length):
-        assert total.coefficient(lo + k).real == a[k] + b[k]
 
 
 def test_invert_against_fraction_recurrence():
     """Inverse coefficients reproduced by exact rational arithmetic."""
     coeffs = [3, -1, 4, -1, 5, 9]
-    inv = series.series_invert(make(coeffs, lowest=-2))
+    inv = jet_inverse(make(coeffs))
     # exact oracle: q_0 = 1/c_0, q_n = -(1/c_0) sum_{k>=1} c_k q_{n-k}
     q = [Fraction(1, coeffs[0])]
     for n in range(1, len(coeffs)):
         acc = sum(Fraction(coeffs[k]) * q[n - k] for k in range(1, n + 1))
         q.append(-acc / coeffs[0])
-    assert inv.lowest_order == 2
-    for n, expected in enumerate(q):
-        got = inv.coefficient(2 + n)
+    assert len(inv) == len(q)
+    for got, expected in zip(inv, q):
         assert abs(got - mpf(expected.numerator) / expected.denominator) < mpf("1e-35")
 
 
 @settings(max_examples=40, deadline=None)
-@given(a=small_ints, lo=st.integers(-2, 2))
-def test_invert_residual(a, lo):
+@given(a=small_ints)
+def test_invert_residual(a):
     if a[0] == 0:
         a = [1] + a[1:]
-    s = make(a, lo)
-    product = s * series.series_invert(s)
-    assert product.lowest_order == 0
-    assert abs(product.coefficient(0) - 1) < mpf("1e-30")
-    for k in range(1, len(product)):
-        assert abs(product.coefficient(k)) < mpf("1e-30")
+    s = make(a)
+    product = jet_mul(s, jet_inverse(s))
+    assert len(product) == len(a)
+    assert abs(product[0] - 1) < mpf("1e-30")
+    for c in product[1:]:
+        assert abs(c) < mpf("1e-30")
 
 
 def test_invert_zero_lead_rejected():
     with pytest.raises(DomainError):
-        series.series_invert(make([0, 1, 2]))
-
-
-def test_pow_is_repeated_multiplication():
-    s = make([2, -1, 3], lowest=-1)
-    cubed = series.series_pow(s, 3)
-    assert cubed.lowest_order == -3
-    manual = s * s * s
-    for k in range(-3, cubed.highest_order + 1):
-        assert abs(cubed.coefficient(k) - manual.coefficient(k)) < mpf("1e-30")
-    with pytest.raises(DomainError):
-        series.series_pow(s, 0)
-
-
-def test_window_semantics():
-    s = make([5, 6, 7], lowest=-1)
-    assert s.coefficient(-2) == 0  # below the window: genuinely zero
-    with pytest.raises(DomainError):
-        s.coefficient(2)  # above the window: unknown, not zero
-    with pytest.raises(DomainError):
-        make([1]) * make([1], precision=192)  # mixed precisions
-    with pytest.raises(PrecisionError):
-        TruncatedLaurentSeries(mpc(1), 0, (mpc(1),), 32)
+        jet_inverse(make([0, 1, 2]))
 
 
 def test_geometric_and_exponential_building_blocks():
-    g = series.geometric_inverse_s(6)
+    g = jet_inverse(make([1, 1, 0, 0, 0, 0, 0]))  # 1/s = 1/(1 + (s-1))
     for k in range(7):
-        assert g.coefficient(k) == (-1) ** k
+        assert g[k] == (-1) ** k
     x = mpf("7.25")
-    e = series.exp_log_series(x, 6)
     lam = mp.ln(x)
+    e = zeta_engine._exp_jet(mpc(1), lam, 7)  # exp((s-1) log x)
     for k in range(7):
-        assert abs(e.coefficient(k) - lam**k / mp.factorial(k)) < mpf("1e-32")
-
-
-def test_zeta_laurent_pole_and_constant():
-    z = series.zeta_laurent_at_1(4)
-    assert z.coefficient(-1) == 1
-    assert abs(z.coefficient(0) - mp.euler) < mpf("1e-30")
-    assert abs(z.coefficient(1) + zeta_engine.stieltjes(1)) < mpf("1e-30")
-
-
-def test_zeta_laurent_evaluates_zeta():
-    z = series.zeta_laurent_at_1(8, 160)
-    u = mpf("0.05")
-    val = sum(z.coefficient(k) * u**k for k in range(-1, 9))
-    assert abs(val - zeta_engine.zeta(1 + u, 160)) < mpf("1e-12")
+        assert abs(e[k] - lam**k / mp.factorial(k)) < mpf("1e-32")
 
 
 def test_cube_principal_part():
-    """zeta^3 Laurent data: c_-3 = 1, c_-2 = 3 gamma, c_-1 = 3 gamma^2 - 3 gamma_1."""
-    cube = series.series_pow(series.zeta_laurent_at_1(6), 3)
+    """zeta^3 Laurent data: c_-3 = 1, c_-2 = 3 gamma, c_-1 = 3 gamma^2 - 3 gamma_1,
+    from the jet (1, gamma, -gamma_1) of (s - 1) zeta(s) at s = 1."""
     g0 = zeta_engine.stieltjes(0)
     g1 = zeta_engine.stieltjes(1)
-    assert abs(cube.coefficient(-3) - 1) < mpf("1e-35")
-    assert abs(cube.coefficient(-2) - 3 * g0) < mpf("1e-33")
-    assert abs(cube.coefficient(-1) - (3 * g0**2 - 3 * g1)) < mpf("1e-33")
+    e = [mpc(1), g0, -g1]
+    cube = jet_mul(jet_mul(e, e), e)
+    assert abs(cube[0] - 1) < mpf("1e-35")
+    assert abs(cube[1] - 3 * g0) < mpf("1e-33")
+    assert abs(cube[2] - (3 * g0**2 - 3 * g1)) < mpf("1e-33")
 
 
 def test_inverse_zeta_2s_taylor():
-    q = series.taylor_of_inverse_zeta_2s_at_1(4)
+    """1/zeta(2s) at s = 1 as the exact mode builds it: the inverse of the
+    jet zeta^(k)(2) 2^k / k!."""
+    ders = zeta_engine.zeta_with_derivatives(2, 2)
+    q = jet_inverse([ders[0], 2 * ders[1], 2 * ders[2]])
     z2 = zeta_engine.zeta(2).real
     zp2 = zeta_engine.zeta_derivative(2, 1).real
-    assert abs(q.coefficient(0) - 1 / z2) < mpf("1e-30")
+    assert abs(q[0] - 1 / z2) < mpf("1e-30")
     # d/ds [1/zeta(2s)] at s=1 is -2 zeta'(2)/zeta(2)^2
-    assert abs(q.coefficient(1) + 2 * zp2 / z2**2) < mpf("1e-30")
+    assert abs(q[1] + 2 * zp2 / z2**2) < mpf("1e-30")
 
 
 class TestMainTermCoefficients:
@@ -177,11 +133,23 @@ class TestMainTermCoefficients:
         assert abs(shift) > mpf("0.5")  # the omission is not small
         assert abs(shift - series.a2_mode_shift()) < mpf("1e-20")
 
-    def test_truncation_order_stability(self):
-        lo = series.main_term_coefficients("exact", order=5)
-        hi = series.main_term_coefficients("exact", order=8)
-        for name in ("A1", "A2", "A3"):
-            assert abs(getattr(lo, name) - getattr(hi, name)) < mpf("1e-25")
+    def test_exact_mode_against_mpmath(self):
+        """All three exact-mode coefficients from mpmath's Stieltjes constants
+        and zeta derivatives alone: with q = 1/zeta(2s) expanded at s = 1,
+        A1 = q0/2, A2 = q1 + (3g - 1) q0, A3 = q2 + (3g - 1) q1
+        + (3g^2 - 3g - 3g_1 + 1) q0."""
+        c = series.main_term_coefficients("exact")
+        with mp.workdps(40):
+            g0, g1 = mpmath.stieltjes(0), mpmath.stieltjes(1)
+            z0, z1, z2 = (mpmath.zeta(2, derivative=k) for k in range(3))
+            q0 = 1 / z0
+            q1 = -2 * z1 / z0**2
+            q2 = (4 * z1**2 / z0 - 2 * z2) / z0**2
+            want = (q0 / 2, q1 + (3 * g0 - 1) * q0,
+                    q2 + (3 * g0 - 1) * q1
+                    + (3 * g0**2 - 3 * g0 - 3 * g1 + 1) * q0)
+        for name, value in zip(("A1", "A2", "A3"), want):
+            assert abs(getattr(c, name) - value) < mpf("1e-25"), name
 
     def test_constant_term_is_quarter(self):
         c = series.main_term_coefficients("exact")
@@ -191,8 +159,6 @@ class TestMainTermCoefficients:
     def test_error_paths(self):
         with pytest.raises(DomainError):
             series.main_term_coefficients("frozen")
-        with pytest.raises(DomainError):
-            series.main_term_coefficients("exact", order=4)
         with pytest.raises(DomainError):
             series.residue_main_term(1.0)
 

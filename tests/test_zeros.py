@@ -1,5 +1,6 @@
 """Zero-table ingestion, coefficient formula invariants, and cache round trips."""
 
+import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
@@ -86,6 +87,18 @@ class TestCoefficient:
         a = zero_coefficients[0].coefficient
         assert abs(a.real - mpf("0.114534896210771802")) < mpf("1e-15")
         assert abs(a.imag + mpf("0.055734766662176689")) < mpf("1e-15")
+
+    def test_ordinate_kept_at_working_precision(self, zero_table):
+        """Zero 93 against mpmath at 40 digits, called at mpmath's default
+        53-bit ambient precision, the one a fresh process runs at."""
+        gamma = zero_table.ordinates[92]
+        with mp.workprec(53):
+            ours = zeros.coefficient_for(gamma).coefficient
+        with mp.workdps(40):
+            rho = mpc(mpf("0.5"), gamma)
+            theirs = (mpmath.zeta(rho / 2) ** 3
+                      / (rho / 2 * 2 * mpmath.zeta(rho, derivative=1)))
+        assert abs(ours - theirs) / abs(theirs) < mpf("1e-25")
 
     def test_conjugate_symmetry(self, zero_table):
         g = zero_table.ordinates[0]

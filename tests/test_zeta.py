@@ -11,6 +11,7 @@ Oracles used here:
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -102,13 +103,6 @@ def test_higher_derivatives_against_mpmath():
         ours = engine.zeta_derivative(s, k, 128)
         theirs = mpmath.zeta(s, derivative=k)
         assert abs(ours - theirs) / abs(theirs) < mpf("1e-20")
-
-
-def test_taylor_coefficients_consistency():
-    coeffs = engine.zeta_taylor(2, 4)
-    for k in range(5):
-        direct = engine.zeta_derivative(2, k) / mp.factorial(k)
-        assert abs(coeffs[k] - direct) < mpf("1e-30")
 
 
 class TestStieltjes:
@@ -255,28 +249,37 @@ class TestZetaF64:
     def test_uses_shared_parameter_rule(self, monkeypatch):
         chosen, sizes = [], []
         em_parameters = engine._em_parameters
-        bernoulli_f64 = engine._bernoulli_f64
+        bernoulli_table = engine._bernoulli_table
 
         def spy_em(*args):
             chosen.append((args, em_parameters(*args)))
             return chosen[-1][1]
 
-        def spy_bernoulli(J):
-            sizes.append(J)
-            return bernoulli_f64(J)
+        def spy_bernoulli(J, precision):
+            sizes.append((J, precision))
+            return bernoulli_table(J, precision)
 
         monkeypatch.setattr(engine, "_em_parameters", spy_em)
-        monkeypatch.setattr(engine, "_bernoulli_f64", spy_bernoulli)
+        monkeypatch.setattr(engine, "_bernoulli_table", spy_bernoulli)
         engine.zeta_f64(np.array([2.0 + 10j, 0.6 - 800j, 4.0 + 300j]))
         assert chosen == [((53, 800.0, 0.6), em_parameters(53, 800.0, 0.6))]
-        assert sizes == [chosen[0][1][1]]
+        assert sizes == [(chosen[0][1][1], 53)]
         # far fewer terms than the former 1.5 (|t| + 2J + 10) rule at |t| = 800
         assert em_parameters(53, 800.0, 4.0)[0] == 500
 
     def test_bernoulli_table_sized_by_request(self):
+        """One B_2j/(2j)! table per (J, precision): sized by the request, its
+        53-bit entries the correctly rounded float64 values, and two
+        precisions distinct but agreeing to the lower one."""
         for J in (5, 30, 12):
-            table = engine._bernoulli_f64(J)
+            table = engine._bernoulli_table(J, 53)
             assert len(table) == J
-            for j in (1, J):
-                want = float(mp.bernoulli(2 * j) / mp.factorial(2 * j))
-                assert table[j - 1] == want
+            for j in range(1, J + 1):
+                p, q = mp.bernfrac(2 * j)
+                exact = Fraction(int(p), int(q) * math.factorial(2 * j))
+                assert float(table[j - 1]) == float(exact)
+                assert float(table[j - 1]) == float(mp.bernoulli(2 * j)
+                                                    / mp.factorial(2 * j))
+        lo, hi = engine._bernoulli_table(30, 128), engine._bernoulli_table(30, 192)
+        assert all(a != b for a, b in zip(lo, hi))
+        assert all(abs(a - b) <= mpf(2) ** -128 * abs(b) for a, b in zip(lo, hi))
