@@ -1,7 +1,7 @@
 """divisorlab: exact and analytic study of the divisor-square summatory sum.
 
 Modules:
-    sieve    exact prefix sums by mu * D_j; segmented factorization sieve
+    sieve    exact prefix sums by mu * D_j; one factorization sieve call
     zeta     multiprecision zeta, Stieltjes constants, functional equation
     series   main-term residue coefficients from three-term Taylor jets
     zeros    zero-table ingestion and explicit-formula coefficients

@@ -42,7 +42,6 @@ DIGITS = 20
 @dataclass
 class RunConfig:
     precision_bits: int = zeta_engine.DEFAULT_PRECISION
-    segment_size: int = sieve.DEFAULT_SEGMENT_SIZE
     zeros_path: str | None = None
     cache_path: str | None = None
     output_dir: str = "."
@@ -53,18 +52,22 @@ class RunConfig:
     def load(cls, args: argparse.Namespace) -> "RunConfig":
         cfg = cls()
         if getattr(args, "config", None):
-            for key, value in _read_config_file(args.config).items():
+            for where, key, value in _read_config_file(args.config):
                 if not hasattr(cfg, key):
-                    raise DomainError(f"unknown config key {key!r}")
-                current = getattr(cfg, key)
-                if isinstance(current, int):
-                    value = int(value)
+                    raise DomainError(f"{where}: unknown config key {key!r}")
+                if isinstance(getattr(cfg, key), int):
+                    try:
+                        value = int(value)
+                    except ValueError:
+                        raise DomainError(
+                            f"{where}: {key} must be an integer, got {value!r}"
+                        ) from None
                 setattr(cfg, key, value)
         env_zeros = os.environ.get("DIVISORLAB_ZEROS")
         if env_zeros and cfg.zeros_path is None:
             cfg.zeros_path = env_zeros
-        for key in ("precision_bits", "segment_size", "zeros_path",
-                    "cache_path", "output_dir", "workers", "mode"):
+        for key in ("precision_bits", "zeros_path", "cache_path", "output_dir",
+                    "workers", "mode"):
             flag = getattr(args, key, None)
             if flag is not None:
                 setattr(cfg, key, flag)
@@ -76,8 +79,9 @@ class RunConfig:
         return cfg
 
 
-def _read_config_file(path) -> dict:
-    out = {}
+def _read_config_file(path) -> list[tuple[str, str, str]]:
+    """("path:line", key, value) for each setting, in file order."""
+    out = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -85,7 +89,7 @@ def _read_config_file(path) -> dict:
         if "=" not in line:
             raise DomainError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        out[key] = value
+        out.append((f"{path}:{lineno}", key, value))
     return out
 
 
@@ -122,7 +126,7 @@ def _table_and_coefficients(cfg: RunConfig, count: int | None, refine: bool):
 
 def cmd_sum(args, cfg: RunConfig) -> int:
     function = ArithmeticFunction(args.function)
-    result = sieve.prefix_sum(function, args.x, cfg.segment_size)
+    result = sieve.prefix_sum(function, args.x)
     _emit({"function": function.value, "x": result.x, "value": str(result.value)})
     return 0
 
@@ -194,7 +198,7 @@ def cmd_formula_compare(args, cfg: RunConfig) -> int:
     report = compare(
         grid, function=function, mode=cfg.mode, zero_coefficients=coeffs,
         cutoff=cutoff, include_constant=not args.no_constant,
-        precision=cfg.precision_bits, segment_size=cfg.segment_size,
+        precision=cfg.precision_bits,
     )
     out = Path(cfg.output_dir)
     csv_path = out / f"compare_{function.value}.csv"
@@ -231,8 +235,7 @@ def cmd_perron_integral(args, cfg: RunConfig) -> int:
 
 
 def cmd_perron_decay(args, cfg: RunConfig) -> int:
-    exact = sieve.prefix_sum(ArithmeticFunction.D_SQUARE, int(args.x),
-                             cfg.segment_size).value
+    exact = sieve.prefix_sum(ArithmeticFunction.D_SQUARE, int(args.x)).value
     rows, slope = perron.truncation_decay(args.x, args.c, args.T, exact,
                                           args.nodes)
     out = Path(cfg.output_dir) / "perron_decay.csv"
@@ -260,18 +263,20 @@ def cmd_dirichlet_verify(args, cfg: RunConfig) -> int:
     s, N = args.s, args.N
     if s <= 1:
         raise DomainError("s must exceed 1 for absolute convergence")
+    if N < 1:
+        raise DomainError("N must be >= 1")
     prec = cfg.precision_bits
+    values = sieve.build_sieve(max(N, 10**4), ArithmeticFunction.D_SQUARE)
     with mp.workprec(prec + 16):
         partial = mpf(0)
-        for values, lo in _value_stream(N, cfg.segment_size):
-            for i, v in enumerate(values):
-                partial += int(v) * mp.power(lo + i, -s)
+        for n, v in enumerate(values[1: N + 1].tolist(), 1):
+            partial += v * mp.power(n, -s)
         closed = (zeta_engine.zeta(s, prec) ** 3
                   / zeta_engine.zeta(2 * s, prec)).real
         difference = abs(partial - closed)
         # Tail bound using the crude estimate d(n^2) <= n^0.9 for n > 1e4;
         # below that the exact tail is summed into the bound's prefix.
-        tail_bound = _tail_bound(s, N, cfg.segment_size)
+        tail_bound = _tail_bound(s, N, values)
     payload = {
         "s": s, "N": N,
         "partial_sum": _num(partial, 25),
@@ -288,13 +293,8 @@ def cmd_dirichlet_verify(args, cfg: RunConfig) -> int:
     return 0 if payload["pass"] else 1
 
 
-def _value_stream(limit: int, segment_size: int):
-    for seg in sieve.build_sieve(limit, segment_size):
-        yield seg.values(ArithmeticFunction.D_SQUARE), seg.lo
-
-
-def _tail_bound(s: float, N: int, segment_size: int) -> mpf:
-    """Upper bound on sum_{n>N} d(n^2)/n^s.
+def _tail_bound(s: float, N: int, values) -> mpf:
+    """Upper bound on sum_{n>N} d(n^2)/n^s; values[n] = d(n^2) for n <= 1e4.
 
     For n > max(N, 1e4) use d(n^2) <= n^0.9 and integrate; if N < 1e4 the
     exact terms up to 1e4 are added.
@@ -304,14 +304,8 @@ def _tail_bound(s: float, N: int, segment_size: int) -> mpf:
     bound = mp.power(crude_from, -exponent) / exponent
     if N < crude_from:
         with mp.workprec(80):
-            for values, lo in _value_stream(crude_from, segment_size):
-                hi = lo + len(values) - 1
-                if hi <= N:
-                    continue
-                for i, v in enumerate(values):
-                    n = lo + i
-                    if n > N:
-                        bound += int(v) * mp.power(n, -s)
+            for n, v in enumerate(values[N + 1: crude_from + 1].tolist(), N + 1):
+                bound += v * mp.power(n, -s)
     return bound
 
 
@@ -322,7 +316,6 @@ def _tail_bound(s: float, N: int, segment_size: int) -> mpf:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--precision-bits", dest="precision_bits", type=int)
-    p.add_argument("--segment-size", dest="segment_size", type=int)
     p.add_argument("--zeros-path", dest="zeros_path")
     p.add_argument("--cache-path", dest="cache_path")
     p.add_argument("--output-dir", dest="output_dir")

@@ -31,7 +31,7 @@ from .series import (
     main_term_coefficients,
     two_omega_coefficients,
 )
-from .sieve import ArithmeticFunction, prefix_sums_at, DEFAULT_SEGMENT_SIZE
+from .sieve import ArithmeticFunction, prefix_sums_at
 from .zeros import ZeroTable, ZeroTermCoefficient
 from . import zeta as zeta_engine
 from .zeta import DEFAULT_PRECISION
@@ -178,16 +178,6 @@ def zero_sum_terms(x, terms: list[ZeroTermCoefficient]):
     return total.real, np.abs(total.imag)
 
 
-def zero_sum(x: float, table: ZeroTable, coefficients: list[ZeroTermCoefficient],
-             cutoff: Cutoff) -> float:
-    """Real oscillatory zero-sum correction at x under the given cutoff."""
-    if len(table) == 0:
-        raise DomainError("zero table is empty")
-    chosen, _ = select_zero_terms(coefficients, cutoff)
-    value, _ = zero_sum_terms(x, chosen)
-    return value
-
-
 def compare(
     x_grid,
     function: ArithmeticFunction = ArithmeticFunction.D_SQUARE,
@@ -197,7 +187,6 @@ def compare(
     cutoff: Cutoff | None = None,
     include_constant: bool = True,
     precision: int = DEFAULT_PRECISION,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> ErrorReport:
     """Exact prefix sums versus the analytic decomposition over a grid.
 
@@ -211,7 +200,7 @@ def compare(
     report = ErrorReport(function=function, mode=mode, cutoff=cutoff)
 
     floors = [int(x) for x in xs]
-    sums = prefix_sums_at(function, floors, segment_size)
+    sums = prefix_sums_at(function, floors)
 
     if function is ArithmeticFunction.D_SQUARE:
         if coefficients is None:

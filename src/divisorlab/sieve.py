@@ -1,5 +1,5 @@
-"""Exact prefix sums by S(x) = sum mu(k) D_j(x // k^2); the segmented sieve
-supplies per-n values, the D_j table and the oracle.
+"""Exact prefix sums by S(x) = sum mu(k) D_j(x // k^2); one sieve call,
+build_sieve(limit, rule), supplies per-n values, the D_j table and the oracle.
 
 Each summable function f has Dirichlet series zeta^j(s) / zeta(2s), so
 
@@ -19,9 +19,11 @@ points are handled together, one numpy array per squarefree k, and results
 are returned as Python integers (every intermediate fits int64 below
 LIMIT_CAP).
 
-The segmented smallest-prime-factor sieve factors every n in a range; it
-gives f(n) for single n (function_values, identity checks), builds the D_j
-table, and stays the oracle the tests hold the prefix sums to.
+build_sieve(limit, rule) factors every n <= limit by the primes up to
+sqrt(limit) and returns the int64 array of f(0..limit), f(0) = 0.  It gives
+the per-n values (dirichlet-verify, identity checks, d for the D_4
+hyperbola), builds the D_j table as a cumulative sum, and stays the oracle
+the tests hold the prefix sums to.
 
 Local rules at a prime power p^a (_local_factor):
     d(n^2)    : 2a + 1
@@ -38,7 +40,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,7 +49,8 @@ from .errors import CapacityError, DomainError
 #: Documented sieve limit cap: keeps sqrt(limit) sieving and memory planning safe.
 LIMIT_CAP = 1 << 40
 
-DEFAULT_SEGMENT_SIZE = 1 << 18
+#: Integers build_sieve factors at a time; bounds its working arrays.
+_BLOCK = 1 << 18
 
 #: Largest D_j table (32 MiB of int64); above it the hyperbola method takes over.
 _TABLE_CAP = 1 << 22
@@ -121,48 +124,6 @@ def _mobius(limit: int) -> np.ndarray:
     return mu
 
 
-@dataclass
-class SieveSegment:
-    """Complete factorization data for all n in [lo, hi].
-
-    prime_hits holds, for each prime p <= sqrt(limit) with a multiple in the
-    segment, the offsets (n - lo) of those multiples and the exact p-adic
-    valuations of n at them.  residual[n - lo] is the cofactor of n after all
-    listed primes are divided out: either 1 or a single prime > sqrt(limit).
-    """
-
-    lo: int
-    hi: int
-    prime_hits: list[tuple[int, np.ndarray, np.ndarray]]
-    residual: np.ndarray
-
-    def __len__(self) -> int:
-        return self.hi - self.lo + 1
-
-    def factorization(self, n: int) -> list[tuple[int, int]]:
-        """Exact prime factorization of n, which must lie in the segment."""
-        if not self.lo <= n <= self.hi:
-            raise DomainError(f"{n} outside segment [{self.lo}, {self.hi}]")
-        off = n - self.lo
-        factors = []
-        for p, offsets, exps in self.prime_hits:
-            pos = np.searchsorted(offsets, off)
-            if pos < len(offsets) and offsets[pos] == off:
-                factors.append((p, int(exps[pos])))
-        r = int(self.residual[off])
-        if r > 1:
-            factors.append((r, 1))
-        return factors
-
-    def values(self, rule: ArithmeticFunction | int) -> np.ndarray:
-        """Values of a function (or of d_j, for an int j) on the segment, as int64."""
-        vals = np.ones(len(self), dtype=np.int64)
-        for _, offsets, exps in self.prime_hits:
-            vals[offsets] *= _local_factor(rule, exps)
-        vals[self.residual > 1] *= _local_factor(rule, 1)
-        return vals
-
-
 @dataclass(frozen=True)
 class PrefixSumResult:
     """Exact prefix sum of one arithmetic function up to x."""
@@ -179,51 +140,35 @@ def _check_limit(limit: int) -> None:
         raise CapacityError(f"sieve limit {limit} exceeds cap 2^40")
 
 
-def segment_bounds(limit: int, segment_size: int) -> list[tuple[int, int]]:
-    """[lo, hi] pairs tiling [1, limit] exactly once."""
+def build_sieve(limit: int, rule: ArithmeticFunction | int) -> np.ndarray:
+    """values[n] = f(n) for 0 <= n <= limit as int64, with f(0) = 0.
+
+    rule is what _local_factor takes.  [1, limit] is factored in blocks of
+    _BLOCK integers, each multiplying its local factors straight into its
+    slice of the result.
+    """
     _check_limit(limit)
-    if segment_size < 2:
-        raise DomainError("segment_size must be >= 2")
-    return [
-        (lo, min(lo + segment_size - 1, limit))
-        for lo in range(1, limit + 1, segment_size)
-    ]
-
-
-def sieve_segment(lo: int, hi: int, primes: np.ndarray) -> SieveSegment:
-    """Factor every n in [lo, hi] using the supplied prime list."""
-    length = hi - lo + 1
-    residual = np.arange(lo, hi + 1, dtype=np.int64)
-    prime_hits: list[tuple[int, np.ndarray, np.ndarray]] = []
-    for p in primes:
-        p = int(p)
-        if p * p > hi:
-            break
-        start = ((lo + p - 1) // p) * p
-        if start > hi:
-            continue
-        offsets = np.arange(start - lo, length, p)
-        m = residual[offsets] // p
-        exps = np.ones(len(offsets), dtype=np.int64)
-        while True:
-            div = m % p == 0
-            if not div.any():
+    values = np.ones(limit + 1, dtype=np.int64)
+    values[0] = 0
+    primes = small_primes(isqrt(limit)).tolist()
+    for lo in range(1, limit + 1, _BLOCK):
+        hi = min(lo + _BLOCK - 1, limit)
+        block = values[lo: hi + 1]
+        residual = np.arange(lo, hi + 1, dtype=np.int64)
+        for p in primes:
+            if p * p > hi:
                 break
-            m[div] //= p
-            exps[div] += 1
-        residual[offsets] = m
-        prime_hits.append((p, offsets, exps))
-    return SieveSegment(lo=lo, hi=hi, prime_hits=prime_hits, residual=residual)
-
-
-def build_sieve(
-    limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE
-) -> Iterator[SieveSegment]:
-    """Yield factorization segments covering [1, limit] in ascending order."""
-    bounds = segment_bounds(limit, segment_size)
-    primes = small_primes(isqrt(limit))
-    for lo, hi in bounds:
-        yield sieve_segment(lo, hi, primes)
+            first = -lo % p  # offset of the block's first multiple of p
+            exps = np.ones((hi - lo - first) // p + 1, dtype=np.int64)
+            q = p * p
+            while q <= hi:  # each multiple of q = p^a is one more factor p
+                exps[(-lo % q - first) // p:: q // p] += 1
+                q *= p
+            residual[first::p] //= p ** exps
+            block[first::p] *= _local_factor(rule, exps)
+        # what is left of n is 1 or a single prime above sqrt(hi)
+        block[residual > 1] *= _local_factor(rule, 1)
+    return values
 
 
 def evaluate(function: ArithmeticFunction, factorization: Sequence[tuple[int, int]]) -> int:
@@ -232,16 +177,6 @@ def evaluate(function: ArithmeticFunction, factorization: Sequence[tuple[int, in
     for _, a in factorization:
         value *= _local_factor(function, a)
     return value
-
-
-def function_values(
-    function: ArithmeticFunction,
-    limit: int,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> Iterator[np.ndarray]:
-    """Stream int64 arrays of f(n) for n in each segment of [1, limit]."""
-    for seg in build_sieve(limit, segment_size):
-        yield seg.values(function)
 
 
 def _isqrt_array(z: np.ndarray) -> np.ndarray:
@@ -303,7 +238,7 @@ def divisor_summatory(j: int, y: int) -> int:
     if j == 4:
         # d_4 = d * d split at s = sqrt y: 2 sum_{a <= s} d(a) D_2(y // a) - D_2(s)^2
         s = isqrt(y)
-        d = np.concatenate(list(function_values(ArithmeticFunction.D, s)))
+        d = build_sieve(s, ArithmeticFunction.D)[1:]
         z = y // np.arange(1, s + 1)
         r = _isqrt_array(z)
         d2_sum = 2 * _quotient_sum(z, np.ones_like(z), r, d) - int(np.dot(d, r * r))
@@ -316,25 +251,22 @@ def _table_limit(x_max: int) -> int:
     return min(max(round(x_max ** (2 / 3)), min(x_max, 1 << 16)), _TABLE_CAP)
 
 
-def _summatory_table(j: int, limit: int, segment_size: int) -> np.ndarray:
+def _summatory_table(j: int, limit: int) -> np.ndarray:
     """table[y] = D_j(y) for 0 <= y <= limit, from one sieve pass."""
-    table = np.zeros(limit + 1, dtype=np.int64)
-    for seg in build_sieve(limit, segment_size):
-        table[seg.lo: seg.hi + 1] = seg.values(j)
+    table = build_sieve(limit, j)
     return np.cumsum(table, out=table)
 
 
 def _prefix_sums(
     function: ArithmeticFunction,
     cuts: list[int],
-    segment_size: int,
     table_limit: int | None = None,
 ) -> dict[int, int]:
     """sum mu(k) D_j(x // k^2) at ascending cut points; table_limit overrides Y."""
     j, all_k = _ROUTES[function]
     x_max = cuts[-1]
     y_max = min(table_limit or _table_limit(x_max), x_max)
-    table = _summatory_table(j, y_max, segment_size)
+    table = _summatory_table(j, y_max)
     mu = _mobius(isqrt(x_max) if all_k else 1)
     xs = np.array(cuts, dtype=np.int64)
     total = np.zeros(len(xs), dtype=np.int64)
@@ -348,22 +280,14 @@ def _prefix_sums(
     return dict(zip(cuts, total.tolist()))
 
 
-def prefix_sum(
-    function: ArithmeticFunction,
-    x: int,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> PrefixSumResult:
+def prefix_sum(function: ArithmeticFunction, x: int) -> PrefixSumResult:
     """Exact sum of f(n) for n <= x, as an unbounded Python integer."""
     _check_limit(x)
-    value = _prefix_sums(function, [int(x)], segment_size)[int(x)]
+    value = _prefix_sums(function, [int(x)])[int(x)]
     return PrefixSumResult(x=x, value=value, function=function)
 
 
-def prefix_sums_at(
-    function: ArithmeticFunction,
-    xs: Iterable[int],
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> dict[int, int]:
+def prefix_sums_at(function: ArithmeticFunction, xs: Iterable[int]) -> dict[int, int]:
     """Exact prefix sums at several cut points, from one D_j table."""
     cuts = sorted(set(int(x) for x in xs))
     if not cuts:
@@ -371,7 +295,7 @@ def prefix_sums_at(
     if cuts[0] < 1:
         raise DomainError("prefix sum cut points must be >= 1")
     _check_limit(cuts[-1])
-    return _prefix_sums(function, cuts, segment_size)
+    return _prefix_sums(function, cuts)
 
 
 def trial_factorize(n: int) -> list[tuple[int, int]]:
@@ -426,27 +350,19 @@ def identity_check(n: int) -> tuple[bool, bool, bool]:
     return (lhs1 == rhs1, lhs2 == rhs2, lhs3 == rhs3)
 
 
-def identity_check_range(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> bool:
+def identity_check_range(limit: int) -> bool:
     """Verify all three convolution identities for every n <= limit.
 
-    Batch form of identity_check: builds value tables with the sieve and
-    forms each divisor sum with one harmonic pass h[d::d] += g[d].
+    Batch form of identity_check: builds one value table per function with
+    the sieve and forms each divisor sum with one harmonic pass h[d::d] += g[d].
     """
-    _check_limit(limit)
-    tables = {}
     needed = (
         ArithmeticFunction.D_SQUARE,
         ArithmeticFunction.TWO_OMEGA,
         ArithmeticFunction.MU_SQUARED,
         ArithmeticFunction.D_SQUARED,
     )
-    arrays = {f: np.empty(limit + 1, dtype=np.int64) for f in needed}
-    for seg in build_sieve(limit, segment_size):
-        for f in needed:
-            arrays[f][seg.lo: seg.hi + 1] = seg.values(f)
-    for f in needed:
-        arrays[f][0] = 0
-        tables[f] = arrays[f]
+    tables = {f: build_sieve(limit, f) for f in needed}
 
     def convolve_with_one(g: np.ndarray) -> np.ndarray:
         h = np.zeros(limit + 1, dtype=np.int64)

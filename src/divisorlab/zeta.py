@@ -130,18 +130,17 @@ def zeta_with_derivatives(
     _calls += 1
     if precision < MIN_PRECISION:
         raise PrecisionError(f"precision must be >= {MIN_PRECISION} bits")
-    z = mpc(s)
-    if z == 1:
-        raise PoleError("zeta has a pole at s = 1")
-    t_abs = abs(float(z.imag))
-    if t_abs > height_cap:
-        raise HeightRangeError(
-            f"|Im s| = {t_abs} exceeds the evaluation cap {height_cap}"
-        )
-    N, J = _em_parameters(precision, t_abs, float(z.real))
-    K = kmax + 1
     with mp.workprec(precision + 24):
-        z = mpc(z)
+        z = mpc(s)
+        if z == 1:
+            raise PoleError("zeta has a pole at s = 1")
+        t_abs = abs(float(z.imag))
+        if t_abs > height_cap:
+            raise HeightRangeError(
+                f"|Im s| = {t_abs} exceeds the evaluation cap {height_cap}"
+            )
+        N, J = _em_parameters(precision, t_abs, float(z.real))
+        K = kmax + 1
         out = [mpc(0)] * K
         out[0] += 1  # n = 1 term
         for n in range(2, N):
@@ -268,9 +267,8 @@ def chi(s, precision: int = DEFAULT_PRECISION) -> mpc:
     integers s >= 2 where the sin factor cancels the Gamma pole.  Genuine
     poles sit at the odd integers s = 1, 3, 5, ... only.
     """
-    z = mpc(s)
     with mp.workprec(precision + 24):
-        z = mpc(z)
+        z = mpc(s)
         w = (1 - z) / 2
         nearest = mp.floor(w.real + mpf("0.5"))
         if nearest <= 0 and abs(w - nearest) < mpf("1e-6"):
@@ -281,10 +279,10 @@ def chi(s, precision: int = DEFAULT_PRECISION) -> mpc:
 
 def functional_equation_residual(s, precision: int = DEFAULT_PRECISION) -> mpf:
     """|zeta(s) - chi(s) zeta(1-s)|; a self-test of the whole engine."""
-    z = mpc(s)
-    if z == 1:
-        raise PoleError("s = 1 is the zeta pole")
     with mp.workprec(precision + 24):
+        z = mpc(s)
+        if z == 1:
+            raise PoleError("s = 1 is the zeta pole")
         lhs = zeta(z, precision)
         rhs = chi(z, precision) * zeta(1 - z, precision)
         return +abs(lhs - rhs)

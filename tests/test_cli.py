@@ -164,12 +164,15 @@ def test_dirichlet_verify_degenerate(capsys):
     payload = run_json(capsys, "dirichlet-verify", "3", "1")
     assert "pass" not in payload
     assert "degenerate" in payload["note"]
+    code, captured = run(capsys, "dirichlet-verify", "3", "0")
+    assert code == 2
+    assert json.loads(captured.err)["error"] == "DomainError"
 
 
 def test_config_file(capsys, tmp_path):
     cfg = tmp_path / "lab.cfg"
     cfg.write_text(
-        "segment_size = 4096  # small segments\n"
+        "workers = 1  # one coefficient process\n"
         f"zeros_path = {ZEROS_PATH}\n"
     )
     payload = run_json(capsys, "zeros", "coeffs", "--count", "2",
@@ -179,12 +182,23 @@ def test_config_file(capsys, tmp_path):
 
 def test_unknown_config_key(capsys, tmp_path):
     cfg = tmp_path / "lab.cfg"
-    for line in ("segmnt_size = 4096\n", "sieve_cap = 1000\n"):
+    for line in ("segmnt_size = 4096\n", "sieve_cap = 1000\n",
+                 "segment_size = 4096\n"):
         cfg.write_text(line)
         code, captured = run(capsys, "sum", "d_square", "10", "--config", str(cfg))
         assert code == 2
         err = json.loads(captured.err)
         assert err["error"] == "DomainError"
+
+
+def test_malformed_config_value(capsys, tmp_path):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("# lab defaults\nprecision_bits = 12x\n")
+    code, captured = run(capsys, "sum", "d_square", "10", "--config", str(cfg))
+    assert code == 2
+    err = json.loads(captured.err)
+    assert err["error"] == "DomainError"
+    assert f"{cfg}:2" in err["message"]
 
 
 def test_error_exit_code_and_payload(capsys):

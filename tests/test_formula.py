@@ -106,13 +106,6 @@ class TestZeroSum:
             value, _ = formula.zero_sum_terms(x, zero_coefficients)
             assert abs(value) <= bound * x ** 0.25 * (1 + 1e-12)
 
-    def test_empty_table_rejected(self, zero_coefficients):
-        from divisorlab.zeros import ZeroTable
-
-        with pytest.raises(DomainError):
-            formula.zero_sum(100.5, ZeroTable((), "0" * 64),
-                             zero_coefficients, Cutoff("count", 10))
-
     def test_grid_matches_per_x_loop(self, zero_coefficients):
         """The (x by zero) array form against the pairwise per-x loop it replaced."""
 
@@ -165,7 +158,7 @@ class TestCompare:
         a = compare(grid, zero_coefficients=zero_coefficients,
                     cutoff=Cutoff("count", 30))
         b = compare(grid, zero_coefficients=zero_coefficients,
-                    cutoff=Cutoff("count", 30), segment_size=4096)
+                    cutoff=Cutoff("count", 30))
         assert a.rows == b.rows
 
     def test_companion_two_omega(self):

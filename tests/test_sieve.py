@@ -15,31 +15,24 @@ def brute_divisor_count(n: int) -> int:
     return sum(1 for d in range(1, n + 1) if n % d == 0)
 
 
-def test_prime_power_segment():
-    seg = next(sieve.build_sieve(10, 10))
-    assert seg.factorization(8) == [(2, 3)]
-    assert seg.factorization(1) == []
-    assert seg.factorization(7) == [(7, 1)]
+@pytest.mark.parametrize("rule", list(AF) + [1, 2, 3, 4])
+def test_sieve_matches_trial_division(rule):
+    values = sieve.build_sieve(10**6, rule)
+    assert values.dtype == np.int64 and len(values) == 10**6 + 1
+    assert values[0] == 0
+    edges = [e + d for e in (2**18, 2**19) for d in (-1, 0, 1)]
+    for n in list(range(1, 1001)) + edges + [999983, 10**6]:
+        assert values[n] == sieve.evaluate(rule, sieve.trial_factorize(n)), n
 
 
-def test_segment_tiling():
-    bounds = sieve.segment_bounds(100, 7)
-    assert bounds[0] == (1, 7)
-    assert bounds[-1][1] == 100
-    assert len(bounds) == -(-100 // 7)
-    covered = [n for lo, hi in bounds for n in range(lo, hi + 1)]
-    assert covered == list(range(1, 101))
-
-
-def test_factorizations_match_trial_division():
-    segs = list(sieve.build_sieve(10**6, 2**16))
-    first = segs[0]
-    for n in range(1, 1001):
-        assert first.factorization(n) == sieve.trial_factorize(n)
-    # spot-check deep segments too
-    for n in (65537, 123456, 999983, 1000000):
-        seg = segs[(n - 1) // 2**16]
-        assert seg.factorization(n) == sieve.trial_factorize(n)
+def test_sieve_block_joins(monkeypatch):
+    # blocks of 7 integers join into the same arrays and prefix sums
+    expected = {rule: sieve.build_sieve(3000, rule) for rule in list(AF) + [3]}
+    sums = {f: sieve.prefix_sum(f, 3000).value for f in AF}
+    monkeypatch.setattr(sieve, "_BLOCK", 7)
+    for rule, values in expected.items():
+        assert np.array_equal(sieve.build_sieve(3000, rule), values)
+    assert {f: sieve.prefix_sum(f, 3000).value for f in AF} == sums
 
 
 @pytest.mark.parametrize(
@@ -76,25 +69,24 @@ def test_prefix_sum_examples():
 def test_prefix_sum_matches_naive_oracle(function):
     limit = 2000
     oracle = 0
-    values = np.concatenate(list(sieve.function_values(function, limit, 512)))
+    values = sieve.build_sieve(limit, function)
     for n in range(1, limit + 1):
         oracle += sieve.evaluate(function, sieve.trial_factorize(n))
-        assert int(values[:n].sum()) == oracle
+        assert int(values[:n + 1].sum()) == oracle
     assert sieve.prefix_sum(function, limit).value == oracle
 
 
 def test_prefix_sum_increments_by_point_values():
     running = 0
-    vals = next(sieve.function_values(AF.D_SQUARE, 300, 512))
+    vals = sieve.build_sieve(300, AF.D_SQUARE)
     for x in range(1, 301):
         running += sieve.evaluate(AF.D_SQUARE, sieve.trial_factorize(x))
-        assert running == int(vals[:x].sum())
+        assert running == int(vals[:x + 1].sum())
 
 
-def sieve_cumsum(function, limit, segment_size=sieve.DEFAULT_SEGMENT_SIZE):
+def sieve_cumsum(function, limit):
     """[S(1), ..., S(limit)] from the sieve's per-n values: the oracle."""
-    values = np.concatenate(list(sieve.function_values(function, limit, segment_size)))
-    return np.cumsum(values)
+    return np.cumsum(sieve.build_sieve(limit, function)[1:])
 
 
 def tuple_count(j: int, y: int) -> int:
@@ -122,17 +114,16 @@ def test_divisor_summatory_chunking(monkeypatch):
 @settings(max_examples=20, deadline=None)
 @given(
     x=st.integers(min_value=1, max_value=30000),
-    segment_size=st.integers(min_value=2, max_value=9999),
     function=st.sampled_from(list(AF)),
 )
-def test_prefix_sum_schedule_invariance(x, segment_size, function):
+def test_prefix_sum_schedule_invariance(x, function):
     oracle = int(sieve_cumsum(function, x)[-1])
-    assert sieve.prefix_sum(function, x, segment_size).value == oracle
+    assert sieve.prefix_sum(function, x).value == oracle
 
 
 @pytest.mark.parametrize("function", list(AF))
 def test_prefix_sums_at_dense_cuts(function):
-    oracle = sieve_cumsum(function, 5000, 1024)
+    oracle = sieve_cumsum(function, 5000)
     got = sieve.prefix_sums_at(function, range(1, 5001))
     assert [got[x] for x in range(1, 5001)] == oracle.tolist()
 
@@ -158,8 +149,8 @@ def test_mobius_matches_trial_division():
 @pytest.mark.parametrize("function", list(AF))
 def test_table_and_hyperbola_agree_at_1e8(function):
     x = 10**8
-    small = sieve._prefix_sums(function, [x], 2**16, table_limit=2**10)[x]
-    large = sieve._prefix_sums(function, [x], 2**16, table_limit=2**20)[x]
+    small = sieve._prefix_sums(function, [x], table_limit=2**10)[x]
+    large = sieve._prefix_sums(function, [x], table_limit=2**20)[x]
     assert small == large == sieve.prefix_sum(function, x).value
     assert isinstance(large, int)
 
@@ -170,9 +161,9 @@ def test_domain_and_capacity_errors():
     with pytest.raises(DomainError):
         sieve.prefix_sums_at(AF.D_SQUARE, [5, 0])
     with pytest.raises(DomainError):
-        list(sieve.build_sieve(0, 16))
-    with pytest.raises(DomainError):
-        list(sieve.build_sieve(10, 1))
+        sieve.build_sieve(0, AF.D_SQUARE)
+    with pytest.raises(CapacityError):
+        sieve.build_sieve(sieve.LIMIT_CAP + 1, AF.D_SQUARE)
     with pytest.raises(CapacityError):
         sieve.prefix_sum(AF.D_SQUARE, sieve.LIMIT_CAP + 1)
     with pytest.raises(CapacityError):
@@ -195,11 +186,11 @@ def test_identity_check_small_range():
 
 
 def test_identity_check_range_agrees_with_pointwise():
-    assert sieve.identity_check_range(3000, 1024)
+    assert sieve.identity_check_range(3000)
 
 
 def test_prefix_sums_at_multiple_cuts():
     cuts = [1, 10, 999, 1000, 8191]
-    got = sieve.prefix_sums_at(AF.D_SQUARE, cuts, 512)
+    got = sieve.prefix_sums_at(AF.D_SQUARE, cuts)
     for x in cuts:
         assert got[x] == sieve.prefix_sum(AF.D_SQUARE, x).value

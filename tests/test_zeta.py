@@ -218,6 +218,19 @@ def test_call_counter():
     assert engine.call_count() == 2
 
 
+def test_argument_kept_at_working_precision():
+    """An argument carrying more than 53 bits keeps them at mpmath's default
+    53-bit ambient precision, the one a fresh process runs at."""
+    gamma_1 = mpf("14.1347251417346937904572519835624702707842571156992431756856")
+    rho = mpc(mpf("0.5"), gamma_1)
+    s = mpc(2, mpf(1) / 3)
+    with mp.workprec(53):
+        at_zero = engine.zeta(rho, 200)
+        ours = engine.zeta(s, 200)
+    assert abs(at_zero) < mpf("1e-55")
+    assert abs(ours - mpmath.zeta(s)) / abs(mpmath.zeta(s)) < mpf(2) ** -190
+
+
 class TestZetaF64:
     SIGMAS = (0.6, 1.25, 1.5, 2.0, 3.0, 4.0)
 
