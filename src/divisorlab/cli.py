@@ -75,7 +75,6 @@ class RunConfig:
             raise DomainError("worker count must be >= 1")
         if cfg.zeros_path is not None and not Path(cfg.zeros_path).exists():
             raise DomainError(f"zeros path {cfg.zeros_path} does not exist")
-        Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
         return cfg
 
 
@@ -96,6 +95,13 @@ def _read_config_file(path) -> list[tuple[str, str, str]]:
 def _num(value, digits: int = DIGITS) -> str:
     """`digits` significant digits; an mpf is formatted from all its bits."""
     return mp.nstr(value if isinstance(value, mpf) else mpf(value), digits)
+
+
+def _output_dir(cfg: RunConfig) -> Path:
+    """The output directory, created now that a file is about to be written."""
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _emit(payload: dict) -> None:
@@ -194,13 +200,14 @@ def cmd_formula_compare(args, cfg: RunConfig) -> int:
     if function is ArithmeticFunction.D_SQUARE and cfg.zeros_path:
         _, coeffs = _table_and_coefficients(cfg, args.zeros, False)
         cutoff = (Cutoff("ordinate", args.ordinate_cutoff)
-                  if args.ordinate_cutoff else Cutoff("count", args.zeros or len(coeffs)))
+                  if args.ordinate_cutoff is not None
+                  else Cutoff("count", len(coeffs) if args.zeros is None else args.zeros))
     report = compare(
         grid, function=function, mode=cfg.mode, zero_coefficients=coeffs,
         cutoff=cutoff, include_constant=not args.no_constant,
         precision=cfg.precision_bits,
     )
-    out = Path(cfg.output_dir)
+    out = _output_dir(cfg)
     csv_path = out / f"compare_{function.value}.csv"
     json_path = out / f"compare_{function.value}.json"
     report.write_csv(csv_path)
@@ -213,7 +220,7 @@ def cmd_formula_conjecture(args, cfg: RunConfig) -> int:
     grid = log_grid(args.grid_start, args.grid_stop, args.grid_count)
     table, coeffs = _table_and_coefficients(cfg, args.zeros, False)
     scan = conjecture_scan(grid, table, coeffs, epsilon=args.epsilon)
-    out = Path(cfg.output_dir) / "conjecture_scan.json"
+    out = _output_dir(cfg) / "conjecture_scan.json"
     payload = {
         "epsilon": scan.epsilon,
         "sup_ratio": scan.sup_ratio,
@@ -238,7 +245,7 @@ def cmd_perron_decay(args, cfg: RunConfig) -> int:
     exact = sieve.prefix_sum(ArithmeticFunction.D_SQUARE, int(args.x)).value
     rows, slope = perron.truncation_decay(args.x, args.c, args.T, exact,
                                           args.nodes)
-    out = Path(cfg.output_dir) / "perron_decay.csv"
+    out = _output_dir(cfg) / "perron_decay.csv"
     with open(out, "w") as fh:
         fh.write("T,abs_error\n")
         for T, err in rows:

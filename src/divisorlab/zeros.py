@@ -75,7 +75,13 @@ def import_zeros(
     refine: bool = False,
     precision: int = DEFAULT_PRECISION,
 ) -> ZeroTable:
-    """Parse, validate, and optionally polish a zero-ordinate file."""
+    """Parse, validate, and optionally polish a zero-ordinate file.
+
+    limit_count, when given, keeps the first limit_count ordinates; it must
+    be at least 1.
+    """
+    if limit_count is not None and limit_count < 1:
+        raise DomainError(f"zero count must be >= 1, got {limit_count}")
     path = Path(path)
     digest = file_digest(path)
     ordinates: list[mpf] = []
@@ -182,7 +188,12 @@ def persist_cache(table: ZeroTable, coefficients, path) -> None:
 
 def load_cache(path, table: ZeroTable,
                precision: int = DEFAULT_PRECISION) -> list[ZeroTermCoefficient]:
-    """Reload cached coefficients; fails if the zero file has changed."""
+    """Cached coefficients for exactly the table's zeros, in table order.
+
+    Fails if the cache was built from another zero file, holds fewer rows
+    than the table, or lists an ordinate that differs from the table's in
+    its CACHE_DIGITS digits (a polished or differently rounded table).
+    """
     path = Path(path)
     coefficients = []
     digest = None
@@ -213,4 +224,13 @@ def load_cache(path, table: ZeroTable,
             "cache was built from a different zero file "
             f"(cache digest {digest[:12]}..., table digest {table.source_digest[:12]}...)"
         )
+    if len(coefficients) < len(table):
+        raise StaleCacheError(
+            f"cache holds {len(coefficients)} zeros, the table {len(table)}"
+        )
+    coefficients = coefficients[:len(table)]
+    for k, (c, gamma) in enumerate(zip(coefficients, table.ordinates), 1):
+        cached, wanted = (mp.nstr(v, CACHE_DIGITS) for v in (c.ordinate, gamma))
+        if cached != wanted:
+            raise StaleCacheError(f"cached ordinate {k} is {cached}, the table's {wanted}")
     return coefficients

@@ -13,6 +13,14 @@ derivative values stay consistent with the base evaluation.  One table of
 B_2j/(2j)!, cached per (J, precision), serves both engines and the Stieltjes
 constants.
 
+The Dirichlet sum is multiplicative: with p the smallest prime dividing n,
+n^-s = p^-s (n/p)^-s and ln n = ln p + ln(n/p), so only the primes below N
+pay for a log and a complex exp; a composite costs one complex product.  The
+smallest-prime-factor table holds integers only and is kept per power-of-two
+size; no mp value outlives a call.  The Bernoulli terms share the factor
+N^(-1-s), so they are summed as one jet sum_j B_2j/(2j)! N^(2-2j) P_j(s),
+with a real scale, and multiplied by the jet of N^(-1-s) once.
+
 Also here: Stieltjes constants via the Euler-Maclaurin-accelerated tail of
 their defining limit, the functional-equation conversion factor
 chi(s) = 2^s pi^(s-1) sin(pi s / 2) Gamma(1 - s), and Newton polishing of
@@ -119,6 +127,22 @@ def jet_inverse(a) -> list:
     return out
 
 
+@functools.cache
+def _smallest_prime_factors(size: int) -> tuple[int, ...]:
+    """spf[n], the smallest prime dividing n, for 2 <= n < size.
+
+    spf[0] = 0 and spf[1] = 1.  One table per power-of-two size serves every
+    Dirichlet sum with N <= size; it holds integers only.
+    """
+    spf = list(range(size))
+    for p in range(2, math.isqrt(size - 1) + 1):
+        if spf[p] == p:
+            for m in range(p * p, size, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return tuple(spf)
+
+
 def zeta_with_derivatives(
     s,
     kmax: int = 0,
@@ -143,9 +167,20 @@ def zeta_with_derivatives(
         K = kmax + 1
         out = [mpc(0)] * K
         out[0] += 1  # n = 1 term
+        # n^-s and ln n, multiplicatively from the smallest prime p | n:
+        # only primes pay for an exp and a log.
+        spf = _smallest_prime_factors(1 << (N - 1).bit_length())
+        power = [mpc(1)] * N
+        ln = [mpf(0)] * N
         for n in range(2, N):
-            ln_n = mp.ln(n)
-            for k, c in enumerate(_exp_jet(mp.exp(-z * ln_n), -ln_n, K)):
+            prime = spf[n]
+            if prime == n:
+                ln[n] = mp.ln(n)
+                power[n] = mp.exp(-z * ln[n])
+            else:
+                ln[n] = ln[prime] + ln[n // prime]
+                power[n] = power[prime] * power[n // prime]
+            for k, c in enumerate(_exp_jet(power[n], -ln[n], K)):
                 out[k] += c
 
         L = mp.ln(N)
@@ -157,18 +192,26 @@ def zeta_with_derivatives(
         pieces = [jet_mul(_exp_jet(mp.exp((1 - z) * L), -L, K), pole),
                   _exp_jet(mp.exp(-z * L) / 2, -L, K)]  # N^-s / 2
 
-        # Bernoulli corrections B_2j/(2j)! P_j(s) N^(1-s-2j), with the jet of
-        # P_j(s) = s(s+1)...(s+2j-2) updated factor by factor.
+        # Bernoulli corrections sum_j B_2j/(2j)! P_j(s) N^(1-s-2j), folded as
+        # N^(-1-s) sum_j B_2j/(2j)! N^(2-2j) P_j(s): one jet product.  The
+        # jet of P_j(s) = s(s+1)...(s+2j-2) grows by one quadratic factor
+        # (s+2j-3+h)(s+2j-2+h) = q + dq h + h^2 per j.
         p = ([z, mpc(1)] + [mpc(0)] * K)[:K]  # P_1(s + h) = s + h
-        w = mp.exp((-z - 1) * L)  # N^(1-s-2j) at j = 1
-        w_scale = mp.exp(-2 * L)
+        tail = [mpc(0)] * K
+        scale = mpf(1)  # N^(2-2j)
+        step = 1 / mpf(N * N)
+        q, dq = (z + 1) * (z + 2), 2 * z + 3  # at j = 2
         for j, coeff in enumerate(_bernoulli_table(J, mp.prec), start=1):
             if j > 1:
-                for c in (2 * j - 3, 2 * j - 2):
-                    for a in reversed(range(K)):
-                        p[a] = (z + c) * p[a] + (p[a - 1] if a else 0)
-                w = w * w_scale
-            pieces.append([coeff * c for c in jet_mul(p, _exp_jet(w, -L, K))])
+                p = jet_mul(p, ([q, dq, 1] + [0] * K)[:K])
+                q += dq  # q, dq of the next factor: dq steps by 4
+                dq += 4
+                q += dq
+                scale *= step
+            weight = coeff * scale
+            for a in range(K):
+                tail[a] += weight * p[a]
+        pieces.append(jet_mul(tail, _exp_jet(mp.exp((-z - 1) * L), -L, K)))
         for piece in pieces:
             for k, c in enumerate(piece):
                 out[k] += c
@@ -245,14 +288,6 @@ def stieltjes(m: int, precision: int = DEFAULT_PRECISION,
             result -= bernoulli * deriv
             npow *= inv_n * inv_n
         return +result
-
-
-def stieltjes_raw_partial(m: int, n: int) -> float:
-    """The unaccelerated partial expression of the defining limit, in float64."""
-    if not 0 <= m <= 8:
-        raise DomainError("Stieltjes index must satisfy 0 <= m <= 8")
-    terms = (math.log(k) ** m / k for k in range(1, n + 1))
-    return math.fsum(terms) - math.log(n) ** (m + 1) / (m + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import pytest
 from mpmath import mp, mpf
 
-from divisorlab import cli, perron
+from divisorlab import cli, perron, zeros
 
 from conftest import ZEROS_PATH
 
@@ -63,6 +63,57 @@ def test_zeros_coeffs_with_cache(capsys, tmp_path):
                      "--zeros-path", str(ZEROS_PATH),
                      "--cache-path", str(cache))
     assert again["first_coefficient"] == payload["first_coefficient"]
+
+
+def test_zeros_coeffs_serves_the_requested_count(capsys, tmp_path, zero_table,
+                                                 zero_coefficients):
+    """A warm 100-zero cache serves its first 5 rows to --count 5; a 5-row
+    cache cannot serve 100 zeros."""
+    warm = tmp_path / "warm.txt"
+    zeros.persist_cache(zero_table, zero_coefficients, warm)
+    argv = ["zeros", "coeffs", "--zeros-path", str(ZEROS_PATH)]
+    cached = run_json(capsys, *argv, "--count", "5", "--cache-path", str(warm))
+    fresh = run_json(capsys, *argv, "--count", "5")
+    assert cached["count"] == 5
+    assert cached["first_coefficient"] == fresh["first_coefficient"]
+    assert abs(float(cached["sum_2_abs"]) - float(fresh["sum_2_abs"])) < 1e-15
+    short = tmp_path / "short.txt"
+    run_json(capsys, *argv, "--count", "5", "--cache-path", str(short))
+    code, captured = run(capsys, *argv, "--count", "100", "--cache-path", str(short))
+    assert code == 2
+    assert json.loads(captured.err)["error"] == "StaleCacheError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeros", "import", str(ZEROS_PATH), "--count", "0"],
+    ["zeros", "coeffs", "--count", "0"],
+    ["formula", "compare", "--zeros", "0"],
+    ["formula", "compare", "--zeros", "2", "--ordinate-cutoff", "0"],
+    ["formula", "conjecture", "--zeros", "0"],
+], ids=["import", "coeffs", "compare", "compare_ordinate", "conjecture"])
+def test_zero_count_below_one_rejected(capsys, tmp_path, argv):
+    out = tmp_path / "out"
+    code, captured = run(capsys, *argv, "--zeros-path", str(ZEROS_PATH),
+                         "--output-dir", str(out))
+    assert code == 2
+    assert json.loads(captured.err)["error"] == "DomainError"
+    assert not out.exists()
+
+
+def test_output_dir_only_when_written(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("DIVISORLAB_ZEROS", raising=False)
+    out = tmp_path / "out"
+    run_json(capsys, "sum", "d_square", "100", "--output-dir", str(out))
+    assert not out.exists()
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("mode = bogus\n")
+    code, captured = run(capsys, "formula", "compare",
+                         "--grid-start", "100", "--grid-stop", "1000",
+                         "--grid-count", "2", "--config", str(cfg),
+                         "--output-dir", str(out))
+    assert code == 2
+    assert json.loads(captured.err)["error"] == "DomainError"
+    assert not out.exists()
 
 
 def test_env_var_supplies_zeros_path(capsys, monkeypatch):

@@ -26,6 +26,9 @@ class TestImport:
         # truncation must not change the digest: it keys the file, not the slice
         full = zeros.import_zeros(zeros_path)
         assert table.source_digest == full.source_digest
+        for count in (0, -1):
+            with pytest.raises(DomainError):
+                zeros.import_zeros(zeros_path, limit_count=count)
 
     def test_comments_and_blanks(self, tmp_path):
         p = tmp_path / "z.txt"
@@ -154,6 +157,28 @@ class TestCache:
         other = zeros.import_zeros(edited)
         with pytest.raises(StaleCacheError):
             zeros.load_cache(cache, other)
+
+    def test_serves_exactly_the_table(self, tmp_path, zeros_path):
+        table = zeros.import_zeros(zeros_path, limit_count=5)
+        cache = tmp_path / "coeffs.txt"
+        zeros.persist_cache(table, zeros.coefficients_for_table(table), cache)
+        short = zeros.import_zeros(zeros_path, limit_count=3)
+        loaded = zeros.load_cache(cache, short)
+        assert [c.ordinate for c in loaded] == list(short.ordinates)
+        longer = zeros.import_zeros(zeros_path, limit_count=6)
+        with pytest.raises(StaleCacheError):
+            zeros.load_cache(cache, longer)
+
+    def test_ordinate_mismatch_detected(self, tmp_path, zeros_path):
+        """Same file digest, but one ordinate differs in its 25th digit, as a
+        polished (--refine) table's would."""
+        table = zeros.import_zeros(zeros_path, limit_count=3)
+        cache = tmp_path / "coeffs.txt"
+        zeros.persist_cache(table, zeros.coefficients_for_table(table), cache)
+        g = table.ordinates
+        moved = zeros.ZeroTable((g[0], g[1] + mpf("1e-23"), g[2]), table.source_digest)
+        with pytest.raises(StaleCacheError):
+            zeros.load_cache(cache, moved)
 
     def test_headerless_cache_rejected(self, tmp_path, zeros_path):
         table = zeros.import_zeros(zeros_path, limit_count=2)

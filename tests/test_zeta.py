@@ -122,7 +122,9 @@ class TestStieltjes:
             assert abs(engine.stieltjes(m) - mpmath.stieltjes(m)) < mpf("1e-25")
 
     def test_raw_partial_at_large_cutoff(self):
-        raw = engine.stieltjes_raw_partial(0, 10**6)
+        """The unaccelerated partial expression of the defining limit at m = 0."""
+        n = 10**6
+        raw = math.fsum(1 / k for k in range(1, n + 1)) - math.log(n)
         assert abs(raw - float(mp.euler)) < 1e-6
 
     def test_index_range(self):
@@ -216,6 +218,58 @@ def test_call_counter():
     engine.zeta(2)
     engine.zeta_with_derivatives(3, 1)
     assert engine.call_count() == 2
+    for kmax in range(5):
+        before = engine.call_count()
+        engine.zeta_with_derivatives(mpc(0.5, 14 + kmax), kmax)
+        engine.zeta_derivative(mpc(-1, 3), kmax)
+        assert engine.call_count() == before + 2
+
+
+def test_smallest_prime_factors_match_trial_division():
+    size = 2**13
+    spf = engine._smallest_prime_factors(size)
+    assert len(spf) == size and spf[:2] == (0, 1)
+    for n in range(2, size):
+        smallest = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+        assert spf[n] == smallest, n
+
+
+def _height_for_cutoff(N: int, precision: int, sigma: float) -> float:
+    """A height |t| <= 1000 at which the (N, J) rule picks exactly this N."""
+    lo, hi = 0.0, 1000.0
+    assert engine._em_parameters(precision, hi, sigma)[0] >= N
+    while hi - lo > 1e-9:
+        mid = (lo + hi) / 2
+        if engine._em_parameters(precision, mid, sigma)[0] >= N:
+            hi = mid
+        else:
+            lo = mid
+    assert engine._em_parameters(precision, hi, sigma)[0] == N
+    return hi
+
+
+def test_every_order_against_mpmath():
+    """Each kmax = 0..4 at 64, 128 and 192 bits within 2^-(prec-8) relative
+    of mpmath at 500 bits, on seeded points and on points whose Dirichlet
+    sum ends just past a prime (N - 1 prime) or at and past a power of two."""
+    rng = random.Random(20261018)
+    points = [(prec, mpc(rng.uniform(-2, 3), rng.choice((-1, 1)) * rng.uniform(0, 1000)))
+              for prec in (64, 128, 192) for _ in range(3)]
+    for prec, N in ((64, 64), (64, 65), (64, 98), (128, 212), (128, 257),
+                    (192, 512), (192, 513), (192, 522)):
+        sigma = rng.uniform(-2, 3)
+        points.append((prec, mpc(sigma, rng.choice((-1, 1))
+                                 * _height_for_cutoff(N, prec, sigma))))
+    for prec, s in points:
+        with mp.workprec(500):
+            want = [mpmath.zeta(s, derivative=k) for k in range(5)]
+        for kmax in range(5):
+            got = engine.zeta_with_derivatives(s, kmax, prec)
+            assert len(got) == kmax + 1
+            for k, value in enumerate(got):
+                with mp.workprec(500):
+                    err = abs(value - want[k]) / abs(want[k])
+                assert err <= mpf(2) ** (8 - prec), (prec, s, kmax, k)
 
 
 def test_argument_kept_at_working_precision():
