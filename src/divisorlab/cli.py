@@ -55,6 +55,8 @@ class RunConfig:
             for where, key, value in _read_config_file(args.config):
                 if not hasattr(cfg, key):
                     raise DomainError(f"{where}: unknown config key {key!r}")
+                if key == "mode" and value not in series.MODES:
+                    raise DomainError(f"{where}: mode must be 'paper' or 'exact'")
                 if isinstance(getattr(cfg, key), int):
                     try:
                         value = int(value)
@@ -132,8 +134,8 @@ def _table_and_coefficients(cfg: RunConfig, count: int | None, refine: bool):
 
 def cmd_sum(args, cfg: RunConfig) -> int:
     function = ArithmeticFunction(args.function)
-    result = sieve.prefix_sum(function, args.x)
-    _emit({"function": function.value, "x": result.x, "value": str(result.value)})
+    value = sieve.prefix_sum(function, args.x)
+    _emit({"function": function.value, "x": args.x, "value": str(value)})
     return 0
 
 
@@ -242,7 +244,7 @@ def cmd_perron_integral(args, cfg: RunConfig) -> int:
 
 
 def cmd_perron_decay(args, cfg: RunConfig) -> int:
-    exact = sieve.prefix_sum(ArithmeticFunction.D_SQUARE, int(args.x)).value
+    exact = sieve.prefix_sum(ArithmeticFunction.D_SQUARE, int(args.x))
     rows, slope = perron.truncation_decay(args.x, args.c, args.T, exact,
                                           args.nodes)
     out = _output_dir(cfg) / "perron_decay.csv"
@@ -329,7 +331,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int,
                    help="processes for zero coefficients (zeros coeffs, or a cold "
                         "cache in formula compare/conjecture)")
-    p.add_argument("--mode", choices=["paper", "exact"])
+    p.add_argument("--mode", choices=series.MODES)
 
 
 def build_parser() -> argparse.ArgumentParser:

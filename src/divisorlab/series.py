@@ -29,6 +29,9 @@ from .errors import DomainError
 from . import zeta as zeta_engine
 from .zeta import DEFAULT_PRECISION, jet_inverse, jet_mul
 
+#: The two coefficient modes.
+MODES = ("paper", "exact")
+
 
 @dataclass(frozen=True)
 class MainTermCoefficients:
@@ -60,7 +63,7 @@ def main_term_coefficients(
         x (r0 (log x)^2 / 2 + r1 log x + r2),
     so A1 = r0 / 2, A2 = r1, A3 = r2.
     """
-    if mode not in ("paper", "exact"):
+    if mode not in MODES:
         raise DomainError("mode must be 'paper' or 'exact'")
     g0 = zeta_engine.stieltjes(0, precision)
     g1 = zeta_engine.stieltjes(1, precision)
@@ -123,7 +126,7 @@ def two_omega_coefficients(mode: str = "exact",
     exactly as in the divisor-square case; the full double-pole residue of
     zeta^2(s)/zeta(2s) x^s/s shifts the x coefficient by -2 zeta'(2)/zeta(2)^2.
     """
-    if mode not in ("paper", "exact"):
+    if mode not in MODES:
         raise DomainError("mode must be 'paper' or 'exact'")
     a1p, a2p = theorem_A_coefficients(precision)
     if mode == "paper":

@@ -37,7 +37,6 @@ Local rules at a prime power p^a (_local_factor):
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
 from typing import Iterable, Sequence
@@ -122,15 +121,6 @@ def _mobius(limit: int) -> np.ndarray:
         mu[p::p] *= -1
         mu[p * p::p * p] = 0
     return mu
-
-
-@dataclass(frozen=True)
-class PrefixSumResult:
-    """Exact prefix sum of one arithmetic function up to x."""
-
-    x: int
-    value: int
-    function: ArithmeticFunction
 
 
 def _check_limit(limit: int) -> None:
@@ -280,11 +270,10 @@ def _prefix_sums(
     return dict(zip(cuts, total.tolist()))
 
 
-def prefix_sum(function: ArithmeticFunction, x: int) -> PrefixSumResult:
+def prefix_sum(function: ArithmeticFunction, x: int) -> int:
     """Exact sum of f(n) for n <= x, as an unbounded Python integer."""
     _check_limit(x)
-    value = _prefix_sums(function, [int(x)])[int(x)]
-    return PrefixSumResult(x=x, value=value, function=function)
+    return _prefix_sums(function, [int(x)])[int(x)]
 
 
 def prefix_sums_at(function: ArithmeticFunction, xs: Iterable[int]) -> dict[int, int]:
@@ -318,43 +307,12 @@ def trial_factorize(n: int) -> list[tuple[int, int]]:
     return factors
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
-
-
-def identity_check(n: int) -> tuple[bool, bool, bool]:
-    """Truth of the three Dirichlet-convolution identities at n.
-
-    Checked by explicit divisor enumeration:
-        d(n^2)  == sum over d | n of 2^omega(d)
-        2^omega == sum over d | n of |mu(d)|
-        d(n)^2  == sum over d | n of d(d^2)
-    """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    divs = [trial_factorize(d) for d in divisors(n)]
-    fac_n = trial_factorize(n)
-    lhs1 = evaluate(ArithmeticFunction.D_SQUARE, fac_n)
-    rhs1 = sum(evaluate(ArithmeticFunction.TWO_OMEGA, f) for f in divs)
-    lhs2 = evaluate(ArithmeticFunction.TWO_OMEGA, fac_n)
-    rhs2 = sum(evaluate(ArithmeticFunction.MU_SQUARED, f) for f in divs)
-    lhs3 = evaluate(ArithmeticFunction.D_SQUARED, fac_n)
-    rhs3 = sum(evaluate(ArithmeticFunction.D_SQUARE, f) for f in divs)
-    return (lhs1 == rhs1, lhs2 == rhs2, lhs3 == rhs3)
-
-
 def identity_check_range(limit: int) -> bool:
     """Verify all three convolution identities for every n <= limit.
 
-    Batch form of identity_check: builds one value table per function with
-    the sieve and forms each divisor sum with one harmonic pass h[d::d] += g[d].
+    d(n^2) = sum_{d|n} 2^omega(d), 2^omega(n) = sum_{d|n} |mu(d)| and
+    d(n)^2 = sum_{d|n} d(d^2): one value table per function from the sieve,
+    each divisor sum formed by one harmonic pass h[d::d] += g[d].
     """
     needed = (
         ArithmeticFunction.D_SQUARE,

@@ -28,7 +28,12 @@ critical-line zero ordinates.
 
 A vectorized float64 evaluator is provided for contour quadrature, where
 thousands of nodes are needed at only double accuracy.  It picks (N, J) by
-the same rule as the multiprecision engine, at 53 bits.
+the same rule as the multiprecision engine, at 53 bits.  Its Dirichlet sum
+is multiplicative too: one table holds n^-s for a whole batch, one row per
+n; the prime rows take a complex exp and each composite row is the product
+of the rows of its smallest prime p and of n / p, filled one vectorized
+step per count of prime factors.  F(s) = zeta(s)^3 / zeta(2s) reads both
+sums from one table, zeta(2s) from its rows squared.
 """
 
 from __future__ import annotations
@@ -365,6 +370,75 @@ def refine_zero(approx_ordinate, precision: int = DEFAULT_PRECISION,
 # Vectorized float64 evaluation for contour quadrature
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _factor_groups(size: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The primes below size, and the composites n < size grouped by their
+    number of prime factors with multiplicity, 2, 3, ...
+
+    Each group is a (3, count) int array of rows (n, p, n // p), p the
+    smallest prime dividing n, ascending in n.  n // p has one prime factor
+    fewer than n, so a table filled group by group finds every cofactor in
+    place.  One per power-of-two size, built on first use.
+    """
+    spf = _smallest_prime_factors(size)
+    omega = [0] * size
+    groups: list[list[int]] = []
+    for n in range(2, size):
+        omega[n] = omega[n // spf[n]] + 1
+        if omega[n] > len(groups):
+            groups.append([])
+        groups[omega[n] - 1].append(n)
+    primes = np.array(groups[0])
+    composites = []
+    for group in groups[1:]:
+        n = np.array(group)
+        p = np.array([spf[m] for m in group])
+        composites.append(np.stack([n, p, n // p]))
+    return primes, tuple(composites)
+
+
+def _dirichlet_powers(s: np.ndarray, size: int) -> np.ndarray:
+    """table[n] = n^-s for 1 <= n < size over a flat complex128 batch.
+
+    One row per n, so each n's values are contiguous; row 0 is left unset.
+    Only the primes pay for a complex exp: a composite row is the product of
+    the rows of its smallest prime p and of n // p, one vectorized product
+    per group of composites with the same number of prime factors.
+    """
+    primes, composites = _factor_groups(1 << (size - 1).bit_length())
+    table = np.empty((size, s.size), dtype=np.complex128)
+    table[1] = 1.0
+    primes = primes[:np.searchsorted(primes, size)]
+    table[primes] = np.exp(np.multiply.outer(-np.log(primes), s))
+    for n, p, cofactor in composites:
+        k = np.searchsorted(n, size)
+        table[n[:k]] = table[p[:k]] * table[cofactor[:k]]
+    return table
+
+
+def _em_tail(s: np.ndarray, N: int, J: int) -> np.ndarray:
+    """zeta(s) - sum_{n<N} n^-s over a flat complex128 batch: the pole term,
+    N^-s / 2 and J Bernoulli corrections."""
+    L = math.log(N)
+    out = np.exp((1 - s) * L) / (s - 1)
+    out += np.exp(-s * L) / 2.0
+    bern = [float(b) for b in _bernoulli_table(J, 53)]
+    p = s.copy()  # P_1(s) = s
+    w = np.exp((-s - 1) * L)
+    w_scale = math.exp(-2 * L)
+    for j in range(1, J + 1):
+        if j > 1:
+            p = p * (s + (2 * j - 3)) * (s + (2 * j - 2))
+            w = w * w_scale
+        out += bern[j - 1] * p * w
+    return out
+
+
+def _em_rule(s: np.ndarray) -> tuple[int, int]:
+    """(N, J) for a flat batch by the shared rule at 53 bits."""
+    return _em_parameters(53, float(np.abs(s.imag).max()), float(s.real.min()))
+
+
 def zeta_f64(s: np.ndarray) -> np.ndarray:
     """Euler-Maclaurin zeta over an array of complex128 points.
 
@@ -376,28 +450,26 @@ def zeta_f64(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=np.complex128)
     if s.size == 0:
         return np.zeros_like(s)
-    N, J = _em_parameters(53, float(np.abs(s.imag).max()), float(s.real.min()))
-    n = np.arange(1, N, dtype=np.float64)
-    ln_n = np.log(n)
-    flat = s.reshape(-1, 1)
-    out = np.exp(-flat * ln_n).sum(axis=1)
-    sf = s.reshape(-1)
-    L = math.log(N)
-    out += np.exp((1 - sf) * L) / (sf - 1)
-    out += np.exp(-sf * L) / 2.0
-    bern = [float(b) for b in _bernoulli_table(J, 53)]
-    p = sf.copy()  # P_1(s) = s
-    w = np.exp((-sf - 1) * L)
-    w_scale = math.exp(-2 * L)
-    for j in range(1, J + 1):
-        if j > 1:
-            p = p * (sf + (2 * j - 3)) * (sf + (2 * j - 2))
-            w = w * w_scale
-        out += bern[j - 1] * p * w
+    flat = s.reshape(-1)
+    N, J = _em_rule(flat)
+    out = _dirichlet_powers(flat, N)[1:].sum(axis=0) + _em_tail(flat, N, J)
     return out.reshape(s.shape)
 
 
 def dirichlet_quotient_f64(s: np.ndarray) -> np.ndarray:
-    """zeta(s)^3 / zeta(2s) over an array of complex128 points."""
+    """zeta(s)^3 / zeta(2s) over an array of complex128 points.
+
+    Both Dirichlet sums read one n^-s table: zeta(2s) sums its rows squared,
+    (n^-s)^2 = n^-2s, squared in place once zeta(s)'s sum is taken.
+    """
     s = np.asarray(s, dtype=np.complex128)
-    return zeta_f64(s) ** 3 / zeta_f64(2 * s)
+    if s.size == 0:
+        return np.zeros_like(s)
+    flat = s.reshape(-1)
+    double = 2 * flat
+    (N1, J1), (N2, J2) = _em_rule(flat), _em_rule(double)
+    table = _dirichlet_powers(flat, max(N1, N2))
+    zeta_s = table[1:N1].sum(axis=0) + _em_tail(flat, N1, J1)
+    squares = np.square(table[1:N2], out=table[1:N2])
+    zeta_2s = squares.sum(axis=0) + _em_tail(double, N2, J2)
+    return (zeta_s ** 3 / zeta_2s).reshape(s.shape)

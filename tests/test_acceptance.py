@@ -122,7 +122,7 @@ def test_06_mode_discrepancy_closed_form():
 
 def test_07_perron_truncation_decay():
     t0 = time.perf_counter()
-    exact = sieve.prefix_sum(AF.D_SQUARE, 1000).value
+    exact = sieve.prefix_sum(AF.D_SQUARE, 1000)
     rows, slope = perron.truncation_decay(1000.5, 2.0, [50, 100, 200, 400],
                                           exact)
     elapsed = time.perf_counter() - t0

@@ -252,6 +252,23 @@ def test_malformed_config_value(capsys, tmp_path):
     assert f"{cfg}:2" in err["message"]
 
 
+def test_bad_config_mode_rejected(capsys, tmp_path):
+    """mu_squared has no mode-dependent main term, so only the config check
+    stands between a bad mode and the written report."""
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("# lab defaults\nmode = bogus\n")
+    out = tmp_path / "out"
+    code, captured = run(capsys, "formula", "compare", "--function", "mu_squared",
+                         "--grid-start", "100", "--grid-stop", "1000",
+                         "--grid-count", "2", "--config", str(cfg),
+                         "--output-dir", str(out))
+    assert code == 2
+    err = json.loads(captured.err)
+    assert err["error"] == "DomainError"
+    assert err["message"] == f"{cfg}:2: mode must be 'paper' or 'exact'"
+    assert not out.exists()
+
+
 def test_error_exit_code_and_payload(capsys):
     code, captured = run(capsys, "perron", "integral", "10.0")
     assert code == 2

@@ -19,7 +19,7 @@ from divisorlab.sieve import ArithmeticFunction as AF
 
 class TestPerronTruncated:
     def test_x_10_5_approaches_48(self):
-        exact = sieve.prefix_sum(AF.D_SQUARE, 10).value
+        exact = sieve.prefix_sum(AF.D_SQUARE, 10)
         assert exact == 48
         value = perron.perron_truncated(10.5, 2.0, 200.0)
         # truncation law: |I(T) - S(x)| <= C x^c / T with a modest constant
@@ -32,7 +32,7 @@ class TestPerronTruncated:
         assert abs(value.real - 4.0) < 1.0
 
     def test_larger_T_is_closer(self):
-        exact = sieve.prefix_sum(AF.D_SQUARE, 100).value
+        exact = sieve.prefix_sum(AF.D_SQUARE, 100)
         coarse = perron.perron_truncated(100.5, 2.0, 50.0)
         fine = perron.perron_truncated(100.5, 2.0, 800.0)
         assert abs(fine.real - exact) < abs(coarse.real - exact)
@@ -74,7 +74,7 @@ class TestPerronTruncated:
             return panel_integrals(start, direction, edges, x)
 
         monkeypatch.setattr(perron, "_panel_integrals", spy)
-        exact = sieve.prefix_sum(AF.D_SQUARE, 100).value
+        exact = sieve.prefix_sum(AF.D_SQUARE, 100)
         perron.truncation_decay(100.5, 2.0, [10, 25, 40], exact, nodes=256)
         assert [d for d, _ in grids] == [1j, 1j, -1j, -1j]
         quarter = 2 * math.pi / math.log(100.5) / 4
@@ -145,7 +145,7 @@ class TestCircleResidues:
 
 class TestTruncationDecay:
     def test_rows_and_slope(self):
-        exact = sieve.prefix_sum(AF.D_SQUARE, 100).value
+        exact = sieve.prefix_sum(AF.D_SQUARE, 100)
         rows, slope = perron.truncation_decay(100.5, 2.0, [50, 100, 200],
                                               exact)
         assert [T for T, _ in rows] == [50.0, 100.0, 200.0]
@@ -177,7 +177,7 @@ class TestTruncationDecay:
 
     def test_sweep_matches_single_heights(self):
         T_list = [20.0, 50.0, 100.0]
-        exact = sieve.prefix_sum(AF.D_SQUARE, 100).value
+        exact = sieve.prefix_sum(AF.D_SQUARE, 100)
         rows, _ = perron.truncation_decay(100.5, 2.0, T_list, exact)
         for T, err in rows:
             single = perron.perron_truncated(100.5, 2.0, T)

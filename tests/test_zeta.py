@@ -19,6 +19,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from divisorlab import zeta as engine
+from divisorlab.sieve import trial_factorize
 from divisorlab.errors import (
     DomainError,
     HeightRangeError,
@@ -234,6 +235,24 @@ def test_smallest_prime_factors_match_trial_division():
         assert spf[n] == smallest, n
 
 
+def test_factor_groups_match_trial_division():
+    """The float64 table's fill order: the primes, then every composite
+    n < size once, as (n, smallest prime p | n, n // p), grouped by its
+    number of prime factors and ascending within a group."""
+    size = 2**10
+    primes, composites = engine._factor_groups(size)
+    factors = {n: trial_factorize(n) for n in range(2, size)}
+    count = {n: sum(a for _, a in f) for n, f in factors.items()}
+    assert primes.tolist() == [n for n in factors if count[n] == 1]
+    seen = []
+    for omega, (n, p, cofactor) in enumerate(composites, start=2):
+        assert list(n) == sorted(n)
+        for m, q, c in zip(n.tolist(), p.tolist(), cofactor.tolist()):
+            assert count[m] == omega and q == factors[m][0][0] and c == m // q
+        seen += n.tolist()
+    assert sorted(seen) == [n for n in factors if count[n] > 1]
+
+
 def _height_for_cutoff(N: int, precision: int, sigma: float) -> float:
     """A height |t| <= 1000 at which the (N, J) rule picks exactly this N."""
     lo, hi = 0.0, 1000.0
@@ -333,6 +352,57 @@ class TestZetaF64:
         assert sizes == [(chosen[0][1][1], 53)]
         # far fewer terms than the former 1.5 (|t| + 2J + 10) rule at |t| = 800
         assert em_parameters(53, 800.0, 4.0)[0] == 500
+
+    # The Perron layer's contours: the abscissa lines, the rectangle's sides
+    # and its horizontal edges at t = +-50.
+    CONTOURS = (
+        2.0 + 1j * np.linspace(-400, 400, 81),
+        1.5 + 1j * np.linspace(-100, 100, 41),
+        1.25 + 1j * np.linspace(-50, 50, 21),
+        0.6 + 1j * np.linspace(-50, 50, 21),
+        np.linspace(0.6, 1.25, 14) + 50j,
+        np.linspace(0.6, 1.25, 14) - 50j,
+    )
+
+    def test_quotient_against_mpmath_on_contours(self):
+        """F = zeta^3(s) / zeta(2s) to 1e-12 relative, in batches of 8
+        neighbouring points so each batch picks its own N like a quadrature
+        batch does."""
+        with mp.workdps(25):
+            for contour in self.CONTOURS:
+                for i in range(0, len(contour), 8):
+                    batch = contour[i: i + 8]
+                    got = engine.dirichlet_quotient_f64(batch)
+                    for point, value in zip(batch, got):
+                        z = mpc(point.real, point.imag)
+                        want = complex(mpmath.zeta(z) ** 3 / mpmath.zeta(2 * z))
+                        assert abs(value - want) <= 1e-12 * abs(want), point
+
+    def test_quotient_uses_shared_parameter_rule(self, monkeypatch):
+        chosen = []
+        em_parameters = engine._em_parameters
+
+        def spy_em(*args):
+            chosen.append(args)
+            return em_parameters(*args)
+
+        monkeypatch.setattr(engine, "_em_parameters", spy_em)
+        s = np.array([[2.0 + 10j, 0.6 - 400j], [4.0 + 300j, 1.5 + 0j]])
+        assert engine.dirichlet_quotient_f64(s).shape == s.shape
+        assert chosen == [(53, 400.0, 0.6), (53, 800.0, 1.2)]
+
+    def test_multiplicative_table_against_direct_exp(self):
+        """n^-s from prime rows and products against exp(-s ln n) for every
+        n < 1024.  Each is within a few ulps of the phase |s| ln n, so the
+        bound is 16 eps (1 + |s| ln n) |n^-s|."""
+        s = np.concatenate([3.0 + 1j * np.linspace(-800, 800, 33),
+                            0.6 + 1j * np.linspace(-800, 800, 33),
+                            np.array([-1.5 + 7j, 1.0 + 0j])])
+        table = engine._dirichlet_powers(s, 1024)
+        ln_n = np.log(np.arange(1, 1024, dtype=np.float64))[:, None]
+        direct = np.exp(-s * ln_n)
+        bound = 16 * np.finfo(float).eps * (1 + np.abs(s) * ln_n) * np.abs(direct)
+        assert np.all(np.abs(table[1:] - direct) <= bound)
 
     def test_bernoulli_table_sized_by_request(self):
         """One B_2j/(2j)! table per (J, precision): sized by the request, its
