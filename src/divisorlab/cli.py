@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from .errors import DivisorLabError, DomainError
 from . import perron, series, sieve, zeros
@@ -124,7 +124,8 @@ def _table_and_coefficients(cfg: RunConfig, count: int | None, refine: bool):
         coeffs = zeros.coefficients_for_table(table, cfg.precision_bits,
                                               workers=cfg.workers)
         if cfg.cache_path:
-            zeros.persist_cache(table, coeffs, cfg.cache_path)
+            zeros.persist_cache(table, coeffs, cfg.cache_path,
+                                cfg.precision_bits)
     return table, coeffs
 
 
@@ -277,9 +278,13 @@ def cmd_dirichlet_verify(args, cfg: RunConfig) -> int:
     prec = cfg.precision_bits
     values = sieve.build_sieve(max(N, 10**4), ArithmeticFunction.D_SQUARE)
     with mp.workprec(prec + 16):
-        partial = mpf(0)
-        for n, v in enumerate(values[1: N + 1].tolist(), 1):
-            partial += v * mp.power(n, -s)
+        # n^-s in fixed point from the engine's multiplicative rule.  Since
+        # d(n^2) <= 2n the weights sum below 2^(2 bitlen N); 8 more bits
+        # absorb the few units of rounding in each n^-s.
+        wp = mp.prec + 2 * N.bit_length() + 8
+        powers = zeta_engine.dirichlet_powers_fixed(mpc(s), N + 1, wp)[0]
+        partial = mpf((sum(v * p for v, p in zip(values[1: N + 1].tolist(),
+                                                  powers[1:])), -wp))
         closed = (zeta_engine.zeta(s, prec) ** 3
                   / zeta_engine.zeta(2 * s, prec)).real
         difference = abs(partial - closed)

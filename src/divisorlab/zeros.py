@@ -11,8 +11,9 @@ zero is therefore
 
     A = zeta^3(1/4 + i gamma/2) / ((1/4 + i gamma/2) * 2 zeta'(1/2 + i gamma)).
 
-Cache format: '# source_digest <sha256>' header, then one line per zero with
-ordinate, Re A, Im A, Re zeta', Im zeta' at 30 significant digits.
+Cache format: '# source_digest <sha256>' and '# precision_bits <P>' headers,
+then one line per zero with ordinate, Re A, Im A, Re zeta', Im zeta' at 30
+significant digits.  A cache serves only requests at or below its precision.
 """
 
 from __future__ import annotations
@@ -167,10 +168,13 @@ def coefficients_for_table(
     return [coefficient_for(g, precision) for g in table.ordinates]
 
 
-def persist_cache(table: ZeroTable, coefficients, path) -> None:
-    """Write a human-inspectable coefficient cache keyed to the table digest."""
+def persist_cache(table: ZeroTable, coefficients, path,
+                  precision: int = DEFAULT_PRECISION) -> None:
+    """Write a human-inspectable coefficient cache keyed to the table digest
+    and the precision the coefficients were computed at."""
     lines = [
         f"# source_digest {table.source_digest}",
+        f"# precision_bits {precision}",
         f"# digits {CACHE_DIGITS}",
         "# columns: gamma re_coeff im_coeff re_deriv im_deriv",
     ]
@@ -190,18 +194,26 @@ def load_cache(path, table: ZeroTable,
                precision: int = DEFAULT_PRECISION) -> list[ZeroTermCoefficient]:
     """Cached coefficients for exactly the table's zeros, in table order.
 
-    Fails if the cache was built from another zero file, holds fewer rows
-    than the table, or lists an ordinate that differs from the table's in
-    its CACHE_DIGITS digits (a polished or differently rounded table).
+    Fails if the cache was built from another zero file, does not record a
+    precision of at least `precision` bits, holds fewer rows than the table,
+    or lists an ordinate that differs from the table's in its CACHE_DIGITS
+    digits (a polished or differently rounded table).
     """
     path = Path(path)
     coefficients = []
-    digest = None
+    digest = built_at = None
     with mp.workprec(max(precision, 110) + 16):
         for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
             line = raw.strip()
             if line.startswith("# source_digest"):
                 digest = line.split()[-1]
+                continue
+            if line.startswith("# precision_bits"):
+                try:
+                    built_at = int(line.split()[-1])
+                except ValueError:
+                    raise ZeroFileParseError("precision_bits must be an integer",
+                                             lineno) from None
                 continue
             if not line or line.startswith("#"):
                 continue
@@ -223,6 +235,12 @@ def load_cache(path, table: ZeroTable,
         raise StaleCacheError(
             "cache was built from a different zero file "
             f"(cache digest {digest[:12]}..., table digest {table.source_digest[:12]}...)"
+        )
+    if built_at is None:
+        raise StaleCacheError(f"cache {path} records no precision_bits")
+    if built_at < precision:
+        raise StaleCacheError(
+            f"cache was built at {built_at} bits, {precision} were requested"
         )
     if len(coefficients) < len(table):
         raise StaleCacheError(

@@ -10,16 +10,22 @@ below the last retained bit.  Derivatives in s come from the same pass: every
 term is carried as a Taylor jet (its coefficients f^(k)(s)/k!), exponentials
 as value * rate^k / k! and products by one truncated Cauchy product, so the
 derivative values stay consistent with the base evaluation.  One table of
-B_2j/(2j)!, cached per (J, precision), serves both engines and the Stieltjes
-constants.
+B_2j/(2j)!, cached per (J, precision), serves the float64 engine and the
+Stieltjes constants.
 
-The Dirichlet sum is multiplicative: with p the smallest prime dividing n,
+The multiprecision engine runs its two long loops in fixed point: Python
+integers at the scale 2^wp, wp = precision + 24 plus guard bits (log2 N for
+the sum, and -Re s log2 N left of 0, where terms grow like N^-Re s).  The
+Dirichlet sum is multiplicative: with p the smallest prime dividing n,
 n^-s = p^-s (n/p)^-s and ln n = ln p + ln(n/p), so only the primes below N
-pay for a log and a complex exp; a composite costs one complex product.  The
+pay for a fixed log, exp and cos/sin; a composite costs one complex integer
+product.  The jet sums n^-s (ln n)^k and applies (-1)^k / k! once.  The
+Bernoulli terms share the factor N^(-1-s), so they are summed as one jet
+sum_j B_2j/(2j)! Q_j(s) with Q_j = N^(2-2j) P_j(s), scaled by N^-2 per step,
+from one fixed-point coefficient table per (J, precision).  Each jet entry
+becomes an mpc once; the pole term, N^-s / 2 and N^(-1-s) stay in mpc.  The
 smallest-prime-factor table holds integers only and is kept per power-of-two
-size; no mp value outlives a call.  The Bernoulli terms share the factor
-N^(-1-s), so they are summed as one jet sum_j B_2j/(2j)! N^(2-2j) P_j(s),
-with a real scale, and multiplied by the jet of N^(-1-s) once.
+size; no mp value outlives a call.
 
 Also here: Stieltjes constants via the Euler-Maclaurin-accelerated tail of
 their defining limit, the functional-equation conversion factor
@@ -43,6 +49,8 @@ import math
 
 import numpy as np
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_int, mpf_log, to_fixed
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from .errors import (
     DomainError,
@@ -148,6 +156,56 @@ def _smallest_prime_factors(size: int) -> tuple[int, ...]:
     return tuple(spf)
 
 
+def dirichlet_powers_fixed(s, size: int, wp: int) -> tuple[list, list, list]:
+    """n^-s and ln n for 1 <= n < size as integers at the scale 2^wp.
+
+    Returns the lists (Re n^-s, Im n^-s, ln n), each floor(value 2^wp) up to
+    a few units; entry 0 is 0.  s is an mpc, read exactly.  Only the primes
+    pay for a log, an exp and a cos/sin: for a composite n with smallest
+    prime factor p, n^-s = p^-s (n/p)^-s and ln n = ln p + ln(n/p).
+    """
+    sre, sim = to_fixed(s.real._mpf_, wp), to_fixed(s.imag._mpf_, wp)
+    re, im, ln = [0] * size, [0] * size, [0] * size
+    if size > 1:
+        re[1] = 1 << wp
+    spf = _smallest_prime_factors(1 << (size - 1).bit_length())
+    for n in range(2, size):
+        p = spf[n]
+        if p == n:
+            ln[n] = log = to_fixed(mpf_log(from_int(n), wp + 8), wp)
+            u = exp_fixed(-(sre * log) >> wp, wp)
+            cos, sin = cos_sin_fixed(-(sim * log) >> wp, wp)
+            re[n], im[n] = (u * cos) >> wp, (u * sin) >> wp
+        else:
+            m = n // p
+            a, b, c, d = re[p], im[p], re[m], im[m]
+            re[n], im[n] = (a * c - b * d) >> wp, (a * d + b * c) >> wp
+            ln[n] = ln[p] + ln[m]
+    return re, im, ln
+
+
+@functools.cache
+def _bernoulli_fixed(J: int, precision: int) -> tuple[int, tuple[int, ...]]:
+    """(bits, floor(B_2j/(2j)! 2^bits) for j = 1..J), from the exact fractions.
+
+    |B_2j/(2j)!| = 2 zeta(2j) (2 pi)^-2j falls with j, so bits is
+    precision + 24 plus the bits by which the last entry falls below 1: every
+    entry keeps more than precision + 24 significant bits.
+    """
+    fractions = []
+    for j in range(1, J + 1):
+        p, q = mp.bernfrac(2 * j)
+        fractions.append((int(p), int(q) * math.factorial(2 * j)))
+    p, q = fractions[-1]
+    bits = precision + 24 + q.bit_length() - abs(p).bit_length() + 1
+    return bits, tuple((p << bits) // q for p, q in fractions)
+
+
+def _from_fixed(re: int, im: int, bits: int) -> mpc:
+    """re + i im scaled by 2^-bits, rounded once to the working precision."""
+    return mpc(mpf((re, -bits)), mpf((im, -bits)))
+
+
 def zeta_with_derivatives(
     s,
     kmax: int = 0,
@@ -168,25 +226,23 @@ def zeta_with_derivatives(
             raise HeightRangeError(
                 f"|Im s| = {t_abs} exceeds the evaluation cap {height_cap}"
             )
-        N, J = _em_parameters(precision, t_abs, float(z.real))
+        sigma = float(z.real)
+        N, J = _em_parameters(precision, t_abs, sigma)
         K = kmax + 1
-        out = [mpc(0)] * K
-        out[0] += 1  # n = 1 term
-        # n^-s and ln n, multiplicatively from the smallest prime p | n:
-        # only primes pay for an exp and a log.
-        spf = _smallest_prime_factors(1 << (N - 1).bit_length())
-        power = [mpc(1)] * N
-        ln = [mpf(0)] * N
-        for n in range(2, N):
-            prime = spf[n]
-            if prime == n:
-                ln[n] = mp.ln(n)
-                power[n] = mp.exp(-z * ln[n])
-            else:
-                ln[n] = ln[prime] + ln[n // prime]
-                power[n] = power[prime] * power[n // prime]
-            for k, c in enumerate(_exp_jet(power[n], -ln[n], K)):
-                out[k] += c
+        # Fixed point at the scale 2^wp: guard bits for summing N terms, and
+        # for terms as large as N^-sigma left of 0.
+        wp = (mp.prec + N.bit_length()
+              + math.ceil(max(0.0, -sigma) * math.log2(N)))
+
+        # sum_n n^-s (ln n)^k; the jet coefficient is (-1)^k / k! of it.
+        re, im, ln = dirichlet_powers_fixed(z, N, wp)
+        out = []
+        for k in range(K):
+            if k:
+                re = [(x * log) >> wp for x, log in zip(re, ln)]
+                im = [(y * log) >> wp for y, log in zip(im, ln)]
+            out.append(_from_fixed(sum(re), sum(im), wp)
+                       * (mpf(-1) ** k / math.factorial(k)))
 
         L = mp.ln(N)
         # N^(1-s)/(s-1), with 1/(s-1+h) = sum_k (-1)^k h^k / (s-1)^(k+1)
@@ -198,24 +254,38 @@ def zeta_with_derivatives(
                   _exp_jet(mp.exp(-z * L) / 2, -L, K)]  # N^-s / 2
 
         # Bernoulli corrections sum_j B_2j/(2j)! P_j(s) N^(1-s-2j), folded as
-        # N^(-1-s) sum_j B_2j/(2j)! N^(2-2j) P_j(s): one jet product.  The
-        # jet of P_j(s) = s(s+1)...(s+2j-2) grows by one quadratic factor
-        # (s+2j-3+h)(s+2j-2+h) = q + dq h + h^2 per j.
-        p = ([z, mpc(1)] + [mpc(0)] * K)[:K]  # P_1(s + h) = s + h
-        tail = [mpc(0)] * K
-        scale = mpf(1)  # N^(2-2j)
-        step = 1 / mpf(N * N)
-        q, dq = (z + 1) * (z + 2), 2 * z + 3  # at j = 2
-        for j, coeff in enumerate(_bernoulli_table(J, mp.prec), start=1):
+        # N^(-1-s) sum_j B_2j/(2j)! Q_j(s) with Q_j = N^(2-2j) P_j: one jet
+        # product.  The jet of Q_j grows by one quadratic factor
+        # (s+2j-3+h)(s+2j-2+h) / N^2 = (q + dq h + h^2) / N^2 per j.
+        one = 1 << wp
+        sre, sim = to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
+        qre = ((sre * sre - sim * sim) >> wp) + 3 * sre + 2 * one  # j = 2
+        qim = ((2 * sre * sim) >> wp) + 3 * sim
+        dqre, dqim = 2 * sre + 3 * one, 2 * sim
+        Qre = ([sre, one] + [0] * K)[:K]  # Q_1(s + h) = s + h
+        Qim = ([sim, 0] + [0] * K)[:K]
+        bits, table = _bernoulli_fixed(J, precision)
+        tre, tim = [0] * K, [0] * K
+        NN = N * N
+        for j, coeff in enumerate(table, start=1):
             if j > 1:
-                p = jet_mul(p, ([q, dq, 1] + [0] * K)[:K])
-                q += dq  # q, dq of the next factor: dq steps by 4
-                dq += 4
-                q += dq
-                scale *= step
-            weight = coeff * scale
+                for a in range(K - 1, -1, -1):  # in place, highest order first
+                    xr = qre * Qre[a] - qim * Qim[a]
+                    xi = qre * Qim[a] + qim * Qre[a]
+                    if a >= 1:
+                        xr += dqre * Qre[a - 1] - dqim * Qim[a - 1]
+                        xi += dqre * Qim[a - 1] + dqim * Qre[a - 1]
+                    if a >= 2:
+                        xr += Qre[a - 2] << wp
+                        xi += Qim[a - 2] << wp
+                    Qre[a], Qim[a] = (xr >> wp) // NN, (xi >> wp) // NN
+                qre, qim = qre + dqre, qim + dqim  # q of the next factor
+                dqre += 4 * one
+                qre, qim = qre + dqre, qim + dqim
             for a in range(K):
-                tail[a] += weight * p[a]
+                tre[a] += coeff * Qre[a]
+                tim[a] += coeff * Qim[a]
+        tail = [_from_fixed(x, y, wp + bits) for x, y in zip(tre, tim)]
         pieces.append(jet_mul(tail, _exp_jet(mp.exp((-z - 1) * L), -L, K)))
         for piece in pieces:
             for k, c in enumerate(piece):

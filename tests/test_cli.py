@@ -5,7 +5,7 @@ import json
 import pytest
 from mpmath import mp, mpf
 
-from divisorlab import cli, perron, zeros
+from divisorlab import cli, perron, sieve, zeros
 
 from conftest import ZEROS_PATH
 
@@ -82,6 +82,19 @@ def test_zeros_coeffs_serves_the_requested_count(capsys, tmp_path, zero_table,
     code, captured = run(capsys, *argv, "--count", "100", "--cache-path", str(short))
     assert code == 2
     assert json.loads(captured.err)["error"] == "StaleCacheError"
+
+
+def test_zeros_coeffs_cache_below_requested_precision(capsys, tmp_path):
+    """A cache written at 128 bits exits 2 for a 192-bit request and still
+    serves 128 bits."""
+    cache = tmp_path / "coeffs.txt"
+    argv = ["zeros", "coeffs", "--count", "3", "--zeros-path", str(ZEROS_PATH),
+            "--cache-path", str(cache)]
+    written = run_json(capsys, *argv)
+    code, captured = run(capsys, *argv, "--precision-bits", "192")
+    assert code == 2
+    assert json.loads(captured.err)["error"] == "StaleCacheError"
+    assert run_json(capsys, *argv)["first_coefficient"] == written["first_coefficient"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -209,6 +222,11 @@ def test_dirichlet_verify(capsys):
     payload = run_json(capsys, "dirichlet-verify", "3", "2000")
     assert payload["pass"] is True
     assert float(payload["difference"]) <= float(payload["tail_bound"])
+    # the printed partial sum is the plain one, term by term, to its digits
+    values = sieve.build_sieve(2000, sieve.ArithmeticFunction.D_SQUARE)
+    with mp.workprec(200):
+        direct = mp.fsum(int(values[n]) * mp.power(n, -3) for n in range(1, 2001))
+        assert abs(mpf(payload["partial_sum"]) - direct) < mpf("1e-24")
 
 
 def test_dirichlet_verify_degenerate(capsys):

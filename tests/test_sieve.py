@@ -218,7 +218,28 @@ def test_identity_check_small_range():
 
 
 def test_identity_check_range_agrees_with_pointwise():
-    assert sieve.identity_check_range(3000)
+    pointwise = all(all(identity_check(n)) for n in range(1, 3001))
+    assert pointwise
+    assert sieve.identity_check_range(3000) == pointwise
+
+
+@pytest.mark.parametrize("function", [AF.D_SQUARE, AF.TWO_OMEGA,
+                                      AF.MU_SQUARED, AF.D_SQUARED])
+def test_identity_check_range_rejects_a_corrupted_table(monkeypatch, function):
+    """One wrong value at n = 2310 in one function's sieve table fails the
+    batch check at every limit from 2310 on, and not below."""
+    build_sieve = sieve.build_sieve
+
+    def corrupted(limit, rule):
+        values = build_sieve(limit, rule)
+        if rule == function and limit >= 2310:
+            values[2310] += 1
+        return values
+
+    monkeypatch.setattr(sieve, "build_sieve", corrupted)
+    assert not sieve.identity_check_range(3000)
+    assert not sieve.identity_check_range(2310)
+    assert sieve.identity_check_range(2309)
 
 
 def test_prefix_sums_at_multiple_cuts():

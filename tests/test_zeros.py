@@ -180,6 +180,28 @@ class TestCache:
         with pytest.raises(StaleCacheError):
             zeros.load_cache(cache, moved)
 
+    def test_cache_keyed_on_precision(self, tmp_path, zeros_path):
+        """A cache serves its own precision and below, never above."""
+        table = zeros.import_zeros(zeros_path, limit_count=2)
+        cache = tmp_path / "coeffs.txt"
+        zeros.persist_cache(table, zeros.coefficients_for_table(table, 128),
+                            cache, 128)
+        assert "# precision_bits 128" in cache.read_text().splitlines()
+        assert len(zeros.load_cache(cache, table, 128)) == 2
+        assert len(zeros.load_cache(cache, table, 64)) == 2
+        with pytest.raises(StaleCacheError, match="built at 128 bits"):
+            zeros.load_cache(cache, table, 192)
+
+    def test_cache_without_precision_rejected(self, tmp_path, zeros_path):
+        table = zeros.import_zeros(zeros_path, limit_count=2)
+        cache = tmp_path / "coeffs.txt"
+        zeros.persist_cache(table, zeros.coefficients_for_table(table), cache)
+        unkeyed = tmp_path / "unkeyed.txt"
+        unkeyed.write_text("".join(line for line in cache.read_text().splitlines(True)
+                                   if not line.startswith("# precision_bits")))
+        with pytest.raises(StaleCacheError, match="no precision_bits"):
+            zeros.load_cache(unkeyed, table)
+
     def test_headerless_cache_rejected(self, tmp_path, zeros_path):
         table = zeros.import_zeros(zeros_path, limit_count=2)
         bad = tmp_path / "bad.txt"

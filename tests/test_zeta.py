@@ -268,9 +268,11 @@ def _height_for_cutoff(N: int, precision: int, sigma: float) -> float:
 
 
 def test_every_order_against_mpmath():
-    """Each kmax = 0..4 at 64, 128 and 192 bits within 2^-(prec-8) relative
-    of mpmath at 500 bits, on seeded points and on points whose Dirichlet
-    sum ends just past a prime (N - 1 prime) or at and past a power of two."""
+    """Each kmax = 0..4 at 64, 128, 192 and 256 bits within 2^-(prec-8)
+    relative of mpmath at 500 bits, on seeded points, on points whose
+    Dirichlet sum ends just past a prime (N - 1 prime) or at and past a power
+    of two, and at sigma = -2, |t| near 1000, where the terms grow like N^2
+    and the fixed-point sum carries the most guard bits."""
     rng = random.Random(20261018)
     points = [(prec, mpc(rng.uniform(-2, 3), rng.choice((-1, 1)) * rng.uniform(0, 1000)))
               for prec in (64, 128, 192) for _ in range(3)]
@@ -279,6 +281,9 @@ def test_every_order_against_mpmath():
         sigma = rng.uniform(-2, 3)
         points.append((prec, mpc(sigma, rng.choice((-1, 1))
                                  * _height_for_cutoff(N, prec, sigma))))
+    points += [(256, mpc(rng.uniform(-2, 3), rng.uniform(-1000, 1000))),
+               (256, mpc(0.5, 236.52)),
+               (128, mpc(-2, 998.3)), (192, mpc(-2, -1000)), (256, mpc(-2, 991.7))]
     for prec, s in points:
         with mp.workprec(500):
             want = [mpmath.zeta(s, derivative=k) for k in range(5)]
@@ -289,6 +294,76 @@ def test_every_order_against_mpmath():
                 with mp.workprec(500):
                     err = abs(value - want[k]) / abs(want[k])
                 assert err <= mpf(2) ** (8 - prec), (prec, s, kmax, k)
+
+
+def test_result_independent_of_ambient_precision():
+    """The same bits at mpmath's default 53 bits, at 500 bits and at the
+    suite's 220: the engine works at its own precision throughout."""
+    points = (mpc(0.5, 236.52), mpc(-2, 998.3), mpc(1.2, 0.05), mpc(3, -40))
+    for s in points:
+        with mp.workprec(53):
+            low = engine.zeta_with_derivatives(s, 2, 128)
+        with mp.workprec(500):
+            high = engine.zeta_with_derivatives(s, 2, 128)
+        here = engine.zeta_with_derivatives(s, 2, 128)
+        assert [v._mpc_ for v in low] == [v._mpc_ for v in high]
+        assert [v._mpc_ for v in low] == [v._mpc_ for v in here]
+
+
+def test_fixed_bernoulli_table_from_exact_fractions():
+    """The mp engine's coefficients: floor(B_2j/(2j)! 2^bits) for every
+    j <= J, up to J = 64, with bits enough that even the smallest entry,
+    j = J, keeps more than precision + 24 significant bits."""
+    for J, precision in ((12, 64), (36, 128), (52, 192), (64, 256), (64, 64)):
+        bits, table = engine._bernoulli_fixed(J, precision)
+        assert len(table) == J
+        for j, entry in enumerate(table, start=1):
+            p, q = mp.bernfrac(2 * j)
+            exact = Fraction(int(p), int(q) * math.factorial(2 * j))
+            assert entry == math.floor(exact * 2**bits), (J, precision, j)
+        assert abs(table[-1]).bit_length() > precision + 24
+
+
+def test_dirichlet_powers_fixed_against_mpmath():
+    """n^-s and ln n in fixed point against mpmath at 300 bits for every
+    n < 1200.  Each prime factor p of n adds a few units of 2^-wp, relative,
+    and the phase |s| ln p its log's unit, so the bound is
+    2^-(wp-8) (1 + (1 + |s| ln n) |n^-s|)."""
+    wp = 160
+    for s in (mpc(3, 0), mpc(0.5, 236.52), mpc(-2, 998.3)):
+        re, im, ln = engine.dirichlet_powers_fixed(s, 1200, wp)
+        assert (re[0], im[0], ln[0], re[1], im[1], ln[1]) == (0, 0, 0, 1 << wp, 0, 0)
+        with mp.workprec(300):
+            for n in range(2, 1200):
+                want = mp.power(n, -s)
+                got = mpc(mpf((re[n], -wp)), mpf((im[n], -wp)))
+                bound = mpf(2) ** (8 - wp) * (1 + (1 + abs(s) * mp.ln(n)) * abs(want))
+                assert abs(got - want) <= bound, (s, n)
+                assert abs(mpf((ln[n], -wp)) - mp.ln(n)) <= mpf(2) ** (8 - wp), n
+
+
+def test_dirichlet_sum_guard_bits(monkeypatch):
+    """The engine's fixed-point scale keeps sum_{n<N} n^-s within
+    2^-(precision+20) (1 + |s| ln N) absolute, however large the terms:
+    at sigma = -2 and |t| near 1000 they reach N^2, about 2^21."""
+    calls = []
+    powers = engine.dirichlet_powers_fixed
+
+    def spy(s, size, wp):
+        calls.append((s, size, wp))
+        return powers(s, size, wp)
+
+    monkeypatch.setattr(engine, "dirichlet_powers_fixed", spy)
+    for prec, s in ((64, mpc(-2, 998.3)), (128, mpc(-2, -1000)),
+                    (128, mpc(-1.9, 0.5)), (192, mpc(0.5, 236.52))):
+        engine.zeta(s, prec)
+        z, N, wp = calls[-1]
+        re, im, _ = powers(z, N, wp)
+        with mp.workprec(prec + 200):
+            got = mpc(mpf((sum(re), -wp)), mpf((sum(im), -wp)))
+            want = mp.fsum(mp.power(n, -z) for n in range(1, N))
+            bound = mpf(2) ** -(prec + 20) * (1 + abs(z) * mp.ln(N))
+            assert abs(got - want) <= bound, (prec, s)
 
 
 def test_argument_kept_at_working_precision():
