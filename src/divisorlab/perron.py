@@ -13,6 +13,9 @@ the two results must agree.  Circles use the trapezoid rule in
 multiprecision, which is spectrally accurate on periodic contours: with N
 nodes, principal parts are integrated exactly and the analytic remainder
 contributes O((r/R)^N) for the distance R to the nearest other singularity.
+Since the error falls geometrically, nested levels of nodes measure their own
+error: each level doubles the last, and the sum stops at the first level
+whose change, squared over the change before it, is below 2^-precision.
 
 Evaluation points x must be non-integers (half-integers in practice) to
 avoid the Perron jump.
@@ -32,6 +35,8 @@ from . import zeta as zeta_engine
 from .zeta import DEFAULT_PRECISION, dirichlet_quotient_f64
 
 MIN_NODES = 64
+#: Fewest nodes in the coarsest nested level of a circle quadrature.
+MIN_LEVEL = 16
 GAUSS_ORDER = 16
 #: Panels per float64 zeta batch (1024 nodes): a short stretch of height,
 #: so the N each batch picks from its tallest node stays near its own.
@@ -162,9 +167,15 @@ def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
                       verify_radius: bool = False) -> mpc:
     """(1/2 pi i) contour integral of F(s) x^s / s on a circle, by trapezoid.
 
-    Equals the residue sum of the enclosed poles.  With verify_radius the
-    integral is repeated at half the radius; disagreement signals that the
-    circle and its half do not enclose the same poles.
+    Equals the residue sum of the enclosed poles.  The nodes sit at the
+    angles (2j + 1) pi / nodes.  The trapezoid sums run over nested levels:
+    every 2^m-th of those nodes, from the coarsest level of at least
+    MIN_LEVEL nodes, each level adding the nodes the one before lacks.  With
+    d1 and d0 the changes at the last two levels, the sum stops once
+    d1 <= d0 and d1^2 / d0 <= 2^-precision max(1, |value|); otherwise it
+    runs to all `nodes`.  With verify_radius the integral is repeated at half
+    the radius; disagreement signals that the circle and its half do not
+    enclose the same poles.
     """
     if nodes < MIN_NODES:
         raise DomainError(f"node count must be >= {MIN_NODES}")
@@ -177,16 +188,35 @@ def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
         c0 = mpc(center)
         r = mpf(radius)
         lx = mp.ln(mpf(x))
-        total = mpc(0)
-        # Half-step node offset keeps nodes off the real axis, where the
-        # zeta(2s) pole at s = 1/2 would otherwise be hit exactly.
-        for j in range(nodes):
-            z = c0 + r * mp.expjpi(mpf(2 * j + 1) / nodes)
-            f = (zeta_engine.zeta(z, precision) ** 3
-                 / zeta_engine.zeta(2 * z, precision)
-                 * mp.exp(z * lx) / z)
-            total += f * (z - c0)
-        result = +(total / nodes)
+
+        def node_sum(first: int, step: int) -> mpc:
+            total = mpc(0)
+            # The half-step offset keeps nodes off the real axis, where the
+            # zeta(2s) pole at s = 1/2 would otherwise be hit exactly.
+            for j in range(first, nodes, step):
+                w = r * mp.expjpi(mpf(2 * j + 1) / nodes)  # z - c0
+                z = c0 + w
+                total += (zeta_engine.zeta(z, precision) ** 3
+                          / zeta_engine.zeta(2 * z, precision)
+                          * mp.exp(z * lx) / z) * w
+            return total
+
+        step = 1  # the coarsest level takes every step-th node
+        while nodes % (2 * step) == 0 and nodes // (2 * step) >= MIN_LEVEL:
+            step *= 2
+        total = node_sum(0, step)
+        values = [total / (nodes // step)]
+        tol = mpf(2) ** -precision
+        while step > 1:
+            step //= 2
+            total += node_sum(step, 2 * step)
+            values.append(total / (nodes // step))
+            if len(values) >= 3:
+                d1 = abs(values[-1] - values[-2])
+                d0 = abs(values[-2] - values[-3])
+                if d1 <= d0 and d1 * d1 <= tol * max(1, abs(values[-1])) * d0:
+                    break
+        result = +values[-1]
     if verify_radius:
         inner = residue_by_circle(center, radius / 2.0, x, nodes, precision)
         scale = max(mpf(1), abs(result))

@@ -11,14 +11,17 @@ zero is therefore
 
     A = zeta^3(1/4 + i gamma/2) / ((1/4 + i gamma/2) * 2 zeta'(1/2 + i gamma)).
 
-Cache format: '# source_digest <sha256>' and '# precision_bits <P>' headers,
-then one line per zero with ordinate, Re A, Im A, Re zeta', Im zeta' at 30
-significant digits.  A cache serves only requests at or below its precision.
+Cache format: '# source_digest <sha256>', '# precision_bits <P>' and
+'# digits <D>' headers, then one line per zero with ordinate, Re A, Im A,
+Re zeta', Im zeta' at D = ceil(P log10 2) + 3 significant digits.  A cache
+serves only requests at or below its precision, and only when its rows hold
+the digits the request needs.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +37,11 @@ from .errors import (
 from . import zeta as zeta_engine
 from .zeta import DEFAULT_PRECISION
 
-CACHE_DIGITS = 30
+
+def cache_digits(precision: int) -> int:
+    """Significant digits a cache row needs to carry `precision` bits, with
+    three to spare."""
+    return math.ceil(precision * math.log10(2)) + 3
 
 
 @dataclass(frozen=True)
@@ -171,11 +178,13 @@ def coefficients_for_table(
 def persist_cache(table: ZeroTable, coefficients, path,
                   precision: int = DEFAULT_PRECISION) -> None:
     """Write a human-inspectable coefficient cache keyed to the table digest
-    and the precision the coefficients were computed at."""
+    and the precision the coefficients were computed at, with as many digits
+    as that precision needs."""
+    digits = cache_digits(precision)
     lines = [
         f"# source_digest {table.source_digest}",
         f"# precision_bits {precision}",
-        f"# digits {CACHE_DIGITS}",
+        f"# digits {digits}",
         "# columns: gamma re_coeff im_coeff re_deriv im_deriv",
     ]
     for c in coefficients:
@@ -186,7 +195,7 @@ def persist_cache(table: ZeroTable, coefficients, path,
             c.derivative_at_zero.real,
             c.derivative_at_zero.imag,
         )
-        lines.append(" ".join(mp.nstr(v, CACHE_DIGITS) for v in fields))
+        lines.append(" ".join(mp.nstr(v, digits) for v in fields))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -195,40 +204,37 @@ def load_cache(path, table: ZeroTable,
     """Cached coefficients for exactly the table's zeros, in table order.
 
     Fails if the cache was built from another zero file, does not record a
-    precision of at least `precision` bits, holds fewer rows than the table,
-    or lists an ordinate that differs from the table's in its CACHE_DIGITS
-    digits (a polished or differently rounded table).
+    precision of at least `precision` bits, holds fewer digits than
+    cache_digits(precision) or fewer rows than the table, or lists an
+    ordinate that differs from the table's in those digits (a polished or
+    differently rounded table).  The rows are read at all the cache's digits.
     """
     path = Path(path)
-    coefficients = []
-    digest = built_at = None
-    with mp.workprec(max(precision, 110) + 16):
-        for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-            line = raw.strip()
-            if line.startswith("# source_digest"):
-                digest = line.split()[-1]
-                continue
-            if line.startswith("# precision_bits"):
-                try:
-                    built_at = int(line.split()[-1])
-                except ValueError:
-                    raise ZeroFileParseError("precision_bits must be an integer",
-                                             lineno) from None
-                continue
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise ZeroFileParseError("expected 5 fields", lineno)
-            g, cre, cim, dre, dim = (mpf(p) for p in parts)
-            coefficients.append(
-                ZeroTermCoefficient(
-                    ordinate=g,
-                    rho_half=mpc(mpf("0.25"), g / 2),
-                    coefficient=mpc(cre, cim),
-                    derivative_at_zero=mpc(dre, dim),
-                )
-            )
+    rows = []
+    digest = built_at = digits = None
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        line = raw.strip()
+        if line.startswith("# source_digest"):
+            digest = line.split()[-1]
+            continue
+        if line.startswith(("# precision_bits", "# digits")):
+            key = line.split()[1]
+            try:
+                value = int(line.split()[-1])
+            except ValueError:
+                raise ZeroFileParseError(f"{key} must be an integer",
+                                         lineno) from None
+            if key == "digits":
+                digits = value
+            else:
+                built_at = value
+            continue
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 5:
+            raise ZeroFileParseError("expected 5 fields", lineno)
+        rows.append(parts)
     if digest is None:
         raise ZeroDataError(f"cache {path} has no source_digest header")
     if digest != table.source_digest:
@@ -242,13 +248,31 @@ def load_cache(path, table: ZeroTable,
         raise StaleCacheError(
             f"cache was built at {built_at} bits, {precision} were requested"
         )
-    if len(coefficients) < len(table):
+    need = cache_digits(precision)
+    if digits is None:
+        raise StaleCacheError(f"cache {path} records no digits")
+    if digits < need:
         raise StaleCacheError(
-            f"cache holds {len(coefficients)} zeros, the table {len(table)}"
+            f"cache rows hold {digits} digits, {need} are needed at {precision} bits"
         )
-    coefficients = coefficients[:len(table)]
-    for k, (c, gamma) in enumerate(zip(coefficients, table.ordinates), 1):
-        cached, wanted = (mp.nstr(v, CACHE_DIGITS) for v in (c.ordinate, gamma))
-        if cached != wanted:
-            raise StaleCacheError(f"cached ordinate {k} is {cached}, the table's {wanted}")
+    if len(rows) < len(table):
+        raise StaleCacheError(
+            f"cache holds {len(rows)} zeros, the table {len(table)}"
+        )
+    coefficients = []
+    with mp.workprec(max(precision, math.ceil(digits * math.log2(10))) + 16):
+        for k, (parts, gamma) in enumerate(zip(rows, table.ordinates), 1):
+            g, cre, cim, dre, dim = (mpf(p) for p in parts)
+            cached, wanted = (mp.nstr(v, need) for v in (g, gamma))
+            if cached != wanted:
+                raise StaleCacheError(
+                    f"cached ordinate {k} is {cached}, the table's {wanted}")
+            coefficients.append(
+                ZeroTermCoefficient(
+                    ordinate=gamma,
+                    rho_half=mpc(mpf("0.25"), gamma / 2),
+                    coefficient=mpc(cre, cim),
+                    derivative_at_zero=mpc(dre, dim),
+                )
+            )
     return coefficients

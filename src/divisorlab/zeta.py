@@ -5,27 +5,31 @@ Everything is built on one Euler-Maclaurin continuation
     zeta(s) = sum_{n<N} n^-s + N^(1-s)/(s-1) + N^-s/2
               + sum_{j=1..J} B_2j/(2j)! * s(s+1)...(s+2j-2) * N^(1-s-2j) + R,
 
-with N and J chosen from the target precision and |Im s| so that |R| stays
-below the last retained bit.  Derivatives in s come from the same pass: every
-term is carried as a Taylor jet (its coefficients f^(k)(s)/k!), exponentials
-as value * rate^k / k! and products by one truncated Cauchy product, so the
-derivative values stay consistent with the base evaluation.  One table of
+with the least N + J for which a model of |R| at the given precision, |Im s|
+and Re s stays below the last retained bit.  Derivatives in s come from the
+same pass: every term is carried as a Taylor jet (its coefficients
+f^(k)(s)/k!), exponentials as value * rate^k / k! and products by one
+truncated Cauchy product, so the derivative values stay consistent with the
+base evaluation.  One table of
 B_2j/(2j)!, cached per (J, precision), serves the float64 engine and the
 Stieltjes constants.
 
-The multiprecision engine runs its two long loops in fixed point: Python
-integers at the scale 2^wp, wp = precision + 24 plus guard bits (log2 N for
-the sum, and -Re s log2 N left of 0, where terms grow like N^-Re s).  The
+The multiprecision engine works at precision + 24 bits, lifted by
+-Re s log2 N left of 0, where terms grow like N^-Re s, and by log2 ln N per
+derivative order: the pieces cancel by those bits where the result is small.
+It runs its two long loops in fixed point: Python integers at the scale
+2^wp, wp = the working precision plus log2 N guard bits for the sum.  The
 Dirichlet sum is multiplicative: with p the smallest prime dividing n,
 n^-s = p^-s (n/p)^-s and ln n = ln p + ln(n/p), so only the primes below N
-pay for a fixed log, exp and cos/sin; a composite costs one complex integer
+pay for an exp and a cos/sin, and their fixed-point logs, which do not
+depend on s, are kept per (p, wp); a composite costs one complex integer
 product.  The jet sums n^-s (ln n)^k and applies (-1)^k / k! once.  The
 Bernoulli terms share the factor N^(-1-s), so they are summed as one jet
 sum_j B_2j/(2j)! Q_j(s) with Q_j = N^(2-2j) P_j(s), scaled by N^-2 per step,
 from one fixed-point coefficient table per (J, precision).  Each jet entry
 becomes an mpc once; the pole term, N^-s / 2 and N^(-1-s) stay in mpc.  The
-smallest-prime-factor table holds integers only and is kept per power-of-two
-size; no mp value outlives a call.
+smallest-prime-factor table and the logs hold integers only; no mp value
+outlives a call.
 
 Also here: Stieltjes constants via the Euler-Maclaurin-accelerated tail of
 their defining limit, the functional-equation conversion factor
@@ -34,11 +38,13 @@ critical-line zero ordinates.
 
 A vectorized float64 evaluator is provided for contour quadrature, where
 thousands of nodes are needed at only double accuracy.  It picks (N, J) by
-the same rule as the multiprecision engine, at 53 bits.  Its Dirichlet sum
-is multiplicative too: one table holds n^-s for a whole batch, one row per
-n; the prime rows take a complex exp and each composite row is the product
-of the rows of its smallest prime p and of n / p, filled one vectorized
-step per count of prime factors.  F(s) = zeta(s)^3 / zeta(2s) reads both
+the same rule as the multiprecision engine, at 53 bits, and folds its
+Bernoulli tail the same way, with Q_j and B_2j/(2j)! scaled by powers of two
+to stay in range at the height cap.  Its Dirichlet sum is multiplicative
+too: one table holds n^-s for a whole batch, one row per n; the prime rows
+take a complex exp and each composite row is the product of the rows of its
+smallest prime p and of n / p, filled one vectorized step per count of prime
+factors.  F(s) = zeta(s)^3 / zeta(2s) reads both
 sums from one table, zeta(2s) from its rows squared.
 """
 
@@ -82,19 +88,59 @@ def reset_call_count() -> None:
 
 
 def _em_parameters(precision: int, t_abs: float, sigma: float) -> tuple[int, int]:
-    """Choose (N, J) so the Euler-Maclaurin remainder is below 2^-(precision+8).
+    """Choose (N, J) with the least N + J whose Euler-Maclaurin remainder is
+    below 2^-(precision+8).
 
-    The remainder behaves like ((|t| + 2J) / (2 pi N))^(2J) * N^(1-sigma);
-    solve for N at a J proportional to the precision.
+    The remainder behaves like ((|t| + 2J) / (2 pi N))^(2J) N^(1-sigma).  At
+    a given J, setting it to 2^-(precision+12) gives N in closed form,
+    _em_log_cutoff.  With the floors N >= 2J, N >= 20 and J >= 12, N + J
+    (N before it is rounded up) first falls and then rises in J, so a walk
+    over J from an estimate of the turning point ends at the least N + J
+    after a few steps.
     """
-    J = max(12, (precision + 16) // 4)
     target = (precision + 12) * math.log(2.0)
-    base = (t_abs + 2.0 * J) / (2.0 * math.pi)
-    N = base * math.exp(target / (2.0 * J))
-    for _ in range(3):  # absorb the N^(1-sigma) factor
-        extra = max(0.0, 1.0 - sigma) * math.log(max(N, 2.0))
-        N = base * math.exp((target + extra) / (2.0 * J))
-    return max(int(math.ceil(N)), 2 * J, 20), J
+    a = max(0.0, 1.0 - sigma)
+    lowest = max(12, int(a / 2) + 1)  # 2J > a
+
+    def cutoff(J: int) -> float:
+        return max(math.exp(_em_log_cutoff(target, t_abs, a, J)), 2 * J, 20)
+
+    J = max(lowest, _em_order_estimate(target, t_abs, a))
+    N = cutoff(J)
+    for step in (1, -1):
+        start = J
+        while J + step >= lowest:
+            M = cutoff(J + step)
+            if M + step >= N:
+                break
+            J, N = J + step, M
+        if J != start:
+            break
+    return math.ceil(N), J
+
+
+def _em_log_cutoff(target: float, t_abs: float, a: float, J: int) -> float:
+    """ln N at which ((t + 2J) / (2 pi N))^(2J) N^a = e^-target; 2J > a."""
+    return ((2 * J * math.log((t_abs + 2 * J) / (2 * math.pi)) + target)
+            / (2 * J - a))
+
+
+def _em_order_estimate(target: float, t_abs: float, a: float) -> int:
+    """Near the J of least N + J.  Two fixed-point steps on the stationarity
+    condition N ((target + a ln N) / (2 J^2) - 2 / (t + 2J)) = 1, from
+    J = target / 4; where the N >= 2J floor binds there, two more on the
+    crossing N = 2J, J = (target + a ln 2J) / (2 ln(4 pi J / (t + 2J)))."""
+    J = max(target / 4, a / 2 + 1)
+    for _ in range(2):
+        log_n = _em_log_cutoff(target, t_abs, a, J)
+        N = math.exp(log_n)
+        J = max(math.sqrt((target + a * log_n) * N
+                          / (2 * (1 + 2 * N / (t_abs + 2 * J)))), a / 2 + 1)
+    if N < 2 * J:
+        for _ in range(2):
+            J = ((target + a * math.log(2 * J))
+                 / (2 * math.log(4 * math.pi * J / (t_abs + 2 * J))))
+    return round(J)
 
 
 @functools.cache
@@ -104,11 +150,16 @@ def _bernoulli_table(J: int, precision: int) -> tuple[mpf, ...]:
     Built from the exact fractions: mp.bernoulli's last bit depends on what
     its own cache already holds.
     """
-    table = []
-    for j in range(1, J + 1):
-        p, q = mp.bernfrac(2 * j)
-        table.append(mp.fdiv(p, q * math.factorial(2 * j), prec=precision))
-    return tuple(table)
+    return tuple(mp.fdiv(*_bernoulli_fraction(j), prec=precision)
+                 for j in range(1, J + 1))
+
+
+@functools.cache
+def _bernoulli_fraction(j: int) -> tuple[int, int]:
+    """B_2j / (2j)! as an exact (numerator, denominator) pair, kept per j so
+    that the table for each new J costs only its divisions."""
+    p, q = mp.bernfrac(2 * j)
+    return int(p), int(q) * math.factorial(2 * j)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +207,13 @@ def _smallest_prime_factors(size: int) -> tuple[int, ...]:
     return tuple(spf)
 
 
+@functools.cache
+def _log_fixed(p: int, wp: int) -> int:
+    """ln p as an integer at the scale 2^wp, up to a unit.  It does not depend
+    on s, so it is kept per (p, wp); the cache holds integers only."""
+    return to_fixed(mpf_log(from_int(p), wp + 8), wp)
+
+
 def dirichlet_powers_fixed(s, size: int, wp: int) -> tuple[list, list, list]:
     """n^-s and ln n for 1 <= n < size as integers at the scale 2^wp.
 
@@ -172,7 +230,7 @@ def dirichlet_powers_fixed(s, size: int, wp: int) -> tuple[list, list, list]:
     for n in range(2, size):
         p = spf[n]
         if p == n:
-            ln[n] = log = to_fixed(mpf_log(from_int(n), wp + 8), wp)
+            ln[n] = log = _log_fixed(n, wp)
             u = exp_fixed(-(sre * log) >> wp, wp)
             cos, sin = cos_sin_fixed(-(sim * log) >> wp, wp)
             re[n], im[n] = (u * cos) >> wp, (u * sin) >> wp
@@ -192,10 +250,7 @@ def _bernoulli_fixed(J: int, precision: int) -> tuple[int, tuple[int, ...]]:
     precision + 24 plus the bits by which the last entry falls below 1: every
     entry keeps more than precision + 24 significant bits.
     """
-    fractions = []
-    for j in range(1, J + 1):
-        p, q = mp.bernfrac(2 * j)
-        fractions.append((int(p), int(q) * math.factorial(2 * j)))
+    fractions = [_bernoulli_fraction(j) for j in range(1, J + 1)]
     p, q = fractions[-1]
     bits = precision + 24 + q.bit_length() - abs(p).bit_length() + 1
     return bits, tuple((p << bits) // q for p, q in fractions)
@@ -229,10 +284,14 @@ def zeta_with_derivatives(
         sigma = float(z.real)
         N, J = _em_parameters(precision, t_abs, sigma)
         K = kmax + 1
-        # Fixed point at the scale 2^wp: guard bits for summing N terms, and
-        # for terms as large as N^-sigma left of 0.
-        wp = (mp.prec + N.bit_length()
-              + math.ceil(max(0.0, -sigma) * math.log2(N)))
+        # Left of 0 the terms reach N^-sigma, and the k-th derivative carries
+        # (ln N)^k more, while the result can be of order 1 or smaller: the
+        # pieces cancel by that many bits, which the working precision adds
+        # (until the workprec block exits).
+        mp.prec += (math.ceil(max(0.0, -sigma) * math.log2(N))
+                    + kmax * math.ceil(math.log2(math.log(N))))
+        # Fixed point at the scale 2^wp: guard bits for summing N terms.
+        wp = mp.prec + N.bit_length()
 
         # sum_n n^-s (ln n)^k; the jet coefficient is (-1)^k / k! of it.
         re, im, ln = dirichlet_powers_fixed(z, N, wp)
@@ -488,20 +547,31 @@ def _dirichlet_powers(s: np.ndarray, size: int) -> np.ndarray:
 
 def _em_tail(s: np.ndarray, N: int, J: int) -> np.ndarray:
     """zeta(s) - sum_{n<N} n^-s over a flat complex128 batch: the pole term,
-    N^-s / 2 and J Bernoulli corrections."""
+    N^-s / 2 and J Bernoulli corrections.
+
+    The corrections are folded as in the multiprecision engine,
+    N^(-1-s) sum_j B_2j/(2j)! Q_j(s) with Q_j = N^(2-2j) P_j(s).  Q_j grows
+    and B_2j/(2j)! falls like (2 pi)^(2j), past the float64 range for j near
+    190, so Q_j is carried times 2^-5j and the coefficient times 2^5j, both
+    exact scalings.
+    """
     L = math.log(N)
-    out = np.exp((1 - s) * L) / (s - 1)
-    out += np.exp(-s * L) / 2.0
-    bern = [float(b) for b in _bernoulli_table(J, 53)]
-    p = s.copy()  # P_1(s) = s
-    w = np.exp((-s - 1) * L)
-    w_scale = math.exp(-2 * L)
-    for j in range(1, J + 1):
-        if j > 1:
-            p = p * (s + (2 * j - 3)) * (s + (2 * j - 2))
-            w = w * w_scale
-        out += bern[j - 1] * p * w
-    return out
+    out = np.exp((1 - s) * L) / (s - 1) + np.exp(-s * L) / 2.0
+    bern = [_ldexp_float(b, 5 * j)
+            for j, b in enumerate(_bernoulli_table(J, 53), start=1)]
+    step = 2.0 ** -5 / (N * N)
+    q = s * 2.0 ** -5  # Q_1 = s
+    tail = bern[0] * q
+    for j in range(2, J + 1):
+        q = q * ((s + (2 * j - 3)) * (s + (2 * j - 2)) * step)
+        tail += bern[j - 1] * q
+    return out + tail * np.exp((-s - 1) * L)
+
+
+def _ldexp_float(x: mpf, e: int) -> float:
+    """float(x 2^e), without the underflow of float(x) for tiny x."""
+    sign, man, exp, _ = x._mpf_
+    return math.ldexp(-man if sign else man, exp + e)
 
 
 def _em_rule(s: np.ndarray) -> tuple[int, int]:

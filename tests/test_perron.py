@@ -8,6 +8,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from divisorlab import perron, series, sieve, zeros
+from divisorlab import zeta as zeta_engine
 from divisorlab.errors import (
     ContourError,
     ConventionError,
@@ -141,6 +142,71 @@ class TestCircleResidues:
             perron.residue_by_circle(-0.3 + 0j, 0.3005, 10.5)
         with pytest.raises(ContourError, match=r"pole at \(1\+0j\)"):
             perron.residue_by_circle(1.2 + 0.1j, abs(0.2 + 0.1j) - 0.0009, 10.5)
+
+
+def _circle_node(center, radius, j: int, nodes: int) -> mpc:
+    return mpc(center) + mpf(radius) * mp.expjpi(mpf(2 * j + 1) / nodes)
+
+
+def _one_level_trapezoid(center, radius: float, x: float, nodes: int,
+                         precision: int = 128) -> mpc:
+    """The plain trapezoid rule on all `nodes` circle nodes, one sum."""
+    with mp.workprec(precision + 16):
+        total = mpc(0)
+        for j in range(nodes):
+            z = _circle_node(center, radius, j, nodes)
+            total += (zeta_engine.zeta(z, precision) ** 3
+                      / zeta_engine.zeta(2 * z, precision)
+                      * mp.exp(z * mp.ln(x)) / z * (z - mpc(center)))
+        return total / nodes
+
+
+class TestNestedCircle:
+    """The nested trapezoid levels of residue_by_circle stop early only
+    where the finest level would not change the value beyond 2^-precision."""
+
+    def test_matches_one_level_trapezoid(self, zero_table):
+        circles = [(1.0, 0.2), (1.0, 0.1), (0.0, 0.15)]
+        circles += [(complex(0.25, float(g) / 2), 0.2) for g in zero_table.ordinates[:5]]
+        for center, radius in circles:
+            got = perron.residue_by_circle(center, radius, 1000.5)
+            want = _one_level_trapezoid(center, radius, 1000.5, 128)
+            assert abs(got - want) <= mpf(2) ** -128 * abs(want), center
+
+    def test_verified_pole_at_one_halves_the_calls(self):
+        """Both circles of --verify-radius stop at 64 of 128 nodes: at most
+        256 zeta calls where the one-level rule made 512."""
+        zeta_engine.reset_call_count()
+        perron.residue_by_circle(1.0, 0.2, 1000.5, verify_radius=True)
+        assert zeta_engine.call_count() <= 256
+
+    def test_slow_circle_reaches_the_cap(self):
+        """About 0.6 with radius 0.5 the circle passes 0.1 from the poles at
+        0 and 1, so the levels converge slowly and all 256 nodes run."""
+        zeta_engine.reset_call_count()
+        perron.residue_by_circle(0.6, 0.5, 500.0, nodes=256)
+        assert zeta_engine.call_count() == 2 * 256
+
+    def test_96_nodes_nest(self, monkeypatch):
+        """96 nodes nest as 24, 48, 96: every fourth node, then the nodes
+        halfway between, then the odd ones, each node once, and the value is
+        the one-level trapezoid's."""
+        seen = []
+        zeta = zeta_engine.zeta
+
+        def spy(s, precision):
+            seen.append(s)
+            return zeta(s, precision)
+
+        monkeypatch.setattr(perron.zeta_engine, "zeta", spy)
+        got = perron.residue_by_circle(1.0, 0.2, 500.5, nodes=96)
+        monkeypatch.undo()
+        order = [*range(0, 96, 4), *range(2, 96, 4), *range(1, 96, 2)]
+        assert len(seen) == 2 * 96
+        for j, z in zip(order, seen[0::2]):
+            assert abs(z - _circle_node(1.0, 0.2, j, 96)) < mpf(2) ** -120, j
+        want = _one_level_trapezoid(1.0, 0.2, 500.5, 96)
+        assert abs(got - want) <= mpf(2) ** -128 * abs(want)
 
 
 class TestTruncationDecay:

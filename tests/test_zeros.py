@@ -192,6 +192,37 @@ class TestCache:
         with pytest.raises(StaleCacheError, match="built at 128 bits"):
             zeros.load_cache(cache, table, 192)
 
+    def test_cache_digits_follow_the_precision(self, tmp_path, zeros_path):
+        """A 192-bit cache carries its coefficients to 2^-180 relative, and
+        records the ceil(192 log10 2) + 3 = 61 digits it writes."""
+        table = zeros.import_zeros(zeros_path, limit_count=2, precision=192)
+        fresh = zeros.coefficients_for_table(table, 192)
+        cache = tmp_path / "coeffs.txt"
+        zeros.persist_cache(table, fresh, cache, 192)
+        assert "# digits 61" in cache.read_text().splitlines()
+        loaded = zeros.load_cache(cache, table, 192)
+        for a, b in zip(fresh, loaded):
+            for want, got in ((a.coefficient, b.coefficient),
+                              (a.derivative_at_zero, b.derivative_at_zero)):
+                assert abs(got - want) <= mpf(2) ** -180 * abs(want)
+
+    def test_cache_with_too_few_digits_rejected(self, tmp_path, zeros_path):
+        """Rows at 30 digits (about 100 bits) cannot serve a 128-bit request,
+        whatever precision the header records."""
+        table = zeros.import_zeros(zeros_path, limit_count=2)
+        coeffs = zeros.coefficients_for_table(table, 128)
+        lines = [f"# source_digest {table.source_digest}", "# precision_bits 128",
+                 "# digits 30"]
+        for c in coeffs:
+            fields = (c.ordinate, c.coefficient.real, c.coefficient.imag,
+                      c.derivative_at_zero.real, c.derivative_at_zero.imag)
+            lines.append(" ".join(mp.nstr(v, 30) for v in fields))
+        cache = tmp_path / "coeffs.txt"
+        cache.write_text("\n".join(lines) + "\n")
+        with pytest.raises(StaleCacheError, match="30 digits, 42 are needed"):
+            zeros.load_cache(cache, table, 128)
+        assert len(zeros.load_cache(cache, table, 64)) == 2
+
     def test_cache_without_precision_rejected(self, tmp_path, zeros_path):
         table = zeros.import_zeros(zeros_path, limit_count=2)
         cache = tmp_path / "coeffs.txt"
