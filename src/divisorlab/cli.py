@@ -238,9 +238,11 @@ def cmd_formula_conjecture(args, cfg: RunConfig) -> int:
 
 
 def cmd_perron_integral(args, cfg: RunConfig) -> int:
-    value = perron.perron_truncated(args.x, args.c, args.T, args.nodes)
+    values, gaps = perron.perron_sweep(args.x, args.c, [args.T], args.nodes)
+    value = complex(values[0])
     _emit({"x": args.x, "c": args.c, "T": args.T,
-           "real": _num(value.real), "imag": _num(value.imag)})
+           "real": _num(value.real), "imag": _num(value.imag),
+           "quadrature_gap": float(gaps[0])})
     return 0
 
 
@@ -250,11 +252,12 @@ def cmd_perron_decay(args, cfg: RunConfig) -> int:
                                           args.nodes)
     out = _output_dir(cfg) / "perron_decay.csv"
     with open(out, "w") as fh:
-        fh.write("T,abs_error\n")
-        for T, err in rows:
-            fh.write(f"{T!r},{err!r}\n")
+        fh.write("T,abs_error,quadrature_gap\n")
+        for T, err, gap in rows:
+            fh.write(f"{T!r},{err!r},{gap!r}\n")
     _emit({"csv": str(out), "slope": slope,
-           "rows": [{"T": T, "abs_error": err} for T, err in rows]})
+           "rows": [{"T": T, "abs_error": err, "quadrature_gap": gap}
+                    for T, err, gap in rows]})
     return 0
 
 

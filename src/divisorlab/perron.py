@@ -8,14 +8,18 @@ the rectangle -- goes through one nested segment quadrature: composite
 with every requested height a panel edge, evaluated in vectorized float64.
 The integral up to each height is a prefix sum of panel integrals, so a
 sweep over T evaluates F(s) once per node for all heights together.  Perron
-values carry a node-doubling check at every T: the panels are bisected and
-the two results must agree.  Circles use the trapezoid rule in
-multiprecision, which is spectrally accurate on periodic contours: with N
-nodes, principal parts are integrated exactly and the analytic remainder
-contributes O((r/R)^N) for the distance R to the nearest other singularity.
-Since the error falls geometrically, nested levels of nodes measure their own
-error: each level doubles the last, and the sum stops at the first level
-whose change, squared over the change before it, is below 2^-precision.
+values extend each panel's Gauss rule to the 33-point Gauss-Kronrod rule
+(Laurie's algorithm) and return the Kronrod value; its gap to the embedded
+Gauss value, which reads the same F evaluations, is checked and reported at
+every T.  The rectangle evaluates the Gauss nodes only.
+
+Circles use the trapezoid rule in multiprecision, which is spectrally
+accurate on periodic contours: with N nodes, principal parts are integrated
+exactly and the analytic remainder contributes O((r/R)^N) for the distance R
+to the nearest other singularity.  Since the error falls geometrically,
+nested levels of nodes measure their own error: each level doubles the last,
+and the sum stops at the first level whose change, squared over the change
+before it, is below 2^-precision.
 
 Evaluation points x must be non-integers (half-integers in practice) to
 avoid the Perron jump.
@@ -38,9 +42,10 @@ MIN_NODES = 64
 #: Fewest nodes in the coarsest nested level of a circle quadrature.
 MIN_LEVEL = 16
 GAUSS_ORDER = 16
-#: Panels per float64 zeta batch (1024 nodes): a short stretch of height,
-#: so the N each batch picks from its tallest node stays near its own.
-_BATCH_PANELS = 64
+#: Float64 F nodes per zeta batch: a short stretch of height, so the N each
+#: batch picks from its tallest node stays near its own.  Whole panels go in
+#: a batch: 31 Kronrod panels (1023 nodes) or 64 Gauss panels.
+_BATCH_NODES = 1024
 
 #: Known fixed poles of F(s) x^s / s on the desk-scale window.
 _FIXED_POLES = (0.0 + 0.0j, 1.0 + 0.0j)
@@ -51,65 +56,125 @@ def _integrand_line(s: np.ndarray, x: float) -> np.ndarray:
     return dirichlet_quotient_f64(s) * np.exp(s * math.log(x)) / s
 
 
-@functools.cache
-def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
-    """GAUSS_ORDER-point Gauss-Legendre nodes and weights on [-1, 1].
+def _kronrod_extension(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Recurrence coefficients of the (2n + 1)-point Kronrod extension of the
+    n-point Gauss rule, by Laurie's algorithm (Math. Comp. 66, 1997).
 
-    Built on first use: importing numpy.polynomial adds about 1.5 MiB and
-    25 ms, which runs that integrate no line should not pay.
+    a, b hold 2n + 1 monic recurrence coefficients p_{k+1} = (x - a_k) p_k
+    - b_k p_{k-1} of the measure, b_0 its mass; the first n of each are
+    kept, the rest are overwritten with the Jacobi-Kronrod matrix's.
     """
-    return np.polynomial.legendre.leggauss(GAUSS_ORDER)
+    a, b = a.copy(), b.copy()
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = 0.0
+        for k in range((m + 1) // 2, -1, -1):
+            l = m - k
+            u += (a[k + n + 1] - a[l]) * t[k + 1] + b[k + n + 1] * s[k] - b[l] * s[k + 1]
+            s[k + 1] = u
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        u = 0.0
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            l = m - k
+            j = n - 1 - l
+            u += -(a[k + n + 1] - a[l]) * t[j + 1] - b[k + n + 1] * s[j + 1] + b[l] * s[j + 2]
+            s[j + 1] = u
+        if m % 2 == 0:
+            k = m // 2
+            a[k + n + 1] = a[l] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            k = (m + 1) // 2
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    return a, b
+
+
+@functools.cache
+def _kronrod_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(2 GAUSS_ORDER + 1)-point Gauss-Kronrod rule on [-1, 1]: ascending
+    nodes, their Kronrod weights, and the weights of the embedded Gauss rule
+    at the odd-indexed nodes.
+
+    The Kronrod nodes and weights are the eigenvalues and squared first
+    eigenvector components of the Jacobi-Kronrod matrix of the Legendre
+    recurrence.  The embedded nodes are set to numpy's Newton-polished
+    Gauss-Legendre nodes (they agree with the eigenvalues to about 2e-16),
+    so the Gauss rule alone is exactly the GAUSS_ORDER-point one.  Built on
+    first use: importing numpy.polynomial adds about 1.5 MiB and 25 ms,
+    which runs that integrate no line should not pay.
+    """
+    n = GAUSS_ORDER
+    k = np.arange(1, 2 * n + 1, dtype=float)
+    a = np.zeros(2 * n + 1)
+    b = np.concatenate(([2.0], k * k / (4.0 * k * k - 1.0)))
+    a, b = _kronrod_extension(n, a, b)
+    off = np.sqrt(b[1:])
+    nodes, vectors = np.linalg.eigh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
+    kronrod = b[0] * vectors[0] ** 2
+    gauss_nodes, gauss = np.polynomial.legendre.leggauss(n)
+    nodes[1::2] = gauss_nodes
+    return nodes, kronrod, gauss
 
 
 def _panel_integrals(start: complex, direction: complex, edges: np.ndarray,
-                     x: float) -> np.ndarray:
+                     x: float, kronrod: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """integral of F(s) x^s / s ds along s = start + direction u over each
     panel edges[k] <= u <= edges[k + 1].
 
-    Edges ascend, so each batch of nodes sits at a similar height and the
-    float64 zeta picks its N from that height.
+    Returns (gauss, kronrod) arrays over the panels.  With kronrod, F is
+    evaluated once at each of the 33 Kronrod nodes per panel and both rules
+    read those values; without it, only at the 16 embedded Gauss nodes, and
+    the second array is None.  Edges ascend, so each batch of nodes sits at
+    a similar height and the float64 zeta picks its N from that height.
     """
-    nodes, weights = _gauss_rule()
+    nodes, k_weights, g_weights = _kronrod_rule()
+    if not kronrod:
+        nodes = nodes[1::2]
     mid = (edges[1:] + edges[:-1]) / 2.0
     half = (edges[1:] - edges[:-1]) / 2.0
     s = start + direction * (mid[:, None] + half[:, None] * nodes)
     f = np.empty_like(s)
-    for i in range(0, len(s), _BATCH_PANELS):
-        block = s[i: i + _BATCH_PANELS]
-        f[i: i + _BATCH_PANELS] = _integrand_line(block.ravel(), x).reshape(block.shape)
-    # An elementwise sum, not a BLAS product: BLAS worker threads would spin
-    # on the second core after every batch.
-    return direction * half * (f * weights).sum(axis=1)
+    panels = _BATCH_NODES // len(nodes)
+    for i in range(0, len(s), panels):
+        block = s[i: i + panels]
+        f[i: i + panels] = _integrand_line(block.ravel(), x).reshape(block.shape)
+    # Elementwise sums, not BLAS products: BLAS worker threads would spin on
+    # the second core after every batch.
+    scale = direction * half
+    if not kronrod:
+        return scale * (f * g_weights).sum(axis=1), None
+    return (scale * (f[:, 1::2] * g_weights).sum(axis=1),
+            scale * (f * k_weights).sum(axis=1))
 
 
 def _segment_integrals(start: complex, direction: complex, heights: list[float],
-                       x: float, nodes: int, bisect: bool = True):
+                       x: float, nodes: int, kronrod: bool = True):
     """integral of F(s) x^s / s ds along s = start + direction u from u = 0
     to each of the ascending heights.
 
     Panels are at most a quarter period of x^(it) wide, narrower where needed
     so that every height spans at least nodes // GAUSS_ORDER of them, and
-    each height is a panel edge.  Returns (coarse, fine) arrays over the
-    heights; fine comes from the same panels bisected, and is None unless
-    bisect is set.
+    each height is a panel edge.  The frequency is floored at 4: below
+    x = e^4 the terms n^-it of F itself oscillate faster than x^(it).
+    Returns (gauss, kronrod) arrays over the heights: gauss from the 16-point
+    Gauss rule on every panel, kronrod from the 33-point Gauss-Kronrod rule
+    that extends it, and None unless kronrod is set.
     """
-    period = 2.0 * math.pi / max(math.log(x), 1.0)
+    period = 2.0 * math.pi / max(math.log(x), 4.0)
     width = min(period / 4.0, heights[0] / (nodes // GAUSS_ORDER))
     edges, ends = [0.0], []
     for h in heights:
         count = math.ceil((h - edges[-1]) / width)
         edges.extend(np.linspace(edges[-1], h, count + 1)[1:])
         ends.append(len(edges) - 2)  # prefix-sum index of the panel ending at h
-    edges = np.array(edges)
-    coarse = np.cumsum(_panel_integrals(start, direction, edges, x))[ends]
-    if not bisect:
-        return coarse, None
-    fine_edges = np.empty(2 * len(edges) - 1)
-    fine_edges[0::2] = edges
-    fine_edges[1::2] = (edges[1:] + edges[:-1]) / 2.0
-    halves = _panel_integrals(start, direction, fine_edges, x)
-    fine = np.cumsum(halves[0::2] + halves[1::2])[ends]
-    return coarse, fine
+    gauss, extended = _panel_integrals(start, direction, np.array(edges), x, kronrod)
+    if extended is not None:
+        extended = np.cumsum(extended)[ends]
+    return np.cumsum(gauss)[ends], extended
 
 
 def _require_half_convention(x: float) -> None:
@@ -120,10 +185,16 @@ def _require_half_convention(x: float) -> None:
         )
 
 
-def _perron_sweep(x: float, c: float, T_list, nodes: int,
-                  tol: float) -> np.ndarray:
+def perron_sweep(x: float, c: float, T_list, nodes: int = 1024,
+                 tol: float = 1.0e-6) -> tuple[np.ndarray, np.ndarray]:
     """Truncated Perron values I(T) for strictly ascending heights T, all
-    from one pass over the nodes of the tallest segment."""
+    from one pass over the nodes of the tallest segment, and the quadrature
+    gap |K - G| at each T.
+
+    K is the 33-point Gauss-Kronrod value, which is returned, and G the
+    16-point Gauss value embedded in it, from the same F evaluations.  A gap
+    above tol * max(1, |K|) raises QuadratureError.
+    """
     _require_half_convention(x)
     heights = [float(T) for T in T_list]
     if c <= 1:
@@ -135,19 +206,19 @@ def _perron_sweep(x: float, c: float, T_list, nodes: int,
     if nodes < MIN_NODES:
         raise DomainError(f"node count must be >= {MIN_NODES}")
     # c - iT .. c + iT is the upward half-line minus the downward one.
-    up_coarse, up_fine = _segment_integrals(c, 1j, heights, x, nodes)
-    down_coarse, down_fine = _segment_integrals(c, -1j, heights, x, nodes)
-    coarse = (up_coarse - down_coarse) / (2j * math.pi)
-    fine = (up_fine - down_fine) / (2j * math.pi)
-    gap = np.abs(fine - coarse)
-    failed = np.flatnonzero(gap > tol * np.maximum(1.0, np.abs(fine)))
+    up_gauss, up_kronrod = _segment_integrals(c, 1j, heights, x, nodes)
+    down_gauss, down_kronrod = _segment_integrals(c, -1j, heights, x, nodes)
+    gauss = (up_gauss - down_gauss) / (2j * math.pi)
+    values = (up_kronrod - down_kronrod) / (2j * math.pi)
+    gaps = np.abs(values - gauss)
+    failed = np.flatnonzero(gaps > tol * np.maximum(1.0, np.abs(values)))
     if failed.size:
         k = failed[0]
         raise QuadratureError(
-            f"node doubling changed the Perron value at T = {heights[k]} by "
-            f"{gap[k]:.3e} (tolerance {tol:.1e} relative)"
+            f"the Gauss-Kronrod and Gauss Perron values at T = {heights[k]} "
+            f"differ by {gaps[k]:.3e} (tolerance {tol:.1e} relative)"
         )
-    return fine
+    return values, gaps
 
 
 def perron_truncated(x: float, c: float, T: float, nodes: int = 1024,
@@ -156,10 +227,12 @@ def perron_truncated(x: float, c: float, T: float, nodes: int = 1024,
 
     The two half-lines are integrated independently (no conjugate-symmetry
     shortcut), so the smallness of the imaginary part is a real check; each
-    gets at least `nodes` Gauss nodes.  A node-doubling comparison guards
-    the quadrature; disagreement beyond tol raises QuadratureError.
+    gets at least `nodes` Gauss nodes, extended to a 33-point Gauss-Kronrod
+    rule per panel.  The gap between the Kronrod value and its embedded
+    Gauss value guards the quadrature; a gap beyond tol raises
+    QuadratureError (see perron_sweep, which also returns the gap).
     """
-    return complex(_perron_sweep(x, c, [T], nodes, tol)[0])
+    return complex(perron_sweep(x, c, [T], nodes, tol)[0][0])
 
 
 def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
@@ -229,18 +302,20 @@ def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
 
 
 def truncation_decay(x: float, c: float, T_list, exact_sum: int,
-                     nodes: int = 1024) -> tuple[list[tuple[float, float]], float]:
+                     nodes: int = 1024) -> tuple[list[tuple[float, float, float]], float]:
     """Perron truncation error |I(T) - S(x)| over strictly ascending T, plus
     the fitted log-log slope.
 
-    At least two heights are needed for a slope.  One nested quadrature
-    serves every T; the node-doubling check runs at each of them.
+    Each row is (T, |I(T) - S(x)|, quadrature gap at T).  At least two
+    heights are needed for a slope.  One nested quadrature serves every T;
+    the Kronrod-Gauss check runs at each of them.
     """
     heights = [float(T) for T in T_list]
     if len(heights) < 2:
         raise DomainError("a decay fit needs at least two heights T")
-    values = _perron_sweep(x, c, heights, nodes, tol=1.0e-6)
-    rows = [(T, float(abs(v.real - exact_sum))) for T, v in zip(heights, values)]
+    values, gaps = perron_sweep(x, c, heights, nodes, tol=1.0e-6)
+    rows = [(T, float(abs(v.real - exact_sum)), float(gap))
+            for T, v, gap in zip(heights, values, gaps)]
     logs_T = np.log([r[0] for r in rows])
     logs_e = np.log([max(r[1], 1e-300) for r in rows])
     slope = float(np.polyfit(logs_T, logs_e, 1)[0])
@@ -275,9 +350,9 @@ def rectangle_consistency(x: float, T: float = 50.0, right: float = 1.25,
         )
 
     def edge(start: complex, direction: complex, length: float, count: int) -> complex:
-        coarse, _ = _segment_integrals(start, direction, [length], x, count,
-                                       bisect=False)
-        return complex(coarse[0])
+        gauss, _ = _segment_integrals(start, direction, [length], x, count,
+                                      kronrod=False)
+        return complex(gauss[0])
 
     h_nodes = max(nodes // 8, 128)
     right_edge = edge(right, 1j, T, nodes) - edge(right, -1j, T, nodes)

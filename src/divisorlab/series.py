@@ -20,6 +20,7 @@ the closed form -2 zeta'(2) / zeta(2)^2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,10 +62,16 @@ def main_term_coefficients(
     With r = (h zeta(1+h))^3 * q(1+h) * 1/(1+h) as a three-term jet (q the
     1/zeta(2s) factor), the residue of zeta^3(s) q(s) x^s / s at s = 1 is
         x (r0 (log x)^2 / 2 + r1 log x + r2),
-    so A1 = r0 / 2, A2 = r1, A3 = r2.
+    so A1 = r0 / 2, A2 = r1, A3 = r2.  Computed once per (mode, precision)
+    per process: the fields are immutable mpf values.
     """
     if mode not in MODES:
         raise DomainError("mode must be 'paper' or 'exact'")
+    return _main_term_coefficients(mode, precision)
+
+
+@functools.cache
+def _main_term_coefficients(mode: str, precision: int) -> MainTermCoefficients:
     g0 = zeta_engine.stieltjes(0, precision)
     g1 = zeta_engine.stieltjes(1, precision)
     with mp.workprec(precision + 16):

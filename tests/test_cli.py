@@ -172,6 +172,9 @@ def test_perron_integral(capsys):
                        "--c", "2.0", "--T", "100")
     assert abs(float(payload["real"]) - 48.0) < 25.0
     assert abs(float(payload["imag"])) < 1e-4
+    values, gaps = perron.perron_sweep(10.5, 2.0, [100.0])
+    assert payload["quadrature_gap"] == float(gaps[0])
+    assert 0 <= payload["quadrature_gap"] <= 1e-6 * float(payload["real"])
 
 
 def test_perron_residue(capsys):
@@ -206,7 +209,13 @@ def test_perron_decay(capsys, tmp_path):
                        "--c", "2.0", "--T", "50", "100",
                        "--output-dir", str(tmp_path))
     assert len(payload["rows"]) == 2
-    assert (tmp_path / "perron_decay.csv").exists()
+    rows, _ = perron.truncation_decay(100.5, 2.0, [50, 100],
+                                      sieve.prefix_sum(sieve.ArithmeticFunction.D_SQUARE, 100))
+    assert payload["rows"] == [{"T": T, "abs_error": err, "quadrature_gap": gap}
+                               for T, err, gap in rows]
+    lines = (tmp_path / "perron_decay.csv").read_text().splitlines()
+    assert lines[0] == "T,abs_error,quadrature_gap"
+    assert [tuple(map(float, line.split(","))) for line in lines[1:]] == rows
 
 
 @pytest.mark.parametrize("heights", [["100"], ["50", "50"], ["100", "50"]])

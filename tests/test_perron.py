@@ -64,29 +64,89 @@ class TestPerronTruncated:
         with pytest.raises(QuadratureError, match="T = 50"):
             perron.perron_truncated(10.5, 2.0, 50.0, tol=1e-18)
 
+    @pytest.mark.parametrize("x, c, T", [(2.5, 1.2, 300.0), (4.5, 1.1, 1000.0)])
+    def test_small_x_lines(self, x, c, T):
+        """Below x = e^4 the n^-it terms of F set the panel width, not x^(it);
+        with panels a quarter period of x^(it) wide these lines fail the
+        quadrature check."""
+        exact = sieve.prefix_sum(AF.D_SQUARE, int(x))
+        value = perron.perron_truncated(x, c, T)
+        assert abs(value.imag) <= 1e-10 * abs(value.real)
+        assert abs(value.real - exact) < 20.0 * x ** c / T
+
     def test_panel_layout(self, monkeypatch):
         """Every height is a panel edge, panels are at most a quarter period
-        of x^(it) wide, and the fine grid bisects every coarse panel."""
-        grids = []
+        of x^(it) wide, and F sees the 33 Gauss-Kronrod nodes of every panel,
+        each once."""
+        grids, seen = [], []
         panel_integrals = perron._panel_integrals
+        quotient = perron.dirichlet_quotient_f64
 
-        def spy(start, direction, edges, x):
-            grids.append((direction, edges.copy()))
-            return panel_integrals(start, direction, edges, x)
+        def spy(start, direction, edges, x, kronrod):
+            grids.append((start, direction, edges.copy(), kronrod))
+            return panel_integrals(start, direction, edges, x, kronrod)
+
+        def spy_f(s):
+            seen.append(s.copy())
+            return quotient(s)
 
         monkeypatch.setattr(perron, "_panel_integrals", spy)
+        monkeypatch.setattr(perron, "dirichlet_quotient_f64", spy_f)
         exact = sieve.prefix_sum(AF.D_SQUARE, 100)
         perron.truncation_decay(100.5, 2.0, [10, 25, 40], exact, nodes=256)
-        assert [d for d, _ in grids] == [1j, 1j, -1j, -1j]
+        assert [(d, k) for _, d, _, k in grids] == [(1j, True), (-1j, True)]
         quarter = 2 * math.pi / math.log(100.5) / 4
-        for (_, coarse), (_, fine) in (grids[0:2], grids[2:4]):
-            widths = np.diff(coarse)
-            assert coarse[0] == 0.0 and widths.max() <= quarter * (1 + 1e-12)
-            assert {10.0, 25.0, 40.0} <= set(coarse)
-            assert np.count_nonzero(coarse <= 10.0) - 1 >= 256 // 16
-            np.testing.assert_array_equal(fine[0::2], coarse)
-            np.testing.assert_allclose(fine[1::2], (coarse[1:] + coarse[:-1]) / 2,
-                                       rtol=0, atol=0)
+        nodes, _, _ = perron._kronrod_rule()
+        want = []
+        for start, direction, edges, _ in grids:
+            widths = np.diff(edges)
+            assert edges[0] == 0.0 and widths.max() <= quarter * (1 + 1e-12)
+            assert {10.0, 25.0, 40.0} <= set(edges)
+            assert np.count_nonzero(edges <= 10.0) - 1 >= 256 // 16
+            mid, half = (edges[1:] + edges[:-1]) / 2, widths / 2
+            want.append(start + direction * (mid[:, None] + half[:, None] * nodes))
+        want = np.concatenate([w.ravel() for w in want])
+        got = np.concatenate(seen)
+        assert len(nodes) == 33 and len(got) == 33 * (len(want) // 33)
+        np.testing.assert_array_equal(got, want)
+        assert len(np.unique(got)) == len(got)
+
+    def test_kronrod_rule(self):
+        """33 nodes with positive weights, exact through degree 49, and the
+        16 odd-indexed nodes carry numpy's 16-point Gauss-Legendre rule."""
+        nodes, kronrod, gauss = perron._kronrod_rule()
+        assert len(nodes) == len(kronrod) == 33 and len(gauss) == 16
+        assert np.all(np.diff(nodes) > 0) and np.all(kronrod > 0)
+        for d in range(50):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert abs(np.sum(kronrod * nodes ** d) - exact) <= 1e-14, d
+        g_nodes, g_weights = np.polynomial.legendre.leggauss(16)
+        np.testing.assert_allclose(nodes[1::2], g_nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(gauss, g_weights, rtol=0, atol=1e-15)
+        # QUADPACK's G7-K15 pair, from the same algorithm at n = 7.
+        k = np.arange(1, 15, dtype=float)
+        a, b = perron._kronrod_extension(7, np.zeros(15),
+                                         np.concatenate(([2.0], k * k / (4 * k * k - 1))))
+        assert abs(a[14]) < 1e-15
+        off = np.sqrt(b[1:])
+        x15, v15 = np.linalg.eigh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
+        assert abs(x15[-1] - 0.991455371120812639206854697526329) < 1e-15
+        assert abs(2 * v15[0, -1] ** 2 - 0.022935322010529224963732008058970) < 1e-15
+
+    def test_decay_node_count(self, monkeypatch):
+        """The perron_lines decay sweep at x = 1000.5 evaluates F at 3520
+        panels of 33 nodes: 116,160 nodes, each once."""
+        count = []
+        quotient = perron.dirichlet_quotient_f64
+
+        def spy_f(s):
+            count.append(len(s))
+            return quotient(s)
+
+        monkeypatch.setattr(perron, "dirichlet_quotient_f64", spy_f)
+        perron.truncation_decay(1000.5, 2.0, [50, 100, 200, 400], 0)
+        assert sum(count) == 116_160
+        assert max(count) <= 1024
 
 
 class TestCircleResidues:
@@ -214,8 +274,9 @@ class TestTruncationDecay:
         exact = sieve.prefix_sum(AF.D_SQUARE, 100)
         rows, slope = perron.truncation_decay(100.5, 2.0, [50, 100, 200],
                                               exact)
-        assert [T for T, _ in rows] == [50.0, 100.0, 200.0]
-        assert all(err >= 0 for _, err in rows)
+        assert [T for T, _, _ in rows] == [50.0, 100.0, 200.0]
+        assert all(err >= 0 for _, err, _ in rows)
+        assert all(0 <= gap <= 1e-6 * exact for _, _, gap in rows)
         assert slope < 0  # errors shrink with T
 
     def test_unsorted_T_rejected(self):
@@ -245,7 +306,7 @@ class TestTruncationDecay:
         T_list = [20.0, 50.0, 100.0]
         exact = sieve.prefix_sum(AF.D_SQUARE, 100)
         rows, _ = perron.truncation_decay(100.5, 2.0, T_list, exact)
-        for T, err in rows:
+        for T, err, _ in rows:
             single = perron.perron_truncated(100.5, 2.0, T)
             assert abs(err - abs(single.real - exact)) <= 1e-10 * abs(single.real)
 

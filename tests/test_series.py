@@ -156,6 +156,22 @@ class TestMainTermCoefficients:
         assert abs(c.constant_term - mpf("0.25")) < mpf("1e-30")
         assert abs(series.residue_at_zero() - mpf("0.25")) < mpf("1e-30")
 
+    def test_computed_once_per_mode_and_precision(self):
+        """A repeat call at the same (mode, precision) makes no zeta calls and
+        returns the same object; another precision or mode recomputes."""
+        zeta_engine.reset_call_count()
+        first = series.main_term_coefficients("exact", precision=72)
+        assert zeta_engine.call_count() == 2  # the s = 2 jet and zeta(0)
+        zeta_engine.reset_call_count()
+        assert series.main_term_coefficients("exact", 72) is first
+        assert zeta_engine.call_count() == 0
+        finer = series.main_term_coefficients("exact", precision=80)
+        assert zeta_engine.call_count() == 2
+        assert abs(finer.A3 - first.A3) < mpf(2) ** -64
+        zeta_engine.reset_call_count()
+        paper = series.main_term_coefficients("paper", precision=72)
+        assert zeta_engine.call_count() == 2 and paper.mode == "paper"
+
     def test_error_paths(self):
         with pytest.raises(DomainError):
             series.main_term_coefficients("frozen")
