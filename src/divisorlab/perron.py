@@ -2,16 +2,17 @@
 residue quadrature, truncation-decay measurement, and a rectangle residue
 bookkeeping check.
 
-Every straight edge -- each half-line of a Perron segment and each side of
-the rectangle -- goes through one nested segment quadrature: composite
-16-point Gauss-Legendre on panels at most a quarter period of x^(it) wide,
-with every requested height a panel edge, evaluated in vectorized float64.
-The integral up to each height is a prefix sum of panel integrals, so a
-sweep over T evaluates F(s) once per node for all heights together.  Perron
-values extend each panel's Gauss rule to the 33-point Gauss-Kronrod rule
-(Laurie's algorithm) and return the Kronrod value; its gap to the embedded
-Gauss value, which reads the same F evaluations, is checked and reported at
-every T.  The rectangle evaluates the Gauss nodes only.
+F(conj s) = conj F(s), so only the upper half of each edge mirrored in the
+real axis is integrated.  Every straight edge goes through one nested
+segment quadrature: composite 16-point Gauss-Legendre on panels at most a
+quarter period of x^(it) wide, with every requested height a panel edge,
+evaluated in vectorized float64.  The integral up to each height is a prefix
+sum of panel integrals, so a sweep over T evaluates F(s) once per node for
+all heights together.  Perron values extend each panel's Gauss rule to the
+33-point Gauss-Kronrod rule (Laurie's algorithm) and return the Kronrod
+value; its gap to the embedded Gauss value, which reads the same F
+evaluations, is checked at every T and reported with an error bound that
+adds float64 rounding.  The rectangle evaluates the Gauss nodes only.
 
 Circles use the trapezoid rule in multiprecision, which is spectrally
 accurate on periodic contours: with N nodes, principal parts are integrated
@@ -46,6 +47,8 @@ GAUSS_ORDER = 16
 #: batch picks from its tallest node stays near its own.  Whole panels go in
 #: a batch: 31 Kronrod panels (1023 nodes) or 64 Gauss panels.
 _BATCH_NODES = 1024
+#: float64 machine epsilon, for the rounding terms of the Perron error bound.
+_EPS = 2.0 ** -52
 
 #: Known fixed poles of F(s) x^s / s on the desk-scale window.
 _FIXED_POLES = (0.0 + 0.0j, 1.0 + 0.0j)
@@ -121,15 +124,16 @@ def _kronrod_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _panel_integrals(start: complex, direction: complex, edges: np.ndarray,
-                     x: float, kronrod: bool) -> tuple[np.ndarray, np.ndarray | None]:
+                     x: float, kronrod: bool) -> tuple[np.ndarray, ...]:
     """integral of F(s) x^s / s ds along s = start + direction u over each
     panel edges[k] <= u <= edges[k + 1].
 
-    Returns (gauss, kronrod) arrays over the panels.  With kronrod, F is
-    evaluated once at each of the 33 Kronrod nodes per panel and both rules
-    read those values; without it, only at the 16 embedded Gauss nodes, and
-    the second array is None.  Edges ascend, so each batch of nodes sits at
-    a similar height and the float64 zeta picks its N from that height.
+    Returns gauss, kronrod and the two rounding sums of perron_sweep over
+    the panels.  With kronrod, F is evaluated once at each of the 33 Kronrod
+    nodes per panel and all four read those values; without it, only at the
+    16 embedded Gauss nodes, and the last three are None.  Edges ascend, so
+    each batch of nodes sits at a similar height and the float64 zeta picks
+    its N from that height.
     """
     nodes, k_weights, g_weights = _kronrod_rule()
     if not kronrod:
@@ -138,17 +142,22 @@ def _panel_integrals(start: complex, direction: complex, edges: np.ndarray,
     half = (edges[1:] - edges[:-1]) / 2.0
     s = start + direction * (mid[:, None] + half[:, None] * nodes)
     f = np.empty_like(s)
+    log_n = np.empty(len(s))
     panels = _BATCH_NODES // len(nodes)
     for i in range(0, len(s), panels):
         block = s[i: i + panels]
         f[i: i + panels] = _integrand_line(block.ravel(), x).reshape(block.shape)
+        log_n[i: i + panels] = math.log(zeta_engine._em_rule(block.ravel())[0])
     # Elementwise sums, not BLAS products: BLAS worker threads would spin on
     # the second core after every batch.
     scale = direction * half
     if not kronrod:
-        return scale * (f * g_weights).sum(axis=1), None
+        return scale * (f * g_weights).sum(axis=1), None, None, None
+    size = np.abs(f) * k_weights * half[:, None]
+    phase = size * np.abs(s.imag) * (math.log(x) + 3.0 * log_n)[:, None]
     return (scale * (f[:, 1::2] * g_weights).sum(axis=1),
-            scale * (f * k_weights).sum(axis=1))
+            scale * (f * k_weights).sum(axis=1),
+            size.sum(axis=1), (phase * phase).sum(axis=1))
 
 
 def _segment_integrals(start: complex, direction: complex, heights: list[float],
@@ -160,9 +169,10 @@ def _segment_integrals(start: complex, direction: complex, heights: list[float],
     so that every height spans at least nodes // GAUSS_ORDER of them, and
     each height is a panel edge.  The frequency is floored at 4: below
     x = e^4 the terms n^-it of F itself oscillate faster than x^(it).
-    Returns (gauss, kronrod) arrays over the heights: gauss from the 16-point
-    Gauss rule on every panel, kronrod from the 33-point Gauss-Kronrod rule
-    that extends it, and None unless kronrod is set.
+    Returns (gauss, kronrod, rounding) arrays over the heights: gauss from
+    the 16-point Gauss rule on every panel, kronrod from the 33-point
+    Gauss-Kronrod rule that extends it, and perron_sweep's rounding terms;
+    the last two are None unless kronrod is set.
     """
     period = 2.0 * math.pi / max(math.log(x), 4.0)
     width = min(period / 4.0, heights[0] / (nodes // GAUSS_ORDER))
@@ -171,10 +181,20 @@ def _segment_integrals(start: complex, direction: complex, heights: list[float],
         count = math.ceil((h - edges[-1]) / width)
         edges.extend(np.linspace(edges[-1], h, count + 1)[1:])
         ends.append(len(edges) - 2)  # prefix-sum index of the panel ending at h
-    gauss, extended = _panel_integrals(start, direction, np.array(edges), x, kronrod)
-    if extended is not None:
-        extended = np.cumsum(extended)[ends]
-    return np.cumsum(gauss)[ends], extended
+    cuts = np.array(ends[:-1]) + 1
+
+    def prefix(panels):
+        # Pairwise sums between heights; a running sum over every panel
+        # would add rounding like sqrt(panels) eps |value|.
+        return np.cumsum([part.sum() for part in np.split(panels, cuts)])
+
+    gauss, extended, size, phase = _panel_integrals(start, direction, np.array(edges),
+                                                    x, kronrod)
+    if extended is None:
+        return prefix(gauss), None, None
+    count = (2 * GAUSS_ORDER + 1) * (np.array(ends) + 1)
+    rounding = _EPS * (np.log2(count) * prefix(size) + np.sqrt(prefix(phase)))
+    return prefix(gauss), prefix(extended), rounding
 
 
 def _require_half_convention(x: float) -> None:
@@ -186,14 +206,20 @@ def _require_half_convention(x: float) -> None:
 
 
 def perron_sweep(x: float, c: float, T_list, nodes: int = 1024,
-                 tol: float = 1.0e-6) -> tuple[np.ndarray, np.ndarray]:
+                 tol: float = 1.0e-6) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Truncated Perron values I(T) for strictly ascending heights T, all
-    from one pass over the nodes of the tallest segment, and the quadrature
-    gap |K - G| at each T.
+    from one pass over the nodes of the tallest upper half-line, the
+    quadrature gap |K - G| at each T, and an error bound at each T.
 
-    K is the 33-point Gauss-Kronrod value, which is returned, and G the
-    16-point Gauss value embedded in it, from the same F evaluations.  A gap
-    above tol * max(1, |K|) raises QuadratureError.
+    I(T) = Im(integral from c to c + iT) / pi, real.  K is the 33-point
+    Gauss-Kronrod value, which is returned, and G the 16-point Gauss value
+    embedded in it, from the same F evaluations.  A gap above
+    tol * max(1, |K|) raises QuadratureError.  Over the n Kronrod nodes up
+    to T, with weights w and integrand values f, the bound is the gap plus
+    (eps log2(n) sum |w f| + eps sqrt(sum (|w f| |t| (ln x + 3 ln N))^2)) / pi:
+    pairwise summation (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 4) and the float64 phases t ln x of x^s and t ln p
+    of F, N the Euler-Maclaurin cutoff of the node's zeta batch.
     """
     _require_half_convention(x)
     heights = [float(T) for T in T_list]
@@ -205,12 +231,9 @@ def perron_sweep(x: float, c: float, T_list, nodes: int = 1024,
         raise DomainError("heights T must be strictly ascending")
     if nodes < MIN_NODES:
         raise DomainError(f"node count must be >= {MIN_NODES}")
-    # c - iT .. c + iT is the upward half-line minus the downward one.
-    up_gauss, up_kronrod = _segment_integrals(c, 1j, heights, x, nodes)
-    down_gauss, down_kronrod = _segment_integrals(c, -1j, heights, x, nodes)
-    gauss = (up_gauss - down_gauss) / (2j * math.pi)
-    values = (up_kronrod - down_kronrod) / (2j * math.pi)
-    gaps = np.abs(values - gauss)
+    gauss, kronrod, rounding = _segment_integrals(c, 1j, heights, x, nodes)
+    values = kronrod.imag / math.pi
+    gaps = np.abs(values - gauss.imag / math.pi)
     failed = np.flatnonzero(gaps > tol * np.maximum(1.0, np.abs(values)))
     if failed.size:
         k = failed[0]
@@ -218,19 +241,20 @@ def perron_sweep(x: float, c: float, T_list, nodes: int = 1024,
             f"the Gauss-Kronrod and Gauss Perron values at T = {heights[k]} "
             f"differ by {gaps[k]:.3e} (tolerance {tol:.1e} relative)"
         )
-    return values, gaps
+    return values, gaps, gaps + rounding / math.pi
 
 
 def perron_truncated(x: float, c: float, T: float, nodes: int = 1024,
                      tol: float = 1.0e-6) -> complex:
     """(1/2 pi i) integral of F(s) x^s / s ds on the segment c - iT .. c + iT.
 
-    The two half-lines are integrated independently (no conjugate-symmetry
-    shortcut), so the smallness of the imaginary part is a real check; each
-    gets at least `nodes` Gauss nodes, extended to a 33-point Gauss-Kronrod
-    rule per panel.  The gap between the Kronrod value and its embedded
-    Gauss value guards the quadrature; a gap beyond tol raises
-    QuadratureError (see perron_sweep, which also returns the gap).
+    The lower half-line is the conjugate of the upper one, so the value is
+    real by construction and its imaginary part is 0.0; only the upper
+    half-line is integrated, with at least `nodes` Gauss nodes extended to
+    a 33-point Gauss-Kronrod rule per panel.  The gap between the Kronrod
+    value and its embedded Gauss value guards the quadrature; a gap beyond
+    tol raises QuadratureError (see perron_sweep, which also returns the
+    gap and an error bound).
     """
     return complex(perron_sweep(x, c, [T], nodes, tol)[0][0])
 
@@ -302,20 +326,20 @@ def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
 
 
 def truncation_decay(x: float, c: float, T_list, exact_sum: int,
-                     nodes: int = 1024) -> tuple[list[tuple[float, float, float]], float]:
+                     nodes: int = 1024) -> tuple[list[tuple[float, float, float, float]], float]:
     """Perron truncation error |I(T) - S(x)| over strictly ascending T, plus
     the fitted log-log slope.
 
-    Each row is (T, |I(T) - S(x)|, quadrature gap at T).  At least two
-    heights are needed for a slope.  One nested quadrature serves every T;
-    the Kronrod-Gauss check runs at each of them.
+    Each row is (T, |I(T) - S(x)|, quadrature gap at T, error bound at T).
+    At least two heights are needed for a slope.  One nested quadrature
+    serves every T; the Kronrod-Gauss check runs at each of them.
     """
     heights = [float(T) for T in T_list]
     if len(heights) < 2:
         raise DomainError("a decay fit needs at least two heights T")
-    values, gaps = perron_sweep(x, c, heights, nodes, tol=1.0e-6)
-    rows = [(T, float(abs(v.real - exact_sum)), float(gap))
-            for T, v, gap in zip(heights, values, gaps)]
+    values, gaps, bounds = perron_sweep(x, c, heights, nodes, tol=1.0e-6)
+    rows = [(T, float(abs(v - exact_sum)), float(gap), float(bound))
+            for T, v, gap, bound in zip(heights, values, gaps, bounds)]
     logs_T = np.log([r[0] for r in rows])
     logs_e = np.log([max(r[1], 1e-300) for r in rows])
     slope = float(np.polyfit(logs_T, logs_e, 1)[0])
@@ -324,7 +348,8 @@ def truncation_decay(x: float, c: float, T_list, exact_sum: int,
 
 @dataclass(frozen=True)
 class RectangleCheck:
-    """Residue bookkeeping on a pole-free-edge rectangle enclosing s = 1."""
+    """Residue bookkeeping on a pole-free-edge rectangle enclosing s = 1.
+    edge_magnitudes["bottom"] equals ["top"]: the sides are conjugates."""
 
     contour_value: float
     residue_value: float
@@ -340,6 +365,9 @@ def rectangle_consistency(x: float, T: float = 50.0, right: float = 1.25,
     The left edge sits at sigma = left > 1/2, so the rectangle encloses the
     order-3 pole at s = 1 and nothing else; the zero poles on Re s = 1/4 and
     the pole at s = 0 stay outside and are tested individually by circles.
+    With up(sigma) the integral from sigma to sigma + iT and top the one
+    from left + iT to right + iT, the sides are 2i Im up(right),
+    -2i Im up(left), -top and conj(top).
     """
     _require_half_convention(x)
     if T <= 0:
@@ -350,31 +378,26 @@ def rectangle_consistency(x: float, T: float = 50.0, right: float = 1.25,
         )
 
     def edge(start: complex, direction: complex, length: float, count: int) -> complex:
-        gauss, _ = _segment_integrals(start, direction, [length], x, count,
-                                      kronrod=False)
-        return complex(gauss[0])
+        return complex(_segment_integrals(start, direction, [length], x, count,
+                                          kronrod=False)[0][0])
 
-    h_nodes = max(nodes // 8, 128)
-    right_edge = edge(right, 1j, T, nodes) - edge(right, -1j, T, nodes)
-    left_edge = edge(left, -1j, T, nodes) - edge(left, 1j, T, nodes)
-    top_edge = -edge(left + 1j * T, 1.0, right - left, h_nodes)
-    bottom_edge = edge(left - 1j * T, 1.0, right - left, h_nodes)
-    two_pi_i = 2.0j * math.pi
-    contour = (right_edge + left_edge + top_edge + bottom_edge) / two_pi_i
+    right_edge = edge(right, 1j, T, nodes).imag / math.pi
+    left_edge = -edge(left, 1j, T, nodes).imag / math.pi
+    top = edge(left + 1j * T, 1.0, right - left, max(nodes // 8, 128))
+    contour = right_edge + left_edge - top.imag / math.pi
     if residue_value is None:
         from .series import residue_main_term
 
         _, value = residue_main_term(x, mode="exact")
         residue_value = float(value)
     return RectangleCheck(
-        contour_value=contour.real,
+        contour_value=contour,
         residue_value=residue_value,
         edge_magnitudes={
-            "right": abs(right_edge / two_pi_i),
-            "left": abs(left_edge / two_pi_i),
-            "top": abs(top_edge / two_pi_i),
-            "bottom": abs(bottom_edge / two_pi_i),
+            "right": abs(right_edge),
+            "left": abs(left_edge),
+            "top": abs(top) / (2.0 * math.pi),
+            "bottom": abs(top) / (2.0 * math.pi),
         },
-        discrepancy=abs(contour.real - residue_value)
-        + abs(contour.imag),
+        discrepancy=abs(contour - residue_value),
     )

@@ -128,7 +128,7 @@ def test_07_perron_truncation_decay():
     elapsed = time.perf_counter() - t0
     ok = -1.3 <= slope <= -0.7 and elapsed < 300.0
     report(7, "Perron truncation-error slope in [-1.3, -0.7]", ok,
-           f"slope={slope:.3f}, errors={[round(e, 1) for _, e, _ in rows]}, "
+           f"slope={slope:.3f}, errors={[round(e, 1) for _, e, _, _ in rows]}, "
            f"{elapsed:.0f} s")
 
 

@@ -7,7 +7,7 @@ from mpmath import mp, mpf
 
 from divisorlab import cli, perron, sieve, zeros
 
-from conftest import ZEROS_PATH
+from conftest import ZEROS_PATH, perron_reference
 
 
 def run(capsys, *argv):
@@ -171,10 +171,12 @@ def test_perron_integral(capsys):
     payload = run_json(capsys, "perron", "integral", "10.5",
                        "--c", "2.0", "--T", "100")
     assert abs(float(payload["real"]) - 48.0) < 25.0
-    assert abs(float(payload["imag"])) < 1e-4
-    values, gaps = perron.perron_sweep(10.5, 2.0, [100.0])
+    assert payload["imag"] == "0.0"  # real by conjugate symmetry; the key stays
+    values, gaps, bounds = perron.perron_sweep(10.5, 2.0, [100.0])
     assert payload["quadrature_gap"] == float(gaps[0])
     assert 0 <= payload["quadrature_gap"] <= 1e-6 * float(payload["real"])
+    assert payload["error_bound"] == float(bounds[0])
+    assert payload["error_bound"] >= abs(values[0] - perron_reference(10.5, 2.0, 100.0))
 
 
 def test_perron_residue(capsys):
@@ -211,10 +213,11 @@ def test_perron_decay(capsys, tmp_path):
     assert len(payload["rows"]) == 2
     rows, _ = perron.truncation_decay(100.5, 2.0, [50, 100],
                                       sieve.prefix_sum(sieve.ArithmeticFunction.D_SQUARE, 100))
-    assert payload["rows"] == [{"T": T, "abs_error": err, "quadrature_gap": gap}
-                               for T, err, gap in rows]
+    assert payload["rows"] == [{"T": T, "abs_error": err, "quadrature_gap": gap,
+                                "error_bound": bound}
+                               for T, err, gap, bound in rows]
     lines = (tmp_path / "perron_decay.csv").read_text().splitlines()
-    assert lines[0] == "T,abs_error,quadrature_gap"
+    assert lines[0] == "T,abs_error,quadrature_gap,error_bound"
     assert [tuple(map(float, line.split(","))) for line in lines[1:]] == rows
 
 
@@ -236,6 +239,15 @@ def test_dirichlet_verify(capsys):
     with mp.workprec(200):
         direct = mp.fsum(int(values[n]) * mp.power(n, -3) for n in range(1, 2001))
         assert abs(mpf(payload["partial_sum"]) - direct) < mpf("1e-24")
+
+
+@pytest.mark.parametrize("s", ["1.5", "1.9"])
+def test_dirichlet_verify_below_s_2(capsys, s):
+    """The tail past N stays a finite positive bound for every s > 1."""
+    payload = run_json(capsys, "dirichlet-verify", s, "2000")
+    assert payload["pass"] is True
+    assert 0 < float(payload["difference"]) <= float(payload["tail_bound"])
+    assert mp.isfinite(mpf(payload["tail_bound"]))
 
 
 def test_dirichlet_verify_degenerate(capsys):

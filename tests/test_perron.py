@@ -17,15 +17,17 @@ from divisorlab.errors import (
 )
 from divisorlab.sieve import ArithmeticFunction as AF
 
+from conftest import perron_reference
+
 
 class TestPerronTruncated:
     def test_x_10_5_approaches_48(self):
         exact = sieve.prefix_sum(AF.D_SQUARE, 10)
         assert exact == 48
-        value = perron.perron_truncated(10.5, 2.0, 200.0)
+        values, _, bounds = perron.perron_sweep(10.5, 2.0, [200.0])
         # truncation law: |I(T) - S(x)| <= C x^c / T with a modest constant
-        assert abs(value.real - exact) < 20.0 * 10.5 ** 2 / 200.0
-        assert abs(value.imag) < 1e-6 * abs(value.real)
+        assert abs(values[0] - exact) < 20.0 * 10.5 ** 2 / 200.0
+        assert bounds[0] >= abs(values[0] - perron_reference(10.5, 2.0, 200.0))
 
     def test_x_2_5(self):
         # S(2.5) = d(1) + d(4) = 1 + 3 = 4
@@ -70,9 +72,9 @@ class TestPerronTruncated:
         with panels a quarter period of x^(it) wide these lines fail the
         quadrature check."""
         exact = sieve.prefix_sum(AF.D_SQUARE, int(x))
-        value = perron.perron_truncated(x, c, T)
-        assert abs(value.imag) <= 1e-10 * abs(value.real)
-        assert abs(value.real - exact) < 20.0 * x ** c / T
+        values, _, bounds = perron.perron_sweep(x, c, [T])
+        assert bounds[0] >= abs(values[0] - perron_reference(x, c, T))
+        assert abs(values[0] - exact) < 20.0 * x ** c / T
 
     def test_panel_layout(self, monkeypatch):
         """Every height is a panel edge, panels are at most a quarter period
@@ -94,7 +96,7 @@ class TestPerronTruncated:
         monkeypatch.setattr(perron, "dirichlet_quotient_f64", spy_f)
         exact = sieve.prefix_sum(AF.D_SQUARE, 100)
         perron.truncation_decay(100.5, 2.0, [10, 25, 40], exact, nodes=256)
-        assert [(d, k) for _, d, _, k in grids] == [(1j, True), (-1j, True)]
+        assert [(d, k) for _, d, _, k in grids] == [(1j, True)]
         quarter = 2 * math.pi / math.log(100.5) / 4
         nodes, _, _ = perron._kronrod_rule()
         want = []
@@ -134,19 +136,80 @@ class TestPerronTruncated:
         assert abs(2 * v15[0, -1] ** 2 - 0.022935322010529224963732008058970) < 1e-15
 
     def test_decay_node_count(self, monkeypatch):
-        """The perron_lines decay sweep at x = 1000.5 evaluates F at 3520
-        panels of 33 nodes: 116,160 nodes, each once."""
-        count = []
+        """The perron_lines decay sweep at x = 1000.5 evaluates F at 1760
+        panels of 33 nodes on the upper half-line: 58,080 nodes."""
+        count = _count_f_nodes(monkeypatch)
+        perron.truncation_decay(1000.5, 2.0, [50, 100, 200, 400], 0)
+        assert sum(count) == 58_080
+        assert max(count) <= 1024
+
+    def test_perron_lines_pass_node_count(self, monkeypatch):
+        """A whole perron_lines pass at x = 1000.5 (the decay sweep, the
+        c = 1.5 integral to T = 100 and the rectangle) evaluates F at
+        58,080 + 14,520 + 7,296 = 79,896 nodes, at most 1024 per call."""
+        count = _count_f_nodes(monkeypatch)
+        perron.truncation_decay(1000.5, 2.0, [50, 100, 200, 400], 0)
+        perron.perron_sweep(1000.5, 1.5, [100.0])
+        perron.rectangle_consistency(1000.5, residue_value=0.0)
+        assert sum(count) == 79_896
+        assert max(count) <= 1024
+
+
+def _count_f_nodes(monkeypatch) -> list[int]:
+    """The sizes of perron's F batches from here on."""
+    count = []
+    quotient = perron.dirichlet_quotient_f64
+
+    def spy_f(s):
+        count.append(len(s))
+        return quotient(s)
+
+    monkeypatch.setattr(perron, "dirichlet_quotient_f64", spy_f)
+    return count
+
+
+class TestErrorBound:
+    """error_bound = gap + (eps log2(n) sum |w f|
+    + eps sqrt(sum (|w f| |t| (ln x + 3 ln N))^2)) / pi covers the Kronrod
+    value's distance to a 16-point Gauss reference on 0.02-wide panels."""
+
+    @pytest.mark.parametrize("x", [1000.5, 1e6 + 0.5])
+    @pytest.mark.parametrize("c, T", [
+        (c, T) if T < 1000 else pytest.param(c, T, marks=pytest.mark.slow)
+        for c in (1.1, 1.5, 2.0, 3.0) for T in (100.0, 1000.0)])
+    def test_covers_fine_reference(self, x, c, T):
+        values, gaps, bounds = perron.perron_sweep(x, c, [T])
+        assert bounds[0] >= abs(values[0] - perron_reference(x, c, T))
+        assert bounds[0] >= gaps[0]
+
+    def test_formula(self, monkeypatch):
+        """The bound is the gap plus the rounding terms, recomputed here from
+        the F values at the Kronrod nodes, each batch's N, and the rule."""
+        seen = []
         quotient = perron.dirichlet_quotient_f64
 
         def spy_f(s):
-            count.append(len(s))
-            return quotient(s)
+            f = quotient(s)
+            seen.append((s.copy(), f, zeta_engine._em_rule(s)[0]))
+            return f
 
         monkeypatch.setattr(perron, "dirichlet_quotient_f64", spy_f)
-        perron.truncation_decay(1000.5, 2.0, [50, 100, 200, 400], 0)
-        assert sum(count) == 116_160
-        assert max(count) <= 1024
+        x, c, heights = 1e6 + 0.5, 2.0, [30.0, 80.0]
+        values, gaps, bounds = perron.perron_sweep(x, c, heights)
+        nodes, weights, _ = perron._kronrod_rule()
+        s = np.concatenate([b for b, _, _ in seen]).reshape(-1, 33)
+        f = np.concatenate([v for _, v, _ in seen]).reshape(-1, 33)
+        log_n = np.concatenate([np.full(len(b), math.log(n)) for b, _, n in seen])
+        half = (s[:, -1].imag - s[:, 0].imag) / (nodes[-1] - nodes[0])
+        size = np.abs(f * np.exp(s * math.log(x)) / s) * weights * half[:, None]
+        phase = size * s.imag * (math.log(x) + 3 * log_n.reshape(-1, 33))
+        for k, T in enumerate(heights):
+            rows = s[:, -1].imag <= T
+            n = 33 * np.count_nonzero(rows)
+            rounding = 2.0 ** -52 * (math.log2(n) * size[rows].sum()
+                                     + math.sqrt((phase[rows] ** 2).sum()))
+            assert bounds[k] == pytest.approx(gaps[k] + rounding / math.pi, rel=1e-9)
+            assert rounding / math.pi > gaps[k]
 
 
 class TestCircleResidues:
@@ -274,9 +337,9 @@ class TestTruncationDecay:
         exact = sieve.prefix_sum(AF.D_SQUARE, 100)
         rows, slope = perron.truncation_decay(100.5, 2.0, [50, 100, 200],
                                               exact)
-        assert [T for T, _, _ in rows] == [50.0, 100.0, 200.0]
-        assert all(err >= 0 for _, err, _ in rows)
-        assert all(0 <= gap <= 1e-6 * exact for _, _, gap in rows)
+        assert [T for T, _, _, _ in rows] == [50.0, 100.0, 200.0]
+        assert all(err >= 0 for _, err, _, _ in rows)
+        assert all(0 <= gap <= 1e-6 * exact for _, _, gap, _ in rows)
         assert slope < 0  # errors shrink with T
 
     def test_unsorted_T_rejected(self):
@@ -306,7 +369,7 @@ class TestTruncationDecay:
         T_list = [20.0, 50.0, 100.0]
         exact = sieve.prefix_sum(AF.D_SQUARE, 100)
         rows, _ = perron.truncation_decay(100.5, 2.0, T_list, exact)
-        for T, err, _ in rows:
+        for T, err, _, _ in rows:
             single = perron.perron_truncated(100.5, 2.0, T)
             assert abs(err - abs(single.real - exact)) <= 1e-10 * abs(single.real)
 
