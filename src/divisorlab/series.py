@@ -4,8 +4,10 @@ The residue of zeta(s)^3 / zeta(2s) * x^s / s at the order-3 pole s = 1 needs
 three Laurent coefficients.  With h = s - 1 it is read off the product of
 three-term jets (coefficients of h^0, h^1, h^2): (h zeta(1+h))^3, whose jet
 is (1, gamma_0, -gamma_1)^3 in the Stieltjes constants; 1/zeta(2+2h); and
-1/(1+h) = (1, -1, 1) for the 1/s factor.  The h^0, h^1, h^2 coefficients
-r0, r1, r2 of that product give the residue x (r0 (log x)^2 / 2 + r1 log x + r2).
+1/(1+h) = (1, -1, 1) for the 1/s factor.  (1, gamma_0, -gamma_1) is read
+from the zeta engine, which returns the jet of zeta(s) - 1/(s-1) at s = 1.
+The h^0, h^1, h^2 coefficients r0, r1, r2 of that product give the residue
+x (r0 (log x)^2 / 2 + r1 log x + r2).
 
 Two coefficient modes are exposed.  The 'paper' mode freezes 1/zeta(2s) at
 its value 1/zeta(2), which yields
@@ -72,10 +74,9 @@ def main_term_coefficients(
 
 @functools.cache
 def _main_term_coefficients(mode: str, precision: int) -> MainTermCoefficients:
-    g0 = zeta_engine.stieltjes(0, precision)
-    g1 = zeta_engine.stieltjes(1, precision)
+    g0, minus_g1 = zeta_engine.zeta_with_derivatives(1, 1, precision)
     with mp.workprec(precision + 16):
-        e = [mpc(1), +g0, -g1]
+        e = [mpc(1), +g0, +minus_g1]
         if mode == "exact":
             ders = zeta_engine.zeta_with_derivatives(2, 2, precision)
             q = jet_inverse([ders[k] * 2**k / math.factorial(k) for k in range(3)])

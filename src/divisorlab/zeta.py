@@ -10,9 +10,9 @@ and Re s stays below the last retained bit.  Derivatives in s come from the
 same pass: every term is carried as a Taylor jet (its coefficients
 f^(k)(s)/k!), exponentials as value * rate^k / k! and products by one
 truncated Cauchy product, so the derivative values stay consistent with the
-base evaluation.  One table of
-B_2j/(2j)!, cached per (J, precision), serves the float64 engine and the
-Stieltjes constants.
+base evaluation.  At s = 1 the pole term's 1/(s-1) is left out, so the jet
+is that of zeta(s) - 1/(s-1), whose Taylor coefficients are the Stieltjes
+constants: zeta(1+h) = 1/h + sum_m (-1)^m gamma_m h^m / m!.
 
 The multiprecision engine works at precision + 24 bits, lifted by
 -Re s log2 N left of 0, where terms grow like N^-Re s, and by log2 ln N per
@@ -31,21 +31,20 @@ becomes an mpc once; the pole term, N^-s / 2 and N^(-1-s) stay in mpc.  The
 smallest-prime-factor table and the logs hold integers only; no mp value
 outlives a call.
 
-Also here: Stieltjes constants via the Euler-Maclaurin-accelerated tail of
-their defining limit, the functional-equation conversion factor
-chi(s) = 2^s pi^(s-1) sin(pi s / 2) Gamma(1 - s), and Newton polishing of
-critical-line zero ordinates.
+Also here: the Stieltjes constants gamma_0..gamma_8, read from one jet of
+the engine at s = 1, and Newton polishing of critical-line zero ordinates.
 
 A vectorized float64 evaluator is provided for contour quadrature, where
 thousands of nodes are needed at only double accuracy.  It picks (N, J) by
 the same rule as the multiprecision engine, at 53 bits, and folds its
 Bernoulli tail the same way, with Q_j and B_2j/(2j)! scaled by powers of two
-to stay in range at the height cap.  Its Dirichlet sum is multiplicative
-too: one table holds n^-s for a whole batch, one row per n; the prime rows
-take a complex exp and each composite row is the product of the rows of its
-smallest prime p and of n / p, filled one vectorized step per count of prime
-factors.  F(s) = zeta(s)^3 / zeta(2s) reads both
-sums from one table, zeta(2s) from its rows squared.
+to stay in range at the height cap; its coefficients are the correctly
+rounded float64 values of the same exact fractions, one table per J.  Its
+Dirichlet sum is multiplicative too: one table holds n^-s for a whole batch,
+one row per n; the prime rows take a complex exp and each composite row is
+the product of the rows of its smallest prime p and of n / p, filled one
+vectorized step per count of prime factors.  F(s) = zeta(s)^3 / zeta(2s)
+reads both sums from one table, zeta(2s) from its rows squared.
 """
 
 from __future__ import annotations
@@ -144,20 +143,9 @@ def _em_order_estimate(target: float, t_abs: float, a: float) -> int:
 
 
 @functools.cache
-def _bernoulli_table(J: int, precision: int) -> tuple[mpf, ...]:
-    """B_2j / (2j)! for j = 1..J, correctly rounded to `precision` bits.
-
-    Built from the exact fractions: mp.bernoulli's last bit depends on what
-    its own cache already holds.
-    """
-    return tuple(mp.fdiv(*_bernoulli_fraction(j), prec=precision)
-                 for j in range(1, J + 1))
-
-
-@functools.cache
 def _bernoulli_fraction(j: int) -> tuple[int, int]:
     """B_2j / (2j)! as an exact (numerator, denominator) pair, kept per j so
-    that the table for each new J costs only its divisions."""
+    that the tables for each new J cost only their divisions."""
     p, q = mp.bernfrac(2 * j)
     return int(p), int(q) * math.factorial(2 * j)
 
@@ -267,15 +255,14 @@ def zeta_with_derivatives(
     precision: int = DEFAULT_PRECISION,
     height_cap: float = DEFAULT_HEIGHT_CAP,
 ) -> list[mpc]:
-    """[zeta(s), zeta'(s), ..., zeta^(kmax)(s)] in one Euler-Maclaurin pass."""
+    """[zeta(s), zeta'(s), ..., zeta^(kmax)(s)] in one Euler-Maclaurin pass.
+    At s = 1, those of zeta(s) - 1/(s-1): the m-th is (-1)^m gamma_m."""
     global _calls
     _calls += 1
     if precision < MIN_PRECISION:
         raise PrecisionError(f"precision must be >= {MIN_PRECISION} bits")
     with mp.workprec(precision + 24):
         z = mpc(s)
-        if z == 1:
-            raise PoleError("zeta has a pole at s = 1")
         t_abs = abs(float(z.imag))
         if t_abs > height_cap:
             raise HeightRangeError(
@@ -304,13 +291,17 @@ def zeta_with_derivatives(
                        * (mpf(-1) ** k / math.factorial(k)))
 
         L = mp.ln(N)
-        # N^(1-s)/(s-1), with 1/(s-1+h) = sum_k (-1)^k h^k / (s-1)^(k+1)
-        v = 1 / (z - 1)
-        pole = [v]
-        for _ in range(1, K):
-            pole.append(pole[-1] * -v)
-        pieces = [jet_mul(_exp_jet(mp.exp((1 - z) * L), -L, K), pole),
-                  _exp_jet(mp.exp(-z * L) / 2, -L, K)]  # N^-s / 2
+        if z == 1:
+            # N^-h/h - 1/h = (N^-h - 1)/h = sum_k (-L)^(k+1) h^k / (k+1)!
+            pieces = [_exp_jet(1, -L, K + 1)[1:]]
+        else:
+            # N^(1-s)/(s-1), with 1/(s-1+h) = sum_k (-1)^k h^k / (s-1)^(k+1)
+            v = 1 / (z - 1)
+            pole = [v]
+            for _ in range(1, K):
+                pole.append(pole[-1] * -v)
+            pieces = [jet_mul(_exp_jet(mp.exp((1 - z) * L), -L, K), pole)]
+        pieces.append(_exp_jet(mp.exp(-z * L) / 2, -L, K))  # N^-s / 2
 
         # Bernoulli corrections sum_j B_2j/(2j)! P_j(s) N^(1-s-2j), folded as
         # N^(-1-s) sum_j B_2j/(2j)! Q_j(s) with Q_j = N^(2-2j) P_j: one jet
@@ -355,7 +346,7 @@ def zeta_with_derivatives(
 def zeta(s, precision: int = DEFAULT_PRECISION,
          height_cap: float = DEFAULT_HEIGHT_CAP) -> mpc:
     """zeta(s) accurate to roughly 2^-(precision-8) relative."""
-    return zeta_with_derivatives(s, 0, precision, height_cap)[0]
+    return zeta_derivative(s, 0, precision, height_cap)
 
 
 def zeta_derivative(s, k: int, precision: int = DEFAULT_PRECISION,
@@ -363,6 +354,8 @@ def zeta_derivative(s, k: int, precision: int = DEFAULT_PRECISION,
     """k-th derivative of zeta at s, k <= 4."""
     if not 0 <= k <= 4:
         raise DomainError("derivative order must satisfy 0 <= k <= 4")
+    if s == 1:
+        raise PoleError("zeta has a pole at s = 1")
     return zeta_with_derivatives(s, k, precision, height_cap)[k]
 
 
@@ -370,91 +363,14 @@ def zeta_derivative(s, k: int, precision: int = DEFAULT_PRECISION,
 # Stieltjes constants
 # ---------------------------------------------------------------------------
 
-def _log_power_derivative_coeffs(m: int, order: int) -> list[list[int]]:
-    """Coefficient tables for derivatives of f(x) = (log x)^m / x.
-
-    f^(j)(x) = sum_a c[j][a] (log x)^a x^-(j+1), with the integer recurrence
-    c[j+1][a] = (a+1) c[j][a+1] - (j+1) c[j][a].
-    """
-    c = [[0] * (m + 1) for _ in range(order + 1)]
-    c[0][m] = 1
-    for j in range(order):
-        for a in range(m + 1):
-            nxt = -(j + 1) * c[j][a]
-            if a + 1 <= m:
-                nxt += (a + 1) * c[j][a + 1]
-            c[j + 1][a] = nxt
-    return c
-
-
-def stieltjes(m: int, precision: int = DEFAULT_PRECISION,
-              cutoff: int | None = None) -> mpf:
-    """Stieltjes constant gamma_m for 0 <= m <= 8.
-
-    Evaluates the defining limit
-        gamma_m = lim_n [ sum_{k<=n} (log k)^m / k  -  (log n)^(m+1)/(m+1) ]
-    at a finite cutoff with Euler-Maclaurin tail corrections, so the cutoff
-    can stay small while the result carries the full working precision.
-    """
+def stieltjes(m: int, precision: int = DEFAULT_PRECISION) -> mpf:
+    """Stieltjes constant gamma_m for 0 <= m <= 8: by the Laurent series
+    zeta(1+h) = 1/h + sum_m (-1)^m gamma_m h^m / m!, (-1)^m times the m-th
+    derivative at s = 1 of zeta(s) - 1/(s-1), which the engine returns."""
     if not 0 <= m <= 8:
         raise DomainError("Stieltjes index must satisfy 0 <= m <= 8")
-    n0 = cutoff if cutoff is not None else max(256, precision)
-    J = 24 + 2 * m
-    coeffs = _log_power_derivative_coeffs(m, 2 * J - 1)
-    with mp.workprec(precision + 32):
-        partial = mpf(0)
-        for k in range(1, n0 + 1):
-            partial += mp.ln(k) ** m / k
-        L = mp.ln(n0)
-        log_pows = [mpf(1)]
-        for _ in range(m + 1):
-            log_pows.append(log_pows[-1] * L)
-        result = partial - log_pows[m + 1] / (m + 1)
-        result -= log_pows[m] / (2 * n0)
-        inv_n = mpf(1) / n0
-        npow = inv_n * inv_n  # n^-(j+1) at j = 1 is n^-2
-        for j, bernoulli in enumerate(_bernoulli_table(J, mp.prec), start=1):
-            deriv = mpf(0)
-            for a, ca in enumerate(coeffs[2 * j - 1]):
-                if ca:
-                    deriv += ca * log_pows[a]
-            deriv *= npow
-            result -= bernoulli * deriv
-            npow *= inv_n * inv_n
-        return +result
-
-
-# ---------------------------------------------------------------------------
-# Functional equation
-# ---------------------------------------------------------------------------
-
-def chi(s, precision: int = DEFAULT_PRECISION) -> mpc:
-    """Conversion factor chi(s) with zeta(s) = chi(s) zeta(1-s).
-
-    Computed as pi^(s-1/2) Gamma((1-s)/2) / Gamma(s/2), which is equal to
-    2^s pi^(s-1) sin(pi s/2) Gamma(1-s) but stays finite at the even
-    integers s >= 2 where the sin factor cancels the Gamma pole.  Genuine
-    poles sit at the odd integers s = 1, 3, 5, ... only.
-    """
     with mp.workprec(precision + 24):
-        z = mpc(s)
-        w = (1 - z) / 2
-        nearest = mp.floor(w.real + mpf("0.5"))
-        if nearest <= 0 and abs(w - nearest) < mpf("1e-6"):
-            raise PoleError("chi(s): pole at odd integer s too close")
-        return +(mp.power(mp.pi, z - mpf("0.5"))
-                 * mp.gamma(w) / mp.gamma(z / 2))
-
-
-def functional_equation_residual(s, precision: int = DEFAULT_PRECISION) -> mpf:
-    """|zeta(s) - chi(s) zeta(1-s)|; a self-test of the whole engine."""
-    with mp.workprec(precision + 24):
-        z = mpc(s)
-        if z == 1:
-            raise PoleError("s = 1 is the zeta pole")
-        lhs = zeta(z, precision)
-        rhs = chi(z, precision) * zeta(1 - z, precision)
-        return +abs(lhs - rhs)
+        return +((-1) ** m * zeta_with_derivatives(1, m, precision)[m].real)
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +473,7 @@ def _em_tail(s: np.ndarray, N: int, J: int) -> np.ndarray:
     """
     L = math.log(N)
     out = np.exp((1 - s) * L) / (s - 1) + np.exp(-s * L) / 2.0
-    bern = [_ldexp_float(b, 5 * j)
-            for j, b in enumerate(_bernoulli_table(J, 53), start=1)]
+    bern = _bernoulli_f64(J)
     step = 2.0 ** -5 / (N * N)
     q = s * 2.0 ** -5  # Q_1 = s
     tail = bern[0] * q
@@ -568,10 +483,12 @@ def _em_tail(s: np.ndarray, N: int, J: int) -> np.ndarray:
     return out + tail * np.exp((-s - 1) * L)
 
 
-def _ldexp_float(x: mpf, e: int) -> float:
-    """float(x 2^e), without the underflow of float(x) for tiny x."""
-    sign, man, exp, _ = x._mpf_
-    return math.ldexp(-man if sign else man, exp + e)
+@functools.cache
+def _bernoulli_f64(J: int) -> tuple[float, ...]:
+    """B_2j/(2j)! 2^5j for j = 1..J, each the correctly rounded float64 of
+    the exact fraction (Python rounds an integer quotient correctly)."""
+    fractions = (_bernoulli_fraction(j) for j in range(1, J + 1))
+    return tuple((p << 5 * j) / q for j, (p, q) in enumerate(fractions, start=1))
 
 
 def _em_rule(s: np.ndarray) -> tuple[int, int]:

@@ -161,16 +161,16 @@ class TestMainTermCoefficients:
         returns the same object; another precision or mode recomputes."""
         zeta_engine.reset_call_count()
         first = series.main_term_coefficients("exact", precision=72)
-        assert zeta_engine.call_count() == 2  # the s = 2 jet and zeta(0)
+        assert zeta_engine.call_count() == 3  # the s = 1 and s = 2 jets, zeta(0)
         zeta_engine.reset_call_count()
         assert series.main_term_coefficients("exact", 72) is first
         assert zeta_engine.call_count() == 0
         finer = series.main_term_coefficients("exact", precision=80)
-        assert zeta_engine.call_count() == 2
+        assert zeta_engine.call_count() == 3
         assert abs(finer.A3 - first.A3) < mpf(2) ** -64
         zeta_engine.reset_call_count()
         paper = series.main_term_coefficients("paper", precision=72)
-        assert zeta_engine.call_count() == 2 and paper.mode == "paper"
+        assert zeta_engine.call_count() == 3 and paper.mode == "paper"
 
     def test_error_paths(self):
         with pytest.raises(DomainError):

@@ -3,7 +3,9 @@
 Oracles used here:
   - direct Dirichlet-series summation with an integral tail bound (s = 3),
   - central finite differences for derivatives,
-  - the doubled-cutoff accelerated limit for Stieltjes constants,
+  - mp.euler and mpmath.stieltjes for the Stieltjes constants,
+  - the functional equation zeta(s) = chi(s) zeta(1-s), with chi from
+    mpmath's gamma function,
   - sign-change bisection of the Hardy Z function (via mpmath.siegelz) for
     zero ordinates,
   - mpmath's own zeta as a fully separate implementation for spot values.
@@ -36,6 +38,33 @@ def series_zeta_oracle(s: float, terms: int = 200000):
         return total, tail
 
 
+def chi(s, precision: int = engine.DEFAULT_PRECISION) -> mpc:
+    """Conversion factor chi(s) with zeta(s) = chi(s) zeta(1-s).
+
+    Computed as pi^(s-1/2) Gamma((1-s)/2) / Gamma(s/2), which is equal to
+    2^s pi^(s-1) sin(pi s/2) Gamma(1-s) but stays finite at the even
+    integers s >= 2 where the sin factor cancels the Gamma pole.  Genuine
+    poles sit at the odd integers s = 1, 3, 5, ... only.
+    """
+    with mp.workprec(precision + 24):
+        z = mpc(s)
+        w = (1 - z) / 2
+        nearest = mp.floor(w.real + mpf("0.5"))
+        if nearest <= 0 and abs(w - nearest) < mpf("1e-6"):
+            raise PoleError("chi(s): pole at odd integer s too close")
+        return +(mp.power(mp.pi, z - mpf("0.5"))
+                 * mp.gamma(w) / mp.gamma(z / 2))
+
+
+def functional_equation_residual(s, precision: int = engine.DEFAULT_PRECISION) -> mpf:
+    """|zeta(s) - chi(s) zeta(1-s)|; a self-test of the whole engine."""
+    with mp.workprec(precision + 24):
+        z = mpc(s)
+        lhs = engine.zeta(z, precision)
+        rhs = chi(z, precision) * engine.zeta(1 - z, precision)
+        return +abs(lhs - rhs)
+
+
 def test_zeta_2_closed_form():
     assert abs(engine.zeta(2) - mp.pi**2 / 6) < mpf("1e-30")
 
@@ -54,6 +83,10 @@ def test_zeta_3_against_series_summation():
 def test_zeta_pole_and_height_cap():
     with pytest.raises(PoleError):
         engine.zeta(1)
+    with pytest.raises(PoleError):
+        engine.zeta(mpc(1, 0))
+    with pytest.raises(PoleError):
+        engine.zeta_derivative(1, 2)
     with pytest.raises(HeightRangeError):
         engine.zeta(mpc(0.5, 2.0e4))
 
@@ -110,12 +143,18 @@ class TestStieltjes:
     def test_gamma0_is_euler(self):
         assert abs(engine.stieltjes(0) - mp.euler) < mpf("1e-30")
 
-    def test_doubled_cutoff_oracle(self):
+    def test_euler_and_mpmath_oracle(self):
         for m in range(5):
-            a = engine.stieltjes(m, 128)
-            b = engine.stieltjes(m, 128, cutoff=2 * max(256, 128))
+            oracle = mp.euler if m == 0 else mpmath.stieltjes(m)
             tol = mpf("1e-12") if m == 0 else mpf("1e-10")
-            assert abs(a - b) < tol
+            assert abs(engine.stieltjes(m, 128) - oracle) < tol
+
+    @pytest.mark.parametrize("precision", (64, 128, 192))
+    @pytest.mark.parametrize("m", range(9))
+    def test_accuracy_against_mpmath(self, m, precision):
+        """Within 2^-(precision+16) absolute of mpmath at the suite's 220 bits."""
+        error = abs(engine.stieltjes(m, precision) - mpmath.stieltjes(m))
+        assert error <= mpf(2) ** -(precision + 16)
 
     def test_known_values(self):
         assert abs(engine.stieltjes(1) + mpf("0.0728158454836767")) < mpf("1e-15")
@@ -137,18 +176,18 @@ class TestStieltjes:
 
 class TestFunctionalEquation:
     def test_residual_small_off_line(self):
-        assert engine.functional_equation_residual(mpc(-1, 0.3)) < mpf("1e-10")
-        assert engine.functional_equation_residual(mpc(2, 0)) < mpf("1e-10")
+        assert functional_equation_residual(mpc(-1, 0.3)) < mpf("1e-10")
+        assert functional_equation_residual(mpc(2, 0)) < mpf("1e-10")
 
     def test_residual_random_sample(self):
         rng = random.Random(99)
         for _ in range(25):
             s = mpc(rng.uniform(-2, 3),
                     rng.choice([-1, 1]) * rng.uniform(0.2, 500))
-            assert engine.functional_equation_residual(s) < mpf("1e-10")
+            assert functional_equation_residual(s) < mpf("1e-10")
 
     def test_chi_modulus_on_critical_line(self):
-        assert abs(abs(engine.chi(mpc(0.5, 50))) - 1) < mpf("1e-8")
+        assert abs(abs(chi(mpc(0.5, 50))) - 1) < mpf("1e-8")
 
     def test_chi_growth_trend(self):
         # |chi(sigma+it)| ~ (t/2pi)^(1/2-sigma): ratio trend only, not
@@ -156,13 +195,13 @@ class TestFunctionalEquation:
         sigma = mpf(-1)
         ratios = []
         for t in (50, 100, 200):
-            ratios.append(float(abs(engine.chi(mpc(sigma, t)))
+            ratios.append(float(abs(chi(mpc(sigma, t)))
                                 / (mpf(t) / (2 * mp.pi)) ** (mpf("0.5") - sigma)))
         assert all(0.5 < r < 2.0 for r in ratios)
 
     def test_chi_pole_proximity(self):
         with pytest.raises(PoleError):
-            engine.chi(mpc(3, 1e-9))  # 1-s within 1e-6 of -2
+            chi(mpc(3, 1e-9))  # 1-s within 1e-6 of -2
 
 
 class TestRefineZero:
@@ -440,21 +479,21 @@ class TestZetaF64:
     def test_uses_shared_parameter_rule(self, monkeypatch):
         chosen, sizes = [], []
         em_parameters = engine._em_parameters
-        bernoulli_table = engine._bernoulli_table
+        bernoulli_f64 = engine._bernoulli_f64
 
         def spy_em(*args):
             chosen.append((args, em_parameters(*args)))
             return chosen[-1][1]
 
-        def spy_bernoulli(J, precision):
-            sizes.append((J, precision))
-            return bernoulli_table(J, precision)
+        def spy_bernoulli(J):
+            sizes.append(J)
+            return bernoulli_f64(J)
 
         monkeypatch.setattr(engine, "_em_parameters", spy_em)
-        monkeypatch.setattr(engine, "_bernoulli_table", spy_bernoulli)
+        monkeypatch.setattr(engine, "_bernoulli_f64", spy_bernoulli)
         engine.zeta_f64(np.array([2.0 + 10j, 0.6 - 800j, 4.0 + 300j]))
         assert chosen == [((53, 800.0, 0.6), em_parameters(53, 800.0, 0.6))]
-        assert sizes == [(chosen[0][1][1], 53)]
+        assert sizes == [chosen[0][1][1]]
         # the least N + J at |t| = 800: (216, 57), where the former
         # J = (precision + 16) // 4 rule took (500, 17)
         assert em_parameters(53, 800.0, 4.0)[0] == 216
@@ -511,18 +550,15 @@ class TestZetaF64:
         assert np.all(np.abs(table[1:] - direct) <= bound)
 
     def test_bernoulli_table_sized_by_request(self):
-        """One B_2j/(2j)! table per (J, precision): sized by the request, its
-        53-bit entries the correctly rounded float64 values, and two
-        precisions distinct but agreeing to the lower one."""
-        for J in (5, 30, 12):
-            table = engine._bernoulli_table(J, 53)
+        """One B_2j/(2j)! 2^5j table per J: sized by the request, each entry
+        the correctly rounded float64 of the exact fraction, up to J = 244,
+        which zeta(2s) takes at the height cap."""
+        for J in (5, 30, 12, 244):
+            table = engine._bernoulli_f64(J)
             assert len(table) == J
             for j in range(1, J + 1):
                 p, q = mp.bernfrac(2 * j)
                 exact = Fraction(int(p), int(q) * math.factorial(2 * j))
-                assert float(table[j - 1]) == float(exact)
-                assert float(table[j - 1]) == float(mp.bernoulli(2 * j)
-                                                    / mp.factorial(2 * j))
-        lo, hi = engine._bernoulli_table(30, 128), engine._bernoulli_table(30, 192)
-        assert all(a != b for a, b in zip(lo, hi))
-        assert all(abs(a - b) <= mpf(2) ** -128 * abs(b) for a, b in zip(lo, hi))
+                assert table[j - 1] == float(exact * 2 ** (5 * j)), (J, j)
+                assert table[j - 1] == float(mp.bernoulli(2 * j) * 2 ** (5 * j)
+                                             / mp.factorial(2 * j)), (J, j)
