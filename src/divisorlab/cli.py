@@ -146,12 +146,12 @@ def cmd_constants(args, cfg: RunConfig) -> int:
         paper = series.main_term_coefficients("paper", precision=prec)
         exact = series.main_term_coefficients("exact", precision=prec)
         a1p, a2p = series.theorem_A_coefficients(prec)
+        at_one, at_two = series.constant_jets(prec)
         payload = {
             "precision_bits": prec,
-            "gamma": {str(m): _num(zeta_engine.stieltjes(m, prec))
-                      for m in range(5)},
-            "zeta_2": _num(zeta_engine.zeta(2, prec).real),
-            "zeta_prime_2": _num(zeta_engine.zeta_derivative(2, 1, prec).real),
+            "gamma": {str(m): _num((-1) ** m * at_one[m].real) for m in range(5)},
+            "zeta_2": _num(at_two[0].real),
+            "zeta_prime_2": _num(at_two[1].real),
             "zeta_0_squared": _num(series.residue_at_zero(prec)),
             "main_terms": {
                 "paper": {k: _num(getattr(paper, k)) for k in ("A1", "A2", "A3")},
@@ -288,8 +288,8 @@ def cmd_dirichlet_verify(args, cfg: RunConfig) -> int:
         powers = zeta_engine.dirichlet_powers_fixed(mpc(s), N + 1, wp)[0]
         partial = mpf((sum(v * p for v, p in zip(values[1: N + 1].tolist(),
                                                   powers[1:])), -wp))
-        closed = (zeta_engine.zeta(s, prec) ** 3
-                  / zeta_engine.zeta(2 * s, prec)).real
+        (zeta_s,), (zeta_2s,) = zeta_engine.zeta_pair(s, 0, 0, prec)
+        closed = (zeta_s ** 3 / zeta_2s).real
         difference = abs(partial - closed)
         tail_bound = _tail_bound(s, N, values)
     payload = {

@@ -20,7 +20,10 @@ exactly and the analytic remainder contributes O((r/R)^N) for the distance R
 to the nearest other singularity.  Since the error falls geometrically,
 nested levels of nodes measure their own error: each level doubles the last,
 and the sum stops at the first level whose change, squared over the change
-before it, is below 2^-precision.
+before it, is below 2^-precision.  The nodes sit at the angles 2 pi j / n.
+About a real centre the nodes mirror in the real axis, so only those with
+angle in [0, pi] are evaluated and each mirrored term is added as the
+conjugate: a circle that stops at 64 of 128 nodes evaluates F 33 times.
 
 Evaluation points x must be non-integers (half-integers in practice) to
 avoid the Perron jump.
@@ -265,14 +268,20 @@ def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
     """(1/2 pi i) contour integral of F(s) x^s / s on a circle, by trapezoid.
 
     Equals the residue sum of the enclosed poles.  The nodes sit at the
-    angles (2j + 1) pi / nodes.  The trapezoid sums run over nested levels:
+    angles 2 pi j / nodes.  The trapezoid sums run over nested levels:
     every 2^m-th of those nodes, from the coarsest level of at least
     MIN_LEVEL nodes, each level adding the nodes the one before lacks.  With
     d1 and d0 the changes at the last two levels, the sum stops once
     d1 <= d0 and d1^2 / d0 <= 2^-precision max(1, |value|); otherwise it
-    runs to all `nodes`.  With verify_radius the integral is repeated at half
-    the radius; disagreement signals that the circle and its half do not
-    enclose the same poles.
+    runs to all `nodes`.  About a real centre the integrand at the mirrored
+    node conj(z) is the conjugate of its value at z, so only the nodes at
+    angles in [0, pi] are evaluated: a level of m nodes costs m/2 + 1 F
+    evaluations if it is the coarsest and m/4 otherwise, and the value is
+    real, t_0 + t_{m/2} + 2 Re sum_{0<j<m/2} t_j over m.  Each F reads
+    zeta(s) and zeta(2s) from one zeta_pair; at s = 1/2, on a circle through
+    the pole of zeta(2s), F is 0.  With verify_radius the integral is
+    repeated at half the radius; disagreement signals that the circle and
+    its half do not enclose the same poles.
     """
     if nodes < MIN_NODES:
         raise DomainError(f"node count must be >= {MIN_NODES}")
@@ -285,17 +294,21 @@ def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
         c0 = mpc(center)
         r = mpf(radius)
         lx = mp.ln(mpf(x))
+        mirrored = c0.imag == 0
+        last = nodes // 2 if mirrored else nodes - 1
 
         def node_sum(first: int, step: int) -> mpc:
             total = mpc(0)
-            # The half-step offset keeps nodes off the real axis, where the
-            # zeta(2s) pole at s = 1/2 would otherwise be hit exactly.
-            for j in range(first, nodes, step):
-                w = r * mp.expjpi(mpf(2 * j + 1) / nodes)  # z - c0
+            for j in range(first, last + 1, step):
+                w = r * mp.expjpi(mpf(2 * j) / nodes)  # z - c0
                 z = c0 + w
-                total += (zeta_engine.zeta(z, precision) ** 3
-                          / zeta_engine.zeta(2 * z, precision)
-                          * mp.exp(z * lx) / z) * w
+                if 2 * z == 1:  # 1/zeta(2s) vanishes at the pole of zeta(2s)
+                    continue
+                (zs,), (z2s,) = zeta_engine.zeta_pair(z, 0, 0, precision)
+                term = zs ** 3 / z2s * mp.exp(z * lx) / z * w
+                if mirrored:  # nodes 0 and nodes/2 are their own mirrors
+                    term = term.real if 2 * j % nodes == 0 else 2 * term.real
+                total += term
             return total
 
         step = 1  # the coarsest level takes every step-th node

@@ -107,13 +107,23 @@ def residue_main_term(
         return coeffs, +value
 
 
+@functools.cache
+def constant_jets(precision: int = DEFAULT_PRECISION) -> tuple[tuple, tuple]:
+    """The engine's jet at s = 1 to order 4, of zeta(s) - 1/(s-1), whose
+    m-th entry is (-1)^m gamma_m, and its jet at s = 2 to order 1, zeta(2)
+    and zeta'(2).  One engine call each per precision per process, read by
+    the companion constants, the mode shift and the constants command."""
+    return (tuple(zeta_engine.zeta_with_derivatives(1, 4, precision)),
+            tuple(zeta_engine.zeta_with_derivatives(2, 1, precision)))
+
+
 def a2_mode_shift(precision: int = DEFAULT_PRECISION) -> mpf:
     """Closed form of A2_exact - A2_paper: -2 zeta'(2) / zeta(2)^2.
 
     Obtained by direct differentiation, independently of the series route.
     """
     with mp.workprec(precision + 16):
-        vals = zeta_engine.zeta_with_derivatives(2, 1, precision)
+        vals = constant_jets(precision)[1]
         return +(-2 * vals[1] / vals[0] ** 2).real
 
 
@@ -121,8 +131,9 @@ def theorem_A_coefficients(precision: int = DEFAULT_PRECISION) -> tuple[mpf, mpf
     """Published main-term constants of the squarefree-divisor companion sum:
     A1' = 1/zeta(2) and A2' = (2 gamma - 1)/zeta(2)."""
     with mp.workprec(precision + 16):
-        z2 = zeta_engine.zeta(2, precision).real
-        g = zeta_engine.stieltjes(0, precision)
+        at_one, at_two = constant_jets(precision)
+        z2 = at_two[0].real
+        g = at_one[0].real
         return +(1 / z2), +((2 * g - 1) / z2)
 
 

@@ -126,13 +126,15 @@ def coefficient_for(gamma, precision: int = DEFAULT_PRECISION) -> ZeroTermCoeffi
 
     gamma must already be polished (|zeta(1/2 + i gamma)| < 1e-8).  Negative
     ordinates are handled by conjugation of the positive-gamma result.
+    zeta(rho/2) and the jet zeta(rho), zeta'(rho) come from one zeta_pair
+    at rho/2.
     """
     with mp.workprec(precision + 16):
         g = mpf(gamma)
         if g < 0:
             return coefficient_for(-g, precision).conjugate()
-        rho = mpc(mpf("0.5"), g)
-        val, der = zeta_engine.zeta_with_derivatives(rho, 1, precision)[:2]
+        rho_half = mpc(mpf("0.25"), g / 2)
+        (z_half,), (val, der) = zeta_engine.zeta_pair(rho_half, 0, 1, precision)
         if abs(val) >= mpf("1e-8"):
             raise DomainError(
                 f"ordinate {g} is not a polished zero: |zeta(rho)| = {abs(val)}"
@@ -142,9 +144,7 @@ def coefficient_for(gamma, precision: int = DEFAULT_PRECISION) -> ZeroTermCoeffi
                 f"|zeta'(rho)| = {abs(der)} at gamma = {g}: "
                 "numerically violates the simple-zero assumption"
             )
-        rho_half = mpc(mpf("0.25"), g / 2)
-        z3 = zeta_engine.zeta(rho_half, precision) ** 3
-        coeff = z3 / (rho_half * 2 * der)
+        coeff = z_half ** 3 / (rho_half * 2 * der)
         return ZeroTermCoefficient(
             ordinate=+g,
             rho_half=+rho_half,

@@ -27,9 +27,16 @@ product.  The jet sums n^-s (ln n)^k and applies (-1)^k / k! once.  The
 Bernoulli terms share the factor N^(-1-s), so they are summed as one jet
 sum_j B_2j/(2j)! Q_j(s) with Q_j = N^(2-2j) P_j(s), scaled by N^-2 per step,
 from one fixed-point coefficient table per (J, precision).  Each jet entry
-becomes an mpc once; the pole term, N^-s / 2 and N^(-1-s) stay in mpc.  The
+becomes an mpc once; the pole term, N^-s / 2 and N^(-1-s) stay in mpc and
+share one complex exp, E = N^-s, as E N, E / 2 and E / N.  The
 smallest-prime-factor table and the logs hold integers only; no mp value
 outlives a call.
+
+zeta_pair returns the jets at s and at 2s as two engine calls that read one
+n^-s table, as the float64 F does: built to the larger N at the larger
+fixed-point scale, its rows squared for 2s.  The multiprecision F on the
+residue circles and the zero coefficients zeta^3(rho/2) / (rho/2 2 zeta'(rho))
+read their values from it.
 
 Also here: the Stieltjes constants gamma_0..gamma_8, read from one jet of
 the engine at s = 1, and Newton polishing of critical-line zero ordinates.
@@ -249,14 +256,35 @@ def _from_fixed(re: int, im: int, bits: int) -> mpc:
     return mpc(mpf((re, -bits)), mpf((im, -bits)))
 
 
+def _engine_plan(z: mpc, kmax: int, precision: int) -> tuple[int, int, int, int]:
+    """(N, J, working precision, fixed-point scale wp) of one engine call at z.
+
+    Left of 0 the terms reach N^-sigma, and the k-th derivative carries
+    (ln N)^k more, while the result can be of order 1 or smaller: the pieces
+    cancel by that many bits, which the working precision adds to
+    precision + 24.  wp adds guard bits for summing N terms.
+    """
+    sigma = float(z.real)
+    N, J = _em_parameters(precision, abs(float(z.imag)), sigma)
+    prec = (precision + 24 + math.ceil(max(0.0, -sigma) * math.log2(N))
+            + kmax * math.ceil(math.log2(math.log(N))))
+    return N, J, prec, prec + N.bit_length()
+
+
 def zeta_with_derivatives(
     s,
     kmax: int = 0,
     precision: int = DEFAULT_PRECISION,
     height_cap: float = DEFAULT_HEIGHT_CAP,
+    _powers=None,
 ) -> list[mpc]:
     """[zeta(s), zeta'(s), ..., zeta^(kmax)(s)] in one Euler-Maclaurin pass.
-    At s = 1, those of zeta(s) - 1/(s-1): the m-th is (-1)^m gamma_m."""
+    At s = 1, those of zeta(s) - 1/(s-1): the m-th is (-1)^m gamma_m.
+
+    _powers is zeta_pair's: (wp, rows), rows() returning the Re n^-s,
+    Im n^-s and ln n lists of dirichlet_powers_fixed for at least the N this
+    call picks, at a scale wp at least its own.
+    """
     global _calls
     _calls += 1
     if precision < MIN_PRECISION:
@@ -268,20 +296,16 @@ def zeta_with_derivatives(
             raise HeightRangeError(
                 f"|Im s| = {t_abs} exceeds the evaluation cap {height_cap}"
             )
-        sigma = float(z.real)
-        N, J = _em_parameters(precision, t_abs, sigma)
+        N, J, prec, wp = _engine_plan(z, kmax, precision)
+        mp.prec = prec  # until the workprec block exits
         K = kmax + 1
-        # Left of 0 the terms reach N^-sigma, and the k-th derivative carries
-        # (ln N)^k more, while the result can be of order 1 or smaller: the
-        # pieces cancel by that many bits, which the working precision adds
-        # (until the workprec block exits).
-        mp.prec += (math.ceil(max(0.0, -sigma) * math.log2(N))
-                    + kmax * math.ceil(math.log2(math.log(N))))
-        # Fixed point at the scale 2^wp: guard bits for summing N terms.
-        wp = mp.prec + N.bit_length()
 
         # sum_n n^-s (ln n)^k; the jet coefficient is (-1)^k / k! of it.
-        re, im, ln = dirichlet_powers_fixed(z, N, wp)
+        if _powers is None:
+            re, im, ln = dirichlet_powers_fixed(z, N, wp)
+        else:
+            wp, rows = _powers
+            re, im, ln = (column[:N] for column in rows())
         out = []
         for k in range(K):
             if k:
@@ -291,6 +315,7 @@ def zeta_with_derivatives(
                        * (mpf(-1) ** k / math.factorial(k)))
 
         L = mp.ln(N)
+        E = mp.exp(-z * L)  # N^-s; the pieces read N^(1-s) = E N, N^(-1-s) = E / N
         if z == 1:
             # N^-h/h - 1/h = (N^-h - 1)/h = sum_k (-L)^(k+1) h^k / (k+1)!
             pieces = [_exp_jet(1, -L, K + 1)[1:]]
@@ -300,8 +325,8 @@ def zeta_with_derivatives(
             pole = [v]
             for _ in range(1, K):
                 pole.append(pole[-1] * -v)
-            pieces = [jet_mul(_exp_jet(mp.exp((1 - z) * L), -L, K), pole)]
-        pieces.append(_exp_jet(mp.exp(-z * L) / 2, -L, K))  # N^-s / 2
+            pieces = [jet_mul(_exp_jet(E * N, -L, K), pole)]
+        pieces.append(_exp_jet(E / 2, -L, K))  # N^-s / 2
 
         # Bernoulli corrections sum_j B_2j/(2j)! P_j(s) N^(1-s-2j), folded as
         # N^(-1-s) sum_j B_2j/(2j)! Q_j(s) with Q_j = N^(2-2j) P_j: one jet
@@ -336,11 +361,46 @@ def zeta_with_derivatives(
                 tre[a] += coeff * Qre[a]
                 tim[a] += coeff * Qim[a]
         tail = [_from_fixed(x, y, wp + bits) for x, y in zip(tre, tim)]
-        pieces.append(jet_mul(tail, _exp_jet(mp.exp((-z - 1) * L), -L, K)))
+        pieces.append(jet_mul(tail, _exp_jet(E / N, -L, K)))
         for piece in pieces:
             for k, c in enumerate(piece):
                 out[k] += c
         return [+(c * math.factorial(k)) for k, c in enumerate(out)]
+
+
+def zeta_pair(s, kmax_s: int = 0, kmax_2s: int = 0,
+              precision: int = DEFAULT_PRECISION,
+              height_cap: float = DEFAULT_HEIGHT_CAP) -> tuple[list[mpc], list[mpc]]:
+    """The jets [zeta^(k)(s)], k <= kmax_s, and [zeta^(k)(2s)], k <= kmax_2s,
+    as two engine calls that read one n^-s table.
+
+    The table is built once, by the first call, to the larger of the two
+    calls' N and at the larger of their fixed-point scales; the 2s call sums
+    its rows squared, n^-2s = (n^-s)^2, with the same ln n.  Raises
+    PoleError at s = 1 and at 2s = 1, where the engine would return the
+    regular part, and HeightRangeError past the cap on |Im 2s|.
+    """
+    with mp.workprec(precision + 24):
+        z = mpc(s)
+        double = 2 * z
+    if z == 1 or double == 1:
+        raise PoleError(f"zeta(s) or zeta(2s) has a pole at s = {z}")
+    if abs(float(double.imag)) > height_cap:
+        raise HeightRangeError(
+            f"|Im 2s| = {abs(float(double.imag))} exceeds the evaluation cap {height_cap}"
+        )
+    N1, _, _, wp1 = _engine_plan(z, kmax_s, precision)
+    N2, _, _, wp2 = _engine_plan(double, kmax_2s, precision)
+    wp = max(wp1, wp2)
+    rows = functools.cache(lambda: dirichlet_powers_fixed(z, max(N1, N2), wp))
+
+    def squares():
+        re, im, ln = (column[:N2] for column in rows())
+        return ([(x * x - y * y) >> wp for x, y in zip(re, im)],
+                [(2 * x * y) >> wp for x, y in zip(re, im)], ln)
+
+    return (zeta_with_derivatives(z, kmax_s, precision, height_cap, (wp, rows)),
+            zeta_with_derivatives(double, kmax_2s, precision, height_cap, (wp, squares)))
 
 
 def zeta(s, precision: int = DEFAULT_PRECISION,

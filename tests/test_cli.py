@@ -5,7 +5,8 @@ import json
 import pytest
 from mpmath import mp, mpf
 
-from divisorlab import cli, perron, sieve, zeros
+from divisorlab import cli, perron, series, sieve, zeros
+from divisorlab import zeta as zeta_engine
 
 from conftest import ZEROS_PATH, perron_reference
 
@@ -42,6 +43,50 @@ def test_constants(capsys):
     assert payload["main_terms"]["paper"]["A1"].startswith("0.30396355")
     assert payload["main_terms"]["A2_mode_shift"].startswith("0.69298946")
     assert payload["companion"]["A1_prime"].startswith("0.60792710")
+
+
+def test_constants_engine_calls(capsys):
+    """On fresh caches one constants run makes 9 engine calls: per mode the
+    s = 1 jet, zeta(2) or the s = 2 jet and zeta(0); the s = 1 jet to order
+    4 and the s = 2 jet to order 1 that every gamma_m, zeta(2), zeta'(2)
+    and the companion constants read; and zeta(0) once more.  Each gamma_m
+    prints as stieltjes(m) does."""
+    series._main_term_coefficients.cache_clear()
+    series.constant_jets.cache_clear()
+    zeta_engine.reset_call_count()
+    payload = run_json(capsys, "constants", "--precision-bits", "64")
+    assert zeta_engine.call_count() == 9
+    with mp.workprec(80):
+        for m in range(5):
+            assert payload["gamma"][str(m)] == cli._num(zeta_engine.stieltjes(m, 64)), m
+
+
+def test_module_attribute_sees_every_engine_call(capsys, monkeypatch, zero_table):
+    """A wrapper at the module attribute zeta.zeta_with_derivatives, where
+    the benchmark's tracer installs its own, sees every call that
+    call_count() counts."""
+    seen = []
+    engine = zeta_engine.zeta_with_derivatives
+
+    def wrapper(*args, **kwargs):
+        seen.append(args[0])
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(zeta_engine, "zeta_with_derivatives", wrapper)
+    gamma = zero_table.ordinates[0]
+    runs = {
+        "real-centre circle": lambda: perron.residue_by_circle(
+            1.0, 0.2, 1000.5, verify_radius=True),
+        "zero-pole circle": lambda: perron.residue_by_circle(
+            complex(0.25, float(gamma) / 2), 0.2, 1000.5),
+        "coefficient_for": lambda: zeros.coefficient_for(gamma),
+        "dirichlet-verify": lambda: run_json(capsys, "dirichlet-verify", "3", "10000"),
+    }
+    for name, run_once in runs.items():
+        seen.clear()
+        zeta_engine.reset_call_count()
+        run_once()
+        assert len(seen) == zeta_engine.call_count() > 0, name
 
 
 def test_zeros_import(capsys):

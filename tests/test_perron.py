@@ -268,16 +268,19 @@ class TestCircleResidues:
 
 
 def _circle_node(center, radius, j: int, nodes: int) -> mpc:
-    return mpc(center) + mpf(radius) * mp.expjpi(mpf(2 * j + 1) / nodes)
+    return mpc(center) + mpf(radius) * mp.expjpi(mpf(2 * j) / nodes)
 
 
 def _one_level_trapezoid(center, radius: float, x: float, nodes: int,
                          precision: int = 128) -> mpc:
-    """The plain trapezoid rule on all `nodes` circle nodes, one sum."""
+    """The plain trapezoid rule on all `nodes` circle nodes, one sum, with
+    zeta(s) and zeta(2s) from separate engine calls; F(1/2) = 0."""
     with mp.workprec(precision + 16):
         total = mpc(0)
         for j in range(nodes):
             z = _circle_node(center, radius, j, nodes)
+            if 2 * z == 1:
+                continue
             total += (zeta_engine.zeta(z, precision) ** 3
                       / zeta_engine.zeta(2 * z, precision)
                       * mp.exp(z * mp.ln(x)) / z * (z - mpc(center)))
@@ -297,39 +300,52 @@ class TestNestedCircle:
             assert abs(got - want) <= mpf(2) ** -128 * abs(want), center
 
     def test_verified_pole_at_one_halves_the_calls(self):
-        """Both circles of --verify-radius stop at 64 of 128 nodes: at most
-        256 zeta calls where the one-level rule made 512."""
+        """Both circles of --verify-radius stop at 64 of 128 nodes and
+        evaluate only the 33 with angle in [0, pi], each one zeta_pair of
+        two engine calls: 132 where the one-level rule on all nodes made
+        512."""
         zeta_engine.reset_call_count()
         perron.residue_by_circle(1.0, 0.2, 1000.5, verify_radius=True)
-        assert zeta_engine.call_count() <= 256
+        assert zeta_engine.call_count() == 2 * 2 * 33
 
     def test_slow_circle_reaches_the_cap(self):
         """About 0.6 with radius 0.5 the circle passes 0.1 from the poles at
-        0 and 1, so the levels converge slowly and all 256 nodes run."""
+        0 and 1, so the levels converge slowly and all 256 nodes run: the
+        129 with angle in [0, pi] are evaluated."""
         zeta_engine.reset_call_count()
         perron.residue_by_circle(0.6, 0.5, 500.0, nodes=256)
-        assert zeta_engine.call_count() == 2 * 256
+        assert zeta_engine.call_count() == 2 * (256 // 2 + 1)
 
     def test_96_nodes_nest(self, monkeypatch):
         """96 nodes nest as 24, 48, 96: every fourth node, then the nodes
-        halfway between, then the odd ones, each node once, and the value is
-        the one-level trapezoid's."""
+        halfway between, then the odd ones, each node with angle in [0, pi]
+        once and no mirrored node, and the value is the one-level
+        trapezoid's on all 96 nodes."""
         seen = []
-        zeta = zeta_engine.zeta
+        pair = zeta_engine.zeta_pair
 
-        def spy(s, precision):
+        def spy(s, kmax_s, kmax_2s, precision):
             seen.append(s)
-            return zeta(s, precision)
+            return pair(s, kmax_s, kmax_2s, precision)
 
-        monkeypatch.setattr(perron.zeta_engine, "zeta", spy)
+        monkeypatch.setattr(perron.zeta_engine, "zeta_pair", spy)
         got = perron.residue_by_circle(1.0, 0.2, 500.5, nodes=96)
         monkeypatch.undo()
-        order = [*range(0, 96, 4), *range(2, 96, 4), *range(1, 96, 2)]
-        assert len(seen) == 2 * 96
-        for j, z in zip(order, seen[0::2]):
+        order = [*range(0, 49, 4), *range(2, 48, 4), *range(1, 48, 2)]
+        assert len(seen) == len(order) == 96 // 2 + 1
+        for j, z in zip(order, seen):
+            assert z.imag >= 0, j
             assert abs(z - _circle_node(1.0, 0.2, j, 96)) < mpf(2) ** -120, j
         want = _one_level_trapezoid(1.0, 0.2, 500.5, 96)
         assert abs(got - want) <= mpf(2) ** -128 * abs(want)
+        assert got.imag == 0
+
+    def test_node_at_the_pole_of_zeta_2s(self):
+        """About 0.625 with radius 0.125 the node at angle pi is s = 1/2,
+        where zeta(2s) has its pole and F vanishes; the circle encloses no
+        pole of F x^s / s."""
+        got = perron.residue_by_circle(0.625, 0.125, 1000.5)
+        assert abs(got) <= mpf(2) ** -100
 
 
 class TestTruncationDecay:

@@ -263,6 +263,41 @@ def test_call_counter():
         engine.zeta_with_derivatives(mpc(0.5, 14 + kmax), kmax)
         engine.zeta_derivative(mpc(-1, 3), kmax)
         assert engine.call_count() == before + 2
+        engine.zeta_pair(mpc(0.25, 7 + kmax), kmax, 4 - kmax)
+        assert engine.call_count() == before + 4
+
+
+def _pair_points(zero_table):
+    """Circle nodes about 1 and about 0 (where Re 2s < 0 lifts the working
+    precision), rho_k/2 for k = 1, 50, 100, and a point whose |Im 2s| is
+    near the height cap, each with the jet orders (kmax_s, kmax_2s)."""
+    nodes = [(c + r * mp.expjpi(mpf(2 * j) / 16), (0, 0), (2, 1))
+             for c, r in ((1, 0.2), (0, 0.15)) for j in (0, 3, 8, 13)]
+    zeros = [(mpc(0.25, zero_table.ordinates[k - 1] / 2), (0, 1), (1, 2))
+             for k in (1, 50, 100)]
+    return nodes + zeros + [(mpc(0.3, 4999.5), (0, 1))]
+
+
+class TestZetaPair:
+    @pytest.mark.parametrize("precision", [64, 128, 192])
+    def test_matches_separate_calls(self, zero_table, precision):
+        bound = mpf(2) ** -(precision + 8)
+        for s, *orders in _pair_points(zero_table):
+            for kmax_s, kmax_2s in orders:
+                at_s, at_2s = engine.zeta_pair(s, kmax_s, kmax_2s, precision)
+                want_s = engine.zeta_with_derivatives(s, kmax_s, precision)
+                want_2s = engine.zeta_with_derivatives(2 * mpc(s), kmax_2s, precision)
+                assert len(at_s) == kmax_s + 1 and len(at_2s) == kmax_2s + 1
+                for got, want in zip(at_s + at_2s, want_s + want_2s):
+                    assert abs(got - want) <= bound * max(1, abs(want)), (s, got, want)
+
+    def test_pole_guard_and_height_cap(self):
+        for s in (1, 0.5, mpc(0.5, 0), mpc(1, 0)):
+            with pytest.raises(PoleError):
+                engine.zeta_pair(s)
+        engine.zeta_pair(mpc(0.25, 4999))
+        with pytest.raises(HeightRangeError):
+            engine.zeta_pair(mpc(0.25, 5001))  # |Im s| is below the cap, |Im 2s| is not
 
 
 def test_smallest_prime_factors_match_trial_division():
