@@ -145,8 +145,8 @@ def cmd_constants(args, cfg: RunConfig) -> int:
     with mp.workprec(prec + 16):
         paper = series.main_term_coefficients("paper", precision=prec)
         exact = series.main_term_coefficients("exact", precision=prec)
-        a1p, a2p = series.theorem_A_coefficients(prec)
-        at_one, at_two = series.constant_jets(prec)
+        a1p, a2p = series.residue_coefficients(2, "paper", prec)
+        at_one, at_two, _ = series.constant_jets(prec)
         payload = {
             "precision_bits": prec,
             "gamma": {str(m): _num((-1) ** m * at_one[m].real) for m in range(5)},

@@ -7,11 +7,15 @@ For the divisor-square sum the decomposition reads
            + E(x),
 
 with the coefficients from the series module and one cosine term per
-conjugate pair of zeros.  compare() fills an ErrorReport over a grid of
-half-integer x, with E normalized by x^(1/4) and x^(1/3).
+conjugate pair of zeros, 2 Re(A_g x^(rho/2)).  compare() fills an
+ErrorReport over a grid of half-integer x, with E normalized by x^(1/4) and
+x^(1/3).
 
 Companion modes: the squarefree-divisor sum (main term A1' x log x + A2' x,
 no zero sum) and the squarefree-indicator sum (main term x / zeta(2)).
+Every main term is series.residue_coefficients(j, mode) for the j of
+sieve's route, zeta^j(s) / zeta(2s), evaluated by main_value; only the
+divisor-square sum adds the residue at s = 0.
 """
 
 from __future__ import annotations
@@ -29,11 +33,10 @@ from .errors import DomainError
 from .series import (
     MainTermCoefficients,
     main_term_coefficients,
-    two_omega_coefficients,
+    residue_coefficients,
 )
-from .sieve import ArithmeticFunction, prefix_sums_at
+from .sieve import _ROUTES, ArithmeticFunction, prefix_sums_at
 from .zeros import ZeroTable, ZeroTermCoefficient
-from . import zeta as zeta_engine
 from .zeta import DEFAULT_PRECISION
 
 CSV_COLUMNS = ["x", "S", "main", "zero_sum", "zeros_used", "E", "E_x14", "E_x13"]
@@ -116,19 +119,17 @@ def log_grid(start: float, stop: float, count: int,
     return out
 
 
-def main_value(x: float, coefficients: MainTermCoefficients,
-               include_constant: bool = True) -> float:
-    """Smooth part A1 x log^2 x + A2 x log x + A3 x (+ the s = 0 constant)."""
+def main_value(x: float, terms: tuple, constant=0) -> float:
+    """Smooth part x sum_i terms[i] (log x)^(len(terms) - 1 - i) + constant:
+    for d(n^2), A1 x log^2 x + A2 x log x + A3 x and the s = 0 constant."""
     if x <= 1:
         raise DomainError("x must be > 1")
     with mp.workprec(96):
         xv = mpf(x)
         lam = mp.ln(xv)
-        value = xv * (coefficients.A1 * lam ** 2
-                      + coefficients.A2 * lam + coefficients.A3)
-        if include_constant:
-            value += coefficients.constant_term
-        return float(value)
+        top = len(terms) - 1
+        value = xv * sum(c * lam ** (top - i) for i, c in enumerate(terms))
+        return float(value + constant)
 
 
 def select_zero_terms(
@@ -158,13 +159,12 @@ def select_zero_terms(
 
 
 def zero_sum_terms(x, terms: list[ZeroTermCoefficient]):
-    """(real zero sum, pre-pairing imaginary residue) at x, a float or an array.
+    """The zero sum 2 Re(sum_k A_k x^(rho_k/2)) at x, a float or an array.
 
-    Each zero contributes A x^(1/4 + i g/2) plus the conjugate term; both
-    halves are evaluated independently and the leftover imaginary part is
-    returned as a realness diagnostic.  The coefficients are converted to
-    complex once, and a grid of x is one (x by zero) array product; an array
-    x gives arrays back, a scalar x gives floats.
+    Each conjugate pair contributes A x^(1/4 + i g/2) plus its conjugate,
+    so one complex exp per (x, zero) gives both.  The coefficients are
+    converted to complex once, and a grid of x is one (x by zero) array
+    product; an array x gives an array back, a scalar x a float.
     """
     xs = np.asarray(x, dtype=np.float64)
     if np.any(xs <= 1):
@@ -172,10 +172,8 @@ def zero_sum_terms(x, terms: list[ZeroTermCoefficient]):
     rho = np.array([complex(c.rho_half) for c in terms], dtype=np.complex128)
     a = np.array([complex(c.coefficient) for c in terms], dtype=np.complex128)
     lx = np.log(xs)[..., None]
-    total = (a * np.exp(rho * lx) + a.conj() * np.exp(rho.conj() * lx)).sum(axis=-1)
-    if xs.ndim == 0:
-        return float(total.real), float(abs(total.imag))
-    return total.real, np.abs(total.imag)
+    total = 2 * (a * np.exp(rho * lx)).sum(axis=-1).real
+    return float(total) if xs.ndim == 0 else total
 
 
 def compare(
@@ -191,47 +189,43 @@ def compare(
     """Exact prefix sums versus the analytic decomposition over a grid.
 
     The exact sums come from one prefix_sums_at call for the whole grid
-    (sum mu(k) D_j(x // k^2), one D_j table); the zero sum applies only to
-    the divisor-square function and is one array product over the grid.
+    (sum mu(k) D_j(x // k^2), one D_j table); the main term is the residue
+    at s = 1 for the same j; the zero sum applies only to the divisor-square
+    function and is one array product over the grid.
     """
     xs = sorted(float(x) for x in x_grid)
     if xs[0] <= 1:
         raise DomainError("grid points must exceed 1")
     report = ErrorReport(function=function, mode=mode, cutoff=cutoff)
 
+    j, over_all_k = _ROUTES[function]
+    if not over_all_k or j > 3:
+        raise DomainError(
+            f"no analytic main term implemented for {function.value}; "
+            "it is sieve/identity checked only"
+        )
     floors = [int(x) for x in xs]
     sums = prefix_sums_at(function, floors)
 
+    constant = 0
     if function is ArithmeticFunction.D_SQUARE:
         if coefficients is None:
             coefficients = main_term_coefficients(mode, precision=precision)
-        main_of = lambda x: main_value(x, coefficients, include_constant)
-    elif function is ArithmeticFunction.TWO_OMEGA:
-        a1p, a2p = two_omega_coefficients(mode, precision)
-        main_of = lambda x: float(a1p) * x * math.log(x) + float(a2p) * x
-    elif function is ArithmeticFunction.MU_SQUARED:
-        inv_z2 = float(1 / zeta_engine.zeta(2, precision).real)
-        main_of = lambda x: x * inv_z2
+        terms = (coefficients.A1, coefficients.A2, coefficients.A3)
+        if include_constant:
+            constant = coefficients.constant_term
     else:
-        raise DomainError(
-            f"no analytic main term implemented for {function.value}; "
-            "the divisor-square-squared sum is sieve/identity checked only"
-        )
+        terms = residue_coefficients(j, mode, precision)
 
     chosen: list[ZeroTermCoefficient] = []
     if function is ArithmeticFunction.D_SQUARE and zero_coefficients and cutoff:
         chosen, warns = select_zero_terms(zero_coefficients, cutoff)
         report.warnings.extend(warns)
 
-    zero_sums, imag_resids = zero_sum_terms(np.array(xs), chosen)
-    for x, fl, zs, imag_resid in zip(xs, floors, zero_sums.tolist(),
-                                     imag_resids.tolist()):
+    zero_sums = zero_sum_terms(np.array(xs), chosen)
+    for x, fl, zs in zip(xs, floors, zero_sums.tolist()):
         s_exact = sums[fl]
-        main = main_of(x)
-        if imag_resid >= 1e-10 * x ** 0.25:
-            report.warnings.append(
-                f"pre-pairing imaginary residue {imag_resid} at x = {x}"
-            )
+        main = main_value(x, terms, constant)
         e = float(s_exact) - main - zs
         report.rows.append(ReportRow(
             x=x, S_exact=s_exact, main=main, zero_sum=zs,
@@ -265,7 +259,7 @@ def conjecture_scan(
     cutoff = cutoff or Cutoff("count", len(table))
     chosen, _ = select_zero_terms(zero_coefficients, cutoff)
     xs = sorted(float(x) for x in x_grid)
-    values, _ = zero_sum_terms(np.array(xs), chosen)
+    values = zero_sum_terms(np.array(xs), chosen)
     trace = []
     sup_ratio, argmax = 0.0, float("nan")
     for x, value in zip(xs, values.tolist()):

@@ -1,23 +1,33 @@
-"""Residue coefficients of the main term, from three-term Taylor jets.
+"""Residue coefficients of the main terms, from three cached zeta jets.
 
-The residue of zeta(s)^3 / zeta(2s) * x^s / s at the order-3 pole s = 1 needs
-three Laurent coefficients.  With h = s - 1 it is read off the product of
-three-term jets (coefficients of h^0, h^1, h^2): (h zeta(1+h))^3, whose jet
-is (1, gamma_0, -gamma_1)^3 in the Stieltjes constants; 1/zeta(2+2h); and
-1/(1+h) = (1, -1, 1) for the 1/s factor.  (1, gamma_0, -gamma_1) is read
-from the zeta engine, which returns the jet of zeta(s) - 1/(s-1) at s = 1.
-The h^0, h^1, h^2 coefficients r0, r1, r2 of that product give the residue
-x (r0 (log x)^2 / 2 + r1 log x + r2).
+Every analytic constant here is read from constant_jets(P), three engine
+calls per precision per process: the jet at s = 1 to order 4 of
+zeta(s) - 1/(s-1), whose m-th entry is (-1)^m gamma_m; the jet at s = 2 to
+order 2; and zeta(0).
+
+A sum of f(n) whose Dirichlet series is zeta^j(s) q(s), q = 1/zeta(2s), has
+as main term the residue of zeta^j(s) q(s) x^s / s at the order-j pole
+s = 1: j = 3 for d(n^2), 2 for 2^omega and 1 for |mu|.  With h = s - 1 it is
+read off the product of j-term jets (coefficients of h^0 .. h^(j-1)):
+(h zeta(1+h))^j, whose jet is (1, gamma_0, -gamma_1, ...)^j in the Stieltjes
+constants (its h^(m+1) entry is (-1)^m gamma_m / m!); q(1+h); and
+1/(1+h) = (1, -1, 1, ...) for the 1/s factor.  With r_i the h^i
+coefficient of that product the residue is
+x sum_i r_i (log x)^(j-1-i) / (j-1-i)!, so for d(n^2) it is
+x (r0 (log x)^2 / 2 + r1 log x + r2).  residue_coefficients is that one
+routine for every j.
 
 Two coefficient modes are exposed.  The 'paper' mode freezes 1/zeta(2s) at
-its value 1/zeta(2), which yields
+its value 1/zeta(2), which yields for d(n^2)
 
     x ((log x)^2 + (6g - 2) log x + 6g^2 - 6g - 6g_1 + 2) / (2 zeta(2)),
 
-with g, g_1 the first two Stieltjes constants.  The 'exact' mode expands
-1/zeta(2s) fully, which shifts the x log x and x coefficients by terms
-involving zeta'(2) and zeta''(2).  Both are reported; the x log x shift has
-the closed form -2 zeta'(2) / zeta(2)^2.
+with g, g_1 the first two Stieltjes constants, and for 2^omega
+x (log x + 2g - 1) / zeta(2).  The 'exact' mode expands 1/zeta(2s) fully,
+which shifts the x log x and x coefficients by terms involving zeta'(2) and
+zeta''(2).  Both are reported; the x log x shift of d(n^2), like the x
+shift of 2^omega, has the closed form -2 zeta'(2) / zeta(2)^2.  For |mu|
+both modes give x / zeta(2).
 """
 
 from __future__ import annotations
@@ -38,8 +48,9 @@ MODES = ("paper", "exact")
 
 @dataclass(frozen=True)
 class MainTermCoefficients:
-    """Coefficients of x log^2 x, x log x, x in the smooth part of the sum,
-    plus the constant contributed by the residue at s = 0."""
+    """Coefficients of x log^2 x, x log x, x in the smooth part of the
+    divisor-square sum, plus the constant contributed by the residue at
+    s = 0."""
 
     A1: mpf
     A2: mpf
@@ -51,41 +62,49 @@ class MainTermCoefficients:
 def residue_at_zero(precision: int = DEFAULT_PRECISION) -> mpf:
     """Residue of F(s) x^s / s at s = 0: zeta(0)^2 = 1/4, independent of x."""
     with mp.workprec(precision + 16):
-        z0 = zeta_engine.zeta(0, precision)
+        z0 = constant_jets(precision)[2][0]
         return +(z0 * z0).real
+
+
+def residue_coefficients(j: int, mode: str,
+                         precision: int = DEFAULT_PRECISION) -> tuple[mpf, ...]:
+    """Residue at s = 1 of zeta^j(s) q(s) x^s / s for 1 <= j <= 3, as the
+    coefficients of x (log x)^(j-1), ..., x log x, x.
+
+    q = 1/zeta(2s) is frozen at 1/zeta(2) in 'paper' mode and expanded in
+    'exact' mode.  The coefficients are r_i / (j-1-i)!, r the first j terms
+    of the jet product (1, gamma_0, -gamma_1, ...)^j q(1+h) / (1+h).
+    """
+    if mode not in MODES:
+        raise DomainError("mode must be 'paper' or 'exact'")
+    at_one, at_two, _ = constant_jets(precision)
+    with mp.workprec(precision + 16):
+        e = [mpc(1)] + [at_one[m] / math.factorial(m) for m in range(j - 1)]
+        if mode == "exact":
+            q = jet_inverse([at_two[k] * 2**k / math.factorial(k) for k in range(j)])
+        else:
+            q = [1 / at_two[0]] + [mpc(0)] * (j - 1)
+        r = e
+        for _ in range(j - 1):
+            r = jet_mul(r, e)
+        r = jet_mul(jet_mul(r, q), [(-1) ** k for k in range(j)])
+        return tuple(+(r[i] / math.factorial(j - 1 - i)).real for i in range(j))
 
 
 def main_term_coefficients(
     mode: str,
     precision: int = DEFAULT_PRECISION,
 ) -> MainTermCoefficients:
-    """Residue data at s = 1 in either coefficient mode.
-
-    With r = (h zeta(1+h))^3 * q(1+h) * 1/(1+h) as a three-term jet (q the
-    1/zeta(2s) factor), the residue of zeta^3(s) q(s) x^s / s at s = 1 is
-        x (r0 (log x)^2 / 2 + r1 log x + r2),
-    so A1 = r0 / 2, A2 = r1, A3 = r2.  Computed once per (mode, precision)
-    per process: the fields are immutable mpf values.
-    """
-    if mode not in MODES:
-        raise DomainError("mode must be 'paper' or 'exact'")
+    """Residue data of d(n^2) in either coefficient mode: A1, A2, A3 from
+    residue_coefficients(3, mode, precision), and the residue at s = 0.
+    Computed once per (mode, precision) per process: the fields are
+    immutable mpf values."""
     return _main_term_coefficients(mode, precision)
 
 
 @functools.cache
 def _main_term_coefficients(mode: str, precision: int) -> MainTermCoefficients:
-    g0, minus_g1 = zeta_engine.zeta_with_derivatives(1, 1, precision)
-    with mp.workprec(precision + 16):
-        e = [mpc(1), +g0, +minus_g1]
-        if mode == "exact":
-            ders = zeta_engine.zeta_with_derivatives(2, 2, precision)
-            q = jet_inverse([ders[k] * 2**k / math.factorial(k) for k in range(3)])
-        else:
-            q = [1 / zeta_engine.zeta(2, precision), mpc(0), mpc(0)]
-        r = jet_mul(jet_mul(jet_mul(jet_mul(e, e), e), q), [1, -1, 1])
-        a1 = +(r[0] / 2).real
-        a2 = +r[1].real
-        a3 = +r[2].real
+    a1, a2, a3 = residue_coefficients(3, mode, precision)
     return MainTermCoefficients(
         A1=a1, A2=a2, A3=a3, constant_term=residue_at_zero(precision), mode=mode
     )
@@ -108,13 +127,14 @@ def residue_main_term(
 
 
 @functools.cache
-def constant_jets(precision: int = DEFAULT_PRECISION) -> tuple[tuple, tuple]:
-    """The engine's jet at s = 1 to order 4, of zeta(s) - 1/(s-1), whose
-    m-th entry is (-1)^m gamma_m, and its jet at s = 2 to order 1, zeta(2)
-    and zeta'(2).  One engine call each per precision per process, read by
-    the companion constants, the mode shift and the constants command."""
-    return (tuple(zeta_engine.zeta_with_derivatives(1, 4, precision)),
-            tuple(zeta_engine.zeta_with_derivatives(2, 1, precision)))
+def constant_jets(precision: int) -> tuple[tuple, tuple, tuple]:
+    """The engine's jets at s = 1 to order 4, of zeta(s) - 1/(s-1), whose
+    m-th entry is (-1)^m gamma_m; at s = 2 to order 2, zeta(2), zeta'(2) and
+    zeta''(2); and at s = 0, zeta(0).  One engine call each per precision
+    per process, read by every constant of this module and the constants
+    command."""
+    return tuple(tuple(zeta_engine.zeta_with_derivatives(s, kmax, precision))
+                 for s, kmax in ((1, 4), (2, 2), (0, 0)))
 
 
 def a2_mode_shift(precision: int = DEFAULT_PRECISION) -> mpf:
@@ -125,30 +145,3 @@ def a2_mode_shift(precision: int = DEFAULT_PRECISION) -> mpf:
     with mp.workprec(precision + 16):
         vals = constant_jets(precision)[1]
         return +(-2 * vals[1] / vals[0] ** 2).real
-
-
-def theorem_A_coefficients(precision: int = DEFAULT_PRECISION) -> tuple[mpf, mpf]:
-    """Published main-term constants of the squarefree-divisor companion sum:
-    A1' = 1/zeta(2) and A2' = (2 gamma - 1)/zeta(2)."""
-    with mp.workprec(precision + 16):
-        at_one, at_two = constant_jets(precision)
-        z2 = at_two[0].real
-        g = at_one[0].real
-        return +(1 / z2), +((2 * g - 1) / z2)
-
-
-def two_omega_coefficients(mode: str = "exact",
-                           precision: int = DEFAULT_PRECISION) -> tuple[mpf, mpf]:
-    """Main-term constants for the squarefree-divisor sum in both modes.
-
-    The published constants treat 1/zeta(2s) as locally constant at s = 1,
-    exactly as in the divisor-square case; the full double-pole residue of
-    zeta^2(s)/zeta(2s) x^s/s shifts the x coefficient by -2 zeta'(2)/zeta(2)^2.
-    """
-    if mode not in MODES:
-        raise DomainError("mode must be 'paper' or 'exact'")
-    a1p, a2p = theorem_A_coefficients(precision)
-    if mode == "paper":
-        return a1p, a2p
-    with mp.workprec(precision + 16):
-        return a1p, +(a2p + a2_mode_shift(precision))

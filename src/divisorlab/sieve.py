@@ -25,13 +25,12 @@ the per-n values (dirichlet-verify, identity checks, d for the D_4
 hyperbola), builds the D_j table as a cumulative sum, and stays the oracle
 the tests hold the prefix sums to.
 
-Local rules at a prime power p^a (_local_factor):
-    d(n^2)    : 2a + 1
-    2^omega   : 2
-    |mu|      : 1 if a == 1 else 0
-    d         : a + 1
-    d(n)^2    : (a + 1)^2
-    d_j       : C(a + j - 1, j - 1)
+One local rule at a prime power p^a (_local_factor) serves them all: f(p^a)
+is the coefficient of X^a in the Euler factor of the series,
+(1 - X^2) (1 - X)^-j, or (1 - X)^-j alone for d and for d_j, that is
+c_j(a) - c_j(a - 2), with c_j(m) = C(m + j - 1, j - 1) for m >= 0 and 0
+below.  It gives 2a + 1 for d(n^2), 2 for 2^omega, [a = 1] for |mu|,
+(a + 1)^2 for d(n)^2 and a + 1 for d.
 """
 
 from __future__ import annotations
@@ -68,7 +67,9 @@ class ArithmeticFunction(Enum):
     D_SQUARED = "d_squared"    # d(n)^2
 
 
-#: function -> (j, whether mu(k) D_j(x // k^2) runs over all k or k = 1 only)
+#: function -> (j, whether mu(k) D_j(x // k^2) runs over all k or k = 1 only),
+#: that is, whether the series is zeta^j(s) / zeta(2s) or zeta^j(s) alone.
+#: The local factors and formula's main terms read it too.
 _ROUTES = {
     ArithmeticFunction.D_SQUARE: (3, True),
     ArithmeticFunction.TWO_OMEGA: (2, True),
@@ -79,25 +80,22 @@ _ROUTES = {
 
 
 def _local_factor(rule: ArithmeticFunction | int, a):
-    """f(p^a) for an int exponent a or an int64 array of them.
+    """f(p^a) for an int exponent a >= 0 or an int64 array of them: the
+    coefficient of X^a in (1 - X^2) (1 - X)^-j, c_j(a) - c_j(a - 2), where
+    the route of rule runs over all k, and c_j(a) where it does not.
 
-    rule is an ArithmeticFunction, or an int j >= 1 for the j-fold divisor
-    function d_j.
+    rule is an ArithmeticFunction, with (j, all k) from _ROUTES, or an int
+    j >= 1 for the j-fold divisor function d_j.
     """
-    if rule is ArithmeticFunction.D_SQUARE:
-        return 2 * a + 1
-    if rule is ArithmeticFunction.TWO_OMEGA:
-        return 0 * a + 2
-    if rule is ArithmeticFunction.MU_SQUARED:
-        return (a == 1) * 1
-    if rule is ArithmeticFunction.D:
-        return a + 1
-    if rule is ArithmeticFunction.D_SQUARED:
-        return (a + 1) ** 2
-    factor = 0 * a + 1  # C(a + i, i) after step i
-    for i in range(1, rule):
-        factor = factor * (a + i) // i
-    return factor
+    j, all_k = _ROUTES[rule] if isinstance(rule, ArithmeticFunction) else (rule, False)
+
+    def c(m):  # C(m + j - 1, j - 1), 0 for m < 0; C(m + i, i) after step i
+        out = (m >= 0) * 1
+        for i in range(1, j):
+            out = out * (m + i) // i
+        return out
+
+    return c(a) - c(a - 2) if all_k else c(a)
 
 
 def small_primes(limit: int) -> np.ndarray:
@@ -135,9 +133,11 @@ def build_sieve(limit: int, rule: ArithmeticFunction | int) -> np.ndarray:
 
     rule is what _local_factor takes.  [1, limit] is factored in blocks of
     _BLOCK integers, each multiplying its local factors straight into its
-    slice of the result.
+    slice of the result, read from one table of f(p^a) for every exponent
+    a <= limit.bit_length().
     """
     _check_limit(limit)
+    factors = _local_factor(rule, np.arange(limit.bit_length() + 1, dtype=np.int64))
     values = np.ones(limit + 1, dtype=np.int64)
     values[0] = 0
     primes = small_primes(isqrt(limit)).tolist()
@@ -155,9 +155,9 @@ def build_sieve(limit: int, rule: ArithmeticFunction | int) -> np.ndarray:
                 exps[(-lo % q - first) // p:: q // p] += 1
                 q *= p
             residual[first::p] //= p ** exps
-            block[first::p] *= _local_factor(rule, exps)
+            block[first::p] *= factors[exps]
         # what is left of n is 1 or a single prime above sqrt(hi)
-        block[residual > 1] *= _local_factor(rule, 1)
+        block[residual > 1] *= factors[1]
     return values
 
 

@@ -406,17 +406,9 @@ def zeta_pair(s, kmax_s: int = 0, kmax_2s: int = 0,
 def zeta(s, precision: int = DEFAULT_PRECISION,
          height_cap: float = DEFAULT_HEIGHT_CAP) -> mpc:
     """zeta(s) accurate to roughly 2^-(precision-8) relative."""
-    return zeta_derivative(s, 0, precision, height_cap)
-
-
-def zeta_derivative(s, k: int, precision: int = DEFAULT_PRECISION,
-                    height_cap: float = DEFAULT_HEIGHT_CAP) -> mpc:
-    """k-th derivative of zeta at s, k <= 4."""
-    if not 0 <= k <= 4:
-        raise DomainError("derivative order must satisfy 0 <= k <= 4")
     if s == 1:
         raise PoleError("zeta has a pole at s = 1")
-    return zeta_with_derivatives(s, k, precision, height_cap)[k]
+    return zeta_with_derivatives(s, 0, precision, height_cap)[0]
 
 
 # ---------------------------------------------------------------------------

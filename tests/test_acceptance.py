@@ -44,6 +44,7 @@ def test_01_exact_prefix_sums_exhaustive():
            f"{elapsed:.2f} s")
 
 
+@pytest.mark.slow
 def test_02_convolution_identities_to_1e6():
     t0 = time.perf_counter()
     ok_identities = sieve.identity_check_range(10**6)

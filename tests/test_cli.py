@@ -46,16 +46,14 @@ def test_constants(capsys):
 
 
 def test_constants_engine_calls(capsys):
-    """On fresh caches one constants run makes 9 engine calls: per mode the
-    s = 1 jet, zeta(2) or the s = 2 jet and zeta(0); the s = 1 jet to order
-    4 and the s = 2 jet to order 1 that every gamma_m, zeta(2), zeta'(2)
-    and the companion constants read; and zeta(0) once more.  Each gamma_m
-    prints as stieltjes(m) does."""
+    """On fresh caches one constants run makes 3 engine calls: the jets at
+    s = 1 to order 4, at s = 2 to order 2 and at s = 0, which every printed
+    value reads.  Each gamma_m prints as stieltjes(m) does."""
     series._main_term_coefficients.cache_clear()
     series.constant_jets.cache_clear()
     zeta_engine.reset_call_count()
     payload = run_json(capsys, "constants", "--precision-bits", "64")
-    assert zeta_engine.call_count() == 9
+    assert zeta_engine.call_count() == 3
     with mp.workprec(80):
         for m in range(5):
             assert payload["gamma"][str(m)] == cli._num(zeta_engine.stieltjes(m, 64)), m

@@ -66,7 +66,8 @@ class TestPerronTruncated:
         with pytest.raises(QuadratureError, match="T = 50"):
             perron.perron_truncated(10.5, 2.0, 50.0, tol=1e-18)
 
-    @pytest.mark.parametrize("x, c, T", [(2.5, 1.2, 300.0), (4.5, 1.1, 1000.0)])
+    @pytest.mark.parametrize("x, c, T", [
+        (2.5, 1.2, 300.0), pytest.param(4.5, 1.1, 1000.0, marks=pytest.mark.slow)])
     def test_small_x_lines(self, x, c, T):
         """Below x = e^4 the n^-it terms of F set the panel width, not x^(it);
         with panels a quarter period of x^(it) wide these lines fail the

@@ -103,7 +103,7 @@ def test_inverse_zeta_2s_taylor():
     ders = zeta_engine.zeta_with_derivatives(2, 2)
     q = jet_inverse([ders[0], 2 * ders[1], 2 * ders[2]])
     z2 = zeta_engine.zeta(2).real
-    zp2 = zeta_engine.zeta_derivative(2, 1).real
+    zp2 = zeta_engine.zeta_with_derivatives(2, 1)[1].real
     assert abs(q[0] - 1 / z2) < mpf("1e-30")
     # d/ds [1/zeta(2s)] at s=1 is -2 zeta'(2)/zeta(2)^2
     assert abs(q[1] + 2 * zp2 / z2**2) < mpf("1e-30")
@@ -158,19 +158,20 @@ class TestMainTermCoefficients:
 
     def test_computed_once_per_mode_and_precision(self):
         """A repeat call at the same (mode, precision) makes no zeta calls and
-        returns the same object; another precision or mode recomputes."""
+        returns the same object; the other mode at the same precision reads
+        the same three jets, and another precision computes them anew."""
+        series._main_term_coefficients.cache_clear()
+        series.constant_jets.cache_clear()
         zeta_engine.reset_call_count()
         first = series.main_term_coefficients("exact", precision=72)
-        assert zeta_engine.call_count() == 3  # the s = 1 and s = 2 jets, zeta(0)
+        assert zeta_engine.call_count() == 3  # the s = 1, s = 2 and s = 0 jets
         zeta_engine.reset_call_count()
         assert series.main_term_coefficients("exact", 72) is first
-        assert zeta_engine.call_count() == 0
+        paper = series.main_term_coefficients("paper", precision=72)
+        assert zeta_engine.call_count() == 0 and paper.mode == "paper"
         finer = series.main_term_coefficients("exact", precision=80)
         assert zeta_engine.call_count() == 3
         assert abs(finer.A3 - first.A3) < mpf(2) ** -64
-        zeta_engine.reset_call_count()
-        paper = series.main_term_coefficients("paper", precision=72)
-        assert zeta_engine.call_count() == 3 and paper.mode == "paper"
 
     def test_error_paths(self):
         with pytest.raises(DomainError):
@@ -190,13 +191,19 @@ def test_residue_main_term_matches_contour():
 
 
 def test_theorem_A_companion_constants():
-    a1p, a2p = series.theorem_A_coefficients()
-    assert abs(a1p - 6 / mp.pi**2) < mpf("1e-28")
-    assert abs(a2p - (2 * mp.euler - 1) * 6 / mp.pi**2) < mpf("1e-28")
-    p1, p2 = series.two_omega_coefficients("paper")
-    assert p1 == a1p and p2 == a2p
-    e1, e2 = series.two_omega_coefficients("exact")
-    assert e1 == a1p
+    """The residue routine at the double pole of zeta^2(s)/zeta(2s) (2^omega)
+    and the simple pole of zeta(s)/zeta(2s) (|mu|), against mpmath."""
+    with mp.workdps(40):
+        inv_z2 = 6 / mpmath.pi**2
+        a2_paper = (2 * mpmath.euler - 1) * inv_z2
+    a1p, a2p = series.residue_coefficients(2, "paper")
+    assert abs(a1p - inv_z2) < mpf("1e-28")
+    assert abs(a2p - a2_paper) < mpf("1e-28")
+    e1, e2 = series.residue_coefficients(2, "exact")
+    assert abs(e1 - inv_z2) < mpf("1e-28")
     assert abs(e2 - (a2p + series.a2_mode_shift())) < mpf("1e-30")
+    for mode in series.MODES:
+        (c,) = series.residue_coefficients(1, mode)
+        assert abs(c - inv_z2) < mpf("1e-28"), mode
     with pytest.raises(DomainError):
-        series.two_omega_coefficients("neither")
+        series.residue_coefficients(2, "neither")
