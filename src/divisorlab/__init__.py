@@ -2,8 +2,8 @@
 
 Modules:
     sieve    exact prefix sums by mu * D_j; one factorization sieve call
-    zeta     multiprecision zeta, Stieltjes constants, functional equation
-    series   main-term residue coefficients from three-term Taylor jets
+    zeta     multiprecision and float64 zeta, Stieltjes constants, zero polishing
+    series   main-term residues from three cached zeta jets, one evaluator
     zeros    zero-table ingestion and explicit-formula coefficients
     formula  explicit-formula assembly and error reports
     perron   contour quadrature verification

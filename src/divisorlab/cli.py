@@ -221,8 +221,8 @@ def cmd_formula_compare(args, cfg: RunConfig) -> int:
 
 def cmd_formula_conjecture(args, cfg: RunConfig) -> int:
     grid = log_grid(args.grid_start, args.grid_stop, args.grid_count)
-    table, coeffs = _table_and_coefficients(cfg, args.zeros, False)
-    scan = conjecture_scan(grid, table, coeffs, epsilon=args.epsilon)
+    _, coeffs = _table_and_coefficients(cfg, args.zeros, False)
+    scan = conjecture_scan(grid, coeffs, epsilon=args.epsilon)
     out = _output_dir(cfg) / "conjecture_scan.json"
     payload = {
         "epsilon": scan.epsilon,

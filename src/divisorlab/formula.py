@@ -14,7 +14,7 @@ x^(1/3).
 Companion modes: the squarefree-divisor sum (main term A1' x log x + A2' x,
 no zero sum) and the squarefree-indicator sum (main term x / zeta(2)).
 Every main term is series.residue_coefficients(j, mode) for the j of
-sieve's route, zeta^j(s) / zeta(2s), evaluated by main_value; only the
+sieve's route, zeta^j(s) / zeta(2s), evaluated by series.main_term; only the
 divisor-square sum adds the residue at s = 0.
 """
 
@@ -27,16 +27,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .errors import DomainError
-from .series import (
-    MainTermCoefficients,
-    main_term_coefficients,
-    residue_coefficients,
-)
+from .series import main_term, main_term_coefficients, residue_coefficients
 from .sieve import _ROUTES, ArithmeticFunction, prefix_sums_at
-from .zeros import ZeroTable, ZeroTermCoefficient
+from .zeros import ZeroTermCoefficient
 from .zeta import DEFAULT_PRECISION
 
 CSV_COLUMNS = ["x", "S", "main", "zero_sum", "zeros_used", "E", "E_x14", "E_x13"]
@@ -119,19 +114,6 @@ def log_grid(start: float, stop: float, count: int,
     return out
 
 
-def main_value(x: float, terms: tuple, constant=0) -> float:
-    """Smooth part x sum_i terms[i] (log x)^(len(terms) - 1 - i) + constant:
-    for d(n^2), A1 x log^2 x + A2 x log x + A3 x and the s = 0 constant."""
-    if x <= 1:
-        raise DomainError("x must be > 1")
-    with mp.workprec(96):
-        xv = mpf(x)
-        lam = mp.ln(xv)
-        top = len(terms) - 1
-        value = xv * sum(c * lam ** (top - i) for i, c in enumerate(terms))
-        return float(value + constant)
-
-
 def select_zero_terms(
     coefficients: list[ZeroTermCoefficient],
     cutoff: Cutoff,
@@ -180,7 +162,6 @@ def compare(
     x_grid,
     function: ArithmeticFunction = ArithmeticFunction.D_SQUARE,
     mode: str = "exact",
-    coefficients: MainTermCoefficients | None = None,
     zero_coefficients: list[ZeroTermCoefficient] | None = None,
     cutoff: Cutoff | None = None,
     include_constant: bool = True,
@@ -209,8 +190,7 @@ def compare(
 
     constant = 0
     if function is ArithmeticFunction.D_SQUARE:
-        if coefficients is None:
-            coefficients = main_term_coefficients(mode, precision=precision)
+        coefficients = main_term_coefficients(mode, precision=precision)
         terms = (coefficients.A1, coefficients.A2, coefficients.A3)
         if include_constant:
             constant = coefficients.constant_term
@@ -225,7 +205,7 @@ def compare(
     zero_sums = zero_sum_terms(np.array(xs), chosen)
     for x, fl, zs in zip(xs, floors, zero_sums.tolist()):
         s_exact = sums[fl]
-        main = main_value(x, terms, constant)
+        main = float(main_term(x, terms, constant, precision))
         e = float(s_exact) - main - zs
         report.rows.append(ReportRow(
             x=x, S_exact=s_exact, main=main, zero_sum=zs,
@@ -248,18 +228,15 @@ class ConjectureScan:
 
 def conjecture_scan(
     x_grid,
-    table: ZeroTable,
     zero_coefficients: list[ZeroTermCoefficient],
     epsilon: float = 0.01,
-    cutoff: Cutoff | None = None,
 ) -> ConjectureScan:
-    """Scan the zero-sum magnitude against the conjectured x^(1/3+eps) growth."""
+    """Scan the magnitude of the sum over every given zero against the
+    conjectured x^(1/3+eps) growth."""
     if epsilon < 0:
         raise DomainError("epsilon must be >= 0")
-    cutoff = cutoff or Cutoff("count", len(table))
-    chosen, _ = select_zero_terms(zero_coefficients, cutoff)
     xs = sorted(float(x) for x in x_grid)
-    values = zero_sum_terms(np.array(xs), chosen)
+    values = zero_sum_terms(np.array(xs), zero_coefficients)
     trace = []
     sup_ratio, argmax = 0.0, float("nan")
     for x, value in zip(xs, values.tolist()):
@@ -271,6 +248,6 @@ def conjecture_scan(
         epsilon=epsilon,
         sup_ratio=sup_ratio,
         argmax_x=argmax,
-        zeros_used=2 * len(chosen),
+        zeros_used=2 * len(zero_coefficients),
         trace=tuple(trace),
     )

@@ -401,7 +401,7 @@ def rectangle_consistency(x: float, T: float = 50.0, right: float = 1.25,
     if residue_value is None:
         from .series import residue_main_term
 
-        _, value = residue_main_term(x, mode="exact")
+        _, value = residue_main_term(x)
         residue_value = float(value)
     return RectangleCheck(
         contour_value=contour,

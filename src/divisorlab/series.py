@@ -15,7 +15,7 @@ constants (its h^(m+1) entry is (-1)^m gamma_m / m!); q(1+h); and
 coefficient of that product the residue is
 x sum_i r_i (log x)^(j-1-i) / (j-1-i)!, so for d(n^2) it is
 x (r0 (log x)^2 / 2 + r1 log x + r2).  residue_coefficients is that one
-routine for every j.
+routine for every j, and main_term the one evaluator of such a polynomial.
 
 Two coefficient modes are exposed.  The 'paper' mode freezes 1/zeta(2s) at
 its value 1/zeta(2), which yields for d(n^2)
@@ -110,20 +110,28 @@ def _main_term_coefficients(mode: str, precision: int) -> MainTermCoefficients:
     )
 
 
-def residue_main_term(
-    x,
-    mode: str = "exact",
-    precision: int = DEFAULT_PRECISION,
-) -> tuple[MainTermCoefficients, mpf]:
-    """Main-term coefficients and the evaluated residue at s = 1 for this x."""
+def main_term(x, terms: tuple, constant=0,
+              precision: int = DEFAULT_PRECISION) -> mpf:
+    """x sum_i terms[i] (log x)^(len(terms) - 1 - i) + constant at
+    precision + 16 bits: for d(n^2), A1 x log^2 x + A2 x log x + A3 x plus
+    the s = 0 constant.  The one evaluator of every main term."""
     with mp.workprec(precision + 16):
         xv = mpf(x)
         if xv <= 1:
             raise DomainError("x must be > 1")
-        coeffs = main_term_coefficients(mode, precision)
         lam = mp.ln(xv)
-        value = xv * (coeffs.A1 * lam**2 + coeffs.A2 * lam + coeffs.A3)
-        return coeffs, +value
+        top = len(terms) - 1
+        return +(xv * sum(c * lam ** (top - i) for i, c in enumerate(terms))
+                 + constant)
+
+
+def residue_main_term(
+    x,
+    precision: int = DEFAULT_PRECISION,
+) -> tuple[MainTermCoefficients, mpf]:
+    """d(n^2)'s exact-mode coefficients and its residue at s = 1 at this x."""
+    coeffs = main_term_coefficients("exact", precision)
+    return coeffs, main_term(x, (coeffs.A1, coeffs.A2, coeffs.A3), 0, precision)
 
 
 @functools.cache

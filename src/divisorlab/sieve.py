@@ -38,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from enum import Enum
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -159,14 +159,6 @@ def build_sieve(limit: int, rule: ArithmeticFunction | int) -> np.ndarray:
         # what is left of n is 1 or a single prime above sqrt(hi)
         block[residual > 1] *= factors[1]
     return values
-
-
-def evaluate(function: ArithmeticFunction, factorization: Sequence[tuple[int, int]]) -> int:
-    """Multiplicative function value from an exact factorization [(p, a), ...]."""
-    value = 1
-    for _, a in factorization:
-        value *= _local_factor(function, a)
-    return value
 
 
 def _isqrt_array(z: np.ndarray) -> np.ndarray:

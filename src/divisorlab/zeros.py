@@ -20,6 +20,7 @@ the digits the request needs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -63,14 +64,6 @@ class ZeroTermCoefficient:
     rho_half: mpc
     coefficient: mpc
     derivative_at_zero: mpc
-
-    def conjugate(self) -> "ZeroTermCoefficient":
-        return ZeroTermCoefficient(
-            ordinate=-self.ordinate,
-            rho_half=self.rho_half.conjugate(),
-            coefficient=self.coefficient.conjugate(),
-            derivative_at_zero=self.derivative_at_zero.conjugate(),
-        )
 
 
 def file_digest(path) -> str:
@@ -124,15 +117,15 @@ def import_zeros(
 def coefficient_for(gamma, precision: int = DEFAULT_PRECISION) -> ZeroTermCoefficient:
     """Explicit-formula coefficient for the zero at ordinate gamma.
 
-    gamma must already be polished (|zeta(1/2 + i gamma)| < 1e-8).  Negative
-    ordinates are handled by conjugation of the positive-gamma result.
+    gamma must be positive and already polished (|zeta(1/2 + i gamma)| <
+    1e-8); the zero at -gamma enters the zero sum as the conjugate term.
     zeta(rho/2) and the jet zeta(rho), zeta'(rho) come from one zeta_pair
     at rho/2.
     """
     with mp.workprec(precision + 16):
         g = mpf(gamma)
-        if g < 0:
-            return coefficient_for(-g, precision).conjugate()
+        if g <= 0:
+            raise DomainError(f"zero ordinates must be positive, got {g}")
         rho_half = mpc(mpf("0.25"), g / 2)
         (z_half,), (val, der) = zeta_engine.zeta_pair(rho_half, 0, 1, precision)
         if abs(val) >= mpf("1e-8"):
@@ -153,11 +146,6 @@ def coefficient_for(gamma, precision: int = DEFAULT_PRECISION) -> ZeroTermCoeffi
         )
 
 
-def _coefficient_task(args) -> ZeroTermCoefficient:
-    gamma, precision = args
-    return coefficient_for(gamma, precision)
-
-
 def coefficients_for_table(
     table: ZeroTable,
     precision: int = DEFAULT_PRECISION,
@@ -169,9 +157,9 @@ def coefficients_for_table(
     the results are collected in input order, so output is deterministic.
     """
     if workers > 1:
-        tasks = [(g, precision) for g in table.ordinates]
+        task = functools.partial(coefficient_for, precision=precision)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_coefficient_task, tasks))
+            return list(pool.map(task, table.ordinates))
     return [coefficient_for(g, precision) for g in table.ordinates]
 
 

@@ -77,7 +77,7 @@ DEFAULT_PRECISION = 128
 #: Lowest working precision; below it the engines' guard bits are not enough.
 MIN_PRECISION = 64
 
-#: Default cap on |Im s|; Riemann-Siegel large-height evaluation is out of scope.
+#: Cap on |Im s| of every multiprecision call; Riemann-Siegel large-height evaluation is out of scope.
 DEFAULT_HEIGHT_CAP = 1.0e4
 
 # Engine call counter, used by cache-instrumentation tests.
@@ -275,7 +275,6 @@ def zeta_with_derivatives(
     s,
     kmax: int = 0,
     precision: int = DEFAULT_PRECISION,
-    height_cap: float = DEFAULT_HEIGHT_CAP,
     _powers=None,
 ) -> list[mpc]:
     """[zeta(s), zeta'(s), ..., zeta^(kmax)(s)] in one Euler-Maclaurin pass.
@@ -292,9 +291,9 @@ def zeta_with_derivatives(
     with mp.workprec(precision + 24):
         z = mpc(s)
         t_abs = abs(float(z.imag))
-        if t_abs > height_cap:
+        if t_abs > DEFAULT_HEIGHT_CAP:
             raise HeightRangeError(
-                f"|Im s| = {t_abs} exceeds the evaluation cap {height_cap}"
+                f"|Im s| = {t_abs} exceeds the evaluation cap {DEFAULT_HEIGHT_CAP}"
             )
         N, J, prec, wp = _engine_plan(z, kmax, precision)
         mp.prec = prec  # until the workprec block exits
@@ -369,8 +368,7 @@ def zeta_with_derivatives(
 
 
 def zeta_pair(s, kmax_s: int = 0, kmax_2s: int = 0,
-              precision: int = DEFAULT_PRECISION,
-              height_cap: float = DEFAULT_HEIGHT_CAP) -> tuple[list[mpc], list[mpc]]:
+              precision: int = DEFAULT_PRECISION) -> tuple[list[mpc], list[mpc]]:
     """The jets [zeta^(k)(s)], k <= kmax_s, and [zeta^(k)(2s)], k <= kmax_2s,
     as two engine calls that read one n^-s table.
 
@@ -385,10 +383,9 @@ def zeta_pair(s, kmax_s: int = 0, kmax_2s: int = 0,
         double = 2 * z
     if z == 1 or double == 1:
         raise PoleError(f"zeta(s) or zeta(2s) has a pole at s = {z}")
-    if abs(float(double.imag)) > height_cap:
-        raise HeightRangeError(
-            f"|Im 2s| = {abs(float(double.imag))} exceeds the evaluation cap {height_cap}"
-        )
+    if abs(float(double.imag)) > DEFAULT_HEIGHT_CAP:
+        raise HeightRangeError(f"|Im 2s| = {abs(float(double.imag))} exceeds "
+                               f"the evaluation cap {DEFAULT_HEIGHT_CAP}")
     N1, _, _, wp1 = _engine_plan(z, kmax_s, precision)
     N2, _, _, wp2 = _engine_plan(double, kmax_2s, precision)
     wp = max(wp1, wp2)
@@ -399,16 +396,15 @@ def zeta_pair(s, kmax_s: int = 0, kmax_2s: int = 0,
         return ([(x * x - y * y) >> wp for x, y in zip(re, im)],
                 [(2 * x * y) >> wp for x, y in zip(re, im)], ln)
 
-    return (zeta_with_derivatives(z, kmax_s, precision, height_cap, (wp, rows)),
-            zeta_with_derivatives(double, kmax_2s, precision, height_cap, (wp, squares)))
+    return (zeta_with_derivatives(z, kmax_s, precision, (wp, rows)),
+            zeta_with_derivatives(double, kmax_2s, precision, (wp, squares)))
 
 
-def zeta(s, precision: int = DEFAULT_PRECISION,
-         height_cap: float = DEFAULT_HEIGHT_CAP) -> mpc:
+def zeta(s, precision: int = DEFAULT_PRECISION) -> mpc:
     """zeta(s) accurate to roughly 2^-(precision-8) relative."""
     if s == 1:
         raise PoleError("zeta has a pole at s = 1")
-    return zeta_with_derivatives(s, 0, precision, height_cap)[0]
+    return zeta_with_derivatives(s, 0, precision)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +425,7 @@ def stieltjes(m: int, precision: int = DEFAULT_PRECISION) -> mpf:
 # Zero polishing
 # ---------------------------------------------------------------------------
 
-def refine_zero(approx_ordinate, precision: int = DEFAULT_PRECISION,
-                height_cap: float = DEFAULT_HEIGHT_CAP) -> mpf:
+def refine_zero(approx_ordinate, precision: int = DEFAULT_PRECISION) -> mpf:
     """Polish a critical-line zero ordinate by Newton iteration on zeta.
 
     The start value must be within 0.05 of a true simple zero ordinate.
@@ -439,13 +434,13 @@ def refine_zero(approx_ordinate, precision: int = DEFAULT_PRECISION,
     t0 = mpf(approx_ordinate)
     if t0 <= 10:
         raise DomainError("zero ordinates of interest are > 10")
-    if float(t0) > height_cap:
-        raise HeightRangeError(f"ordinate {t0} exceeds the cap {height_cap}")
+    if float(t0) > DEFAULT_HEIGHT_CAP:
+        raise HeightRangeError(f"ordinate {t0} exceeds the cap {DEFAULT_HEIGHT_CAP}")
     with mp.workprec(precision + 24):
         z = mpc(mpf("0.5"), t0)
         tol = mpf(2) ** (-(precision - 4))
         for _ in range(50):
-            val, der = zeta_with_derivatives(z, 1, precision, height_cap)[:2]
+            val, der = zeta_with_derivatives(z, 1, precision)[:2]
             if der == 0:
                 raise RefinementError("vanishing derivative during Newton step")
             step = val / der

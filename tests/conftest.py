@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from divisorlab import zeros
+from divisorlab import sieve, zeros
 from divisorlab.zeta import dirichlet_quotient_f64
 
 # Reference arithmetic in the tests themselves (pi^2/6, closed forms, ...)
@@ -15,6 +15,13 @@ mp.prec = 220
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 ZEROS_PATH = DATA_DIR / "zeros_first_100.txt"
+
+
+def evaluate(function, factorization) -> int:
+    """f(n) from an exact factorization [(p, a), ...] of n, as the product of
+    the local factors f(p^a); with sieve.trial_factorize, the oracle for
+    build_sieve's per-n values."""
+    return math.prod(sieve._local_factor(function, a) for _, a in factorization)
 
 
 @functools.cache

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from conftest import evaluate
 from divisorlab import cli, perron, series, sieve, zeta as zeta_engine
 from divisorlab.formula import Cutoff, compare, log_grid
 from divisorlab.sieve import ArithmeticFunction as AF
@@ -28,7 +29,7 @@ def report(index: int, label: str, ok: bool, detail: str) -> None:
 def test_01_exact_prefix_sums_exhaustive():
     limit = 10**4
     oracle_values = [
-        sieve.evaluate(AF.D_SQUARE, sieve.trial_factorize(n))
+        evaluate(AF.D_SQUARE, sieve.trial_factorize(n))
         for n in range(1, limit + 1)
     ]
     oracle_cumsum = np.cumsum(oracle_values)
@@ -92,7 +93,7 @@ def test_05_residue_oracle_equivalence(zero_coefficients):
     t0 = time.perf_counter()
     worst_rel = mpf(0)
     for x in (100.0, 1000.0, 1.0e5):
-        _, expected = series.residue_main_term(x, mode="exact")
+        _, expected = series.residue_main_term(x)
         circle = perron.residue_by_circle(1.0, 0.2, x, nodes=96)
         worst_rel = max(worst_rel, abs(circle.real - expected) / abs(expected))
     zero_res = perron.residue_by_circle(0.0, 0.15, 1000.0, nodes=96)

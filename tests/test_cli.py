@@ -1,5 +1,6 @@
 """Command-line interface smoke tests, run in-process."""
 
+import importlib
 import json
 
 import pytest
@@ -85,6 +86,32 @@ def test_module_attribute_sees_every_engine_call(capsys, monkeypatch, zero_table
         zeta_engine.reset_call_count()
         run_once()
         assert len(seen) == zeta_engine.call_count() > 0, name
+
+
+def test_benchmark_tracer_sees_every_engine_call(capsys, monkeypatch, tmp_path):
+    """The benchmark's tracer, imported unedited from perfbench/, installs
+    its wrappers on the names it targets and, around the CLI runs the
+    benchmark makes, traces as many mp engine calls as call_count() counts.
+    A refactor that drops a name or parameter it binds fails here."""
+    monkeypatch.syspath_prepend(str(ZEROS_PATH.parent.parent / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    zeros_args = ["--zeros", "5", "--zeros-path", str(ZEROS_PATH),
+                  "--output-dir", str(tmp_path)]
+    runs = [
+        ["sum", "d_square", "1000"],
+        ["constants", "--precision-bits", "64"],
+        ["perron", "residue", "--center-re", "1", "--radius", "0.2",
+         "--x", "1000.5"],
+        ["formula", "compare", "--grid-stop", "1e4", *zeros_args],
+        ["formula", "conjecture", "--grid-stop", "1e4", *zeros_args],
+    ]
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        codes = [cli.main(argv) for argv in runs]
+    capsys.readouterr()
+    assert codes == [0] * len(runs)
+    traced = sum(1 for span in tracer.spans if span.name == "zeta.mp")
+    assert traced == tracer.mp_calls > 0
 
 
 def test_zeros_import(capsys):

@@ -3,12 +3,14 @@ zero term, and exact bookkeeping of the error decomposition."""
 
 import cmath
 import csv
+import functools
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from divisorlab import formula, series, sieve
 from divisorlab.errors import DomainError
@@ -74,22 +76,70 @@ def _terms(coeffs):
     return coeffs.A1, coeffs.A2, coeffs.A3
 
 
+@functools.cache
+def _residue_jet(j: int, mode: str) -> tuple:
+    """The first j Taylor coefficients in h of (h zeta(1+h))^j / (1+h)
+    times 1/zeta(2+2h), frozen at 1/zeta(2) in paper mode, at 90 digits
+    from mpmath's Stieltjes constants and derivatives of zeta at 2;
+    (h zeta(1+h)) = 1 + gamma_0 h - gamma_1 h^2 + ..."""
+
+    def mul(a, b):
+        return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(j)]
+
+    with mp.workdps(90):
+        z = [mpmath.zeta(2, derivative=k) * 2**k / math.factorial(k)
+             for k in range(j)]  # zeta(2 + 2h)
+        q = [1 / z[0]]
+        for n in range(1, j):
+            q.append(-sum(z[i] * q[n - i] for i in range(1, n + 1)) / z[0]
+                     if mode == "exact" else mpf(0))
+        r = mul(q, [(-1) ** k for k in range(j)])  # 1/(1+h)
+        e = [mpf(1), mpmath.stieltjes(0), -mpmath.stieltjes(1)][:j]
+        for _ in range(j):
+            r = mul(r, e)
+        return tuple(r)
+
+
+def _residue_oracle(function: AF, mode: str, x: float):
+    """The main term compare writes for function at x, at 90 digits: the
+    h^(j-1) coefficient of x^(1+h) times _residue_jet, plus 1/4 for
+    d(n^2)."""
+    j = {AF.D_SQUARE: 3, AF.TWO_OMEGA: 2, AF.MU_SQUARED: 1}[function]
+    r = _residue_jet(j, mode)
+    with mp.workdps(90):
+        lx = mp.ln(mpf(x))
+        value = sum(r[i] * x * lx ** (j - 1 - i) / math.factorial(j - 1 - i)
+                    for i in range(j))
+        return value + (mpf(1) / 4 if function is AF.D_SQUARE else 0)
+
+
 class TestMainValue:
-    def test_matches_multiprecision_residue(self):
-        coeffs, value = series.residue_main_term(5000.5, mode="exact")
-        got = formula.main_value(5000.5, _terms(coeffs))
-        assert got == pytest.approx(float(value), rel=1e-13)
+    def test_compare_main_is_correctly_rounded(self, monkeypatch):
+        """Every main term compare writes is the float nearest an mpmath
+        oracle, for the three functions in both modes.  The exact sums are
+        stubbed out: the main term does not read them, and the grid to 1e12
+        then needs no sieve."""
+        monkeypatch.setattr(formula, "prefix_sums_at",
+                            lambda function, floors: dict.fromkeys(floors, 0))
+        grid = sorted(set(log_grid(1e3, 1e7, 25) + log_grid(1e3, 1e12, 200)))
+        for function in (AF.D_SQUARE, AF.TWO_OMEGA, AF.MU_SQUARED):
+            for mode in series.MODES:
+                for row in compare(grid, function=function, mode=mode).rows:
+                    want = _residue_oracle(function, mode, row.x)
+                    with mp.workdps(90):
+                        ulps = abs(mpf(row.main) - want) / math.ulp(row.main)
+                    assert ulps <= 0.5, (function, mode, row.x, ulps)
 
     def test_constant_flag(self):
-        coeffs, _ = series.residue_main_term(100.5, mode="exact")
-        with_c = formula.main_value(100.5, _terms(coeffs), coeffs.constant_term)
-        without = formula.main_value(100.5, _terms(coeffs))
-        assert with_c - without == pytest.approx(0.25, abs=1e-12)
+        coeffs, _ = series.residue_main_term(100.5)
+        with_c = series.main_term(100.5, _terms(coeffs), coeffs.constant_term)
+        without = series.main_term(100.5, _terms(coeffs))
+        assert abs(with_c - without - 0.25) < 1e-12
 
     def test_domain(self):
         coeffs, _ = series.residue_main_term(100.5)
         with pytest.raises(DomainError):
-            formula.main_value(1.0, _terms(coeffs))
+            series.main_term(1.0, _terms(coeffs))
 
 
 class TestZeroSum:
@@ -203,16 +253,16 @@ class TestCompare:
 
 
 class TestConjectureScan:
-    def test_scan_shape(self, zero_table, zero_coefficients):
+    def test_scan_shape(self, zero_coefficients):
         grid = log_grid(100, 100000, 8)
-        scan = formula.conjecture_scan(grid, zero_table, zero_coefficients)
+        scan = formula.conjecture_scan(grid, zero_coefficients)
         assert scan.zeros_used == 200
         assert len(scan.trace) == len(grid)
         assert scan.argmax_x in grid
         ratios = [r for _, _, r in scan.trace]
         assert scan.sup_ratio == max(ratios)
 
-    def test_epsilon_domain(self, zero_table, zero_coefficients):
+    def test_epsilon_domain(self, zero_coefficients):
         with pytest.raises(DomainError):
-            formula.conjecture_scan([100.5], zero_table, zero_coefficients,
+            formula.conjecture_scan([100.5], zero_coefficients,
                                     epsilon=-0.1)

@@ -215,7 +215,7 @@ class TestErrorBound:
 
 class TestCircleResidues:
     def test_pole_at_one_matches_series(self):
-        _, expected = series.residue_main_term(1000.0, mode="exact")
+        _, expected = series.residue_main_term(1000.0)
         got = perron.residue_by_circle(1.0, 0.2, 1000.0, nodes=96)
         assert abs(got.real - expected) / abs(expected) < mpf("1e-10")
         assert abs(got.imag) < mpf("1e-20")

@@ -184,7 +184,7 @@ def test_residue_main_term_matches_contour():
     from divisorlab import perron
 
     for x in (100.0, 1000.0):
-        _, value = series.residue_main_term(x, mode="exact")
+        _, value = series.residue_main_term(x)
         circle = perron.residue_by_circle(1.0, 0.2, x, nodes=96)
         assert abs(circle.imag) < mpf("1e-20")
         assert abs(circle.real - value) / abs(value) < mpf("1e-10")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import evaluate
 from divisorlab import sieve
 from divisorlab.errors import CapacityError, DomainError
 from divisorlab.sieve import ArithmeticFunction as AF
@@ -38,12 +39,12 @@ def identity_check(n: int) -> tuple[bool, bool, bool]:
     """
     divs = [sieve.trial_factorize(d) for d in divisors(n)]
     fac_n = sieve.trial_factorize(n)
-    lhs1 = sieve.evaluate(AF.D_SQUARE, fac_n)
-    rhs1 = sum(sieve.evaluate(AF.TWO_OMEGA, f) for f in divs)
-    lhs2 = sieve.evaluate(AF.TWO_OMEGA, fac_n)
-    rhs2 = sum(sieve.evaluate(AF.MU_SQUARED, f) for f in divs)
-    lhs3 = sieve.evaluate(AF.D_SQUARED, fac_n)
-    rhs3 = sum(sieve.evaluate(AF.D_SQUARE, f) for f in divs)
+    lhs1 = evaluate(AF.D_SQUARE, fac_n)
+    rhs1 = sum(evaluate(AF.TWO_OMEGA, f) for f in divs)
+    lhs2 = evaluate(AF.TWO_OMEGA, fac_n)
+    rhs2 = sum(evaluate(AF.MU_SQUARED, f) for f in divs)
+    lhs3 = evaluate(AF.D_SQUARED, fac_n)
+    rhs3 = sum(evaluate(AF.D_SQUARE, f) for f in divs)
     return (lhs1 == rhs1, lhs2 == rhs2, lhs3 == rhs3)
 
 
@@ -54,7 +55,7 @@ def test_sieve_matches_trial_division(rule):
     assert values[0] == 0
     edges = [e + d for e in (2**18, 2**19) for d in (-1, 0, 1)]
     for n in list(range(1, 1001)) + edges + [999983, 10**6]:
-        assert values[n] == sieve.evaluate(rule, sieve.trial_factorize(n)), n
+        assert values[n] == evaluate(rule, sieve.trial_factorize(n)), n
 
 
 def test_sieve_block_joins(monkeypatch):
@@ -72,23 +73,23 @@ def test_sieve_block_joins(monkeypatch):
     [(1, 1), (6, 9), (8, 7), (12, 15), (36, 25)],
 )
 def test_d_square_values(n, expected):
-    assert sieve.evaluate(AF.D_SQUARE, sieve.trial_factorize(n)) == expected
+    assert evaluate(AF.D_SQUARE, sieve.trial_factorize(n)) == expected
 
 
 def test_d_square_against_divisor_enumeration():
     for n in range(1, 200):
-        val = sieve.evaluate(AF.D_SQUARE, sieve.trial_factorize(n))
+        val = evaluate(AF.D_SQUARE, sieve.trial_factorize(n))
         assert val == brute_divisor_count(n * n)
 
 
 def test_evaluate_all_functions_small():
     # 360 = 2^3 3^2 5
     f = sieve.trial_factorize(360)
-    assert sieve.evaluate(AF.D_SQUARE, f) == 7 * 5 * 3
-    assert sieve.evaluate(AF.TWO_OMEGA, f) == 8
-    assert sieve.evaluate(AF.MU_SQUARED, f) == 0
-    assert sieve.evaluate(AF.D, f) == 4 * 3 * 2
-    assert sieve.evaluate(AF.D_SQUARED, f) == 24 * 24
+    assert evaluate(AF.D_SQUARE, f) == 7 * 5 * 3
+    assert evaluate(AF.TWO_OMEGA, f) == 8
+    assert evaluate(AF.MU_SQUARED, f) == 0
+    assert evaluate(AF.D, f) == 4 * 3 * 2
+    assert evaluate(AF.D_SQUARED, f) == 24 * 24
 
 
 def test_prefix_sum_examples():
@@ -103,7 +104,7 @@ def test_prefix_sum_matches_naive_oracle(function):
     oracle = 0
     values = sieve.build_sieve(limit, function)
     for n in range(1, limit + 1):
-        oracle += sieve.evaluate(function, sieve.trial_factorize(n))
+        oracle += evaluate(function, sieve.trial_factorize(n))
         assert int(values[:n + 1].sum()) == oracle
     assert sieve.prefix_sum(function, limit) == oracle
 
@@ -112,7 +113,7 @@ def test_prefix_sum_increments_by_point_values():
     running = 0
     vals = sieve.build_sieve(300, AF.D_SQUARE)
     for x in range(1, 301):
-        running += sieve.evaluate(AF.D_SQUARE, sieve.trial_factorize(x))
+        running += evaluate(AF.D_SQUARE, sieve.trial_factorize(x))
         assert running == int(vals[:x + 1].sum())
 
 
@@ -208,8 +209,8 @@ def test_identity_check_examples():
     assert identity_check(6) == (True, True, True)
     # the n=6 numbers the identities pin down
     divs = divisors(6)
-    assert sum(sieve.evaluate(AF.TWO_OMEGA, sieve.trial_factorize(d)) for d in divs) == 9
-    assert sum(sieve.evaluate(AF.D_SQUARE, sieve.trial_factorize(d)) for d in divs) == 16
+    assert sum(evaluate(AF.TWO_OMEGA, sieve.trial_factorize(d)) for d in divs) == 9
+    assert sum(evaluate(AF.D_SQUARE, sieve.trial_factorize(d)) for d in divs) == 16
 
 
 def test_identity_check_small_range():

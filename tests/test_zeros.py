@@ -103,13 +103,12 @@ class TestCoefficient:
                       / (rho / 2 * 2 * mpmath.zeta(rho, derivative=1)))
         assert abs(ours - theirs) / abs(theirs) < mpf("1e-25")
 
-    def test_conjugate_symmetry(self, zero_table):
-        g = zero_table.ordinates[0]
-        plus = zeros.coefficient_for(g)
-        minus = zeros.coefficient_for(-g)
-        assert minus.coefficient == plus.coefficient.conjugate()
-        assert minus.rho_half == plus.rho_half.conjugate()
-        assert minus.ordinate == -plus.ordinate
+    def test_non_positive_ordinate_rejected(self, zero_table):
+        """Only positive ordinates are stored; the zero at -gamma enters the
+        zero sum as the conjugate term."""
+        for g in (-zero_table.ordinates[0], 0):
+            with pytest.raises(DomainError):
+                zeros.coefficient_for(g)
 
     def test_unpolished_ordinate_rejected(self):
         with pytest.raises(DomainError):
