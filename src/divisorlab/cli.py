@@ -13,9 +13,11 @@ Subcommands
     dirichlet-verify Dirichlet-series identity check at a real point
 
 All numeric output is serialized in decimal with explicit digit counts.  A
-config file (key = value lines) may set defaults; flags win over config.  The
-zeros path may also come from the DIVISORLAB_ZEROS environment variable (the
-only environment override).
+subcommand takes only the settings (RunConfig fields) its handler reads, as
+flags or as keys of a config file (key = value lines; flags win); it checks
+the file's other keys but ignores them.  The zeros path may also come from
+the DIVISORLAB_ZEROS environment variable (the only environment override).
+Float arguments must be finite.
 """
 
 from __future__ import annotations
@@ -50,7 +52,10 @@ class RunConfig:
 
     @classmethod
     def load(cls, args: argparse.Namespace) -> "RunConfig":
-        cfg = cls()
+        """The settings the subcommand reads (args.settings): defaults, then
+        the config file, DIVISORLAB_ZEROS, the flags and zeros import's path,
+        each overriding the last.  Every key in the file is checked."""
+        cfg, read = cls(), args.settings
         if getattr(args, "config", None):
             for where, key, value in _read_config_file(args.config):
                 if not hasattr(cfg, key):
@@ -64,15 +69,16 @@ class RunConfig:
                         raise DomainError(
                             f"{where}: {key} must be an integer, got {value!r}"
                         ) from None
-                setattr(cfg, key, value)
+                if key in read:
+                    setattr(cfg, key, value)
         env_zeros = os.environ.get("DIVISORLAB_ZEROS")
-        if env_zeros and cfg.zeros_path is None:
+        if env_zeros and "zeros_path" in read and cfg.zeros_path is None:
             cfg.zeros_path = env_zeros
-        for key in ("precision_bits", "zeros_path", "cache_path", "output_dir",
-                    "workers", "mode"):
-            flag = getattr(args, key, None)
-            if flag is not None:
-                setattr(cfg, key, flag)
+        for key in read:
+            if getattr(args, key) is not None:
+                setattr(cfg, key, getattr(args, key))
+        if getattr(args, "path", None):
+            cfg.zeros_path = args.path
         if cfg.workers < 1:
             raise DomainError("worker count must be >= 1")
         if cfg.zeros_path is not None and not Path(cfg.zeros_path).exists():
@@ -110,14 +116,18 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _table_and_coefficients(cfg: RunConfig, count: int | None, refine: bool):
+def _import_zeros(cfg: RunConfig, count: int | None, refine: bool):
     if cfg.zeros_path is None:
         raise DomainError(
             "no zeros path; pass --zeros-path, set it in the config file, "
             "or export DIVISORLAB_ZEROS"
         )
-    table = zeros.import_zeros(cfg.zeros_path, limit_count=count, refine=refine,
-                               precision=cfg.precision_bits)
+    return zeros.import_zeros(cfg.zeros_path, limit_count=count, refine=refine,
+                              precision=cfg.precision_bits)
+
+
+def _table_and_coefficients(cfg: RunConfig, count: int | None, refine: bool):
+    table = _import_zeros(cfg, count, refine)
     if cfg.cache_path and Path(cfg.cache_path).exists():
         coeffs = zeros.load_cache(cfg.cache_path, table, cfg.precision_bits)
     else:
@@ -165,10 +175,7 @@ def cmd_constants(args, cfg: RunConfig) -> int:
 
 
 def cmd_zeros_import(args, cfg: RunConfig) -> int:
-    table = zeros.import_zeros(
-        cfg.zeros_path or args.path, limit_count=args.count,
-        refine=args.refine, precision=cfg.precision_bits,
-    )
+    table = _import_zeros(cfg, args.count, args.refine)
     _emit({
         "count": len(table),
         "source_digest": table.source_digest,
@@ -352,16 +359,32 @@ def _blockwise_tail(s: mpf, L: mpf) -> mpf:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--precision-bits", dest="precision_bits", type=int)
-    p.add_argument("--zeros-path", dest="zeros_path")
-    p.add_argument("--cache-path", dest="cache_path")
-    p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--workers", type=int,
-                   help="processes for zero coefficients (zeros coeffs, or a cold "
-                        "cache in formula compare/conjecture)")
-    p.add_argument("--mode", choices=series.MODES)
+def finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+#: argparse keywords of each run setting's flag --<key with dashes>.
+_SETTINGS = {
+    "precision_bits": {"type": int},
+    "zeros_path": {},
+    "cache_path": {},
+    "output_dir": {},
+    "workers": {"type": int, "help": "processes for zero coefficients on a cold cache"},
+    "mode": {"choices": series.MODES},
+}
+
+
+def _command(p: argparse.ArgumentParser, handler, *settings: str) -> None:
+    """Bind handler to p with flags for the settings it reads, and --config."""
+    if settings:
+        p.add_argument("--config", help="key = value config file")
+    for key in settings:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, **_SETTINGS[key])
+    p.set_defaults(handler=handler, settings=settings)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,16 +394,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "zero sums, and Perron contour verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    zeros_settings = ("precision_bits", "zeros_path", "cache_path", "workers")
 
     p = sub.add_parser("sum", help="exact prefix sum")
     p.add_argument("function", choices=[f.value for f in ArithmeticFunction])
     p.add_argument("x", type=int)
-    _add_common(p)
-    p.set_defaults(handler=cmd_sum)
+    _command(p, cmd_sum)
 
     p = sub.add_parser("constants", help="analytic constants, both modes")
-    _add_common(p)
-    p.set_defaults(handler=cmd_constants)
+    _command(p, cmd_constants, "precision_bits")
 
     pz = sub.add_parser("zeros", help="zero table operations")
     zsub = pz.add_subparsers(dest="zeros_command", required=True)
@@ -388,70 +410,62 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", nargs="?")
     p.add_argument("--count", type=int)
     p.add_argument("--refine", action="store_true")
-    _add_common(p)
-    p.set_defaults(handler=cmd_zeros_import)
+    _command(p, cmd_zeros_import, "precision_bits", "zeros_path")
     p = zsub.add_parser("coeffs", help="compute/cache zero coefficients")
     p.add_argument("--count", type=int)
     p.add_argument("--refine", action="store_true")
-    _add_common(p)
-    p.set_defaults(handler=cmd_zeros_coeffs)
+    _command(p, cmd_zeros_coeffs, *zeros_settings)
 
     pf = sub.add_parser("formula", help="explicit-formula experiments")
     fsub = pf.add_subparsers(dest="formula_command", required=True)
     p = fsub.add_parser("compare", help="exact sums vs decomposition over a grid")
     p.add_argument("--function", default="d_square",
                    choices=["d_square", "two_omega", "mu_squared"])
-    p.add_argument("--grid-start", type=float, default=1e3)
-    p.add_argument("--grid-stop", type=float, default=1e6)
+    p.add_argument("--grid-start", type=finite_float, default=1e3)
+    p.add_argument("--grid-stop", type=finite_float, default=1e6)
     p.add_argument("--grid-count", type=int, default=13)
     p.add_argument("--zeros", type=int, help="zero count cutoff K")
-    p.add_argument("--ordinate-cutoff", type=float, help="ordinate cutoff T")
+    p.add_argument("--ordinate-cutoff", type=finite_float, help="ordinate cutoff T")
     p.add_argument("--no-half-integers", action="store_true")
     p.add_argument("--no-constant", action="store_true",
                    help="exclude the s = 0 residue 1/4 from the main term")
-    _add_common(p)
-    p.set_defaults(handler=cmd_formula_compare)
+    _command(p, cmd_formula_compare, *zeros_settings, "output_dir", "mode")
     p = fsub.add_parser("conjecture", help="zero-sum growth scan")
-    p.add_argument("--grid-start", type=float, default=1e3)
-    p.add_argument("--grid-stop", type=float, default=1e6)
+    p.add_argument("--grid-start", type=finite_float, default=1e3)
+    p.add_argument("--grid-stop", type=finite_float, default=1e6)
     p.add_argument("--grid-count", type=int, default=13)
     p.add_argument("--zeros", type=int)
-    p.add_argument("--epsilon", type=float, default=0.01)
-    _add_common(p)
-    p.set_defaults(handler=cmd_formula_conjecture)
+    p.add_argument("--epsilon", type=finite_float, default=0.01)
+    _command(p, cmd_formula_conjecture, *zeros_settings, "output_dir")
 
     pp = sub.add_parser("perron", help="contour experiments")
     psub = pp.add_subparsers(dest="perron_command", required=True)
     p = psub.add_parser("integral", help="one truncated Perron value")
-    p.add_argument("x", type=float)
-    p.add_argument("--c", type=float, default=1.5)
-    p.add_argument("--T", type=float, default=100.0)
+    p.add_argument("x", type=finite_float)
+    p.add_argument("--c", type=finite_float, default=1.5)
+    p.add_argument("--T", type=finite_float, default=100.0)
     p.add_argument("--nodes", type=int, default=1024)
-    _add_common(p)
-    p.set_defaults(handler=cmd_perron_integral)
+    _command(p, cmd_perron_integral)
     p = psub.add_parser("decay", help="truncation decay table")
-    p.add_argument("x", type=float)
-    p.add_argument("--c", type=float, default=2.0)
-    p.add_argument("--T", type=float, nargs="+", default=[50, 100, 200, 400])
+    p.add_argument("x", type=finite_float)
+    p.add_argument("--c", type=finite_float, default=2.0)
+    p.add_argument("--T", type=finite_float, nargs="+", default=[50, 100, 200, 400])
     p.add_argument("--nodes", type=int, default=1024)
-    _add_common(p)
-    p.set_defaults(handler=cmd_perron_decay)
+    _command(p, cmd_perron_decay, "output_dir")
     p = psub.add_parser("residue", help="small-circle residue quadrature")
-    p.add_argument("--center-re", type=float, required=True)
-    p.add_argument("--center-im", type=float, default=0.0)
-    p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--center-re", type=finite_float, required=True)
+    p.add_argument("--center-im", type=finite_float, default=0.0)
+    p.add_argument("--radius", type=finite_float, required=True)
+    p.add_argument("--x", type=finite_float, required=True)
     p.add_argument("--nodes", type=int, default=128)
     p.add_argument("--verify-radius", action="store_true")
-    _add_common(p)
-    p.set_defaults(handler=cmd_perron_residue)
+    _command(p, cmd_perron_residue, "precision_bits")
 
     p = sub.add_parser("dirichlet-verify",
                        help="Dirichlet-series identity check at real s > 1")
-    p.add_argument("s", type=float)
+    p.add_argument("s", type=finite_float)
     p.add_argument("N", type=int)
-    _add_common(p)
-    p.set_defaults(handler=cmd_dirichlet_verify)
+    _command(p, cmd_dirichlet_verify, "precision_bits")
 
     return parser
 

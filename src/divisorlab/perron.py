@@ -53,8 +53,15 @@ _BATCH_NODES = 1024
 #: float64 machine epsilon, for the rounding terms of the Perron error bound.
 _EPS = 2.0 ** -52
 
+#: Largest accepted gap between a Perron value's Gauss-Kronrod and Gauss
+#: values, relative to max(1, |value|).
+GAP_TOL = 1.0e-6
+
 #: Known fixed poles of F(s) x^s / s on the desk-scale window.
 _FIXED_POLES = (0.0 + 0.0j, 1.0 + 0.0j)
+
+#: rectangle_consistency's height T, right and left abscissae and side nodes.
+_RECT_T, _RECT_RIGHT, _RECT_LEFT, _RECT_NODES = 50.0, 1.25, 0.6, 2048
 
 
 def _integrand_line(s: np.ndarray, x: float) -> np.ndarray:
@@ -208,8 +215,8 @@ def _require_half_convention(x: float) -> None:
         )
 
 
-def perron_sweep(x: float, c: float, T_list, nodes: int = 1024,
-                 tol: float = 1.0e-6) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def perron_sweep(x: float, c: float, T_list,
+                 nodes: int = 1024) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Truncated Perron values I(T) for strictly ascending heights T, all
     from one pass over the nodes of the tallest upper half-line, the
     quadrature gap |K - G| at each T, and an error bound at each T.
@@ -217,7 +224,7 @@ def perron_sweep(x: float, c: float, T_list, nodes: int = 1024,
     I(T) = Im(integral from c to c + iT) / pi, real.  K is the 33-point
     Gauss-Kronrod value, which is returned, and G the 16-point Gauss value
     embedded in it, from the same F evaluations.  A gap above
-    tol * max(1, |K|) raises QuadratureError.  Over the n Kronrod nodes up
+    GAP_TOL * max(1, |K|) raises QuadratureError.  Over the n Kronrod nodes up
     to T, with weights w and integrand values f, the bound is the gap plus
     (eps log2(n) sum |w f| + eps sqrt(sum (|w f| |t| (ln x + 3 ln N))^2)) / pi:
     pairwise summation (Higham, Accuracy and Stability of Numerical
@@ -228,27 +235,26 @@ def perron_sweep(x: float, c: float, T_list, nodes: int = 1024,
     heights = [float(T) for T in T_list]
     if c <= 1:
         raise DomainError("abscissa c must exceed 1 (absolute convergence)")
-    if not heights[0] > 0:
-        raise DomainError("height T must be positive")
-    if any(b <= a for a, b in zip(heights, heights[1:])):
+    if not (heights[0] > 0 and math.isfinite(heights[-1])):
+        raise DomainError("height T must be positive and finite")
+    if not all(b > a for a, b in zip(heights, heights[1:])):  # False at a NaN
         raise DomainError("heights T must be strictly ascending")
     if nodes < MIN_NODES:
         raise DomainError(f"node count must be >= {MIN_NODES}")
     gauss, kronrod, rounding = _segment_integrals(c, 1j, heights, x, nodes)
     values = kronrod.imag / math.pi
     gaps = np.abs(values - gauss.imag / math.pi)
-    failed = np.flatnonzero(gaps > tol * np.maximum(1.0, np.abs(values)))
+    failed = np.flatnonzero(gaps > GAP_TOL * np.maximum(1.0, np.abs(values)))
     if failed.size:
         k = failed[0]
         raise QuadratureError(
             f"the Gauss-Kronrod and Gauss Perron values at T = {heights[k]} "
-            f"differ by {gaps[k]:.3e} (tolerance {tol:.1e} relative)"
+            f"differ by {gaps[k]:.3e} (tolerance {GAP_TOL:.1e} relative)"
         )
     return values, gaps, gaps + rounding / math.pi
 
 
-def perron_truncated(x: float, c: float, T: float, nodes: int = 1024,
-                     tol: float = 1.0e-6) -> complex:
+def perron_truncated(x: float, c: float, T: float, nodes: int = 1024) -> complex:
     """(1/2 pi i) integral of F(s) x^s / s ds on the segment c - iT .. c + iT.
 
     The lower half-line is the conjugate of the upper one, so the value is
@@ -256,10 +262,10 @@ def perron_truncated(x: float, c: float, T: float, nodes: int = 1024,
     half-line is integrated, with at least `nodes` Gauss nodes extended to
     a 33-point Gauss-Kronrod rule per panel.  The gap between the Kronrod
     value and its embedded Gauss value guards the quadrature; a gap beyond
-    tol raises QuadratureError (see perron_sweep, which also returns the
+    GAP_TOL raises QuadratureError (see perron_sweep, which also returns the
     gap and an error bound).
     """
-    return complex(perron_sweep(x, c, [T], nodes, tol)[0][0])
+    return complex(perron_sweep(x, c, [T], nodes)[0][0])
 
 
 def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
@@ -350,7 +356,7 @@ def truncation_decay(x: float, c: float, T_list, exact_sum: int,
     heights = [float(T) for T in T_list]
     if len(heights) < 2:
         raise DomainError("a decay fit needs at least two heights T")
-    values, gaps, bounds = perron_sweep(x, c, heights, nodes, tol=1.0e-6)
+    values, gaps, bounds = perron_sweep(x, c, heights, nodes)
     rows = [(T, float(abs(v - exact_sum)), float(gap), float(bound))
             for T, v, gap, bound in zip(heights, values, gaps, bounds)]
     logs_T = np.log([r[0] for r in rows])
@@ -370,39 +376,30 @@ class RectangleCheck:
     discrepancy: float
 
 
-def rectangle_consistency(x: float, T: float = 50.0, right: float = 1.25,
-                          left: float = 0.6, nodes: int = 2048,
-                          residue_value: float | None = None) -> RectangleCheck:
+def rectangle_consistency(x: float) -> RectangleCheck:
     """Counterclockwise rectangle integral versus the enclosed residue at s = 1.
 
-    The left edge sits at sigma = left > 1/2, so the rectangle encloses the
-    order-3 pole at s = 1 and nothing else; the zero poles on Re s = 1/4 and
-    the pole at s = 0 stay outside and are tested individually by circles.
-    With up(sigma) the integral from sigma to sigma + iT and top the one
-    from left + iT to right + iT, the sides are 2i Im up(right),
-    -2i Im up(left), -top and conj(top).
+    The rectangle spans left = 0.6 <= sigma <= right = 1.25 and
+    |t| <= T = 50.  Since 1/2 < left < 1 < right it encloses the order-3 pole
+    at s = 1 and nothing else; the zero poles on Re s = 1/4 and the pole at
+    s = 0 stay outside and are tested individually by circles.  With
+    up(sigma) the integral from sigma to sigma + iT and top the one from
+    left + iT to right + iT, the sides are 2i Im up(right), -2i Im up(left),
+    -top and conj(top).
     """
     _require_half_convention(x)
-    if T <= 0:
-        raise DomainError("height T must be positive")
-    if not 0.5 < left < 1.0 < right:
-        raise ContourError(
-            "rectangle must satisfy 1/2 < left < 1 < right to enclose s = 1 only"
-        )
+    from .series import residue_main_term
 
     def edge(start: complex, direction: complex, length: float, count: int) -> complex:
         return complex(_segment_integrals(start, direction, [length], x, count,
                                           kronrod=False)[0][0])
 
-    right_edge = edge(right, 1j, T, nodes).imag / math.pi
-    left_edge = -edge(left, 1j, T, nodes).imag / math.pi
-    top = edge(left + 1j * T, 1.0, right - left, max(nodes // 8, 128))
+    right_edge = edge(_RECT_RIGHT, 1j, _RECT_T, _RECT_NODES).imag / math.pi
+    left_edge = -edge(_RECT_LEFT, 1j, _RECT_T, _RECT_NODES).imag / math.pi
+    top = edge(_RECT_LEFT + 1j * _RECT_T, 1.0, _RECT_RIGHT - _RECT_LEFT,
+               _RECT_NODES // 8)
     contour = right_edge + left_edge - top.imag / math.pi
-    if residue_value is None:
-        from .series import residue_main_term
-
-        _, value = residue_main_term(x)
-        residue_value = float(value)
+    residue_value = float(residue_main_term(x)[1])
     return RectangleCheck(
         contour_value=contour,
         residue_value=residue_value,

@@ -239,15 +239,11 @@ def _summatory_table(j: int, limit: int) -> np.ndarray:
     return np.cumsum(table, out=table)
 
 
-def _prefix_sums(
-    function: ArithmeticFunction,
-    cuts: list[int],
-    table_limit: int | None = None,
-) -> dict[int, int]:
-    """sum mu(k) D_j(x // k^2) at ascending cut points; table_limit overrides Y."""
+def _prefix_sums(function: ArithmeticFunction, cuts: list[int]) -> dict[int, int]:
+    """sum mu(k) D_j(x // k^2) at ascending cut points."""
     j, all_k = _ROUTES[function]
     x_max = cuts[-1]
-    y_max = min(table_limit or _table_limit(x_max), x_max)
+    y_max = _table_limit(x_max)
     table = _summatory_table(j, y_max)
     mu = _mobius(isqrt(x_max) if all_k else 1)
     xs = np.array(cuts, dtype=np.int64)

@@ -1,5 +1,6 @@
 """Command-line interface smoke tests, run in-process."""
 
+import argparse
 import importlib
 import json
 
@@ -176,8 +177,8 @@ def test_zeros_coeffs_cache_below_requested_precision(capsys, tmp_path):
 ], ids=["import", "coeffs", "compare", "compare_ordinate", "conjecture"])
 def test_zero_count_below_one_rejected(capsys, tmp_path, argv):
     out = tmp_path / "out"
-    code, captured = run(capsys, *argv, "--zeros-path", str(ZEROS_PATH),
-                         "--output-dir", str(out))
+    writes = ["--output-dir", str(out)] if argv[0] == "formula" else []
+    code, captured = run(capsys, *argv, "--zeros-path", str(ZEROS_PATH), *writes)
     assert code == 2
     assert json.loads(captured.err)["error"] == "DomainError"
     assert not out.exists()
@@ -186,8 +187,6 @@ def test_zero_count_below_one_rejected(capsys, tmp_path, argv):
 def test_output_dir_only_when_written(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("DIVISORLAB_ZEROS", raising=False)
     out = tmp_path / "out"
-    run_json(capsys, "sum", "d_square", "100", "--output-dir", str(out))
-    assert not out.exists()
     cfg = tmp_path / "lab.cfg"
     cfg.write_text("mode = bogus\n")
     code, captured = run(capsys, "formula", "compare",
@@ -203,6 +202,104 @@ def test_env_var_supplies_zeros_path(capsys, monkeypatch):
     monkeypatch.setenv("DIVISORLAB_ZEROS", str(ZEROS_PATH))
     payload = run_json(capsys, "zeros", "coeffs", "--count", "2")
     assert payload["count"] == 2
+
+
+def test_zeros_import_path_wins_over_env_var(capsys, monkeypatch, tmp_path):
+    five = tmp_path / "five.txt"
+    rows = [line for line in ZEROS_PATH.read_text().splitlines() if line[:1].isdigit()]
+    five.write_text("\n".join(rows[:5]) + "\n")
+    monkeypatch.setenv("DIVISORLAB_ZEROS", str(ZEROS_PATH))
+    assert run_json(capsys, "zeros", "import", str(five))["count"] == 5
+    assert run_json(capsys, "zeros", "import")["count"] == 100
+
+
+def test_zeros_import_without_path(capsys, monkeypatch):
+    monkeypatch.delenv("DIVISORLAB_ZEROS", raising=False)
+    code, captured = run(capsys, "zeros", "import")
+    assert code == 2
+    assert json.loads(captured.err)["error"] == "DomainError"
+
+
+def test_bad_env_zeros_path_only_where_read(capsys, monkeypatch, tmp_path):
+    """A missing DIVISORLAB_ZEROS file fails only the subcommands that read
+    the zeros path."""
+    missing = tmp_path / "missing.txt"
+    monkeypatch.setenv("DIVISORLAB_ZEROS", str(missing))
+    for argv in (["sum", "d_square", "10"],
+                 ["constants", "--precision-bits", "64"],
+                 ["perron", "integral", "10.5", "--T", "50"],
+                 ["perron", "decay", "100.5", "--T", "50", "100",
+                  "--output-dir", str(tmp_path)],
+                 ["perron", "residue", "--center-re", "0", "--radius", "0.15",
+                  "--x", "100.0", "--nodes", "64"]):
+        run_json(capsys, *argv)
+    code, captured = run(capsys, "zeros", "coeffs", "--count", "2")
+    assert code == 2
+    err = json.loads(captured.err)
+    assert err["error"] == "DomainError"
+    assert err["message"] == f"zeros path {missing} does not exist"
+
+
+def _subcommands(parser, path=()):
+    """(command words, parser) for every leaf subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _subcommands(child, path + (name,))
+            return
+    yield " ".join(path), parser
+
+
+def test_each_subcommand_takes_only_the_settings_it_reads():
+    zeros_settings = {"config", "precision_bits", "zeros_path", "cache_path", "workers"}
+    expected = {
+        "sum": set(),
+        "constants": {"config", "precision_bits"},
+        "zeros import": {"config", "precision_bits", "zeros_path", "count", "refine"},
+        "zeros coeffs": zeros_settings | {"count", "refine"},
+        "formula compare": zeros_settings | {
+            "output_dir", "mode", "function", "grid_start", "grid_stop",
+            "grid_count", "zeros", "ordinate_cutoff", "no_half_integers",
+            "no_constant"},
+        "formula conjecture": zeros_settings | {
+            "output_dir", "grid_start", "grid_stop", "grid_count", "zeros",
+            "epsilon"},
+        "perron integral": {"c", "T", "nodes"},
+        "perron decay": {"config", "output_dir", "c", "T", "nodes"},
+        "perron residue": {"config", "precision_bits", "center_re", "center_im",
+                           "radius", "x", "nodes", "verify_radius"},
+        "dirichlet-verify": {"config", "precision_bits"},
+    }
+    found = {name: {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
+             for name, p in _subcommands(cli.build_parser())}
+    assert found == expected
+    assert sum(map(len, found.values())) == 58
+
+
+def test_every_float_argument_is_finite_checked():
+    floats = [a for _, p in _subcommands(cli.build_parser()) for a in p._actions
+              if a.type in (float, cli.finite_float)]
+    assert len(floats) == 17
+    assert all(a.type is cli.finite_float for a in floats)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dirichlet-verify", "nan", "100"],
+    ["perron", "residue", "--center-re", "1", "--radius", "0.2", "--x", "nan"],
+    ["perron", "residue", "--center-re", "1", "--radius", "nan", "--x", "1000.5"],
+    ["formula", "conjecture", "--epsilon", "nan"],
+    ["perron", "integral", "inf"],
+    ["perron", "decay", "100.5", "--T", "50", "inf"],
+    ["formula", "compare", "--grid-stop", "inf"],
+], ids=["dirichlet_s", "residue_x", "residue_radius", "conjecture_epsilon",
+        "integral_x", "decay_T", "compare_grid_stop"])
+def test_non_finite_float_rejected_by_parser(capsys, argv):
+    """Rejected as argparse rejects a bad --mode choice, before any handler
+    runs: unchecked, dirichlet-verify never returns from s = nan."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli.build_parser().parse_args(argv)
+    assert exit_info.value.code == 2
+    assert "invalid finite_float value" in capsys.readouterr().err
 
 
 def test_formula_compare(capsys, tmp_path):
@@ -345,7 +442,7 @@ def test_unknown_config_key(capsys, tmp_path):
     for line in ("segmnt_size = 4096\n", "sieve_cap = 1000\n",
                  "segment_size = 4096\n"):
         cfg.write_text(line)
-        code, captured = run(capsys, "sum", "d_square", "10", "--config", str(cfg))
+        code, captured = run(capsys, "constants", "--config", str(cfg))
         assert code == 2
         err = json.loads(captured.err)
         assert err["error"] == "DomainError"
@@ -354,7 +451,7 @@ def test_unknown_config_key(capsys, tmp_path):
 def test_malformed_config_value(capsys, tmp_path):
     cfg = tmp_path / "lab.cfg"
     cfg.write_text("# lab defaults\nprecision_bits = 12x\n")
-    code, captured = run(capsys, "sum", "d_square", "10", "--config", str(cfg))
+    code, captured = run(capsys, "constants", "--config", str(cfg))
     assert code == 2
     err = json.loads(captured.err)
     assert err["error"] == "DomainError"

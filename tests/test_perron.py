@@ -59,12 +59,13 @@ class TestPerronTruncated:
             perron.perron_truncated(10.5, 1.5, 50.0, nodes=perron.MIN_NODES - 1)
         perron.perron_truncated(10.5, 1.5, 50.0, nodes=perron.MIN_NODES)
 
-    def test_node_doubling_raises_below_gap(self):
+    def test_node_doubling_raises_below_gap(self, monkeypatch):
         # The coarse and fine grids differ by rounding at least; a tolerance
         # below that gap must fail, and the default must pass.
         perron.perron_truncated(10.5, 2.0, 50.0)
+        monkeypatch.setattr(perron, "GAP_TOL", 1e-18)
         with pytest.raises(QuadratureError, match="T = 50"):
-            perron.perron_truncated(10.5, 2.0, 50.0, tol=1e-18)
+            perron.perron_truncated(10.5, 2.0, 50.0)
 
     @pytest.mark.parametrize("x, c, T", [
         (2.5, 1.2, 300.0), pytest.param(4.5, 1.1, 1000.0, marks=pytest.mark.slow)])
@@ -151,7 +152,7 @@ class TestPerronTruncated:
         count = _count_f_nodes(monkeypatch)
         perron.truncation_decay(1000.5, 2.0, [50, 100, 200, 400], 0)
         perron.perron_sweep(1000.5, 1.5, [100.0])
-        perron.rectangle_consistency(1000.5, residue_value=0.0)
+        perron.rectangle_consistency(1000.5)
         assert sum(count) == 79_896
         assert max(count) <= 1024
 
@@ -377,6 +378,9 @@ class TestTruncationDecay:
             perron.truncation_decay(100.5, 2.0, [-50, 100], 48)
         with pytest.raises(DomainError):
             perron.truncation_decay(100.5, 2.0, [float("nan"), 100], 48)
+        for heights in ([50, float("nan")], [50, float("nan"), 100], [50, float("inf")]):
+            with pytest.raises(DomainError):
+                perron.perron_sweep(100.5, 2.0, heights)
         with pytest.raises(DomainError):
             perron.truncation_decay(100.5, 2.0, [50, 100], 48, nodes=32)
         with pytest.raises(ConventionError):
@@ -393,18 +397,12 @@ class TestTruncationDecay:
 
 class TestRectangle:
     def test_consistency_small_x(self):
-        check = perron.rectangle_consistency(100.5, T=40.0)
+        check = perron.rectangle_consistency(100.5)
         assert check.discrepancy < 1e-6
         assert set(check.edge_magnitudes) == {"right", "left", "top", "bottom"}
         assert check.contour_value == pytest.approx(check.residue_value,
                                                     abs=1e-6)
 
-    def test_geometry_enforced(self):
-        with pytest.raises(ContourError):
-            perron.rectangle_consistency(100.5, left=0.4)
-        with pytest.raises(ContourError):
-            perron.rectangle_consistency(100.5, right=0.9)
+    def test_integer_x_rejected(self):
         with pytest.raises(ConventionError):
             perron.rectangle_consistency(100.0)
-        with pytest.raises(DomainError):
-            perron.rectangle_consistency(100.5, T=0.0)

@@ -180,11 +180,14 @@ def test_mobius_matches_trial_division():
 
 
 @pytest.mark.parametrize("function", list(AF))
-def test_table_and_hyperbola_agree_at_1e8(function):
+def test_table_and_hyperbola_agree_at_1e8(function, monkeypatch):
     x = 10**8
-    small = sieve._prefix_sums(function, [x], table_limit=2**10)[x]
-    large = sieve._prefix_sums(function, [x], table_limit=2**20)[x]
-    assert small == large == sieve.prefix_sum(function, x)
+    expected = sieve.prefix_sum(function, x)
+    monkeypatch.setattr(sieve, "_table_limit", lambda x_max: 2**10)
+    small = sieve._prefix_sums(function, [x])[x]
+    monkeypatch.setattr(sieve, "_table_limit", lambda x_max: 2**20)
+    large = sieve._prefix_sums(function, [x])[x]
+    assert small == large == expected
     assert isinstance(large, int)
 
 
