@@ -47,7 +47,6 @@ class RunConfig:
     zeros_path: str | None = None
     cache_path: str | None = None
     output_dir: str = "."
-    workers: int = 1
     mode: str = "exact"
 
     @classmethod
@@ -57,18 +56,7 @@ class RunConfig:
         each overriding the last.  Every key in the file is checked."""
         cfg, read = cls(), args.settings
         if getattr(args, "config", None):
-            for where, key, value in _read_config_file(args.config):
-                if not hasattr(cfg, key):
-                    raise DomainError(f"{where}: unknown config key {key!r}")
-                if key == "mode" and value not in series.MODES:
-                    raise DomainError(f"{where}: mode must be 'paper' or 'exact'")
-                if isinstance(getattr(cfg, key), int):
-                    try:
-                        value = int(value)
-                    except ValueError:
-                        raise DomainError(
-                            f"{where}: {key} must be an integer, got {value!r}"
-                        ) from None
+            for key, value in _read_config_file(args.config):
                 if key in read:
                     setattr(cfg, key, value)
         env_zeros = os.environ.get("DIVISORLAB_ZEROS")
@@ -79,24 +67,41 @@ class RunConfig:
                 setattr(cfg, key, getattr(args, key))
         if getattr(args, "path", None):
             cfg.zeros_path = args.path
-        if cfg.workers < 1:
-            raise DomainError("worker count must be >= 1")
         if cfg.zeros_path is not None and not Path(cfg.zeros_path).exists():
             raise DomainError(f"zeros path {cfg.zeros_path} does not exist")
         return cfg
 
 
-def _read_config_file(path) -> list[tuple[str, str, str]]:
-    """("path:line", key, value) for each setting, in file order."""
+def _read_config_file(path) -> list[tuple[str, object]]:
+    """(key, value) for each setting, in file order, the value converted and
+    checked by the type and choices of the key's flag in _SETTINGS."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+        raise DomainError(f"config file {path} cannot be read "
+                          f"({type(exc).__name__})") from None
     out = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         if "=" not in line:
-            raise DomainError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        out.append((f"{path}:{lineno}", key, value))
+            raise DomainError(f"{where}: expected 'key = value'")
+        key, given = (part.strip() for part in line.split("=", 1))
+        spec = _SETTINGS.get(key)
+        if spec is None:
+            raise DomainError(f"{where}: unknown config key {key!r}")
+        convert = spec.get("type", str)
+        try:
+            value = convert(given)
+        except ValueError:
+            raise DomainError(f"{where}: invalid {convert.__name__} value for {key}: "
+                              f"{given!r}") from None
+        if "choices" in spec and value not in spec["choices"]:
+            raise DomainError(f"{where}: {key} must be "
+                              + " or ".join(map(repr, spec["choices"])))
+        out.append((key, value))
     return out
 
 
@@ -131,8 +136,7 @@ def _table_and_coefficients(cfg: RunConfig, count: int | None, refine: bool):
     if cfg.cache_path and Path(cfg.cache_path).exists():
         coeffs = zeros.load_cache(cfg.cache_path, table, cfg.precision_bits)
     else:
-        coeffs = zeros.coefficients_for_table(table, cfg.precision_bits,
-                                              workers=cfg.workers)
+        coeffs = zeros.coefficients_for_table(table, cfg.precision_bits)
         if cfg.cache_path:
             zeros.persist_cache(table, coeffs, cfg.cache_path,
                                 cfg.precision_bits)
@@ -285,6 +289,12 @@ def cmd_dirichlet_verify(args, cfg: RunConfig) -> int:
         raise DomainError("s must exceed 1 for absolute convergence")
     if N < 1:
         raise DomainError("N must be >= 1")
+    # _blockwise_tail walks ln ln a up to 2 C ln 3 / (s - 1), C = 1.53794, and
+    # its exponentials grow costlier with each block: past 4096 it does not finish.
+    walk = 2 * 1.53794 * math.log(3)
+    if walk / (s - 1) > 4096:
+        raise DomainError(f"s = {s} is too close to 1 for the tail bound; the smallest "
+                          f"s accepted is {math.ceil(1e6 * (1 + walk / 4096)) / 1e6}")
     prec = cfg.precision_bits
     values = sieve.build_sieve(max(N, 10**4), ArithmeticFunction.D_SQUARE)
     with mp.workprec(prec + 16):
@@ -373,7 +383,6 @@ _SETTINGS = {
     "zeros_path": {},
     "cache_path": {},
     "output_dir": {},
-    "workers": {"type": int, "help": "processes for zero coefficients on a cold cache"},
     "mode": {"choices": series.MODES},
 }
 
@@ -394,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "zero sums, and Perron contour verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    zeros_settings = ("precision_bits", "zeros_path", "cache_path", "workers")
+    zeros_settings = ("precision_bits", "zeros_path", "cache_path")
 
     p = sub.add_parser("sum", help="exact prefix sum")
     p.add_argument("function", choices=[f.value for f in ArithmeticFunction])

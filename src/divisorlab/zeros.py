@@ -20,10 +20,8 @@ the digits the request needs.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -147,19 +145,9 @@ def coefficient_for(gamma, precision: int = DEFAULT_PRECISION) -> ZeroTermCoeffi
 
 
 def coefficients_for_table(
-    table: ZeroTable,
-    precision: int = DEFAULT_PRECISION,
-    workers: int = 1,
+    table: ZeroTable, precision: int = DEFAULT_PRECISION,
 ) -> list[ZeroTermCoefficient]:
-    """Coefficients for every table ordinate, in table order.
-
-    With workers > 1 the per-zero computations run in separate processes and
-    the results are collected in input order, so output is deterministic.
-    """
-    if workers > 1:
-        task = functools.partial(coefficient_for, precision=precision)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(task, table.ordinates))
+    """Coefficients for every table ordinate, in table order."""
     return [coefficient_for(g, precision) for g in table.ordinates]
 
 

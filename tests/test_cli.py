@@ -1,8 +1,14 @@
-"""Command-line interface smoke tests, run in-process."""
+"""Command-line interface smoke tests, run in-process except where a test
+needs a fresh interpreter or a timeout."""
 
 import argparse
+import dataclasses
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
@@ -251,7 +257,7 @@ def _subcommands(parser, path=()):
 
 
 def test_each_subcommand_takes_only_the_settings_it_reads():
-    zeros_settings = {"config", "precision_bits", "zeros_path", "cache_path", "workers"}
+    zeros_settings = {"config", "precision_bits", "zeros_path", "cache_path"}
     expected = {
         "sum": set(),
         "constants": {"config", "precision_bits"},
@@ -273,7 +279,33 @@ def test_each_subcommand_takes_only_the_settings_it_reads():
     found = {name: {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
              for name, p in _subcommands(cli.build_parser())}
     assert found == expected
-    assert sum(map(len, found.values())) == 58
+    assert sum(map(len, found.values())) == 55
+    assert [f.name for f in dataclasses.fields(cli.RunConfig)] == list(cli._SETTINGS)
+
+
+@pytest.mark.parametrize("command", [["zeros", "coeffs"], ["formula", "compare"],
+                                     ["formula", "conjecture"]])
+def test_workers_flag_rejected(capsys, command):
+    """Zero coefficients are computed in one process; there is no --workers."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+def _python(*args, timeout: float = 60):
+    """A fresh interpreter with this checkout's divisorlab, killed (and the
+    test failed) after timeout seconds."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_cli_import_loads_no_process_pool():
+    probe = ("import sys, divisorlab.cli; "
+             "print([m for m in ('multiprocessing', 'concurrent.futures') "
+             "if m in sys.modules])")
+    assert _python("-c", probe).stdout.strip() == "[]"
 
 
 def test_every_float_argument_is_finite_checked():
@@ -408,9 +440,10 @@ def test_dirichlet_verify(capsys):
         assert abs(mpf(payload["partial_sum"]) - direct) < mpf("1e-24")
 
 
-@pytest.mark.parametrize("s", ["1.5", "1.9"])
+@pytest.mark.parametrize("s", ["1.5", "1.9", "1.000825"])
 def test_dirichlet_verify_below_s_2(capsys, s):
-    """The tail past N stays a finite positive bound for every s > 1."""
+    """The tail past N stays a finite positive bound for every s > 1 the
+    command accepts, down to the smallest."""
     payload = run_json(capsys, "dirichlet-verify", s, "2000")
     assert payload["pass"] is True
     assert 0 < float(payload["difference"]) <= float(payload["tail_bound"])
@@ -426,10 +459,20 @@ def test_dirichlet_verify_degenerate(capsys):
     assert json.loads(captured.err)["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("s", ["1.0001", "1.00001"])
+def test_dirichlet_verify_rejects_s_too_close_to_1(s):
+    """The tail walk would not finish for these s, so they exit 2 at once."""
+    proc = _python("-m", "divisorlab.cli", "dirichlet-verify", s, "10", timeout=30)
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)
+    assert err["error"] == "DomainError"
+    assert err["message"].endswith("the smallest s accepted is 1.000825")
+
+
 def test_config_file(capsys, tmp_path):
     cfg = tmp_path / "lab.cfg"
     cfg.write_text(
-        "workers = 1  # one coefficient process\n"
+        "precision_bits = 128  # the default precision\n"
         f"zeros_path = {ZEROS_PATH}\n"
     )
     payload = run_json(capsys, "zeros", "coeffs", "--count", "2",
@@ -440,7 +483,7 @@ def test_config_file(capsys, tmp_path):
 def test_unknown_config_key(capsys, tmp_path):
     cfg = tmp_path / "lab.cfg"
     for line in ("segmnt_size = 4096\n", "sieve_cap = 1000\n",
-                 "segment_size = 4096\n"):
+                 "segment_size = 4096\n", "workers = 1\n"):
         cfg.write_text(line)
         code, captured = run(capsys, "constants", "--config", str(cfg))
         assert code == 2
@@ -456,6 +499,18 @@ def test_malformed_config_value(capsys, tmp_path):
     err = json.loads(captured.err)
     assert err["error"] == "DomainError"
     assert f"{cfg}:2" in err["message"]
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_config_file(capsys, tmp_path, kind):
+    path = tmp_path / "lab.cfg"
+    if kind == "directory":
+        path.mkdir()
+    code, captured = run(capsys, "constants", "--config", str(path))
+    assert code == 2
+    err = json.loads(captured.err)
+    assert err["error"] == "DomainError"
+    assert err["message"].startswith(f"config file {path} cannot be read")
 
 
 def test_bad_config_mode_rejected(capsys, tmp_path):

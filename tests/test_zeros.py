@@ -118,12 +118,6 @@ class TestCoefficient:
         redo = zeros.coefficient_for(zero_coefficients[3].ordinate, precision=192)
         assert abs(redo.coefficient - zero_coefficients[3].coefficient) < mpf("1e-8")
 
-    def test_parallel_matches_serial(self, zeros_path):
-        table = zeros.import_zeros(zeros_path, limit_count=6)
-        serial = zeros.coefficients_for_table(table, workers=1)
-        parallel = zeros.coefficients_for_table(table, workers=3)
-        assert [c.coefficient for c in serial] == [c.coefficient for c in parallel]
-
 
 class TestCache:
     def test_round_trip(self, tmp_path, zeros_path):
