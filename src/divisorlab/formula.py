@@ -198,9 +198,15 @@ def compare(
         terms = residue_coefficients(j, mode, precision)
 
     chosen: list[ZeroTermCoefficient] = []
-    if function is ArithmeticFunction.D_SQUARE and zero_coefficients and cutoff:
-        chosen, warns = select_zero_terms(zero_coefficients, cutoff)
-        report.warnings.extend(warns)
+    if function is ArithmeticFunction.D_SQUARE:
+        if zero_coefficients and cutoff:
+            chosen, warns = select_zero_terms(zero_coefficients, cutoff)
+            report.warnings.extend(warns)
+        else:
+            report.warnings.append(
+                "no zero coefficients and cutoff given: E = S - main still "
+                "holds the whole zero sum"
+            )
 
     zero_sums = zero_sum_terms(np.array(xs), chosen)
     for x, fl, zs in zip(xs, floors, zero_sums.tolist()):

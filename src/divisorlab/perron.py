@@ -5,12 +5,13 @@ bookkeeping check.
 F(conj s) = conj F(s), so only the upper half of each edge mirrored in the
 real axis is integrated.  Every straight edge goes through one nested
 segment quadrature: composite 16-point Gauss-Legendre on panels at most a
-quarter period of x^(it) wide, with every requested height a panel edge,
-evaluated in vectorized float64.  The integral up to each height is a prefix
-sum of panel integrals, so a sweep over T evaluates F(s) once per node for
-all heights together.  Perron values extend each panel's Gauss rule to the
-33-point Gauss-Kronrod rule (Laurie's algorithm) and return the Kronrod
-value; its gap to the embedded Gauss value, which reads the same F
+quarter period of x^(it) wide and of one width between two heights, every
+requested height a panel edge, evaluated in vectorized float64 on the grid
+of panel midpoints plus node offsets.  The integral up to each height is a
+prefix sum of panel integrals, so a sweep over T evaluates F(s) once per
+node for all heights together.  Perron values extend each panel's Gauss
+rule to the 33-point Gauss-Kronrod rule (Laurie's algorithm) and return the
+Kronrod value; its gap to the embedded Gauss value, which reads the same F
 evaluations, is checked at every T and reported with an error bound that
 adds float64 rounding.  The rectangle evaluates the Gauss nodes only.
 
@@ -47,8 +48,9 @@ MIN_NODES = 64
 MIN_LEVEL = 16
 GAUSS_ORDER = 16
 #: Float64 F nodes per zeta batch: a short stretch of height, so the N each
-#: batch picks from its tallest node stays near its own.  Whole panels go in
-#: a batch: 31 Kronrod panels (1023 nodes) or 64 Gauss panels.
+#: batch picks from its tallest node stays near its own.  A batch is whole
+#: panels of one stretch between heights, 31 Kronrod panels (1023 nodes) or
+#: 64 Gauss panels, read by F as n^-s tables of 31 midpoints and 33 offsets.
 _BATCH_NODES = 1024
 #: float64 machine epsilon, for the rounding terms of the Perron error bound.
 _EPS = 2.0 ** -52
@@ -62,11 +64,6 @@ _FIXED_POLES = (0.0 + 0.0j, 1.0 + 0.0j)
 
 #: rectangle_consistency's height T, right and left abscissae and side nodes.
 _RECT_T, _RECT_RIGHT, _RECT_LEFT, _RECT_NODES = 50.0, 1.25, 0.6, 2048
-
-
-def _integrand_line(s: np.ndarray, x: float) -> np.ndarray:
-    """F(s) x^s / s on an array of points off the poles."""
-    return dirichlet_quotient_f64(s) * np.exp(s * math.log(x)) / s
 
 
 def _kronrod_extension(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,38 +130,47 @@ def _kronrod_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, kronrod, gauss
 
 
-def _panel_integrals(start: complex, direction: complex, edges: np.ndarray,
-                     x: float, kronrod: bool) -> tuple[np.ndarray, ...]:
+def _panel_integrals(start: complex, direction: complex, stretches, x: float,
+                     kronrod: bool) -> tuple[np.ndarray, ...]:
     """integral of F(s) x^s / s ds along s = start + direction u over each
-    panel edges[k] <= u <= edges[k + 1].
+    panel, where each stretch (lo, hi, count) of u is cut into count panels
+    of one width.
 
     Returns gauss, kronrod and the two rounding sums of perron_sweep over
-    the panels.  With kronrod, F is evaluated once at each of the 33 Kronrod
-    nodes per panel and all four read those values; without it, only at the
-    16 embedded Gauss nodes, and the last three are None.  Edges ascend, so
-    each batch of nodes sits at a similar height and the float64 zeta picks
-    its N from that height.
+    the panels, in order.  With kronrod, F is evaluated once at each of the
+    33 Kronrod nodes per panel and all four read those values; without it,
+    only at the 16 embedded Gauss nodes, and the last three are None.  F is
+    evaluated per batch of panels within one stretch, on the grid of their
+    midpoints plus the node offsets they share.  Stretches ascend, so each
+    batch sits at a similar height and the float64 zeta picks its N there.
     """
     nodes, k_weights, g_weights = _kronrod_rule()
     if not kronrod:
         nodes = nodes[1::2]
-    mid = (edges[1:] + edges[:-1]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    s = start + direction * (mid[:, None] + half[:, None] * nodes)
+    rows = _BATCH_NODES // len(nodes)
+    log_x = math.log(x)
+    panels = sum(count for _, _, count in stretches)
+    s = np.empty((panels, len(nodes)), dtype=np.complex128)
     f = np.empty_like(s)
-    log_n = np.empty(len(s))
-    panels = _BATCH_NODES // len(nodes)
-    for i in range(0, len(s), panels):
-        block = s[i: i + panels]
-        f[i: i + panels] = _integrand_line(block.ravel(), x).reshape(block.shape)
-        log_n[i: i + panels] = math.log(zeta_engine._em_rule(block.ravel())[0])
-    # Elementwise sums, not BLAS products: BLAS worker threads would spin on
-    # the second core after every batch.
+    log_n, half = np.empty(panels), np.empty(panels)
+    first = 0
+    for lo, hi, count in stretches:
+        half[first: first + count] = h = (hi - lo) / (2 * count)
+        offsets = direction * h * nodes
+        mid = start + direction * (lo + h * np.arange(1, 2 * count, 2))
+        for i in range(0, count, rows):
+            base = mid[i: i + rows]
+            batch = slice(first + i, first + i + len(base))
+            s[batch] = grid = np.add.outer(base, offsets)
+            f[batch] = dirichlet_quotient_f64(base, offsets) * np.exp(grid * log_x) / grid
+            log_n[batch] = math.log(zeta_engine._em_rule(grid.ravel())[0])
+        first += count
+    # Elementwise sums, not BLAS products: see dirichlet_quotient_f64.
     scale = direction * half
     if not kronrod:
         return scale * (f * g_weights).sum(axis=1), None, None, None
     size = np.abs(f) * k_weights * half[:, None]
-    phase = size * np.abs(s.imag) * (math.log(x) + 3.0 * log_n)[:, None]
+    phase = size * np.abs(s.imag) * (log_x + 3.0 * log_n)[:, None]
     return (scale * (f[:, 1::2] * g_weights).sum(axis=1),
             scale * (f * k_weights).sum(axis=1),
             size.sum(axis=1), (phase * phase).sum(axis=1))
@@ -177,32 +183,30 @@ def _segment_integrals(start: complex, direction: complex, heights: list[float],
 
     Panels are at most a quarter period of x^(it) wide, narrower where needed
     so that every height spans at least nodes // GAUSS_ORDER of them, and
-    each height is a panel edge.  The frequency is floored at 4: below
-    x = e^4 the terms n^-it of F itself oscillate faster than x^(it).
-    Returns (gauss, kronrod, rounding) arrays over the heights: gauss from
-    the 16-point Gauss rule on every panel, kronrod from the 33-point
-    Gauss-Kronrod rule that extends it, and perron_sweep's rounding terms;
-    the last two are None unless kronrod is set.
+    each height is a panel edge: the stretch between two heights is cut into
+    panels of one width.  The frequency is floored at 4: below x = e^4 the
+    terms n^-it of F itself oscillate faster than x^(it).  Returns (gauss,
+    kronrod, rounding) arrays over the heights: gauss from the 16-point Gauss
+    rule on every panel, kronrod from the 33-point Gauss-Kronrod rule that
+    extends it, and perron_sweep's rounding terms; the last two are None
+    unless kronrod is set.
     """
     period = 2.0 * math.pi / max(math.log(x), 4.0)
     width = min(period / 4.0, heights[0] / (nodes // GAUSS_ORDER))
-    edges, ends = [0.0], []
-    for h in heights:
-        count = math.ceil((h - edges[-1]) / width)
-        edges.extend(np.linspace(edges[-1], h, count + 1)[1:])
-        ends.append(len(edges) - 2)  # prefix-sum index of the panel ending at h
-    cuts = np.array(ends[:-1]) + 1
+    stretches = [(lo, hi, math.ceil((hi - lo) / width))
+                 for lo, hi in zip([0.0, *heights], heights)]
+    ends = np.cumsum([count for _, _, count in stretches])
 
     def prefix(panels):
         # Pairwise sums between heights; a running sum over every panel
         # would add rounding like sqrt(panels) eps |value|.
-        return np.cumsum([part.sum() for part in np.split(panels, cuts)])
+        return np.cumsum([part.sum() for part in np.split(panels, ends[:-1])])
 
-    gauss, extended, size, phase = _panel_integrals(start, direction, np.array(edges),
+    gauss, extended, size, phase = _panel_integrals(start, direction, stretches,
                                                     x, kronrod)
     if extended is None:
         return prefix(gauss), None, None
-    count = (2 * GAUSS_ORDER + 1) * (np.array(ends) + 1)
+    count = (2 * GAUSS_ORDER + 1) * ends
     rounding = _EPS * (np.log2(count) * prefix(size) + np.sqrt(prefix(phase)))
     return prefix(gauss), prefix(extended), rounding
 

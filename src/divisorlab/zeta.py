@@ -46,12 +46,17 @@ thousands of nodes are needed at only double accuracy.  It picks (N, J) by
 the same rule as the multiprecision engine, at 53 bits, and folds its
 Bernoulli tail the same way, with Q_j and B_2j/(2j)! scaled by powers of two
 to stay in range at the height cap; its coefficients are the correctly
-rounded float64 values of the same exact fractions, one table per J.  Its
-Dirichlet sum is multiplicative too: one table holds n^-s for a whole batch,
-one row per n; the prime rows take a complex exp and each composite row is
-the product of the rows of its smallest prime p and of n / p, filled one
-vectorized step per count of prime factors.  F(s) = zeta(s)^3 / zeta(2s)
-reads both sums from one table, zeta(2s) from its rows squared.
+rounded float64 values of the same exact fractions, one table per J,
+summed by Horner after one exp E = N^-s.  Its Dirichlet sum is
+multiplicative too: a table holds n^-s for a batch, one row per n; the prime
+rows take a complex exp and each composite row is the product of the rows
+of its smallest prime p and of n / p, one vectorized step per count of prime
+factors.  F(s) = zeta(s)^3 / zeta(2s) is evaluated on a grid b + o, as the
+Perron panels are (midpoints b, node offsets o): n^-(b + o) = n^-b n^-o
+separates, as in Odlyzko and Schonhage's multiple evaluation of zeta on
+arithmetic progressions (Trans. AMS 309, 1988), so F contracts a table of
+31 midpoints with one of 33 offsets where a flat table would have 1023
+columns; zeta(2s) reads both squared.
 """
 
 from __future__ import annotations
@@ -512,22 +517,30 @@ def _em_tail(s: np.ndarray, N: int, J: int) -> np.ndarray:
     """zeta(s) - sum_{n<N} n^-s over a flat complex128 batch: the pole term,
     N^-s / 2 and J Bernoulli corrections.
 
-    The corrections are folded as in the multiprecision engine,
-    N^(-1-s) sum_j B_2j/(2j)! Q_j(s) with Q_j = N^(2-2j) P_j(s).  Q_j grows
-    and B_2j/(2j)! falls like (2 pi)^(2j), past the float64 range for j near
-    190, so Q_j is carried times 2^-5j and the coefficient times 2^5j, both
-    exact scalings.
+    One exp, E = N^-s, gives all three: N^(1-s) = E N, E / 2 and
+    N^(-1-s) = E / N.  The corrections are folded as in the multiprecision
+    engine, N^(-1-s) sum_j B_2j/(2j)! Q_j(s) with Q_j = N^(2-2j) P_j(s), and
+    summed by Horner from j = J down, each ratio Q_j / Q_(j-1) =
+    (s + 2j - 3)(s + 2j - 2) step = s^2 step + (4j - 5) s step + const,
+    step = N^-2.  Q_j grows and B_2j/(2j)! falls like (2 pi)^(2j), past the
+    float64 range for j near 190, so each ratio is carried times 2^-5 and the
+    coefficient times 2^5j, both exact scalings.
     """
-    L = math.log(N)
-    out = np.exp((1 - s) * L) / (s - 1) + np.exp(-s * L) / 2.0
+    E = np.exp(-s * math.log(N))
     bern = _bernoulli_f64(J)
     step = 2.0 ** -5 / (N * N)
-    q = s * 2.0 ** -5  # Q_1 = s
-    tail = bern[0] * q
-    for j in range(2, J + 1):
-        q = q * ((s + (2 * j - 3)) * (s + (2 * j - 2)) * step)
-        tail += bern[j - 1] * q
-    return out + tail * np.exp((-s - 1) * L)
+    s_step = s * step
+    s2_step = s * s_step
+    ratio = np.empty_like(s)
+    horner = np.full_like(s, bern[J - 1])
+    for j in range(J, 1, -1):
+        np.multiply(s_step, 4 * j - 5, out=ratio)
+        ratio += s2_step
+        ratio += (2 * j - 3) * (2 * j - 2) * step
+        horner *= ratio
+        horner += bern[j - 2]
+    # Q_1 = s, carried times 2^-5 like every ratio.
+    return E * (N / (s - 1) + 0.5 + horner * s * (2.0 ** -5 / N))
 
 
 @functools.cache
@@ -560,20 +573,36 @@ def zeta_f64(s: np.ndarray) -> np.ndarray:
     return out.reshape(s.shape)
 
 
-def dirichlet_quotient_f64(s: np.ndarray) -> np.ndarray:
-    """zeta(s)^3 / zeta(2s) over an array of complex128 points.
+def dirichlet_quotient_f64(s: np.ndarray, offsets: np.ndarray | None = None) -> np.ndarray:
+    """zeta(s)^3 / zeta(2s) over an array of complex128 points, or, with
+    offsets, over the grid s[:, None] + offsets[None, :] of a flat s.
 
-    Both Dirichlet sums read one n^-s table: zeta(2s) sums its rows squared,
-    (n^-s)^2 = n^-2s, squared in place once zeta(s)'s sum is taken.
+    n^-(s + o) = n^-s n^-o: each grid sum contracts an n^-s table for s
+    with one for the offsets over n, and zeta(2s) the two squared.  Without
+    offsets the grid has the one offset 0, whose rows are exactly 1.  (N, J)
+    are chosen from the whole grid.
     """
     s = np.asarray(s, dtype=np.complex128)
-    if s.size == 0:
-        return np.zeros_like(s)
-    flat = s.reshape(-1)
-    double = 2 * flat
-    (N1, J1), (N2, J2) = _em_rule(flat), _em_rule(double)
-    table = _dirichlet_powers(flat, max(N1, N2))
-    zeta_s = table[1:N1].sum(axis=0) + _em_tail(flat, N1, J1)
-    squares = np.square(table[1:N2], out=table[1:N2])
-    zeta_2s = squares.sum(axis=0) + _em_tail(double, N2, J2)
-    return (zeta_s ** 3 / zeta_2s).reshape(s.shape)
+    if offsets is None:
+        shape, offsets = s.shape, np.zeros(1, dtype=np.complex128)
+    else:
+        offsets = np.asarray(offsets, dtype=np.complex128)
+        shape = (s.size, offsets.size)
+    if s.size * offsets.size == 0:
+        return np.zeros(shape, dtype=np.complex128)
+    s = s.reshape(-1)
+    points = np.add.outer(s, offsets).reshape(-1)
+    double = 2 * points
+    (N1, J1), (N2, J2) = _em_rule(points), _em_rule(double)
+    table = _dirichlet_powers(s, max(N1, N2))
+    shifts = _dirichlet_powers(offsets, max(N1, N2))
+    # Elementwise sums, not BLAS (@, np.dot, tensordot): after a complex
+    # 31 x 216 x 33 product OpenBLAS's worker thread kept spinning, and on a
+    # 2-core host the numpy code after it took up to twice its CPU time.
+    zeta_s = (table[1:N1, :, None] * shifts[1:N1, None, :]).sum(axis=0).ravel()
+    np.square(table[1:], out=table[1:])
+    np.square(shifts[1:], out=shifts[1:])
+    zeta_2s = (table[1:N2, :, None] * shifts[1:N2, None, :]).sum(axis=0).ravel()
+    zeta_s += _em_tail(points, N1, J1)
+    zeta_2s += _em_tail(double, N2, J2)
+    return (zeta_s ** 3 / zeta_2s).reshape(shape)

@@ -345,6 +345,23 @@ def test_formula_compare(capsys, tmp_path):
     assert (tmp_path / "compare_d_square.json").exists()
     summary = json.loads((tmp_path / "compare_d_square.json").read_text())
     assert summary["cutoff"] == {"kind": "count", "value": 20}
+    assert payload["warnings"] == summary["warnings"] == []
+
+
+def test_formula_compare_without_zeros_warns(capsys, monkeypatch, tmp_path):
+    """From an empty directory, with no zeros flag, config or
+    DIVISORLAB_ZEROS, d_square's E keeps the whole zero sum, and the report
+    says so; a companion function, which has no zero sum, does not warn."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DIVISORLAB_ZEROS", raising=False)
+    payload = run_json(capsys, "formula", "compare", "--grid-count", "2",
+                       "--grid-stop", "1e4")
+    assert payload["cutoff"] is None
+    assert len(payload["warnings"]) == 1
+    assert "whole zero sum" in payload["warnings"][0]
+    payload = run_json(capsys, "formula", "compare", "--function", "two_omega",
+                       "--grid-count", "2", "--grid-stop", "1e4")
+    assert payload["warnings"] == []
 
 
 def test_formula_compare_companion(capsys, tmp_path):
@@ -352,6 +369,7 @@ def test_formula_compare_companion(capsys, tmp_path):
                        "--grid-start", "100", "--grid-stop", "10000",
                        "--grid-count", "4", "--output-dir", str(tmp_path))
     assert payload["function"] == "mu_squared"
+    assert payload["warnings"] == []
 
 
 def test_formula_conjecture(capsys, tmp_path):

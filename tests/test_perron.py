@@ -80,39 +80,47 @@ class TestPerronTruncated:
 
     def test_panel_layout(self, monkeypatch):
         """Every height is a panel edge, panels are at most a quarter period
-        of x^(it) wide, and F sees the 33 Gauss-Kronrod nodes of every panel,
-        each once."""
+        of x^(it) wide and of one width between two heights, and F sees the
+        33 Gauss-Kronrod nodes of every panel, each once, as a grid of panel
+        midpoints plus that width's node offsets within one stretch."""
         grids, seen = [], []
         panel_integrals = perron._panel_integrals
         quotient = perron.dirichlet_quotient_f64
 
-        def spy(start, direction, edges, x, kronrod):
-            grids.append((start, direction, edges.copy(), kronrod))
-            return panel_integrals(start, direction, edges, x, kronrod)
+        def spy(start, direction, stretches, x, kronrod):
+            grids.append((start, direction, list(stretches), kronrod))
+            return panel_integrals(start, direction, stretches, x, kronrod)
 
-        def spy_f(s):
-            seen.append(s.copy())
-            return quotient(s)
+        def spy_f(s, offsets):
+            seen.append((s.copy(), offsets.copy()))
+            return quotient(s, offsets)
 
         monkeypatch.setattr(perron, "_panel_integrals", spy)
         monkeypatch.setattr(perron, "dirichlet_quotient_f64", spy_f)
         exact = sieve.prefix_sum(AF.D_SQUARE, 100)
         perron.truncation_decay(100.5, 2.0, [10, 25, 40], exact, nodes=256)
-        assert [(d, k) for _, d, _, k in grids] == [(1j, True)]
+        assert [(s, d, k) for s, d, _, k in grids] == [(2.0, 1j, True)]
+        stretches = grids[0][2]
+        assert [(lo, hi) for lo, hi, _ in stretches] == [(0.0, 10.0), (10.0, 25.0),
+                                                         (25.0, 40.0)]
+        assert stretches[0][2] >= 256 // 16
         quarter = 2 * math.pi / math.log(100.5) / 4
         nodes, _, _ = perron._kronrod_rule()
-        want = []
-        for start, direction, edges, _ in grids:
-            widths = np.diff(edges)
-            assert edges[0] == 0.0 and widths.max() <= quarter * (1 + 1e-12)
-            assert {10.0, 25.0, 40.0} <= set(edges)
-            assert np.count_nonzero(edges <= 10.0) - 1 >= 256 // 16
-            mid, half = (edges[1:] + edges[:-1]) / 2, widths / 2
-            want.append(start + direction * (mid[:, None] + half[:, None] * nodes))
-        want = np.concatenate([w.ravel() for w in want])
-        got = np.concatenate(seen)
-        assert len(nodes) == 33 and len(got) == 33 * (len(want) // 33)
-        np.testing.assert_array_equal(got, want)
+        want, got = [], []
+        for lo, hi, count in stretches:
+            width = (hi - lo) / count
+            assert width <= quarter * (1 + 1e-12)
+            edges = np.linspace(lo, hi, count + 1)
+            mid = (edges[1:] + edges[:-1]) / 2
+            want.append(2.0 + 1j * (mid[:, None] + width / 2 * nodes))
+            stretch = [(s, offsets) for s, offsets in seen if lo < s[0].imag < hi]
+            for s, offsets in stretch:  # a batch lies within one stretch
+                assert np.all((lo < s.imag) & (s.imag < hi))
+                np.testing.assert_array_equal(offsets, 1j * (width / 2) * nodes)
+            got.append(np.concatenate([np.add.outer(s, o) for s, o in stretch]))
+        want, got = np.concatenate(want).ravel(), np.concatenate(got).ravel()
+        assert len(nodes) == 33 and sum(len(s) for s, _ in seen) * 33 == len(got)
+        np.testing.assert_allclose(got, want, rtol=0, atol=4 * 40.0 * 2.0 ** -52)
         assert len(np.unique(got)) == len(got)
 
     def test_kronrod_rule(self):
@@ -156,15 +164,29 @@ class TestPerronTruncated:
         assert sum(count) == 79_896
         assert max(count) <= 1024
 
+    @pytest.mark.parametrize("c, pinned", [
+        (2.0, {50.0: 22159.279011468636, 100.0: 21793.328974773543,
+               200.0: 22112.05156551487, 400.0: 22541.71280329483}),
+        (1.5, {100.0: 22465.086151007647})])
+    def test_values_within_bound_of_flat_batches(self, c, pinned):
+        """The perron_lines decay sweep and integral at x = 1000.5, as computed
+        when F was evaluated on flat batches of 31 panels across heights:
+        each value now is within its error bound of that one."""
+        heights = list(pinned)
+        values, _, bounds = perron.perron_sweep(1000.5, c, heights)
+        for T, value, bound in zip(heights, values, bounds):
+            assert abs(value - pinned[T]) <= bound, T
+
 
 def _count_f_nodes(monkeypatch) -> list[int]:
-    """The sizes of perron's F batches from here on."""
+    """The node counts of perron's F calls from here on: grid rows times
+    offsets."""
     count = []
     quotient = perron.dirichlet_quotient_f64
 
-    def spy_f(s):
-        count.append(len(s))
-        return quotient(s)
+    def spy_f(s, offsets):
+        count.append(len(s) * len(offsets))
+        return quotient(s, offsets)
 
     monkeypatch.setattr(perron, "dirichlet_quotient_f64", spy_f)
     return count
@@ -190,9 +212,10 @@ class TestErrorBound:
         seen = []
         quotient = perron.dirichlet_quotient_f64
 
-        def spy_f(s):
-            f = quotient(s)
-            seen.append((s.copy(), f, zeta_engine._em_rule(s)[0]))
+        def spy_f(s, offsets):
+            f = quotient(s, offsets)
+            grid = np.add.outer(s, offsets)
+            seen.append((grid, f, zeta_engine._em_rule(grid.ravel())[0]))
             return f
 
         monkeypatch.setattr(perron, "dirichlet_quotient_f64", spy_f)
@@ -201,7 +224,7 @@ class TestErrorBound:
         nodes, weights, _ = perron._kronrod_rule()
         s = np.concatenate([b for b, _, _ in seen]).reshape(-1, 33)
         f = np.concatenate([v for _, v, _ in seen]).reshape(-1, 33)
-        log_n = np.concatenate([np.full(len(b), math.log(n)) for b, _, n in seen])
+        log_n = np.concatenate([np.full(b.size, math.log(n)) for b, _, n in seen])
         half = (s[:, -1].imag - s[:, 0].imag) / (nodes[-1] - nodes[0])
         size = np.abs(f * np.exp(s * math.log(x)) / s) * weights * half[:, None]
         phase = size * s.imag * (math.log(x) + 3 * log_n.reshape(-1, 33))

@@ -569,6 +569,90 @@ class TestZetaF64:
         assert engine.dirichlet_quotient_f64(s).shape == s.shape
         assert chosen == [(53, 400.0, 0.6), (53, 800.0, 1.2)]
 
+    # The Perron layer's panel grids: (start, direction, length) of each
+    # abscissa line and of the rectangle's top edge, panels about 0.2 wide in
+    # batches of 31, 33 node offsets per panel.
+    LINES = ((2.0, 1j, 400.0), (1.5, 1j, 100.0), (1.25, 1j, 50.0),
+             (0.6, 1j, 50.0), (0.6 + 50j, 1.0, 0.65))
+
+    def test_grid_matches_flat_on_contours(self):
+        """F on the grid of panel midpoints plus node offsets against the
+        flat form at the same points.  The two round the phase t ln p in
+        different places, so they differ by rounding only: 2e-13 relative for
+        sigma >= 1.25, and 1e-12 at sigma = 0.6, where |zeta| dips."""
+        unit = np.linspace(-1.0, 1.0, 33)
+        for start, direction, length in self.LINES:
+            count = 31 * math.ceil(length / (31 * 0.2))
+            half = length / (2 * count)
+            mid = start + direction * half * np.arange(1, 2 * count, 2)
+            offsets = direction * half * unit
+            tol = 2e-13 if start.real >= 1.25 else 1e-12
+            for i in range(0, count, 31):
+                base = mid[i: i + 31]
+                grid = engine.dirichlet_quotient_f64(base, offsets)
+                flat = engine.dirichlet_quotient_f64(np.add.outer(base, offsets))
+                assert grid.shape == (len(base), 33)
+                assert np.all(np.abs(grid - flat) <= tol * np.abs(flat)), base[0]
+
+    @pytest.mark.parametrize("heights", [
+        (0.0, 50.0, 800.0), pytest.param((9990.0,), marks=pytest.mark.slow)])
+    def test_grid_against_mpmath(self, heights):
+        """F on vertical and horizontal 2 x 3 grids, rows about sigma + it and
+        offsets along the grid, at TestZetaF64's tolerances: 1e-12 relative to
+        |t| = 800 and 1e-11 above, times 3 max(1, 1/|zeta|) left of 1."""
+        unit = np.array([-0.99, 0.1, 0.99])
+        with mp.workdps(25):
+            for sigma in (0.6, 1.25, 2.0, 4.0):
+                for t in heights:
+                    tol = 1e-12 if t <= 800 else 1e-11
+                    for direction, half in ((1j, 0.1), (1.0, 0.02)):
+                        if direction == 1.0 and t == 0:
+                            continue  # the row would cross the pole at 1
+                        base = complex(sigma, t) + half * direction * np.array([-1, 1])
+                        grid = engine.dirichlet_quotient_f64(base, direction * half * unit)
+                        points = np.add.outer(base, direction * half * unit)
+                        for point, got in zip(points.ravel(), grid.ravel()):
+                            z = mpc(point.real, point.imag)
+                            zeta_s = mpmath.zeta(z)
+                            want = complex(zeta_s ** 3 / mpmath.zeta(2 * z))
+                            dip = 3 * max(1.0, 1.0 / abs(complex(zeta_s)))
+                            scale = dip if point.real < 1 else 1.0
+                            assert abs(got - want) <= tol * scale * abs(want), point
+
+    def test_grid_shape_and_empty(self):
+        s = np.array([2.0 + 1j, 1.5 - 30j])
+        assert engine.dirichlet_quotient_f64(s, np.array([0.1j])).shape == (2, 1)
+        assert engine.dirichlet_quotient_f64(s, np.array([], dtype=complex)).shape == (2, 0)
+        assert engine.dirichlet_quotient_f64(s[:0], np.array([0.1j])).shape == (0, 1)
+
+    def test_horner_tail_against_terms(self):
+        """_em_tail, by Horner from j = J from one exp, against the tail
+        summed term by term, Q_j by forward products and the pole term,
+        N^-s / 2 and N^(-1-s) from three exps: within 1e-14 of the tail, on
+        batches and single points at heights up to the cap."""
+
+        def by_terms(s, N, J):
+            L = math.log(N)
+            q, total = s * 2.0 ** -5, np.zeros_like(s)
+            for j in range(1, J + 1):
+                if j > 1:
+                    q = q * ((s + (2 * j - 3)) * (s + (2 * j - 2)) * 2.0 ** -5 / (N * N))
+                p, d = mp.bernfrac(2 * j)
+                exact = Fraction(int(p), int(d) * math.factorial(2 * j))
+                total += float(exact * 2 ** (5 * j)) * q
+            return (np.exp((1 - s) * L) / (s - 1) + np.exp(-s * L) / 2
+                    + total * np.exp((-s - 1) * L))
+
+        heights = np.array([0.0, 3.0, 50.0, 400.0, -800.0, 5000.0, 1e4])
+        for sigma in (0.6, 1.25, 2.0, 4.0):
+            s = sigma + 1j * heights
+            batches = [s, 2 * s] + [s[k: k + 1] for k in range(len(s))]
+            for points in batches:
+                N, J = engine._em_rule(points)
+                want = by_terms(points, N, J)
+                got = engine._em_tail(points, N, J)
+                assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), points
+
     def test_multiplicative_table_against_direct_exp(self):
         """n^-s from prime rows and products against exp(-s ln n) for every
         n < 1024.  Each is within a few ulps of the phase |s| ln n, so the
