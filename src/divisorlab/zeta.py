@@ -600,8 +600,8 @@ def dirichlet_quotient_f64(s: np.ndarray, offsets: np.ndarray | None = None) -> 
     # 31 x 216 x 33 product OpenBLAS's worker thread kept spinning, and on a
     # 2-core host the numpy code after it took up to twice its CPU time.
     zeta_s = (table[1:N1, :, None] * shifts[1:N1, None, :]).sum(axis=0).ravel()
-    np.square(table[1:], out=table[1:])
-    np.square(shifts[1:], out=shifts[1:])
+    np.square(table[1:N2], out=table[1:N2])
+    np.square(shifts[1:N2], out=shifts[1:N2])
     zeta_2s = (table[1:N2, :, None] * shifts[1:N2, None, :]).sum(axis=0).ravel()
     zeta_s += _em_tail(points, N1, J1)
     zeta_2s += _em_tail(double, N2, J2)

@@ -108,19 +108,18 @@ class TestPerronTruncated:
         nodes, _, _ = perron._kronrod_rule()
         want, got = [], []
         for lo, hi, count in stretches:
-            width = (hi - lo) / count
-            assert width <= quarter * (1 + 1e-12)
-            edges = np.linspace(lo, hi, count + 1)
-            mid = (edges[1:] + edges[:-1]) / 2
-            want.append(2.0 + 1j * (mid[:, None] + width / 2 * nodes))
+            h = (hi - lo) / (2 * count)
+            assert 2 * h <= quarter * (1 + 1e-12)
+            mid = 2.0 + 1j * (lo + h * np.arange(1, 2 * count, 2))
+            want.append(np.add.outer(mid, 1j * h * nodes))
             stretch = [(s, offsets) for s, offsets in seen if lo < s[0].imag < hi]
             for s, offsets in stretch:  # a batch lies within one stretch
                 assert np.all((lo < s.imag) & (s.imag < hi))
-                np.testing.assert_array_equal(offsets, 1j * (width / 2) * nodes)
+                np.testing.assert_array_equal(offsets, 1j * h * nodes)
             got.append(np.concatenate([np.add.outer(s, o) for s, o in stretch]))
         want, got = np.concatenate(want).ravel(), np.concatenate(got).ravel()
         assert len(nodes) == 33 and sum(len(s) for s, _ in seen) * 33 == len(got)
-        np.testing.assert_allclose(got, want, rtol=0, atol=4 * 40.0 * 2.0 ** -52)
+        np.testing.assert_array_equal(got, want)
         assert len(np.unique(got)) == len(got)
 
     def test_kronrod_rule(self):
