@@ -249,7 +249,7 @@ def cmd_formula_conjecture(args, cfg: RunConfig) -> int:
 
 
 def cmd_perron_integral(args, cfg: RunConfig) -> int:
-    values, gaps, bounds = perron.perron_sweep(args.x, args.c, [args.T], args.nodes)
+    values, gaps, bounds = perron.perron_sweep(args.x, args.c, [args.T])
     # The value is real by conjugate symmetry; "imag" stays in the payload.
     _emit({"x": args.x, "c": args.c, "T": args.T,
            "real": _num(float(values[0])), "imag": _num(0.0),
@@ -259,8 +259,7 @@ def cmd_perron_integral(args, cfg: RunConfig) -> int:
 
 def cmd_perron_decay(args, cfg: RunConfig) -> int:
     exact = sieve.prefix_sum(ArithmeticFunction.D_SQUARE, int(args.x))
-    rows, slope = perron.truncation_decay(args.x, args.c, args.T, exact,
-                                          args.nodes)
+    rows, slope = perron.truncation_decay(args.x, args.c, args.T, exact)
     out = _output_dir(cfg) / "perron_decay.csv"
     with open(out, "w") as fh:
         fh.write("T,abs_error,quadrature_gap,error_bound\n")
@@ -453,13 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x", type=finite_float)
     p.add_argument("--c", type=finite_float, default=1.5)
     p.add_argument("--T", type=finite_float, default=100.0)
-    p.add_argument("--nodes", type=int, default=1024)
     _command(p, cmd_perron_integral)
     p = psub.add_parser("decay", help="truncation decay table")
     p.add_argument("x", type=finite_float)
     p.add_argument("--c", type=finite_float, default=2.0)
     p.add_argument("--T", type=finite_float, nargs="+", default=[50, 100, 200, 400])
-    p.add_argument("--nodes", type=int, default=1024)
     _command(p, cmd_perron_decay, "output_dir")
     p = psub.add_parser("residue", help="small-circle residue quadrature")
     p.add_argument("--center-re", type=finite_float, required=True)

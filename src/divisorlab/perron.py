@@ -6,14 +6,15 @@ F(conj s) = conj F(s), so only the upper half of each edge mirrored in the
 real axis is integrated.  Every straight edge goes through one nested
 segment quadrature: composite 16-point Gauss-Legendre on panels at most a
 quarter period of x^(it) wide and of one width between two heights, every
-requested height a panel edge, evaluated in vectorized float64 on the grid
-of panel midpoints plus node offsets.  The integral up to each height is a
-prefix sum of panel integrals, so a sweep over T evaluates F(s) once per
-node for all heights together.  Perron values extend each panel's Gauss
-rule to the 33-point Gauss-Kronrod rule (Laurie's algorithm) and return the
-Kronrod value; its gap to the embedded Gauss value, which reads the same F
-evaluations, is checked at every T and reported with an error bound that
-adds float64 rounding.  The rectangle evaluates the Gauss nodes only.
+height a panel edge, laid out from x and the heights alone and evaluated in
+vectorized float64 on the grid of panel midpoints plus node offsets.  The
+integral up to each height is a prefix sum of panel integrals, so a sweep
+over T evaluates F(s) once per node for all heights together.  Perron values
+extend each panel's Gauss rule to the 33-point Gauss-Kronrod rule (Laurie's
+algorithm) and return the Kronrod value; its gap to the embedded Gauss value,
+which reads the same F evaluations, is checked at every T and reported with
+an error bound that adds float64 rounding.  The rectangle evaluates the
+Gauss nodes only.
 
 Circles use the trapezoid rule in multiprecision, which is spectrally
 accurate on periodic contours: with N nodes, principal parts are integrated
@@ -26,8 +27,8 @@ About a real centre the nodes mirror in the real axis, so only those with
 angle in [0, pi] are evaluated and each mirrored term is added as the
 conjugate: a circle that stops at 64 of 128 nodes evaluates F 33 times.
 
-Evaluation points x must be non-integers (half-integers in practice) to
-avoid the Perron jump.
+Evaluation points x must be positive non-integers (half-integers in
+practice) to avoid the Perron jump.
 """
 
 from __future__ import annotations
@@ -39,14 +40,17 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp, mpc, mpf
 
-from .errors import ContourError, ConventionError, DomainError, QuadratureError
+from .errors import (ContourError, ConventionError, DomainError, HeightRangeError,
+                     QuadratureError)
 from . import zeta as zeta_engine
-from .zeta import DEFAULT_PRECISION, dirichlet_quotient_f64
+from .zeta import DEFAULT_HEIGHT_CAP, DEFAULT_PRECISION, dirichlet_quotient_f64
 
 MIN_NODES = 64
 #: Fewest nodes in the coarsest nested level of a circle quadrature.
 MIN_LEVEL = 16
 GAUSS_ORDER = 16
+#: Fewest panels below a straight edge's first height (16 loosens bounds near s = 1).
+MIN_PANELS = 64
 #: Float64 F nodes per zeta batch: a short stretch of height, so the N each
 #: batch picks from its tallest node stays near its own.  A batch is whole
 #: panels of one stretch between heights, 31 Kronrod panels (1023 nodes) or
@@ -62,8 +66,8 @@ GAP_TOL = 1.0e-6
 #: Known fixed poles of F(s) x^s / s on the desk-scale window.
 _FIXED_POLES = (0.0 + 0.0j, 1.0 + 0.0j)
 
-#: rectangle_consistency's height T, right and left abscissae and side nodes.
-_RECT_T, _RECT_RIGHT, _RECT_LEFT, _RECT_NODES = 50.0, 1.25, 0.6, 2048
+#: rectangle_consistency's height T and right and left abscissae.
+_RECT_T, _RECT_RIGHT, _RECT_LEFT = 50.0, 1.25, 0.6
 
 
 def _kronrod_extension(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,13 +181,13 @@ def _panel_integrals(start: complex, direction: complex, stretches, x: float,
 
 
 def _segment_integrals(start: complex, direction: complex, heights: list[float],
-                       x: float, nodes: int, kronrod: bool = True):
+                       x: float, kronrod: bool = True):
     """integral of F(s) x^s / s ds along s = start + direction u from u = 0
     to each of the ascending heights.
 
     Panels are at most a quarter period of x^(it) wide, narrower where needed
-    so that every height spans at least nodes // GAUSS_ORDER of them, and
-    each height is a panel edge: the stretch between two heights is cut into
+    so that the first height spans at least MIN_PANELS of them, and each
+    height is a panel edge: the stretch between two heights is cut into
     panels of one width.  The frequency is floored at 4: below x = e^4 the
     terms n^-it of F itself oscillate faster than x^(it).  Returns (gauss,
     kronrod, rounding) arrays over the heights: gauss from the 16-point Gauss
@@ -192,7 +196,7 @@ def _segment_integrals(start: complex, direction: complex, heights: list[float],
     unless kronrod is set.
     """
     period = 2.0 * math.pi / max(math.log(x), 4.0)
-    width = min(period / 4.0, heights[0] / (nodes // GAUSS_ORDER))
+    width = min(period / 4.0, heights[0] / MIN_PANELS)
     stretches = [(lo, hi, math.ceil((hi - lo) / width))
                  for lo, hi in zip([0.0, *heights], heights)]
     ends = np.cumsum([count for _, _, count in stretches])
@@ -212,6 +216,8 @@ def _segment_integrals(start: complex, direction: complex, heights: list[float],
 
 
 def _require_half_convention(x: float) -> None:
+    if not 0 < x < math.inf:
+        raise DomainError(f"x = {x} must be positive and finite")
     if float(x) == int(x):
         raise ConventionError(
             f"x = {x} is an integer; use the half-integer grid (n + 1/2) "
@@ -219,8 +225,7 @@ def _require_half_convention(x: float) -> None:
         )
 
 
-def perron_sweep(x: float, c: float, T_list,
-                 nodes: int = 1024) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def perron_sweep(x: float, c: float, T_list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Truncated Perron values I(T) for strictly ascending heights T, all
     from one pass over the nodes of the tallest upper half-line, the
     quadrature gap |K - G| at each T, and an error bound at each T.
@@ -228,7 +233,8 @@ def perron_sweep(x: float, c: float, T_list,
     I(T) = Im(integral from c to c + iT) / pi, real.  K is the 33-point
     Gauss-Kronrod value, which is returned, and G the 16-point Gauss value
     embedded in it, from the same F evaluations.  A gap above
-    GAP_TOL * max(1, |K|) raises QuadratureError.  Over the n Kronrod nodes up
+    GAP_TOL * max(1, |K|) or a non-finite bound raises QuadratureError, a T
+    above DEFAULT_HEIGHT_CAP HeightRangeError.  Over the n Kronrod nodes up
     to T, with weights w and integrand values f, the bound is the gap plus
     (eps log2(n) sum |w f| + eps sqrt(sum (|w f| |t| (ln x + 3 ln N))^2)) / pi:
     pairwise summation (Higham, Accuracy and Stability of Numerical
@@ -243,33 +249,38 @@ def perron_sweep(x: float, c: float, T_list,
         raise DomainError("height T must be positive and finite")
     if not all(b > a for a, b in zip(heights, heights[1:])):  # False at a NaN
         raise DomainError("heights T must be strictly ascending")
-    if nodes < MIN_NODES:
-        raise DomainError(f"node count must be >= {MIN_NODES}")
-    gauss, kronrod, rounding = _segment_integrals(c, 1j, heights, x, nodes)
-    values = kronrod.imag / math.pi
-    gaps = np.abs(values - gauss.imag / math.pi)
-    failed = np.flatnonzero(gaps > GAP_TOL * np.maximum(1.0, np.abs(values)))
+    if heights[-1] > DEFAULT_HEIGHT_CAP:
+        raise HeightRangeError(f"T = {heights[-1]} exceeds the cap {DEFAULT_HEIGHT_CAP}")
+    with np.errstate(over="ignore", invalid="ignore"):  # at large c; checked below
+        gauss, kronrod, rounding = _segment_integrals(c, 1j, heights, x)
+        values = kronrod.imag / math.pi
+        gaps = np.abs(values - gauss.imag / math.pi)
+        bounds = gaps + rounding / math.pi
+    # not (gap <= tolerance), so that a NaN gap fails too.
+    failed = np.flatnonzero(~(gaps <= GAP_TOL * np.maximum(1.0, np.abs(values)))
+                            | ~np.isfinite(bounds))
     if failed.size:
         k = failed[0]
         raise QuadratureError(
             f"the Gauss-Kronrod and Gauss Perron values at T = {heights[k]} "
-            f"differ by {gaps[k]:.3e} (tolerance {GAP_TOL:.1e} relative)"
+            f"differ by {gaps[k]:.3e} (tolerance {GAP_TOL:.1e} relative), "
+            f"error bound {bounds[k]:.3e}"
         )
-    return values, gaps, gaps + rounding / math.pi
+    return values, gaps, bounds
 
 
-def perron_truncated(x: float, c: float, T: float, nodes: int = 1024) -> complex:
+def perron_truncated(x: float, c: float, T: float) -> complex:
     """(1/2 pi i) integral of F(s) x^s / s ds on the segment c - iT .. c + iT.
 
     The lower half-line is the conjugate of the upper one, so the value is
     real by construction and its imaginary part is 0.0; only the upper
-    half-line is integrated, with at least `nodes` Gauss nodes extended to
-    a 33-point Gauss-Kronrod rule per panel.  The gap between the Kronrod
-    value and its embedded Gauss value guards the quadrature; a gap beyond
-    GAP_TOL raises QuadratureError (see perron_sweep, which also returns the
-    gap and an error bound).
+    half-line is integrated, on at least MIN_PANELS panels of the 16-point
+    Gauss rule extended to the 33-point Gauss-Kronrod rule.  The gap between
+    the Kronrod value and its embedded Gauss value guards the quadrature; a
+    gap beyond GAP_TOL raises QuadratureError (see perron_sweep, which also
+    returns the gap and an error bound).
     """
-    return complex(perron_sweep(x, c, [T], nodes)[0][0])
+    return complex(perron_sweep(x, c, [T])[0][0])
 
 
 def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
@@ -293,6 +304,8 @@ def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
     repeated at half the radius; disagreement signals that the circle and
     its half do not enclose the same poles.
     """
+    if not 0 < x < math.inf:
+        raise DomainError(f"x = {x} must be positive and finite")
     if nodes < MIN_NODES:
         raise DomainError(f"node count must be >= {MIN_NODES}")
     if radius <= 0:
@@ -348,8 +361,8 @@ def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
     return result
 
 
-def truncation_decay(x: float, c: float, T_list, exact_sum: int,
-                     nodes: int = 1024) -> tuple[list[tuple[float, float, float, float]], float]:
+def truncation_decay(x: float, c: float, T_list,
+                     exact_sum: int) -> tuple[list[tuple[float, float, float, float]], float]:
     """Perron truncation error |I(T) - S(x)| over strictly ascending T, plus
     the fitted log-log slope.
 
@@ -360,7 +373,7 @@ def truncation_decay(x: float, c: float, T_list, exact_sum: int,
     heights = [float(T) for T in T_list]
     if len(heights) < 2:
         raise DomainError("a decay fit needs at least two heights T")
-    values, gaps, bounds = perron_sweep(x, c, heights, nodes)
+    values, gaps, bounds = perron_sweep(x, c, heights)
     rows = [(T, float(abs(v - exact_sum)), float(gap), float(bound))
             for T, v, gap, bound in zip(heights, values, gaps, bounds)]
     logs_T = np.log([r[0] for r in rows])
@@ -394,14 +407,12 @@ def rectangle_consistency(x: float) -> RectangleCheck:
     _require_half_convention(x)
     from .series import residue_main_term
 
-    def edge(start: complex, direction: complex, length: float, count: int) -> complex:
-        return complex(_segment_integrals(start, direction, [length], x, count,
-                                          kronrod=False)[0][0])
+    def edge(start: complex, direction: complex, length: float) -> complex:
+        return complex(_segment_integrals(start, direction, [length], x, kronrod=False)[0][0])
 
-    right_edge = edge(_RECT_RIGHT, 1j, _RECT_T, _RECT_NODES).imag / math.pi
-    left_edge = -edge(_RECT_LEFT, 1j, _RECT_T, _RECT_NODES).imag / math.pi
-    top = edge(_RECT_LEFT + 1j * _RECT_T, 1.0, _RECT_RIGHT - _RECT_LEFT,
-               _RECT_NODES // 8)
+    right_edge = edge(_RECT_RIGHT, 1j, _RECT_T).imag / math.pi
+    left_edge = -edge(_RECT_LEFT, 1j, _RECT_T).imag / math.pi
+    top = edge(_RECT_LEFT + 1j * _RECT_T, 1.0, _RECT_RIGHT - _RECT_LEFT)
     contour = right_edge + left_edge - top.imag / math.pi
     residue_value = float(residue_main_term(x)[1])
     return RectangleCheck(

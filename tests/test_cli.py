@@ -270,8 +270,8 @@ def test_each_subcommand_takes_only_the_settings_it_reads():
         "formula conjecture": zeros_settings | {
             "output_dir", "grid_start", "grid_stop", "grid_count", "zeros",
             "epsilon"},
-        "perron integral": {"c", "T", "nodes"},
-        "perron decay": {"config", "output_dir", "c", "T", "nodes"},
+        "perron integral": {"c", "T"},
+        "perron decay": {"config", "output_dir", "c", "T"},
         "perron residue": {"config", "precision_bits", "center_re", "center_im",
                            "radius", "x", "nodes", "verify_radius"},
         "dirichlet-verify": {"config", "precision_bits"},
@@ -279,7 +279,7 @@ def test_each_subcommand_takes_only_the_settings_it_reads():
     found = {name: {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
              for name, p in _subcommands(cli.build_parser())}
     assert found == expected
-    assert sum(map(len, found.values())) == 55
+    assert sum(map(len, found.values())) == 53
     assert [f.name for f in dataclasses.fields(cli.RunConfig)] == list(cli._SETTINGS)
 
 
@@ -291,6 +291,20 @@ def test_workers_flag_rejected(capsys, command):
         cli.main([*command, "--workers", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["perron", "integral"], ["perron", "decay"]])
+def test_line_nodes_flag_rejected(capsys, command):
+    """Perron lines lay out their panels from x and the heights alone; only
+    the circle takes --nodes."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "1000.5", "--nodes", "1024"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --nodes 1024" in capsys.readouterr().err
+    args = cli.build_parser().parse_args(["perron", "residue", "--center-re", "1",
+                                          "--radius", "0.2", "--x", "1000.5",
+                                          "--nodes", "64"])
+    assert args.nodes == 64
 
 
 def _python(*args, timeout: float = 60):
@@ -445,6 +459,26 @@ def test_perron_decay_degenerate_heights(capsys, tmp_path, heights):
     assert code == 2
     assert json.loads(captured.err)["error"] == "DomainError"
     assert not (tmp_path / "perron_decay.csv").exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["integral", "--", "-5.5"], "DomainError"),
+    (["residue", "--center-re", "1", "--radius", "0.2", "--x", "-3"], "DomainError"),
+    (["integral", "1000.5", "--T", "1e9"], "HeightRangeError"),
+    (["integral", "1000.5", "--c", "110"], "QuadratureError"),
+    (["integral", "1000.5", "--c", "60"], "QuadratureError"),
+    (["decay", "1000.5", "--c", "110", "--T", "50", "100"], "QuadratureError"),
+], ids=["integral_negative_x", "residue_negative_x", "integral_height_cap",
+        "integral_nan_gap", "integral_infinite_bound", "decay_nan_gap"])
+def test_perron_bad_input_exits_2(capsys, tmp_path, monkeypatch, argv, error):
+    """x <= 0, a height above the cap and an overflowing x^c print an error,
+    not a traceback or a NaN or infinite result, and write no CSV."""
+    monkeypatch.chdir(tmp_path)
+    code, captured = run(capsys, "perron", *argv)
+    assert code == 2
+    assert json.loads(captured.err)["error"] == error
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dirichlet_verify(capsys):

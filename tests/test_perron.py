@@ -2,6 +2,7 @@
 small-circle residues against series closed forms, and the rectangle check."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from divisorlab.errors import (
     ContourError,
     ConventionError,
     DomainError,
+    HeightRangeError,
     QuadratureError,
 )
 from divisorlab.sieve import ArithmeticFunction as AF
@@ -49,15 +51,43 @@ class TestPerronTruncated:
             perron.perron_truncated(10.5, 1.0, 100.0)
         with pytest.raises(DomainError):
             perron.perron_truncated(10.5, 1.5, -5.0)
-        with pytest.raises(DomainError):
-            perron.perron_truncated(10.5, 1.5, 100.0, nodes=16)
 
-    def test_node_floor(self):
-        with pytest.raises(DomainError):
-            perron.perron_truncated(10.5, 1.5, 50.0, nodes=32)
-        with pytest.raises(DomainError):
-            perron.perron_truncated(10.5, 1.5, 50.0, nodes=perron.MIN_NODES - 1)
-        perron.perron_truncated(10.5, 1.5, 50.0, nodes=perron.MIN_NODES)
+    @pytest.mark.parametrize("x", [-5.5, 0.0, -0.5])
+    def test_nonpositive_x_rejected(self, x):
+        with pytest.raises(DomainError, match="positive"):
+            perron.perron_truncated(x, 1.5, 100.0)
+        with pytest.raises(DomainError, match="positive"):
+            perron.rectangle_consistency(x)
+
+    @pytest.mark.parametrize("T", [
+        1e9, 20000.0, math.nextafter(zeta_engine.DEFAULT_HEIGHT_CAP, math.inf)])
+    def test_height_above_cap_rejected(self, T):
+        """Raised before any node is laid out: at T = 1e9 the panels alone
+        would take terabytes, and T = 20000 would run for minutes."""
+        start = time.perf_counter()
+        with pytest.raises(HeightRangeError, match="cap"):
+            perron.perron_sweep(1000.5, 1.5, [T])
+        with pytest.raises(HeightRangeError):
+            perron.truncation_decay(1000.5, 2.0, [50.0, T], 0)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("c", [110.0, 60.0])
+    def test_non_finite_result_rejected(self, c):
+        """x^c overflows at c = 110, so the values and the gap are NaN; at
+        c = 60 the square of the rounding term overflows and the bound is
+        infinite.  Neither passes the quadrature check."""
+        with pytest.raises(QuadratureError, match="T = 100"):
+            perron.perron_sweep(1000.5, c, [100.0])
+        with pytest.raises(QuadratureError, match="T = 50"):
+            perron.truncation_decay(1000.5, c, [50.0, 100.0], 0)
+
+    def test_panel_floor(self):
+        """Close to the pole at s = 1 the first height sets the panel width:
+        with MIN_PANELS = 64 panels below T = 5 the bound at c = 1.1 is about
+        1e-11 (about 2e-6 with 16 panels) and covers the fine reference."""
+        values, _, bounds = perron.perron_sweep(100.5, 1.1, [5.0])
+        assert bounds[0] <= 1e-9
+        assert bounds[0] >= abs(values[0] - perron_reference(100.5, 1.1, 5.0))
 
     def test_node_doubling_raises_below_gap(self, monkeypatch):
         # The coarse and fine grids differ by rounding at least; a tolerance
@@ -98,12 +128,12 @@ class TestPerronTruncated:
         monkeypatch.setattr(perron, "_panel_integrals", spy)
         monkeypatch.setattr(perron, "dirichlet_quotient_f64", spy_f)
         exact = sieve.prefix_sum(AF.D_SQUARE, 100)
-        perron.truncation_decay(100.5, 2.0, [10, 25, 40], exact, nodes=256)
+        perron.truncation_decay(100.5, 2.0, [10, 25, 40], exact)
         assert [(s, d, k) for s, d, _, k in grids] == [(2.0, 1j, True)]
         stretches = grids[0][2]
         assert [(lo, hi) for lo, hi, _ in stretches] == [(0.0, 10.0), (10.0, 25.0),
                                                          (25.0, 40.0)]
-        assert stretches[0][2] >= 256 // 16
+        assert stretches[0][2] >= perron.MIN_PANELS
         quarter = 2 * math.pi / math.log(100.5) / 4
         nodes, _, _ = perron._kronrod_rule()
         want, got = [], []
@@ -154,13 +184,14 @@ class TestPerronTruncated:
 
     def test_perron_lines_pass_node_count(self, monkeypatch):
         """A whole perron_lines pass at x = 1000.5 (the decay sweep, the
-        c = 1.5 integral to T = 100 and the rectangle) evaluates F at
-        58,080 + 14,520 + 7,296 = 79,896 nodes, at most 1024 per call."""
+        c = 1.5 integral to T = 100 and the rectangle: two sides of 220
+        panels and a top of MIN_PANELS, 16 Gauss nodes each) evaluates F at
+        58,080 + 14,520 + 8,064 = 80,664 nodes, at most 1024 per call."""
         count = _count_f_nodes(monkeypatch)
         perron.truncation_decay(1000.5, 2.0, [50, 100, 200, 400], 0)
         perron.perron_sweep(1000.5, 1.5, [100.0])
         perron.rectangle_consistency(1000.5)
-        assert sum(count) == 79_896
+        assert sum(count) == 80_664
         assert max(count) <= 1024
 
     @pytest.mark.parametrize("c, pinned", [
@@ -272,6 +303,9 @@ class TestCircleResidues:
     def test_bad_parameters(self):
         with pytest.raises(DomainError):
             perron.residue_by_circle(1.0, -0.1, 100.0)
+        for x in (-3.0, 0.0):
+            with pytest.raises(DomainError, match="positive"):
+                perron.residue_by_circle(1.0, 0.2, x)
         with pytest.raises(DomainError):
             perron.residue_by_circle(1.0, 0.1, 100.0, nodes=16)
 
@@ -403,8 +437,6 @@ class TestTruncationDecay:
         for heights in ([50, float("nan")], [50, float("nan"), 100], [50, float("inf")]):
             with pytest.raises(DomainError):
                 perron.perron_sweep(100.5, 2.0, heights)
-        with pytest.raises(DomainError):
-            perron.truncation_decay(100.5, 2.0, [50, 100], 48, nodes=32)
         with pytest.raises(ConventionError):
             perron.truncation_decay(100.0, 2.0, [50, 100], 48)
 
