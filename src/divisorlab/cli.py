@@ -12,6 +12,13 @@ Subcommands
     perron residue   small-circle residue quadrature
     dirichlet-verify Dirichlet-series identity check at a real point
 
+A zero count K (--count, --zeros) takes the first K zeros of the file and
+fails if the file holds fewer.  The formula subcommands sum every zero they
+take; formula compare's --ordinate-cutoff T drops those with gamma/2 > T,
+and T must be positive and below the last zero's gamma/2.  Either option
+needs a zeros path.  Only d_square has a zero sum, so the other functions
+take neither option.
+
 All numeric output is serialized in decimal with explicit digit counts.  A
 subcommand takes only the settings (RunConfig fields) its handler reads, as
 flags or as keys of a config file (key = value lines; flags win); it checks
@@ -35,7 +42,7 @@ from mpmath import mp, mpc, mpf
 from .errors import DivisorLabError, DomainError
 from . import perron, series, sieve, zeros
 from . import zeta as zeta_engine
-from .formula import Cutoff, compare, conjecture_scan, log_grid
+from .formula import compare, conjecture_scan, log_grid
 from .sieve import ArithmeticFunction
 
 DIGITS = 20
@@ -131,8 +138,9 @@ def _import_zeros(cfg: RunConfig, count: int | None, refine: bool):
                               precision=cfg.precision_bits)
 
 
-def _table_and_coefficients(cfg: RunConfig, count: int | None, refine: bool):
-    table = _import_zeros(cfg, count, refine)
+def _coefficients(cfg: RunConfig, table: zeros.ZeroTable):
+    """The table's coefficients, from the cache when one exists, else
+    computed and, given a cache path, cached."""
     if cfg.cache_path and Path(cfg.cache_path).exists():
         coeffs = zeros.load_cache(cfg.cache_path, table, cfg.precision_bits)
     else:
@@ -140,7 +148,7 @@ def _table_and_coefficients(cfg: RunConfig, count: int | None, refine: bool):
         if cfg.cache_path:
             zeros.persist_cache(table, coeffs, cfg.cache_path,
                                 cfg.precision_bits)
-    return table, coeffs
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +198,7 @@ def cmd_zeros_import(args, cfg: RunConfig) -> int:
 
 
 def cmd_zeros_coeffs(args, cfg: RunConfig) -> int:
-    table, coeffs = _table_and_coefficients(cfg, args.count, args.refine)
+    coeffs = _coefficients(cfg, _import_zeros(cfg, args.count, args.refine))
     with mp.workprec(cfg.precision_bits + 16):
         sum_2_abs = sum(2 * abs(c.coefficient) for c in coeffs)
     _emit({
@@ -206,21 +214,28 @@ def cmd_zeros_coeffs(args, cfg: RunConfig) -> int:
 
 
 def cmd_formula_compare(args, cfg: RunConfig) -> int:
-    grid = log_grid(args.grid_start, args.grid_stop, args.grid_count,
-                    half_integers=not args.no_half_integers)
     function = ArithmeticFunction(args.function)
+    cutoff = args.ordinate_cutoff
+    zero_options = args.zeros is not None or cutoff is not None
+    if function is not ArithmeticFunction.D_SQUARE and zero_options:
+        raise DomainError(f"{function.value} has no zero sum; --zeros and "
+                          "--ordinate-cutoff apply to d_square only")
+    if cutoff is not None and cutoff <= 0:
+        raise DomainError(f"ordinate cutoff must be positive, got {cutoff}")
+    grid = log_grid(args.grid_start, args.grid_stop, args.grid_count)
     coeffs = None
-    cutoff = None
-    if function is ArithmeticFunction.D_SQUARE and cfg.zeros_path:
-        _, coeffs = _table_and_coefficients(cfg, args.zeros, False)
-        cutoff = (Cutoff("ordinate", args.ordinate_cutoff)
-                  if args.ordinate_cutoff is not None
-                  else Cutoff("count", len(coeffs) if args.zeros is None else args.zeros))
-    report = compare(
-        grid, function=function, mode=cfg.mode, zero_coefficients=coeffs,
-        cutoff=cutoff, include_constant=not args.no_constant,
-        precision=cfg.precision_bits,
-    )
+    if function is ArithmeticFunction.D_SQUARE and (cfg.zeros_path or zero_options):
+        table = _import_zeros(cfg, args.zeros, False)
+        top = float(table.ordinates[-1]) / 2
+        if cutoff is not None and top <= cutoff:
+            raise DomainError(
+                f"ordinate cutoff {cutoff} is not below the table's top "
+                f"half-ordinate {top}: the table, not the cutoff, would "
+                "truncate the zero sum")
+        coeffs = [c for c in _coefficients(cfg, table)
+                  if cutoff is None or float(c.ordinate) / 2 <= cutoff]
+    report = compare(grid, function=function, mode=cfg.mode,
+                     zero_coefficients=coeffs, precision=cfg.precision_bits)
     out = _output_dir(cfg)
     csv_path = out / f"compare_{function.value}.csv"
     json_path = out / f"compare_{function.value}.json"
@@ -232,7 +247,7 @@ def cmd_formula_compare(args, cfg: RunConfig) -> int:
 
 def cmd_formula_conjecture(args, cfg: RunConfig) -> int:
     grid = log_grid(args.grid_start, args.grid_stop, args.grid_count)
-    _, coeffs = _table_and_coefficients(cfg, args.zeros, False)
+    coeffs = _coefficients(cfg, _import_zeros(cfg, args.zeros, False))
     scan = conjecture_scan(grid, coeffs, epsilon=args.epsilon)
     out = _output_dir(cfg) / "conjecture_scan.json"
     payload = {
@@ -258,8 +273,7 @@ def cmd_perron_integral(args, cfg: RunConfig) -> int:
 
 
 def cmd_perron_decay(args, cfg: RunConfig) -> int:
-    exact = sieve.prefix_sum(ArithmeticFunction.D_SQUARE, int(args.x))
-    rows, slope = perron.truncation_decay(args.x, args.c, args.T, exact)
+    rows, slope = perron.truncation_decay(args.x, args.c, args.T)
     out = _output_dir(cfg) / "perron_decay.csv"
     with open(out, "w") as fh:
         fh.write("T,abs_error,quadrature_gap,error_bound\n")
@@ -432,11 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-start", type=finite_float, default=1e3)
     p.add_argument("--grid-stop", type=finite_float, default=1e6)
     p.add_argument("--grid-count", type=int, default=13)
-    p.add_argument("--zeros", type=int, help="zero count cutoff K")
-    p.add_argument("--ordinate-cutoff", type=finite_float, help="ordinate cutoff T")
-    p.add_argument("--no-half-integers", action="store_true")
-    p.add_argument("--no-constant", action="store_true",
-                   help="exclude the s = 0 residue 1/4 from the main term")
+    p.add_argument("--zeros", type=int, help="import the first K zeros")
+    p.add_argument("--ordinate-cutoff", type=finite_float,
+                   help="sum only the zeros with gamma/2 <= T")
     _command(p, cmd_formula_compare, *zeros_settings, "output_dir", "mode")
     p = fsub.add_parser("conjecture", help="zero-sum growth scan")
     p.add_argument("--grid-start", type=finite_float, default=1e3)

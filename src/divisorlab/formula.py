@@ -9,7 +9,8 @@ For the divisor-square sum the decomposition reads
 with the coefficients from the series module and one cosine term per
 conjugate pair of zeros, 2 Re(A_g x^(rho/2)).  compare() fills an
 ErrorReport over a grid of half-integer x, with E normalized by x^(1/4) and
-x^(1/3).
+x^(1/3).  Both compare() and conjecture_scan() sum every zero they are
+given: which zeros enter is settled when the zero table is imported.
 
 Companion modes: the squarefree-divisor sum (main term A1' x log x + A2' x,
 no zero sum) and the squarefree-indicator sum (main term x / zeta(2)).
@@ -38,20 +39,6 @@ CSV_COLUMNS = ["x", "S", "main", "zero_sum", "zeros_used", "E", "E_x14", "E_x13"
 
 
 @dataclass(frozen=True)
-class Cutoff:
-    """Zero-sum truncation: by zero count ('count') or ordinate bound ('ordinate')."""
-
-    kind: str
-    value: float
-
-    def __post_init__(self):
-        if self.kind not in ("count", "ordinate"):
-            raise DomainError("cutoff kind must be 'count' or 'ordinate'")
-        if self.value <= 0:
-            raise DomainError("cutoff value must be positive")
-
-
-@dataclass(frozen=True)
 class ReportRow:
     x: float
     S_exact: int
@@ -67,7 +54,6 @@ class ReportRow:
 class ErrorReport:
     function: ArithmeticFunction
     mode: str
-    cutoff: Cutoff | None
     rows: list[ReportRow] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
@@ -85,8 +71,6 @@ class ErrorReport:
         return {
             "function": self.function.value,
             "mode": self.mode,
-            "cutoff": None if self.cutoff is None
-            else {"kind": self.cutoff.kind, "value": self.cutoff.value},
             "rows": len(self.rows),
             "max_abs_E": max((abs(r.E) for r in self.rows), default=0.0),
             "max_abs_E_over_x14": max((abs(r.E_over_x14) for r in self.rows), default=0.0),
@@ -98,46 +82,18 @@ class ErrorReport:
         Path(path).write_text(json.dumps(self.summary(), indent=2) + "\n")
 
 
-def log_grid(start: float, stop: float, count: int,
-             half_integers: bool = True) -> list[float]:
-    """Log-spaced grid, optionally snapped to half-integers n + 1/2."""
+def log_grid(start: float, stop: float, count: int) -> list[float]:
+    """Log-spaced grid snapped to half-integers n + 1/2, off the jumps of S."""
     if not (1 <= start < stop) or count < 2:
         raise DomainError("need 1 <= start < stop and count >= 2")
     la, lb = math.log(start), math.log(stop)
-    xs = [math.exp(la + (lb - la) * i / (count - 1)) for i in range(count)]
-    if half_integers:
-        xs = [math.floor(x) + 0.5 for x in xs]
+    xs = [math.floor(math.exp(la + (lb - la) * i / (count - 1))) + 0.5
+          for i in range(count)]
     out = []
     for x in xs:  # snapping can collide at the low end
         if not out or x > out[-1]:
             out.append(x)
     return out
-
-
-def select_zero_terms(
-    coefficients: list[ZeroTermCoefficient],
-    cutoff: Cutoff,
-) -> tuple[list[ZeroTermCoefficient], list[str]]:
-    """Apply the truncation rule; report (never silently absorb) shortfalls."""
-    warnings = []
-    if cutoff.kind == "count":
-        k = int(cutoff.value)
-        if k > len(coefficients):
-            warnings.append(
-                f"requested {k} zeros but the table holds {len(coefficients)}; "
-                f"using all {len(coefficients)}"
-            )
-            k = len(coefficients)
-        chosen = coefficients[:k]
-    else:
-        chosen = [c for c in coefficients if float(c.ordinate) / 2 <= cutoff.value]
-        if chosen == coefficients:
-            top = float(coefficients[-1].ordinate) / 2 if coefficients else 0.0
-            warnings.append(
-                f"ordinate cutoff {cutoff.value} exceeds the table's top "
-                f"half-ordinate {top}; zero sum is truncated by the table"
-            )
-    return chosen, warnings
 
 
 def zero_sum_terms(x, terms: list[ZeroTermCoefficient]):
@@ -163,21 +119,22 @@ def compare(
     function: ArithmeticFunction = ArithmeticFunction.D_SQUARE,
     mode: str = "exact",
     zero_coefficients: list[ZeroTermCoefficient] | None = None,
-    cutoff: Cutoff | None = None,
-    include_constant: bool = True,
     precision: int = DEFAULT_PRECISION,
 ) -> ErrorReport:
     """Exact prefix sums versus the analytic decomposition over a grid.
 
     The exact sums come from one prefix_sums_at call for the whole grid
     (sum mu(k) D_j(x // k^2), one D_j table); the main term is the residue
-    at s = 1 for the same j; the zero sum applies only to the divisor-square
-    function and is one array product over the grid.
+    at s = 1 for the same j, plus the residue 1/4 at s = 0 for the
+    divisor-square function.  Only that function has a zero sum: the sum
+    over every given zero, one array product over the grid.  Given no zeros,
+    it warns that E still holds the whole zero sum; the other functions take
+    no zeros.
     """
     xs = sorted(float(x) for x in x_grid)
     if xs[0] <= 1:
         raise DomainError("grid points must exceed 1")
-    report = ErrorReport(function=function, mode=mode, cutoff=cutoff)
+    report = ErrorReport(function=function, mode=mode)
 
     j, over_all_k = _ROUTES[function]
     if not over_all_k or j > 3:
@@ -185,37 +142,32 @@ def compare(
             f"no analytic main term implemented for {function.value}; "
             "it is sieve/identity checked only"
         )
+    zero_terms = list(zero_coefficients or ())
+    if zero_terms and function is not ArithmeticFunction.D_SQUARE:
+        raise DomainError(f"{function.value} has no zero sum; it takes no zeros")
     floors = [int(x) for x in xs]
     sums = prefix_sums_at(function, floors)
 
-    constant = 0
     if function is ArithmeticFunction.D_SQUARE:
         coefficients = main_term_coefficients(mode, precision=precision)
         terms = (coefficients.A1, coefficients.A2, coefficients.A3)
-        if include_constant:
-            constant = coefficients.constant_term
-    else:
-        terms = residue_coefficients(j, mode, precision)
-
-    chosen: list[ZeroTermCoefficient] = []
-    if function is ArithmeticFunction.D_SQUARE:
-        if zero_coefficients and cutoff:
-            chosen, warns = select_zero_terms(zero_coefficients, cutoff)
-            report.warnings.extend(warns)
-        else:
+        constant = coefficients.constant_term
+        if not zero_terms:
             report.warnings.append(
-                "no zero coefficients and cutoff given: E = S - main still "
-                "holds the whole zero sum"
+                "no zero coefficients given: E = S - main still holds the "
+                "whole zero sum"
             )
+    else:
+        terms, constant = residue_coefficients(j, mode, precision), 0
 
-    zero_sums = zero_sum_terms(np.array(xs), chosen)
+    zero_sums = zero_sum_terms(np.array(xs), zero_terms)
     for x, fl, zs in zip(xs, floors, zero_sums.tolist()):
         s_exact = sums[fl]
         main = float(main_term(x, terms, constant, precision))
         e = float(s_exact) - main - zs
         report.rows.append(ReportRow(
             x=x, S_exact=s_exact, main=main, zero_sum=zs,
-            zeros_used=2 * len(chosen),
+            zeros_used=2 * len(zero_terms),
             E=e, E_over_x14=e / x ** 0.25, E_over_x13=e / x ** (1.0 / 3.0),
         ))
     return report

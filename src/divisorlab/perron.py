@@ -42,7 +42,7 @@ from mpmath import mp, mpc, mpf
 
 from .errors import (ContourError, ConventionError, DomainError, HeightRangeError,
                      QuadratureError)
-from . import zeta as zeta_engine
+from . import sieve, zeta as zeta_engine
 from .zeta import DEFAULT_HEIGHT_CAP, DEFAULT_PRECISION, dirichlet_quotient_f64
 
 MIN_NODES = 64
@@ -361,20 +361,22 @@ def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
     return result
 
 
-def truncation_decay(x: float, c: float, T_list,
-                     exact_sum: int) -> tuple[list[tuple[float, float, float, float]], float]:
+def truncation_decay(x: float, c: float,
+                     T_list) -> tuple[list[tuple[float, float, float, float]], float]:
     """Perron truncation error |I(T) - S(x)| over strictly ascending T, plus
     the fitted log-log slope.
 
     Each row is (T, |I(T) - S(x)|, quadrature gap at T, error bound at T).
     At least two heights are needed for a slope.  One nested quadrature
-    serves every T; the Kronrod-Gauss check runs at each of them.
+    serves every T; the Kronrod-Gauss check runs at each of them.  The exact
+    S(x) is sieved after the sweep, so bad arguments are rejected first.
     """
     heights = [float(T) for T in T_list]
     if len(heights) < 2:
         raise DomainError("a decay fit needs at least two heights T")
     values, gaps, bounds = perron_sweep(x, c, heights)
-    rows = [(T, float(abs(v - exact_sum)), float(gap), float(bound))
+    exact = sieve.prefix_sum(sieve.ArithmeticFunction.D_SQUARE, math.floor(x))
+    rows = [(T, float(abs(v - exact)), float(gap), float(bound))
             for T, v, gap, bound in zip(heights, values, gaps, bounds)]
     logs_T = np.log([r[0] for r in rows])
     logs_e = np.log([max(r[1], 1e-300) for r in rows])

@@ -77,7 +77,7 @@ def import_zeros(
     """Parse, validate, and optionally polish a zero-ordinate file.
 
     limit_count, when given, keeps the first limit_count ordinates; it must
-    be at least 1.
+    be at least 1, and a file with fewer ordinates raises ZeroDataError.
     """
     if limit_count is not None and limit_count < 1:
         raise DomainError(f"zero count must be >= 1, got {limit_count}")
@@ -107,6 +107,9 @@ def import_zeros(
                 break
     if not ordinates:
         raise ZeroDataError(f"no ordinates found in {path}")
+    if limit_count is not None and len(ordinates) < limit_count:
+        raise ZeroDataError(f"{limit_count} zeros requested but {path} holds "
+                            f"{len(ordinates)}")
     if refine:
         ordinates = [zeta_engine.refine_zero(g, precision) for g in ordinates]
     return ZeroTable(ordinates=tuple(ordinates), source_digest=digest)

@@ -16,7 +16,7 @@ from mpmath import mp, mpf
 
 from conftest import evaluate
 from divisorlab import cli, perron, series, sieve, zeta as zeta_engine
-from divisorlab.formula import Cutoff, compare, log_grid
+from divisorlab.formula import compare, log_grid
 from divisorlab.sieve import ArithmeticFunction as AF
 
 
@@ -124,9 +124,7 @@ def test_06_mode_discrepancy_closed_form():
 
 def test_07_perron_truncation_decay():
     t0 = time.perf_counter()
-    exact = sieve.prefix_sum(AF.D_SQUARE, 1000)
-    rows, slope = perron.truncation_decay(1000.5, 2.0, [50, 100, 200, 400],
-                                          exact)
+    rows, slope = perron.truncation_decay(1000.5, 2.0, [50, 100, 200, 400])
     elapsed = time.perf_counter() - t0
     ok = -1.3 <= slope <= -0.7 and elapsed < 300.0
     report(7, "Perron truncation-error slope in [-1.3, -0.7]", ok,
@@ -137,8 +135,7 @@ def test_07_perron_truncation_decay():
 def test_08_explicit_formula_trend(zero_coefficients):
     t0 = time.perf_counter()
     grid = log_grid(1.0e3, 1.0e7, 25)
-    rep = compare(grid, mode="exact", zero_coefficients=zero_coefficients,
-                  cutoff=Cutoff("count", 100))
+    rep = compare(grid, mode="exact", zero_coefficients=zero_coefficients[:100])
     elapsed = time.perf_counter() - t0
     bottom = max(abs(r.E) / r.x for r in rep.rows if r.x < 1.0e4)
     top = max(abs(r.E) / r.x for r in rep.rows if r.x >= 1.0e6)

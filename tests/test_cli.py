@@ -2,12 +2,14 @@
 needs a fresh interpreter or a timeout."""
 
 import argparse
+import csv
 import dataclasses
 import importlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -111,6 +113,7 @@ def test_benchmark_tracer_sees_every_engine_call(capsys, monkeypatch, tmp_path):
          "--x", "1000.5"],
         ["formula", "compare", "--grid-stop", "1e4", *zeros_args],
         ["formula", "conjecture", "--grid-stop", "1e4", *zeros_args],
+        ["perron", "decay", "100.5", "--T", "50", "100", "--output-dir", str(tmp_path)],
     ]
     tracer = tracing.Tracer()
     with tracer.installed():
@@ -265,8 +268,7 @@ def test_each_subcommand_takes_only_the_settings_it_reads():
         "zeros coeffs": zeros_settings | {"count", "refine"},
         "formula compare": zeros_settings | {
             "output_dir", "mode", "function", "grid_start", "grid_stop",
-            "grid_count", "zeros", "ordinate_cutoff", "no_half_integers",
-            "no_constant"},
+            "grid_count", "zeros", "ordinate_cutoff"},
         "formula conjecture": zeros_settings | {
             "output_dir", "grid_start", "grid_stop", "grid_count", "zeros",
             "epsilon"},
@@ -279,7 +281,7 @@ def test_each_subcommand_takes_only_the_settings_it_reads():
     found = {name: {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
              for name, p in _subcommands(cli.build_parser())}
     assert found == expected
-    assert sum(map(len, found.values())) == 53
+    assert sum(map(len, found.values())) == 51
     assert [f.name for f in dataclasses.fields(cli.RunConfig)] == list(cli._SETTINGS)
 
 
@@ -291,6 +293,16 @@ def test_workers_flag_rejected(capsys, command):
         cli.main([*command, "--workers", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--no-half-integers", "--no-constant"])
+def test_compare_convention_flags_rejected(capsys, flag):
+    """formula compare always evaluates at half-integers and always includes
+    the residue 1/4 at s = 0."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["formula", "compare", flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["perron", "integral"], ["perron", "decay"]])
@@ -358,8 +370,92 @@ def test_formula_compare(capsys, tmp_path):
     assert (tmp_path / "compare_d_square.csv").exists()
     assert (tmp_path / "compare_d_square.json").exists()
     summary = json.loads((tmp_path / "compare_d_square.json").read_text())
-    assert summary["cutoff"] == {"kind": "count", "value": 20}
     assert payload["warnings"] == summary["warnings"] == []
+    assert _zeros_used(tmp_path) == [40] * 5
+
+
+def _zeros_used(out: Path) -> list[int]:
+    with open(out / "compare_d_square.csv") as fh:
+        return [int(row["zeros_used"]) for row in csv.DictReader(fh)]
+
+
+def _compare(capsys, out: Path, *argv):
+    return run(capsys, "formula", "compare", "--grid-start", "100",
+               "--grid-stop", "10000", "--grid-count", "3",
+               "--zeros-path", str(ZEROS_PATH), "--output-dir", str(out), *argv)
+
+
+def test_ordinate_cutoff_selects_prefix(capsys, tmp_path):
+    """gamma/2 <= 25 means gamma <= 50: the first ten zeros end at 49.77,
+    so every row sums 10 conjugate pairs, and nothing is warned."""
+    code, captured = _compare(capsys, tmp_path, "--ordinate-cutoff", "25")
+    assert code == 0, captured.err
+    assert json.loads(captured.out)["warnings"] == []
+    assert _zeros_used(tmp_path) == [20] * 3
+
+
+@pytest.mark.parametrize("argv", [["--ordinate-cutoff", "1e6"],
+                                  ["--zeros", "10", "--ordinate-cutoff", "25"]],
+                         ids=["file", "count"])
+def test_ordinate_cutoff_beyond_table_rejected(capsys, tmp_path, argv):
+    """A cutoff at or above the last imported zero's gamma/2 (236.5 for the
+    file, 24.9 for its first ten zeros) would leave the table, not the
+    cutoff, to truncate the sum."""
+    code, captured = _compare(capsys, tmp_path / "out", *argv)
+    assert code == 2
+    err = json.loads(captured.err)
+    assert err["error"] == "DomainError" and "truncate" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_ordinate_cutoff_below_first_zero_warns(capsys, tmp_path):
+    """gamma_1/2 = 7.07 > 3: no zero is selected, and the report says so."""
+    code, captured = _compare(capsys, tmp_path, "--ordinate-cutoff", "3")
+    assert code == 0, captured.err
+    warnings = json.loads(captured.out)["warnings"]
+    assert len(warnings) == 1 and "no zero coefficients" in warnings[0]
+    assert _zeros_used(tmp_path) == [0] * 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeros", "import", str(ZEROS_PATH), "--count", "101"],
+    ["zeros", "coeffs", "--count", "101"],
+    ["formula", "compare", "--zeros", "101"],
+    ["formula", "conjecture", "--zeros", "101"],
+], ids=["import", "coeffs", "compare", "conjecture"])
+def test_zero_shortfall_rejected(capsys, tmp_path, argv):
+    """Asking for more zeros than the 100-zero file holds exits 2 before
+    any coefficient is computed: no cache, no output directory."""
+    cache, out = tmp_path / "cache.txt", tmp_path / "out"
+    writes = [] if argv[1] == "import" else ["--cache-path", str(cache)]
+    if argv[0] == "formula":
+        writes += ["--output-dir", str(out)]
+    code, captured = run(capsys, *argv, "--zeros-path", str(ZEROS_PATH), *writes)
+    assert code == 2
+    err = json.loads(captured.err)
+    assert err["error"] == "ZeroDataError"
+    assert "101 zeros requested" in err["message"] and "holds 100" in err["message"]
+    assert not cache.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("function", ["two_omega", "mu_squared"])
+@pytest.mark.parametrize("argv", [["--zeros", "5"], ["--ordinate-cutoff", "3"]],
+                         ids=["zeros", "ordinate_cutoff"])
+def test_companion_zero_options_rejected(capsys, tmp_path, function, argv):
+    """The companion functions have no zero sum, so the zero options exit 2;
+    a zeros path or cache path, as one config file sets for every function,
+    is accepted."""
+    base = ["formula", "compare", "--function", function, "--grid-count", "2",
+            "--grid-stop", "1e4", "--zeros-path", str(ZEROS_PATH),
+            "--cache-path", str(tmp_path / "cache.txt"),
+            "--output-dir", str(tmp_path / "out")]
+    code, captured = run(capsys, *base, *argv)
+    assert code == 2
+    err = json.loads(captured.err)
+    assert err["error"] == "DomainError" and "no zero sum" in err["message"]
+    assert not (tmp_path / "out").exists()
+    assert run_json(capsys, *base)["warnings"] == []
+    assert not (tmp_path / "cache.txt").exists()
 
 
 def test_formula_compare_without_zeros_warns(capsys, monkeypatch, tmp_path):
@@ -370,12 +466,25 @@ def test_formula_compare_without_zeros_warns(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv("DIVISORLAB_ZEROS", raising=False)
     payload = run_json(capsys, "formula", "compare", "--grid-count", "2",
                        "--grid-stop", "1e4")
-    assert payload["cutoff"] is None
     assert len(payload["warnings"]) == 1
     assert "whole zero sum" in payload["warnings"][0]
     payload = run_json(capsys, "formula", "compare", "--function", "two_omega",
                        "--grid-count", "2", "--grid-stop", "1e4")
     assert payload["warnings"] == []
+
+
+@pytest.mark.parametrize("argv", [["--zeros", "5"], ["--ordinate-cutoff", "25"]],
+                         ids=["zeros", "ordinate_cutoff"])
+def test_zero_options_need_a_zeros_path(capsys, monkeypatch, tmp_path, argv):
+    """With no zeros path, a zero option exits 2 instead of being dropped."""
+    monkeypatch.delenv("DIVISORLAB_ZEROS", raising=False)
+    code, captured = run(capsys, "formula", "compare", "--grid-count", "2",
+                         "--grid-stop", "1e4", "--output-dir", str(tmp_path / "out"),
+                         *argv)
+    assert code == 2
+    err = json.loads(captured.err)
+    assert err["error"] == "DomainError" and err["message"].startswith("no zeros path")
+    assert not (tmp_path / "out").exists()
 
 
 def test_formula_compare_companion(capsys, tmp_path):
@@ -442,8 +551,7 @@ def test_perron_decay(capsys, tmp_path):
                        "--c", "2.0", "--T", "50", "100",
                        "--output-dir", str(tmp_path))
     assert len(payload["rows"]) == 2
-    rows, _ = perron.truncation_decay(100.5, 2.0, [50, 100],
-                                      sieve.prefix_sum(sieve.ArithmeticFunction.D_SQUARE, 100))
+    rows, _ = perron.truncation_decay(100.5, 2.0, [50, 100])
     assert payload["rows"] == [{"T": T, "abs_error": err, "quadrature_gap": gap,
                                 "error_bound": bound}
                                for T, err, gap, bound in rows]
@@ -478,6 +586,23 @@ def test_perron_bad_input_exits_2(capsys, tmp_path, monkeypatch, argv, error):
     assert code == 2
     assert json.loads(captured.err)["error"] == error
     assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, error, message", [
+    (["--", "-5.5"], "DomainError", "x = -5.5 must be positive and finite"),
+    (["1000000000000.5", "--T", "50", "20000"], "HeightRangeError",
+     "T = 20000.0 exceeds the cap 10000.0"),
+], ids=["negative_x", "height_cap"])
+def test_perron_decay_checks_arguments_before_sieving(tmp_path, argv, error, message):
+    """perron decay sieves S(x) only once the sweep has accepted x, c and
+    the heights: at x = 1e12 the sieve alone would take seconds."""
+    start = time.perf_counter()
+    result = _python("-m", "divisorlab.cli", "perron", "decay",
+                     "--output-dir", str(tmp_path), *argv, timeout=10)
+    assert time.perf_counter() - start < 1.0
+    assert result.returncode == 2
+    assert json.loads(result.stderr) == {"error": error, "message": message}
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,5 +1,5 @@
-"""Explicit-formula assembly: grids, truncation rules, the cosine form of a
-zero term, and exact bookkeeping of the error decomposition."""
+"""Explicit-formula assembly: grids, the cosine form of a zero term, and
+exact bookkeeping of the error decomposition."""
 
 import cmath
 import csv
@@ -14,7 +14,7 @@ from mpmath import mp, mpf
 
 from divisorlab import formula, series, sieve
 from divisorlab.errors import DomainError
-from divisorlab.formula import Cutoff, ReportRow, compare, log_grid
+from divisorlab.formula import ReportRow, compare, log_grid
 from divisorlab.sieve import ArithmeticFunction as AF
 
 
@@ -30,12 +30,6 @@ class TestGrid:
         assert len(grid) == len(set(grid))
         assert all(a < b for a, b in zip(grid, grid[1:]))
 
-    def test_raw_grid(self):
-        grid = log_grid(10, 1000, 3, half_integers=False)
-        assert grid[0] == pytest.approx(10.0)
-        assert grid[1] == pytest.approx(100.0)
-        assert grid[2] == pytest.approx(1000.0)
-
     def test_domain(self):
         with pytest.raises(DomainError):
             log_grid(0.5, 10, 5)
@@ -43,33 +37,6 @@ class TestGrid:
             log_grid(10, 10, 5)
         with pytest.raises(DomainError):
             log_grid(10, 100, 1)
-
-
-class TestCutoff:
-    def test_kinds(self):
-        with pytest.raises(DomainError):
-            Cutoff("height", 100)
-        with pytest.raises(DomainError):
-            Cutoff("count", 0)
-
-    def test_count_shortfall_warns(self, zero_coefficients):
-        chosen, warns = formula.select_zero_terms(
-            zero_coefficients, Cutoff("count", 500))
-        assert len(chosen) == len(zero_coefficients)
-        assert warns and "500" in warns[0]
-
-    def test_ordinate_cutoff_selects_prefix(self, zero_coefficients):
-        chosen, warns = formula.select_zero_terms(
-            zero_coefficients, Cutoff("ordinate", 25.0))
-        # gamma/2 <= 25 means gamma <= 50: the first ten zeros end at 49.77
-        assert len(chosen) == 10
-        assert warns == []
-
-    def test_ordinate_cutoff_beyond_table_warns(self, zero_coefficients):
-        chosen, warns = formula.select_zero_terms(
-            zero_coefficients, Cutoff("ordinate", 1.0e6))
-        assert len(chosen) == len(zero_coefficients)
-        assert warns
 
 
 def _terms(coeffs):
@@ -190,8 +157,7 @@ class TestZeroSum:
 class TestCompare:
     def test_bookkeeping_identity(self, zero_coefficients):
         grid = [100.5, 1000.5, 5000.5]
-        report = compare(grid, zero_coefficients=zero_coefficients,
-                         cutoff=Cutoff("count", 50))
+        report = compare(grid, zero_coefficients=zero_coefficients[:50])
         assert [r.x for r in report.rows] == grid
         for r in report.rows:
             # E is defined by exact float subtraction, not re-derived
@@ -201,16 +167,13 @@ class TestCompare:
             assert r.zeros_used == 100
 
     def test_exact_sums_in_rows(self, zero_coefficients):
-        report = compare([10.5], zero_coefficients=zero_coefficients,
-                         cutoff=Cutoff("count", 10))
+        report = compare([10.5], zero_coefficients=zero_coefficients[:10])
         assert report.rows[0].S_exact == 48
 
     def test_determinism(self, zero_coefficients):
         grid = log_grid(100, 10000, 6)
-        a = compare(grid, zero_coefficients=zero_coefficients,
-                    cutoff=Cutoff("count", 30))
-        b = compare(grid, zero_coefficients=zero_coefficients,
-                    cutoff=Cutoff("count", 30))
+        a = compare(grid, zero_coefficients=zero_coefficients[:30])
+        b = compare(grid, zero_coefficients=zero_coefficients[:30])
         assert a.rows == b.rows
 
     def test_companion_two_omega(self):
@@ -224,18 +187,31 @@ class TestCompare:
         for r in report.rows:
             assert abs(r.E) / math.sqrt(r.x) < 0.5
 
+    def test_sums_every_zero_given(self, zero_coefficients):
+        """The zero sum runs over every given coefficient, with no warning;
+        with none, the report warns that E holds the whole zero sum."""
+        report = compare([1000.5], zero_coefficients=zero_coefficients)
+        assert report.rows[0].zeros_used == 2 * len(zero_coefficients)
+        assert report.rows[0].zero_sum == formula.zero_sum_terms(
+            np.array([1000.5]), zero_coefficients)[0]
+        assert report.warnings == []
+        for empty in (None, []):
+            report = compare([1000.5], zero_coefficients=empty)
+            assert report.rows[0].zero_sum == 0.0 and report.rows[0].zeros_used == 0
+            assert len(report.warnings) == 1
+            assert "no zero coefficients" in report.warnings[0]
+
+    def test_companion_takes_no_zeros(self, zero_coefficients):
+        with pytest.raises(DomainError, match="no zero sum"):
+            compare([1000.5], function=AF.TWO_OMEGA,
+                    zero_coefficients=zero_coefficients[:5])
+
     def test_unsupported_function(self):
         with pytest.raises(DomainError):
             compare([100.5], function=AF.D_SQUARED)
 
-    def test_truncation_warning_propagates(self, zero_coefficients):
-        report = compare([100.5], zero_coefficients=zero_coefficients,
-                         cutoff=Cutoff("count", 10 ** 6))
-        assert report.warnings
-
     def test_csv_and_json_outputs(self, tmp_path, zero_coefficients):
-        report = compare([100.5, 1000.5], zero_coefficients=zero_coefficients,
-                         cutoff=Cutoff("count", 20))
+        report = compare([100.5, 1000.5], zero_coefficients=zero_coefficients[:20])
         csv_path = tmp_path / "r.csv"
         json_path = tmp_path / "r.json"
         report.write_csv(csv_path)

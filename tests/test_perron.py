@@ -68,7 +68,7 @@ class TestPerronTruncated:
         with pytest.raises(HeightRangeError, match="cap"):
             perron.perron_sweep(1000.5, 1.5, [T])
         with pytest.raises(HeightRangeError):
-            perron.truncation_decay(1000.5, 2.0, [50.0, T], 0)
+            perron.truncation_decay(1000.5, 2.0, [50.0, T])
         assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize("c", [110.0, 60.0])
@@ -79,7 +79,7 @@ class TestPerronTruncated:
         with pytest.raises(QuadratureError, match="T = 100"):
             perron.perron_sweep(1000.5, c, [100.0])
         with pytest.raises(QuadratureError, match="T = 50"):
-            perron.truncation_decay(1000.5, c, [50.0, 100.0], 0)
+            perron.truncation_decay(1000.5, c, [50.0, 100.0])
 
     def test_panel_floor(self):
         """Close to the pole at s = 1 the first height sets the panel width:
@@ -127,8 +127,7 @@ class TestPerronTruncated:
 
         monkeypatch.setattr(perron, "_panel_integrals", spy)
         monkeypatch.setattr(perron, "dirichlet_quotient_f64", spy_f)
-        exact = sieve.prefix_sum(AF.D_SQUARE, 100)
-        perron.truncation_decay(100.5, 2.0, [10, 25, 40], exact)
+        perron.truncation_decay(100.5, 2.0, [10, 25, 40])
         assert [(s, d, k) for s, d, _, k in grids] == [(2.0, 1j, True)]
         stretches = grids[0][2]
         assert [(lo, hi) for lo, hi, _ in stretches] == [(0.0, 10.0), (10.0, 25.0),
@@ -178,7 +177,7 @@ class TestPerronTruncated:
         """The perron_lines decay sweep at x = 1000.5 evaluates F at 1760
         panels of 33 nodes on the upper half-line: 58,080 nodes."""
         count = _count_f_nodes(monkeypatch)
-        perron.truncation_decay(1000.5, 2.0, [50, 100, 200, 400], 0)
+        perron.truncation_decay(1000.5, 2.0, [50, 100, 200, 400])
         assert sum(count) == 58_080
         assert max(count) <= 1024
 
@@ -188,7 +187,7 @@ class TestPerronTruncated:
         panels and a top of MIN_PANELS, 16 Gauss nodes each) evaluates F at
         58,080 + 14,520 + 8,064 = 80,664 nodes, at most 1024 per call."""
         count = _count_f_nodes(monkeypatch)
-        perron.truncation_decay(1000.5, 2.0, [50, 100, 200, 400], 0)
+        perron.truncation_decay(1000.5, 2.0, [50, 100, 200, 400])
         perron.perron_sweep(1000.5, 1.5, [100.0])
         perron.rectangle_consistency(1000.5)
         assert sum(count) == 80_664
@@ -409,8 +408,7 @@ class TestNestedCircle:
 class TestTruncationDecay:
     def test_rows_and_slope(self):
         exact = sieve.prefix_sum(AF.D_SQUARE, 100)
-        rows, slope = perron.truncation_decay(100.5, 2.0, [50, 100, 200],
-                                              exact)
+        rows, slope = perron.truncation_decay(100.5, 2.0, [50, 100, 200])
         assert [T for T, _, _, _ in rows] == [50.0, 100.0, 200.0]
         assert all(err >= 0 for _, err, _, _ in rows)
         assert all(0 <= gap <= 1e-6 * exact for _, _, gap, _ in rows)
@@ -418,32 +416,32 @@ class TestTruncationDecay:
 
     def test_unsorted_T_rejected(self):
         with pytest.raises(DomainError):
-            perron.truncation_decay(100.5, 2.0, [100, 50], 48)
+            perron.truncation_decay(100.5, 2.0, [100, 50])
 
     @pytest.mark.parametrize("T_list", [[], [100], [50, 50], [50, 100, 100]])
     def test_degenerate_sweep_rejected(self, T_list):
         with pytest.raises(DomainError):
-            perron.truncation_decay(100.5, 2.0, T_list, 48)
+            perron.truncation_decay(100.5, 2.0, T_list)
 
     def test_sweep_validation(self):
         with pytest.raises(DomainError):
-            perron.truncation_decay(100.5, 1.0, [50, 100], 48)
+            perron.truncation_decay(100.5, 1.0, [50, 100])
         with pytest.raises(DomainError):
-            perron.truncation_decay(100.5, 2.0, [0, 100], 48)
+            perron.truncation_decay(100.5, 2.0, [0, 100])
         with pytest.raises(DomainError):
-            perron.truncation_decay(100.5, 2.0, [-50, 100], 48)
+            perron.truncation_decay(100.5, 2.0, [-50, 100])
         with pytest.raises(DomainError):
-            perron.truncation_decay(100.5, 2.0, [float("nan"), 100], 48)
+            perron.truncation_decay(100.5, 2.0, [float("nan"), 100])
         for heights in ([50, float("nan")], [50, float("nan"), 100], [50, float("inf")]):
             with pytest.raises(DomainError):
                 perron.perron_sweep(100.5, 2.0, heights)
         with pytest.raises(ConventionError):
-            perron.truncation_decay(100.0, 2.0, [50, 100], 48)
+            perron.truncation_decay(100.0, 2.0, [50, 100])
 
     def test_sweep_matches_single_heights(self):
         T_list = [20.0, 50.0, 100.0]
         exact = sieve.prefix_sum(AF.D_SQUARE, 100)
-        rows, _ = perron.truncation_decay(100.5, 2.0, T_list, exact)
+        rows, _ = perron.truncation_decay(100.5, 2.0, T_list)
         for T, err, _, _ in rows:
             single = perron.perron_truncated(100.5, 2.0, T)
             assert abs(err - abs(single.real - exact)) <= 1e-10 * abs(single.real)
