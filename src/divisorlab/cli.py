@@ -3,7 +3,7 @@
 Subcommands
     sum              exact prefix sum of one arithmetic function
     constants        analytic constants in both coefficient modes
-    zeros import     ingest/validate (optionally polish) a zero table
+    zeros import     ingest and validate a zero table
     zeros coeffs     compute and cache explicit-formula coefficients
     formula compare  exact sums vs. decomposition over a grid, CSV + JSON out
     formula conjecture  zero-sum growth scan against x^(1/3+eps)
@@ -13,11 +13,9 @@ Subcommands
     dirichlet-verify Dirichlet-series identity check at a real point
 
 A zero count K (--count, --zeros) takes the first K zeros of the file and
-fails if the file holds fewer.  The formula subcommands sum every zero they
-take; formula compare's --ordinate-cutoff T drops those with gamma/2 > T,
-and T must be positive and below the last zero's gamma/2.  Either option
-needs a zeros path.  Only d_square has a zero sum, so the other functions
-take neither option.
+fails if the file holds fewer; the ordinates are used as written.  The
+formula subcommands sum every zero they take.  --zeros needs a zeros path,
+and only d_square has a zero sum, so the other functions do not take it.
 
 All numeric output is serialized in decimal with explicit digit counts.  A
 subcommand takes only the settings (RunConfig fields) its handler reads, as
@@ -128,13 +126,13 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _import_zeros(cfg: RunConfig, count: int | None, refine: bool):
+def _import_zeros(cfg: RunConfig, count: int | None):
     if cfg.zeros_path is None:
         raise DomainError(
             "no zeros path; pass --zeros-path, set it in the config file, "
             "or export DIVISORLAB_ZEROS"
         )
-    return zeros.import_zeros(cfg.zeros_path, limit_count=count, refine=refine,
+    return zeros.import_zeros(cfg.zeros_path, limit_count=count,
                               precision=cfg.precision_bits)
 
 
@@ -187,7 +185,7 @@ def cmd_constants(args, cfg: RunConfig) -> int:
 
 
 def cmd_zeros_import(args, cfg: RunConfig) -> int:
-    table = _import_zeros(cfg, args.count, args.refine)
+    table = _import_zeros(cfg, args.count)
     _emit({
         "count": len(table),
         "source_digest": table.source_digest,
@@ -198,7 +196,7 @@ def cmd_zeros_import(args, cfg: RunConfig) -> int:
 
 
 def cmd_zeros_coeffs(args, cfg: RunConfig) -> int:
-    coeffs = _coefficients(cfg, _import_zeros(cfg, args.count, args.refine))
+    coeffs = _coefficients(cfg, _import_zeros(cfg, args.count))
     with mp.workprec(cfg.precision_bits + 16):
         sum_2_abs = sum(2 * abs(c.coefficient) for c in coeffs)
     _emit({
@@ -215,25 +213,14 @@ def cmd_zeros_coeffs(args, cfg: RunConfig) -> int:
 
 def cmd_formula_compare(args, cfg: RunConfig) -> int:
     function = ArithmeticFunction(args.function)
-    cutoff = args.ordinate_cutoff
-    zero_options = args.zeros is not None or cutoff is not None
-    if function is not ArithmeticFunction.D_SQUARE and zero_options:
-        raise DomainError(f"{function.value} has no zero sum; --zeros and "
-                          "--ordinate-cutoff apply to d_square only")
-    if cutoff is not None and cutoff <= 0:
-        raise DomainError(f"ordinate cutoff must be positive, got {cutoff}")
+    d_square = function is ArithmeticFunction.D_SQUARE
+    if not d_square and args.zeros is not None:
+        raise DomainError(f"{function.value} has no zero sum; --zeros applies "
+                          "to d_square only")
     grid = log_grid(args.grid_start, args.grid_stop, args.grid_count)
     coeffs = None
-    if function is ArithmeticFunction.D_SQUARE and (cfg.zeros_path or zero_options):
-        table = _import_zeros(cfg, args.zeros, False)
-        top = float(table.ordinates[-1]) / 2
-        if cutoff is not None and top <= cutoff:
-            raise DomainError(
-                f"ordinate cutoff {cutoff} is not below the table's top "
-                f"half-ordinate {top}: the table, not the cutoff, would "
-                "truncate the zero sum")
-        coeffs = [c for c in _coefficients(cfg, table)
-                  if cutoff is None or float(c.ordinate) / 2 <= cutoff]
+    if d_square and (cfg.zeros_path or args.zeros is not None):
+        coeffs = _coefficients(cfg, _import_zeros(cfg, args.zeros))
     report = compare(grid, function=function, mode=cfg.mode,
                      zero_coefficients=coeffs, precision=cfg.precision_bits)
     out = _output_dir(cfg)
@@ -247,7 +234,7 @@ def cmd_formula_compare(args, cfg: RunConfig) -> int:
 
 def cmd_formula_conjecture(args, cfg: RunConfig) -> int:
     grid = log_grid(args.grid_start, args.grid_stop, args.grid_count)
-    coeffs = _coefficients(cfg, _import_zeros(cfg, args.zeros, False))
+    coeffs = _coefficients(cfg, _import_zeros(cfg, args.zeros))
     scan = conjecture_scan(grid, coeffs, epsilon=args.epsilon)
     out = _output_dir(cfg) / "conjecture_scan.json"
     payload = {
@@ -431,11 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = zsub.add_parser("import", help="ingest and validate a zero file")
     p.add_argument("path", nargs="?")
     p.add_argument("--count", type=int)
-    p.add_argument("--refine", action="store_true")
     _command(p, cmd_zeros_import, "precision_bits", "zeros_path")
     p = zsub.add_parser("coeffs", help="compute/cache zero coefficients")
     p.add_argument("--count", type=int)
-    p.add_argument("--refine", action="store_true")
     _command(p, cmd_zeros_coeffs, *zeros_settings)
 
     pf = sub.add_parser("formula", help="explicit-formula experiments")
@@ -447,8 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-stop", type=finite_float, default=1e6)
     p.add_argument("--grid-count", type=int, default=13)
     p.add_argument("--zeros", type=int, help="import the first K zeros")
-    p.add_argument("--ordinate-cutoff", type=finite_float,
-                   help="sum only the zeros with gamma/2 <= T")
     _command(p, cmd_formula_compare, *zeros_settings, "output_dir", "mode")
     p = fsub.add_parser("conjecture", help="zero-sum growth scan")
     p.add_argument("--grid-start", type=finite_float, default=1e3)

@@ -21,8 +21,10 @@ accurate on periodic contours: with N nodes, principal parts are integrated
 exactly and the analytic remainder contributes O((r/R)^N) for the distance R
 to the nearest other singularity.  Since the error falls geometrically,
 nested levels of nodes measure their own error: each level doubles the last,
-and the sum stops at the first level whose change, squared over the change
-before it, is below 2^-precision.  The nodes sit at the angles 2 pi j / n.
+which squares the error up to a constant, so with d1 and d0 the changes at the
+last two levels the error left is about d1 (d1 / d0)^2.  The sum stops at the
+first level where that is below 2^-precision; a circle with no such level
+raises QuadratureError.  The nodes sit at the angles 2 pi j / n.
 About a real centre the nodes mirror in the real axis, so only those with
 angle in [0, pi] are evaluated and each mirrored term is added as the
 conjugate: a circle that stops at 64 of 128 nodes evaluates F 33 times.
@@ -289,25 +291,27 @@ def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
     """(1/2 pi i) contour integral of F(s) x^s / s on a circle, by trapezoid.
 
     Equals the residue sum of the enclosed poles.  The nodes sit at the
-    angles 2 pi j / nodes.  The trapezoid sums run over nested levels:
-    every 2^m-th of those nodes, from the coarsest level of at least
-    MIN_LEVEL nodes, each level adding the nodes the one before lacks.  With
-    d1 and d0 the changes at the last two levels, the sum stops once
-    d1 <= d0 and d1^2 / d0 <= 2^-precision max(1, |value|); otherwise it
-    runs to all `nodes`.  About a real centre the integrand at the mirrored
-    node conj(z) is the conjugate of its value at z, so only the nodes at
-    angles in [0, pi] are evaluated: a level of m nodes costs m/2 + 1 F
-    evaluations if it is the coarsest and m/4 otherwise, and the value is
-    real, t_0 + t_{m/2} + 2 Re sum_{0<j<m/2} t_j over m.  Each F reads
-    zeta(s) and zeta(2s) from one zeta_pair; at s = 1/2, on a circle through
-    the pole of zeta(2s), F is 0.  With verify_radius the integral is
-    repeated at half the radius; disagreement signals that the circle and
-    its half do not enclose the same poles.
+    angles 2 pi j / nodes; `nodes` must be a multiple of 4, at least
+    MIN_NODES.  The trapezoid sums run over nested levels: every 2^m-th of
+    those nodes, from the coarsest level of at least MIN_LEVEL nodes, each
+    level adding the nodes the one before lacks, so there are at least
+    three.  With d1 and d0 the changes at the last two levels, the sum stops
+    once d1 <= d0 and d1^3 / d0^2 <= 2^-precision max(1, |value|); a circle
+    whose levels run out first raises QuadratureError.  About a real centre
+    the integrand at the mirrored node conj(z) is the conjugate of its value
+    at z, so only the nodes at angles in [0, pi] are evaluated: a level of m
+    nodes costs m/2 + 1 F evaluations if it is the coarsest and m/4
+    otherwise, and the value is real, t_0 + t_{m/2} + 2 Re sum_{0<j<m/2} t_j
+    over m.  Each F reads zeta(s) and zeta(2s) from one zeta_pair; at
+    s = 1/2, on a circle through the pole of zeta(2s), F is 0.  With
+    verify_radius the integral is repeated at half the radius; disagreement
+    signals that the circle and its half do not enclose the same poles.
     """
     if not 0 < x < math.inf:
         raise DomainError(f"x = {x} must be positive and finite")
-    if nodes < MIN_NODES:
-        raise DomainError(f"node count must be >= {MIN_NODES}")
+    if nodes < MIN_NODES or nodes % 4:
+        raise DomainError(f"node count must be a multiple of 4 and >= {MIN_NODES}, "
+                          f"got {nodes}")
     if radius <= 0:
         raise DomainError("radius must be positive")
     for pole in _FIXED_POLES:
@@ -347,8 +351,12 @@ def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
             if len(values) >= 3:
                 d1 = abs(values[-1] - values[-2])
                 d0 = abs(values[-2] - values[-3])
-                if d1 <= d0 and d1 * d1 <= tol * max(1, abs(values[-1])) * d0:
+                if d1 <= d0 and d1 ** 3 <= tol * max(1, abs(values[-1])) * d0 ** 2:
                     break
+        else:
+            raise QuadratureError(
+                f"the circle's trapezoid levels did not settle within nodes = "
+                f"{nodes}: the last level changed the value by {mp.nstr(d1, 3)}")
         result = +values[-1]
     if verify_radius:
         inner = residue_by_circle(center, radius / 2.0, x, nodes, precision)

@@ -71,13 +71,13 @@ def file_digest(path) -> str:
 def import_zeros(
     path,
     limit_count: int | None = None,
-    refine: bool = False,
     precision: int = DEFAULT_PRECISION,
 ) -> ZeroTable:
-    """Parse, validate, and optionally polish a zero-ordinate file.
+    """Parse and validate a zero-ordinate file, at precision + 16 bits.
 
     limit_count, when given, keeps the first limit_count ordinates; it must
     be at least 1, and a file with fewer ordinates raises ZeroDataError.
+    The ordinates are kept as written: coefficient_for needs them polished.
     """
     if limit_count is not None and limit_count < 1:
         raise DomainError(f"zero count must be >= 1, got {limit_count}")
@@ -110,8 +110,6 @@ def import_zeros(
     if limit_count is not None and len(ordinates) < limit_count:
         raise ZeroDataError(f"{limit_count} zeros requested but {path} holds "
                             f"{len(ordinates)}")
-    if refine:
-        ordinates = [zeta_engine.refine_zero(g, precision) for g in ordinates]
     return ZeroTable(ordinates=tuple(ordinates), source_digest=digest)
 
 

@@ -7,6 +7,7 @@ import dataclasses
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -181,9 +182,8 @@ def test_zeros_coeffs_cache_below_requested_precision(capsys, tmp_path):
     ["zeros", "import", str(ZEROS_PATH), "--count", "0"],
     ["zeros", "coeffs", "--count", "0"],
     ["formula", "compare", "--zeros", "0"],
-    ["formula", "compare", "--zeros", "2", "--ordinate-cutoff", "0"],
     ["formula", "conjecture", "--zeros", "0"],
-], ids=["import", "coeffs", "compare", "compare_ordinate", "conjecture"])
+], ids=["import", "coeffs", "compare", "conjecture"])
 def test_zero_count_below_one_rejected(capsys, tmp_path, argv):
     out = tmp_path / "out"
     writes = ["--output-dir", str(out)] if argv[0] == "formula" else []
@@ -264,11 +264,11 @@ def test_each_subcommand_takes_only_the_settings_it_reads():
     expected = {
         "sum": set(),
         "constants": {"config", "precision_bits"},
-        "zeros import": {"config", "precision_bits", "zeros_path", "count", "refine"},
-        "zeros coeffs": zeros_settings | {"count", "refine"},
+        "zeros import": {"config", "precision_bits", "zeros_path", "count"},
+        "zeros coeffs": zeros_settings | {"count"},
         "formula compare": zeros_settings | {
             "output_dir", "mode", "function", "grid_start", "grid_stop",
-            "grid_count", "zeros", "ordinate_cutoff"},
+            "grid_count", "zeros"},
         "formula conjecture": zeros_settings | {
             "output_dir", "grid_start", "grid_stop", "grid_count", "zeros",
             "epsilon"},
@@ -281,8 +281,24 @@ def test_each_subcommand_takes_only_the_settings_it_reads():
     found = {name: {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
              for name, p in _subcommands(cli.build_parser())}
     assert found == expected
-    assert sum(map(len, found.values())) == 51
+    assert sum(map(len, found.values())) == 48
     assert [f.name for f in dataclasses.fields(cli.RunConfig)] == list(cli._SETTINGS)
+
+
+def test_readme_flag_table_matches_parser():
+    """Each row of README's CLI table lists, in backticks, exactly the
+    option flags the parser gives that subcommand."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = line.split("|")[1:-1]
+        if len(cells) == 3 and cells[0].strip().startswith("`"):
+            flags = re.findall(r"`(--[A-Za-z][\w-]*)`", "|".join(cells[1:]))
+            rows[cells[0].strip().strip("`")] = set(flags)
+    found = {name: {o for a in p._actions for o in a.option_strings if a.dest != "help"}
+             for name, p in _subcommands(cli.build_parser())}
+    assert rows == found
 
 
 @pytest.mark.parametrize("command", [["zeros", "coeffs"], ["formula", "compare"],
@@ -295,14 +311,25 @@ def test_workers_flag_rejected(capsys, command):
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--no-half-integers", "--no-constant"])
+@pytest.mark.parametrize("flag", ["--no-half-integers", "--no-constant",
+                                  "--ordinate-cutoff 25"])
 def test_compare_convention_flags_rejected(capsys, flag):
-    """formula compare always evaluates at half-integers and always includes
-    the residue 1/4 at s = 0."""
+    """formula compare always evaluates at half-integers, always includes
+    the residue 1/4 at s = 0, and sums every zero it imports."""
     with pytest.raises(SystemExit) as exc:
-        cli.main(["formula", "compare", flag])
+        cli.main(["formula", "compare", *flag.split()])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["zeros", "import"], ["zeros", "coeffs"]])
+def test_refine_flag_rejected(capsys, command):
+    """A zero table's ordinates are used as the file writes them; there is
+    no --refine."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--refine"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --refine" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["perron", "integral"], ["perron", "decay"]])
@@ -337,7 +364,7 @@ def test_cli_import_loads_no_process_pool():
 def test_every_float_argument_is_finite_checked():
     floats = [a for _, p in _subcommands(cli.build_parser()) for a in p._actions
               if a.type in (float, cli.finite_float)]
-    assert len(floats) == 17
+    assert len(floats) == 16
     assert all(a.type is cli.finite_float for a in floats)
 
 
@@ -379,42 +406,14 @@ def _zeros_used(out: Path) -> list[int]:
         return [int(row["zeros_used"]) for row in csv.DictReader(fh)]
 
 
-def _compare(capsys, out: Path, *argv):
-    return run(capsys, "formula", "compare", "--grid-start", "100",
-               "--grid-stop", "10000", "--grid-count", "3",
-               "--zeros-path", str(ZEROS_PATH), "--output-dir", str(out), *argv)
-
-
-def test_ordinate_cutoff_selects_prefix(capsys, tmp_path):
-    """gamma/2 <= 25 means gamma <= 50: the first ten zeros end at 49.77,
-    so every row sums 10 conjugate pairs, and nothing is warned."""
-    code, captured = _compare(capsys, tmp_path, "--ordinate-cutoff", "25")
-    assert code == 0, captured.err
-    assert json.loads(captured.out)["warnings"] == []
+def test_zeros_selects_prefix(capsys, tmp_path):
+    """--zeros 10 takes the file's first ten zeros, so every row sums 10
+    conjugate pairs, and nothing is warned."""
+    payload = run_json(capsys, "formula", "compare", "--grid-start", "100",
+                       "--grid-stop", "10000", "--grid-count", "3", "--zeros", "10",
+                       "--zeros-path", str(ZEROS_PATH), "--output-dir", str(tmp_path))
+    assert payload["warnings"] == []
     assert _zeros_used(tmp_path) == [20] * 3
-
-
-@pytest.mark.parametrize("argv", [["--ordinate-cutoff", "1e6"],
-                                  ["--zeros", "10", "--ordinate-cutoff", "25"]],
-                         ids=["file", "count"])
-def test_ordinate_cutoff_beyond_table_rejected(capsys, tmp_path, argv):
-    """A cutoff at or above the last imported zero's gamma/2 (236.5 for the
-    file, 24.9 for its first ten zeros) would leave the table, not the
-    cutoff, to truncate the sum."""
-    code, captured = _compare(capsys, tmp_path / "out", *argv)
-    assert code == 2
-    err = json.loads(captured.err)
-    assert err["error"] == "DomainError" and "truncate" in err["message"]
-    assert not (tmp_path / "out").exists()
-
-
-def test_ordinate_cutoff_below_first_zero_warns(capsys, tmp_path):
-    """gamma_1/2 = 7.07 > 3: no zero is selected, and the report says so."""
-    code, captured = _compare(capsys, tmp_path, "--ordinate-cutoff", "3")
-    assert code == 0, captured.err
-    warnings = json.loads(captured.out)["warnings"]
-    assert len(warnings) == 1 and "no zero coefficients" in warnings[0]
-    assert _zeros_used(tmp_path) == [0] * 3
 
 
 @pytest.mark.parametrize("argv", [
@@ -439,10 +438,9 @@ def test_zero_shortfall_rejected(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize("function", ["two_omega", "mu_squared"])
-@pytest.mark.parametrize("argv", [["--zeros", "5"], ["--ordinate-cutoff", "3"]],
-                         ids=["zeros", "ordinate_cutoff"])
+@pytest.mark.parametrize("argv", [["--zeros", "5"]], ids=["zeros"])
 def test_companion_zero_options_rejected(capsys, tmp_path, function, argv):
-    """The companion functions have no zero sum, so the zero options exit 2;
+    """The companion functions have no zero sum, so --zeros exits 2;
     a zeros path or cache path, as one config file sets for every function,
     is accepted."""
     base = ["formula", "compare", "--function", function, "--grid-count", "2",
@@ -473,10 +471,9 @@ def test_formula_compare_without_zeros_warns(capsys, monkeypatch, tmp_path):
     assert payload["warnings"] == []
 
 
-@pytest.mark.parametrize("argv", [["--zeros", "5"], ["--ordinate-cutoff", "25"]],
-                         ids=["zeros", "ordinate_cutoff"])
+@pytest.mark.parametrize("argv", [["--zeros", "5"]], ids=["zeros"])
 def test_zero_options_need_a_zeros_path(capsys, monkeypatch, tmp_path, argv):
-    """With no zeros path, a zero option exits 2 instead of being dropped."""
+    """With no zeros path, --zeros exits 2 instead of being dropped."""
     monkeypatch.delenv("DIVISORLAB_ZEROS", raising=False)
     code, captured = run(capsys, "formula", "compare", "--grid-count", "2",
                          "--grid-stop", "1e4", "--output-dir", str(tmp_path / "out"),
@@ -533,6 +530,17 @@ def test_perron_residue_prints_computed_digits(capsys):
                            "--radius", "0.2", "--x", "1000.5", "--nodes", "64")
     value = perron.residue_by_circle(1.0, 0.2, 1000.5, nodes=64).real
     assert abs(mpf(payload["real"]) - value) / value < mpf("1e-19")
+
+
+def test_perron_residue_unsettled_circle_exits_2(capsys):
+    """About 0.6 with radius 0.5 the circle passes 0.1 from the poles at 0
+    and 1; its 128-node levels never meet the stop rule, so no value is
+    printed."""
+    code, captured = run(capsys, "perron", "residue", "--center-re", "0.6",
+                         "--radius", "0.5", "--x", "500")
+    assert code == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "QuadratureError" and "nodes = 128" in err["message"]
 
 
 @pytest.mark.parametrize("argv", [

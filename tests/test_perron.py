@@ -293,10 +293,11 @@ class TestCircleResidues:
         assert abs(a - b) / abs(a) < mpf("1e-10")
 
     def test_radius_halving_catches_pole_capture(self):
-        # radius 0.5 about s = 0.6 reaches the triple pole at s = 1, but the
-        # half-radius circle does not, so verification must fail.
+        # radius 0.4 about s = 1.28 encloses the triple pole at s = 1, but the
+        # half-radius circle does not; both meet the stop rule, so
+        # verification must fail.
         with pytest.raises(ContourError):
-            perron.residue_by_circle(0.6, 0.5, 500.0, nodes=256,
+            perron.residue_by_circle(1.28, 0.4, 500.0, nodes=512,
                                      verify_radius=True)
 
     def test_bad_parameters(self):
@@ -313,6 +314,10 @@ class TestCircleResidues:
             perron.residue_by_circle(1 + 0j, 0.1, 10.5, nodes=32)
         with pytest.raises(DomainError):
             perron.residue_by_circle(1 + 0j, 0.1, 10.5, nodes=perron.MIN_NODES - 1)
+        zeta_engine.reset_call_count()
+        with pytest.raises(DomainError, match="multiple of 4"):
+            perron.residue_by_circle(1 + 0j, 0.1, 10.5, nodes=66)
+        assert zeta_engine.call_count() == 0
 
     def test_circle_through_pole_rejected(self):
         # centre 0.5, radius 0.5 passes through both s = 0 and s = 1
@@ -367,10 +372,11 @@ class TestNestedCircle:
 
     def test_slow_circle_reaches_the_cap(self):
         """About 0.6 with radius 0.5 the circle passes 0.1 from the poles at
-        0 and 1, so the levels converge slowly and all 256 nodes run: the
-        129 with angle in [0, pi] are evaluated."""
+        0 and 1, so the levels converge slowly: all 256 nodes run, the 129
+        with angle in [0, pi] are evaluated, and the stop rule never fires."""
         zeta_engine.reset_call_count()
-        perron.residue_by_circle(0.6, 0.5, 500.0, nodes=256)
+        with pytest.raises(QuadratureError, match="nodes = 256"):
+            perron.residue_by_circle(0.6, 0.5, 500.0, nodes=256)
         assert zeta_engine.call_count() == 2 * (256 // 2 + 1)
 
     def test_96_nodes_nest(self, monkeypatch):

@@ -62,13 +62,6 @@ class TestImport:
         with pytest.raises(ZeroDataError):
             zeros.import_zeros(p)
 
-    def test_refine_polishes(self, tmp_path):
-        p = tmp_path / "z.txt"
-        p.write_text("14.13\n21.02\n")  # coarse, 2 decimals
-        table = zeros.import_zeros(p, refine=True)
-        assert abs(table.ordinates[0] - mpf("14.134725141734695")) < mpf("1e-12")
-        assert abs(table.ordinates[1] - mpf("21.022039638771555")) < mpf("1e-12")
-
 
 class TestCoefficient:
     def test_formula_invariant(self, zero_coefficients):
@@ -164,7 +157,7 @@ class TestCache:
 
     def test_ordinate_mismatch_detected(self, tmp_path, zeros_path):
         """Same file digest, but one ordinate differs in its 25th digit, as a
-        polished (--refine) table's would."""
+        polished table's would."""
         table = zeros.import_zeros(zeros_path, limit_count=3)
         cache = tmp_path / "coeffs.txt"
         zeros.persist_cache(table, zeros.coefficients_for_table(table), cache)
