@@ -18,11 +18,10 @@ formula subcommands sum every zero they take.  --zeros needs a zeros path,
 and only d_square has a zero sum, so the other functions do not take it.
 
 All numeric output is serialized in decimal with explicit digit counts.  A
-subcommand takes only the settings (RunConfig fields) its handler reads, as
-flags or as keys of a config file (key = value lines; flags win); it checks
-the file's other keys but ignores them.  The zeros path may also come from
-the DIVISORLAB_ZEROS environment variable (the only environment override).
-Float arguments must be finite.
+subcommand takes only the run settings (the _SETTINGS flags) its handler
+reads; each is given by its flag and nothing else.  Float arguments must be
+finite.  A failed run, a file it cannot read or write included, prints
+{"error", "message"} JSON on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -30,9 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from mpmath import mp, mpc, mpf
@@ -46,78 +43,14 @@ from .sieve import ArithmeticFunction
 DIGITS = 20
 
 
-@dataclass
-class RunConfig:
-    precision_bits: int = zeta_engine.DEFAULT_PRECISION
-    zeros_path: str | None = None
-    cache_path: str | None = None
-    output_dir: str = "."
-    mode: str = "exact"
-
-    @classmethod
-    def load(cls, args: argparse.Namespace) -> "RunConfig":
-        """The settings the subcommand reads (args.settings): defaults, then
-        the config file, DIVISORLAB_ZEROS, the flags and zeros import's path,
-        each overriding the last.  Every key in the file is checked."""
-        cfg, read = cls(), args.settings
-        if getattr(args, "config", None):
-            for key, value in _read_config_file(args.config):
-                if key in read:
-                    setattr(cfg, key, value)
-        env_zeros = os.environ.get("DIVISORLAB_ZEROS")
-        if env_zeros and "zeros_path" in read and cfg.zeros_path is None:
-            cfg.zeros_path = env_zeros
-        for key in read:
-            if getattr(args, key) is not None:
-                setattr(cfg, key, getattr(args, key))
-        if getattr(args, "path", None):
-            cfg.zeros_path = args.path
-        if cfg.zeros_path is not None and not Path(cfg.zeros_path).exists():
-            raise DomainError(f"zeros path {cfg.zeros_path} does not exist")
-        return cfg
-
-
-def _read_config_file(path) -> list[tuple[str, object]]:
-    """(key, value) for each setting, in file order, the value converted and
-    checked by the type and choices of the key's flag in _SETTINGS."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
-        raise DomainError(f"config file {path} cannot be read "
-                          f"({type(exc).__name__})") from None
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        where = f"{path}:{lineno}"
-        if "=" not in line:
-            raise DomainError(f"{where}: expected 'key = value'")
-        key, given = (part.strip() for part in line.split("=", 1))
-        spec = _SETTINGS.get(key)
-        if spec is None:
-            raise DomainError(f"{where}: unknown config key {key!r}")
-        convert = spec.get("type", str)
-        try:
-            value = convert(given)
-        except ValueError:
-            raise DomainError(f"{where}: invalid {convert.__name__} value for {key}: "
-                              f"{given!r}") from None
-        if "choices" in spec and value not in spec["choices"]:
-            raise DomainError(f"{where}: {key} must be "
-                              + " or ".join(map(repr, spec["choices"])))
-        out.append((key, value))
-    return out
-
-
 def _num(value, digits: int = DIGITS) -> str:
     """`digits` significant digits; an mpf is formatted from all its bits."""
     return mp.nstr(value if isinstance(value, mpf) else mpf(value), digits)
 
 
-def _output_dir(cfg: RunConfig) -> Path:
+def _output_dir(args) -> Path:
     """The output directory, created now that a file is about to be written."""
-    out = Path(cfg.output_dir)
+    out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -126,26 +59,23 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _import_zeros(cfg: RunConfig, count: int | None):
-    if cfg.zeros_path is None:
-        raise DomainError(
-            "no zeros path; pass --zeros-path, set it in the config file, "
-            "or export DIVISORLAB_ZEROS"
-        )
-    return zeros.import_zeros(cfg.zeros_path, limit_count=count,
-                              precision=cfg.precision_bits)
+def _import_zeros(path, count: int | None,
+                  precision: int = zeta_engine.DEFAULT_PRECISION):
+    if path is None:
+        raise DomainError("no zeros path; pass --zeros-path")
+    return zeros.import_zeros(path, limit_count=count, precision=precision)
 
 
-def _coefficients(cfg: RunConfig, table: zeros.ZeroTable):
+def _coefficients(args, table: zeros.ZeroTable):
     """The table's coefficients, from the cache when one exists, else
     computed and, given a cache path, cached."""
-    if cfg.cache_path and Path(cfg.cache_path).exists():
-        coeffs = zeros.load_cache(cfg.cache_path, table, cfg.precision_bits)
+    if args.cache_path and Path(args.cache_path).exists():
+        coeffs = zeros.load_cache(args.cache_path, table, args.precision_bits)
     else:
-        coeffs = zeros.coefficients_for_table(table, cfg.precision_bits)
-        if cfg.cache_path:
-            zeros.persist_cache(table, coeffs, cfg.cache_path,
-                                cfg.precision_bits)
+        coeffs = zeros.coefficients_for_table(table, args.precision_bits)
+        if args.cache_path:
+            zeros.persist_cache(table, coeffs, args.cache_path,
+                                args.precision_bits)
     return coeffs
 
 
@@ -153,15 +83,15 @@ def _coefficients(cfg: RunConfig, table: zeros.ZeroTable):
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def cmd_sum(args, cfg: RunConfig) -> int:
+def cmd_sum(args) -> int:
     function = ArithmeticFunction(args.function)
     value = sieve.prefix_sum(function, args.x)
     _emit({"function": function.value, "x": args.x, "value": str(value)})
     return 0
 
 
-def cmd_constants(args, cfg: RunConfig) -> int:
-    prec = cfg.precision_bits
+def cmd_constants(args) -> int:
+    prec = args.precision_bits
     with mp.workprec(prec + 16):
         paper = series.main_term_coefficients("paper", precision=prec)
         exact = series.main_term_coefficients("exact", precision=prec)
@@ -184,8 +114,8 @@ def cmd_constants(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_zeros_import(args, cfg: RunConfig) -> int:
-    table = _import_zeros(cfg, args.count)
+def cmd_zeros_import(args) -> int:
+    table = _import_zeros(args.zeros_path, args.count)
     _emit({
         "count": len(table),
         "source_digest": table.source_digest,
@@ -195,13 +125,14 @@ def cmd_zeros_import(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_zeros_coeffs(args, cfg: RunConfig) -> int:
-    coeffs = _coefficients(cfg, _import_zeros(cfg, args.count))
-    with mp.workprec(cfg.precision_bits + 16):
+def cmd_zeros_coeffs(args) -> int:
+    coeffs = _coefficients(args, _import_zeros(args.zeros_path, args.count,
+                                               args.precision_bits))
+    with mp.workprec(args.precision_bits + 16):
         sum_2_abs = sum(2 * abs(c.coefficient) for c in coeffs)
     _emit({
         "count": len(coeffs),
-        "cache_path": cfg.cache_path,
+        "cache_path": args.cache_path,
         "sum_2_abs": _num(sum_2_abs),
         "first_coefficient": {
             "re": _num(coeffs[0].coefficient.real, 30),
@@ -211,7 +142,7 @@ def cmd_zeros_coeffs(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_formula_compare(args, cfg: RunConfig) -> int:
+def cmd_formula_compare(args) -> int:
     function = ArithmeticFunction(args.function)
     d_square = function is ArithmeticFunction.D_SQUARE
     if not d_square and args.zeros is not None:
@@ -219,11 +150,12 @@ def cmd_formula_compare(args, cfg: RunConfig) -> int:
                           "to d_square only")
     grid = log_grid(args.grid_start, args.grid_stop, args.grid_count)
     coeffs = None
-    if d_square and (cfg.zeros_path or args.zeros is not None):
-        coeffs = _coefficients(cfg, _import_zeros(cfg, args.zeros))
-    report = compare(grid, function=function, mode=cfg.mode,
-                     zero_coefficients=coeffs, precision=cfg.precision_bits)
-    out = _output_dir(cfg)
+    if d_square and (args.zeros_path or args.zeros is not None):
+        coeffs = _coefficients(args, _import_zeros(args.zeros_path, args.zeros,
+                                                   args.precision_bits))
+    report = compare(grid, function=function, mode=args.mode,
+                     zero_coefficients=coeffs, precision=args.precision_bits)
+    out = _output_dir(args)
     csv_path = out / f"compare_{function.value}.csv"
     json_path = out / f"compare_{function.value}.json"
     report.write_csv(csv_path)
@@ -232,11 +164,12 @@ def cmd_formula_compare(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_formula_conjecture(args, cfg: RunConfig) -> int:
+def cmd_formula_conjecture(args) -> int:
     grid = log_grid(args.grid_start, args.grid_stop, args.grid_count)
-    coeffs = _coefficients(cfg, _import_zeros(cfg, args.zeros))
+    coeffs = _coefficients(args, _import_zeros(args.zeros_path, args.zeros,
+                                               args.precision_bits))
     scan = conjecture_scan(grid, coeffs, epsilon=args.epsilon)
-    out = _output_dir(cfg) / "conjecture_scan.json"
+    out = _output_dir(args) / "conjecture_scan.json"
     payload = {
         "epsilon": scan.epsilon,
         "sup_ratio": scan.sup_ratio,
@@ -250,7 +183,7 @@ def cmd_formula_conjecture(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_perron_integral(args, cfg: RunConfig) -> int:
+def cmd_perron_integral(args) -> int:
     values, gaps, bounds = perron.perron_sweep(args.x, args.c, [args.T])
     # The value is real by conjugate symmetry; "imag" stays in the payload.
     _emit({"x": args.x, "c": args.c, "T": args.T,
@@ -259,9 +192,9 @@ def cmd_perron_integral(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_perron_decay(args, cfg: RunConfig) -> int:
+def cmd_perron_decay(args) -> int:
     rows, slope = perron.truncation_decay(args.x, args.c, args.T)
-    out = _output_dir(cfg) / "perron_decay.csv"
+    out = _output_dir(args) / "perron_decay.csv"
     with open(out, "w") as fh:
         fh.write("T,abs_error,quadrature_gap,error_bound\n")
         for row in rows:
@@ -272,17 +205,17 @@ def cmd_perron_decay(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_perron_residue(args, cfg: RunConfig) -> int:
+def cmd_perron_residue(args) -> int:
     center = complex(args.center_re, args.center_im)
     value = perron.residue_by_circle(center, args.radius, args.x, args.nodes,
-                                     cfg.precision_bits,
+                                     args.precision_bits,
                                      verify_radius=args.verify_radius)
     _emit({"center": [args.center_re, args.center_im], "radius": args.radius,
            "x": args.x, "real": _num(value.real), "imag": _num(value.imag)})
     return 0
 
 
-def cmd_dirichlet_verify(args, cfg: RunConfig) -> int:
+def cmd_dirichlet_verify(args) -> int:
     """Check the Dirichlet-series identity sum d(n^2) n^-s = zeta^3(s)/zeta(2s)."""
     s, N = args.s, args.N
     if s <= 1:
@@ -295,7 +228,7 @@ def cmd_dirichlet_verify(args, cfg: RunConfig) -> int:
     if walk / (s - 1) > 4096:
         raise DomainError(f"s = {s} is too close to 1 for the tail bound; the smallest "
                           f"s accepted is {math.ceil(1e6 * (1 + walk / 4096)) / 1e6}")
-    prec = cfg.precision_bits
+    prec = args.precision_bits
     values = sieve.build_sieve(max(N, 10**4), ArithmeticFunction.D_SQUARE)
     with mp.workprec(prec + 16):
         # n^-s in fixed point from the engine's multiplicative rule.  Since
@@ -379,21 +312,19 @@ def finite_float(text: str) -> float:
 
 #: argparse keywords of each run setting's flag --<key with dashes>.
 _SETTINGS = {
-    "precision_bits": {"type": int},
+    "precision_bits": {"type": int, "default": zeta_engine.DEFAULT_PRECISION},
     "zeros_path": {},
     "cache_path": {},
-    "output_dir": {},
-    "mode": {"choices": series.MODES},
+    "output_dir": {"default": "."},
+    "mode": {"choices": series.MODES, "default": "exact"},
 }
 
 
 def _command(p: argparse.ArgumentParser, handler, *settings: str) -> None:
-    """Bind handler to p with flags for the settings it reads, and --config."""
-    if settings:
-        p.add_argument("--config", help="key = value config file")
+    """Bind handler to p with flags for the settings it reads."""
     for key in settings:
         p.add_argument("--" + key.replace("_", "-"), dest=key, **_SETTINGS[key])
-    p.set_defaults(handler=handler, settings=settings)
+    p.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,9 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     pz = sub.add_parser("zeros", help="zero table operations")
     zsub = pz.add_subparsers(dest="zeros_command", required=True)
     p = zsub.add_parser("import", help="ingest and validate a zero file")
-    p.add_argument("path", nargs="?")
     p.add_argument("--count", type=int)
-    _command(p, cmd_zeros_import, "precision_bits", "zeros_path")
+    _command(p, cmd_zeros_import, "zeros_path")
     p = zsub.add_parser("coeffs", help="compute/cache zero coefficients")
     p.add_argument("--count", type=int)
     _command(p, cmd_zeros_coeffs, *zeros_settings)
@@ -475,9 +405,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig.load(args)
-        return args.handler(args, cfg)
-    except DivisorLabError as exc:
+        zeros_path = getattr(args, "zeros_path", None)
+        if zeros_path is not None and not Path(zeros_path).exists():
+            raise DomainError(f"zeros path {zeros_path} does not exist")
+        return args.handler(args)
+    except (DivisorLabError, OSError, UnicodeDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2

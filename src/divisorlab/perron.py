@@ -383,7 +383,8 @@ def truncation_decay(x: float, c: float,
     if len(heights) < 2:
         raise DomainError("a decay fit needs at least two heights T")
     values, gaps, bounds = perron_sweep(x, c, heights)
-    exact = sieve.prefix_sum(sieve.ArithmeticFunction.D_SQUARE, math.floor(x))
+    n = math.floor(x)  # S(x) = 0 for 0 < x < 1
+    exact = sieve.prefix_sum(sieve.ArithmeticFunction.D_SQUARE, n) if n else 0
     rows = [(T, float(abs(v - exact)), float(gap), float(bound))
             for T, v, gap, bound in zip(heights, values, gaps, bounds)]
     logs_T = np.log([r[0] for r in rows])

@@ -3,11 +3,11 @@ needs a fresh interpreter or a timeout."""
 
 import argparse
 import csv
-import dataclasses
 import importlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -126,7 +126,8 @@ def test_benchmark_tracer_sees_every_engine_call(capsys, monkeypatch, tmp_path):
 
 
 def test_zeros_import(capsys):
-    payload = run_json(capsys, "zeros", "import", str(ZEROS_PATH), "--count", "5")
+    payload = run_json(capsys, "zeros", "import", "--zeros-path", str(ZEROS_PATH),
+                       "--count", "5")
     assert payload["count"] == 5
     assert payload["first"].startswith("14.134725141")
 
@@ -179,7 +180,7 @@ def test_zeros_coeffs_cache_below_requested_precision(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["zeros", "import", str(ZEROS_PATH), "--count", "0"],
+    ["zeros", "import", "--count", "0"],
     ["zeros", "coeffs", "--count", "0"],
     ["formula", "compare", "--zeros", "0"],
     ["formula", "conjecture", "--zeros", "0"],
@@ -193,60 +194,92 @@ def test_zero_count_below_one_rejected(capsys, tmp_path, argv):
     assert not out.exists()
 
 
-def test_output_dir_only_when_written(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("DIVISORLAB_ZEROS", raising=False)
+def test_output_dir_only_when_written(capsys, tmp_path):
+    """A run that fails before its first write leaves no output directory."""
     out = tmp_path / "out"
-    cfg = tmp_path / "lab.cfg"
-    cfg.write_text("mode = bogus\n")
     code, captured = run(capsys, "formula", "compare",
-                         "--grid-start", "100", "--grid-stop", "1000",
-                         "--grid-count", "2", "--config", str(cfg),
+                         "--grid-start", "1000", "--grid-stop", "100",
                          "--output-dir", str(out))
     assert code == 2
     assert json.loads(captured.err)["error"] == "DomainError"
     assert not out.exists()
 
 
-def test_env_var_supplies_zeros_path(capsys, monkeypatch):
-    monkeypatch.setenv("DIVISORLAB_ZEROS", str(ZEROS_PATH))
-    payload = run_json(capsys, "zeros", "coeffs", "--count", "2")
-    assert payload["count"] == 2
-
-
-def test_zeros_import_path_wins_over_env_var(capsys, monkeypatch, tmp_path):
-    five = tmp_path / "five.txt"
-    rows = [line for line in ZEROS_PATH.read_text().splitlines() if line[:1].isdigit()]
-    five.write_text("\n".join(rows[:5]) + "\n")
-    monkeypatch.setenv("DIVISORLAB_ZEROS", str(ZEROS_PATH))
-    assert run_json(capsys, "zeros", "import", str(five))["count"] == 5
-    assert run_json(capsys, "zeros", "import")["count"] == 100
-
-
-def test_zeros_import_without_path(capsys, monkeypatch):
-    monkeypatch.delenv("DIVISORLAB_ZEROS", raising=False)
+def test_zeros_import_without_path(capsys, monkeypatch, tmp_path):
+    """The zeros path comes from --zeros-path alone: DIVISORLAB_ZEROS is not
+    read, even when it names a missing file."""
+    monkeypatch.setenv("DIVISORLAB_ZEROS", str(tmp_path / "missing.txt"))
     code, captured = run(capsys, "zeros", "import")
     assert code == 2
-    assert json.loads(captured.err)["error"] == "DomainError"
-
-
-def test_bad_env_zeros_path_only_where_read(capsys, monkeypatch, tmp_path):
-    """A missing DIVISORLAB_ZEROS file fails only the subcommands that read
-    the zeros path."""
-    missing = tmp_path / "missing.txt"
-    monkeypatch.setenv("DIVISORLAB_ZEROS", str(missing))
-    for argv in (["sum", "d_square", "10"],
-                 ["constants", "--precision-bits", "64"],
-                 ["perron", "integral", "10.5", "--T", "50"],
-                 ["perron", "decay", "100.5", "--T", "50", "100",
-                  "--output-dir", str(tmp_path)],
-                 ["perron", "residue", "--center-re", "0", "--radius", "0.15",
-                  "--x", "100.0", "--nodes", "64"]):
-        run_json(capsys, *argv)
-    code, captured = run(capsys, "zeros", "coeffs", "--count", "2")
-    assert code == 2
     err = json.loads(captured.err)
-    assert err["error"] == "DomainError"
-    assert err["message"] == f"zeros path {missing} does not exist"
+    assert err["error"] == "DomainError" and err["message"].startswith("no zeros path")
+
+
+@pytest.mark.parametrize("command", [["zeros", "import"], ["zeros", "coeffs"],
+                                     ["formula", "compare"], ["formula", "conjecture"]],
+                         ids=["import", "coeffs", "compare", "conjecture"])
+def test_zeros_path_must_exist(capsys, tmp_path, command):
+    """A missing --zeros-path exits 2 in each subcommand that takes it, before
+    any output directory is made."""
+    missing, out = tmp_path / "missing.txt", tmp_path / "out"
+    writes = ["--output-dir", str(out)] if command[0] == "formula" else []
+    code, captured = run(capsys, *command, "--zeros-path", str(missing), *writes)
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err) == {"error": "DomainError",
+                                        "message": f"zeros path {missing} does not exist"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants"],
+    ["zeros", "import"],
+    ["zeros", "coeffs"],
+    ["formula", "compare"],
+    ["formula", "conjecture"],
+    ["perron", "decay", "100.5"],
+    ["perron", "residue", "--center-re", "1", "--radius", "0.2", "--x", "100.5"],
+    ["dirichlet-verify", "3", "100"],
+], ids=["constants", "zeros_import", "zeros_coeffs", "formula_compare",
+        "formula_conjecture", "perron_decay", "perron_residue", "dirichlet_verify"])
+def test_config_flag_rejected(capsys, tmp_path, argv):
+    """Run settings come from flags alone; there is no --config file."""
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("precision_bits = 128\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --config {cfg}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[str(ZEROS_PATH)], ["--precision-bits", "64"]],
+                         ids=["positional_path", "precision_bits"])
+def test_zeros_import_removed_inputs_rejected(capsys, extra):
+    """zeros import takes its file by --zeros-path only, and parses it at the
+    default precision."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["zeros", "import", "--zeros-path", str(ZEROS_PATH), *extra])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["zeros", "import", "--zeros-path", "{tmp}/latin1.txt"], "UnicodeDecodeError"),
+    (["zeros", "import", "--zeros-path", "{tmp}"], "IsADirectoryError"),
+    (["zeros", "coeffs", "--count", "1", "--zeros-path", str(ZEROS_PATH),
+      "--cache-path", "{tmp}"], "IsADirectoryError"),
+    (["perron", "decay", "100.5", "--T", "50", "100", "--output-dir", "{tmp}/file.txt"],
+     "FileExistsError"),
+], ids=["not_utf8", "zeros_path_dir", "cache_path_dir", "output_dir_file"])
+def test_file_errors_exit_2(capsys, tmp_path, argv, error):
+    """A file that cannot be read or written ends in the JSON error and exit
+    2, not a traceback."""
+    (tmp_path / "latin1.txt").write_bytes(b"14.13\xff\n")
+    (tmp_path / "file.txt").write_text("")
+    code, captured = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert set(err) == {"error", "message"}
+    assert err["error"] == error and err["message"]
 
 
 def _subcommands(parser, path=()):
@@ -260,11 +293,11 @@ def _subcommands(parser, path=()):
 
 
 def test_each_subcommand_takes_only_the_settings_it_reads():
-    zeros_settings = {"config", "precision_bits", "zeros_path", "cache_path"}
+    zeros_settings = {"precision_bits", "zeros_path", "cache_path"}
     expected = {
         "sum": set(),
-        "constants": {"config", "precision_bits"},
-        "zeros import": {"config", "precision_bits", "zeros_path", "count"},
+        "constants": {"precision_bits"},
+        "zeros import": {"zeros_path", "count"},
         "zeros coeffs": zeros_settings | {"count"},
         "formula compare": zeros_settings | {
             "output_dir", "mode", "function", "grid_start", "grid_stop",
@@ -273,16 +306,15 @@ def test_each_subcommand_takes_only_the_settings_it_reads():
             "output_dir", "grid_start", "grid_stop", "grid_count", "zeros",
             "epsilon"},
         "perron integral": {"c", "T"},
-        "perron decay": {"config", "output_dir", "c", "T"},
-        "perron residue": {"config", "precision_bits", "center_re", "center_im",
+        "perron decay": {"output_dir", "c", "T"},
+        "perron residue": {"precision_bits", "center_re", "center_im",
                            "radius", "x", "nodes", "verify_radius"},
-        "dirichlet-verify": {"config", "precision_bits"},
+        "dirichlet-verify": {"precision_bits"},
     }
     found = {name: {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
              for name, p in _subcommands(cli.build_parser())}
     assert found == expected
-    assert sum(map(len, found.values())) == 48
-    assert [f.name for f in dataclasses.fields(cli.RunConfig)] == list(cli._SETTINGS)
+    assert sum(map(len, found.values())) == 39
 
 
 def test_readme_flag_table_matches_parser():
@@ -299,6 +331,19 @@ def test_readme_flag_table_matches_parser():
     found = {name: {o for a in p._actions for o in a.option_strings if a.dest != "help"}
              for name, p in _subcommands(cli.build_parser())}
     assert rows == found
+
+
+def test_readme_cli_examples_parse():
+    """Every command in README's CLI code block parses with this parser."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = block.replace("\\\n", " ").splitlines()
+    assert len(commands) == 10
+    for line in commands:
+        words = shlex.split(line)
+        assert words[0] == "divisorlab", line
+        cli.build_parser().parse_args(words[1:])
 
 
 @pytest.mark.parametrize("command", [["zeros", "coeffs"], ["formula", "compare"],
@@ -417,7 +462,7 @@ def test_zeros_selects_prefix(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["zeros", "import", str(ZEROS_PATH), "--count", "101"],
+    ["zeros", "import", "--count", "101"],
     ["zeros", "coeffs", "--count", "101"],
     ["formula", "compare", "--zeros", "101"],
     ["formula", "conjecture", "--zeros", "101"],
@@ -441,8 +486,7 @@ def test_zero_shortfall_rejected(capsys, tmp_path, argv):
 @pytest.mark.parametrize("argv", [["--zeros", "5"]], ids=["zeros"])
 def test_companion_zero_options_rejected(capsys, tmp_path, function, argv):
     """The companion functions have no zero sum, so --zeros exits 2;
-    a zeros path or cache path, as one config file sets for every function,
-    is accepted."""
+    a zeros path or cache path is accepted and unused."""
     base = ["formula", "compare", "--function", function, "--grid-count", "2",
             "--grid-stop", "1e4", "--zeros-path", str(ZEROS_PATH),
             "--cache-path", str(tmp_path / "cache.txt"),
@@ -457,11 +501,12 @@ def test_companion_zero_options_rejected(capsys, tmp_path, function, argv):
 
 
 def test_formula_compare_without_zeros_warns(capsys, monkeypatch, tmp_path):
-    """From an empty directory, with no zeros flag, config or
-    DIVISORLAB_ZEROS, d_square's E keeps the whole zero sum, and the report
-    says so; a companion function, which has no zero sum, does not warn."""
+    """From an empty directory, with no zeros flag, d_square's E keeps the
+    whole zero sum, and the report says so; DIVISORLAB_ZEROS, even naming a
+    missing file, is not read.  A companion function, which has no zero sum,
+    does not warn."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("DIVISORLAB_ZEROS", raising=False)
+    monkeypatch.setenv("DIVISORLAB_ZEROS", str(tmp_path / "missing.txt"))
     payload = run_json(capsys, "formula", "compare", "--grid-count", "2",
                        "--grid-stop", "1e4")
     assert len(payload["warnings"]) == 1
@@ -472,9 +517,8 @@ def test_formula_compare_without_zeros_warns(capsys, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["--zeros", "5"]], ids=["zeros"])
-def test_zero_options_need_a_zeros_path(capsys, monkeypatch, tmp_path, argv):
+def test_zero_options_need_a_zeros_path(capsys, tmp_path, argv):
     """With no zeros path, --zeros exits 2 instead of being dropped."""
-    monkeypatch.delenv("DIVISORLAB_ZEROS", raising=False)
     code, captured = run(capsys, "formula", "compare", "--grid-count", "2",
                          "--grid-stop", "1e4", "--output-dir", str(tmp_path / "out"),
                          *argv)
@@ -568,6 +612,14 @@ def test_perron_decay(capsys, tmp_path):
     assert [tuple(map(float, line.split(","))) for line in lines[1:]] == rows
 
 
+def test_perron_decay_below_one(capsys, tmp_path):
+    """S(x) = 0 for 0 < x < 1, so each row's error is the Perron value."""
+    payload = run_json(capsys, "perron", "decay", "0.5", "--T", "50", "100",
+                       "--output-dir", str(tmp_path))
+    values = perron.perron_sweep(0.5, 2.0, [50, 100])[0]
+    assert [row["abs_error"] for row in payload["rows"]] == [float(abs(v)) for v in values]
+
+
 @pytest.mark.parametrize("heights", [["100"], ["50", "50"], ["100", "50"]])
 def test_perron_decay_degenerate_heights(capsys, tmp_path, heights):
     code, captured = run(capsys, "perron", "decay", "100.5", "--T", *heights,
@@ -654,67 +706,6 @@ def test_dirichlet_verify_rejects_s_too_close_to_1(s):
     assert err["message"].endswith("the smallest s accepted is 1.000825")
 
 
-def test_config_file(capsys, tmp_path):
-    cfg = tmp_path / "lab.cfg"
-    cfg.write_text(
-        "precision_bits = 128  # the default precision\n"
-        f"zeros_path = {ZEROS_PATH}\n"
-    )
-    payload = run_json(capsys, "zeros", "coeffs", "--count", "2",
-                       "--config", str(cfg))
-    assert payload["count"] == 2
-
-
-def test_unknown_config_key(capsys, tmp_path):
-    cfg = tmp_path / "lab.cfg"
-    for line in ("segmnt_size = 4096\n", "sieve_cap = 1000\n",
-                 "segment_size = 4096\n", "workers = 1\n"):
-        cfg.write_text(line)
-        code, captured = run(capsys, "constants", "--config", str(cfg))
-        assert code == 2
-        err = json.loads(captured.err)
-        assert err["error"] == "DomainError"
-
-
-def test_malformed_config_value(capsys, tmp_path):
-    cfg = tmp_path / "lab.cfg"
-    cfg.write_text("# lab defaults\nprecision_bits = 12x\n")
-    code, captured = run(capsys, "constants", "--config", str(cfg))
-    assert code == 2
-    err = json.loads(captured.err)
-    assert err["error"] == "DomainError"
-    assert f"{cfg}:2" in err["message"]
-
-
-@pytest.mark.parametrize("kind", ["missing", "directory"])
-def test_unreadable_config_file(capsys, tmp_path, kind):
-    path = tmp_path / "lab.cfg"
-    if kind == "directory":
-        path.mkdir()
-    code, captured = run(capsys, "constants", "--config", str(path))
-    assert code == 2
-    err = json.loads(captured.err)
-    assert err["error"] == "DomainError"
-    assert err["message"].startswith(f"config file {path} cannot be read")
-
-
-def test_bad_config_mode_rejected(capsys, tmp_path):
-    """mu_squared has no mode-dependent main term, so only the config check
-    stands between a bad mode and the written report."""
-    cfg = tmp_path / "lab.cfg"
-    cfg.write_text("# lab defaults\nmode = bogus\n")
-    out = tmp_path / "out"
-    code, captured = run(capsys, "formula", "compare", "--function", "mu_squared",
-                         "--grid-start", "100", "--grid-stop", "1000",
-                         "--grid-count", "2", "--config", str(cfg),
-                         "--output-dir", str(out))
-    assert code == 2
-    err = json.loads(captured.err)
-    assert err["error"] == "DomainError"
-    assert err["message"] == f"{cfg}:2: mode must be 'paper' or 'exact'"
-    assert not out.exists()
-
-
 def test_error_exit_code_and_payload(capsys):
     code, captured = run(capsys, "perron", "integral", "10.0")
     assert code == 2
@@ -723,8 +714,7 @@ def test_error_exit_code_and_payload(capsys):
     assert "half-integer" in err["message"]
 
 
-def test_missing_zeros_path(capsys, monkeypatch):
-    monkeypatch.delenv("DIVISORLAB_ZEROS", raising=False)
+def test_missing_zeros_path(capsys):
     code, captured = run(capsys, "zeros", "coeffs", "--count", "2")
     assert code == 2
     assert json.loads(captured.err)["error"] == "DomainError"
