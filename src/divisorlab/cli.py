@@ -30,6 +30,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import islice
 from pathlib import Path
 
 from mpmath import mp, mpc, mpf
@@ -215,87 +216,74 @@ def cmd_perron_residue(args) -> int:
     return 0
 
 
+#: Largest N dirichlet-verify accepts: its n^-s table holds about 175 bytes per n.
+MAX_VERIFY_N = 10**7
+
+#: Each n^-s row of dirichlet_powers_fixed at real s > 1 is within this many
+#: units of 2^-wp: 2^8 (1 + (1 + s ln n) n^-s), and (1 + t) e^-t <= 1.
+ROW_UNITS = 2**9
+
+
 def cmd_dirichlet_verify(args) -> int:
-    """Check the Dirichlet-series identity sum d(n^2) n^-s = zeta^3(s)/zeta(2s)."""
+    """Check the Dirichlet-series identity sum d(n^2) n^-s = zeta^3(s)/zeta(2s).
+
+    Every term is positive, so closed - partial must lie between -slack, the
+    two sides' stated rounding, and the tail bound past N.
+    """
     s, N = args.s, args.N
     if s <= 1:
         raise DomainError("s must exceed 1 for absolute convergence")
-    if N < 1:
-        raise DomainError("N must be >= 1")
-    # _blockwise_tail walks ln ln a up to 2 C ln 3 / (s - 1), C = 1.53794, and
-    # its exponentials grow costlier with each block: past 4096 it does not finish.
-    walk = 2 * 1.53794 * math.log(3)
-    if walk / (s - 1) > 4096:
-        raise DomainError(f"s = {s} is too close to 1 for the tail bound; the smallest "
-                          f"s accepted is {math.ceil(1e6 * (1 + walk / 4096)) / 1e6}")
-    prec = args.precision_bits
-    values = sieve.build_sieve(max(N, 10**4), ArithmeticFunction.D_SQUARE)
+    if not 1 <= N <= MAX_VERIFY_N:
+        raise DomainError(f"N must be between 1 and {MAX_VERIFY_N}")
+    M = max(N, 10**4)
+    prec = zeta_engine.DEFAULT_PRECISION
+    values = sieve.build_sieve(M, ArithmeticFunction.D_SQUARE)
     with mp.workprec(prec + 16):
         # n^-s in fixed point from the engine's multiplicative rule.  Since
-        # d(n^2) <= 2n the weights sum below 2^(2 bitlen N); 8 more bits
+        # d(n^2) <= 2n the weights sum below 2^(2 bitlen M); 8 more bits
         # absorb the few units of rounding in each n^-s.
-        wp = mp.prec + 2 * N.bit_length() + 8
-        powers = zeta_engine.dirichlet_powers_fixed(mpc(s), N + 1, wp)[0]
-        partial = mpf((sum(v * p for v, p in zip(values[1: N + 1].tolist(),
-                                                  powers[1:])), -wp))
+        wp = mp.prec + 2 * M.bit_length() + 8
+        powers = zeta_engine.dirichlet_powers_fixed(mpc(s), M + 1, wp)[0]
+        rows = zip(values.tolist(), powers)  # n = 0..M; row 0 is 0
+        partial = mpf((sum(v * p for v, p in islice(rows, N + 1)), -wp))
+        # the exact terms N < n <= M, each rounded up by its row's units
+        tail_bound = (mpf((sum(v * (p + ROW_UNITS) for v, p in rows), -wp))
+                      + _tail_bound(s, M))
         (zeta_s,), (zeta_2s,) = zeta_engine.zeta_pair(s, 0, 0, prec)
         closed = (zeta_s ** 3 / zeta_2s).real
-        difference = abs(partial - closed)
-        tail_bound = _tail_bound(s, N, values)
-    payload = {
+        difference = closed - partial
+        # the rows' units over the partial sum; four engine values to prec bits
+        slack = (mpf((ROW_UNITS * int(values[: N + 1].sum()), -wp))
+                 + closed * mpf(2) ** (3 - prec))
+    passed = -slack <= difference <= tail_bound
+    _emit({
         "s": s, "N": N,
         "partial_sum": _num(partial, 25),
         "closed_form": _num(closed, 25),
         "difference": _num(difference),
         "tail_bound": _num(tail_bound),
-    }
-    if N <= 1:
-        payload["note"] = "degenerate N; difference reported, no pass claim"
-        _emit(payload)
-        return 0
-    payload["pass"] = bool(difference <= tail_bound)
-    _emit(payload)
-    return 0 if payload["pass"] else 1
+        "pass": passed,
+    })
+    return 0 if passed else 1
 
 
-def _tail_bound(s: float, N: int, values) -> mpf:
-    """Upper bound on sum_{n>N} d(n^2)/n^s for s > 1; values[n] = d(n^2) for
-    n <= 1e4, whose exact terms past N are added.
+def _tail_bound(s: float, M: int) -> mpf:
+    """Upper bound on sum_{n>M} d(n^2) n^-s for s > 1 and M >= 1e4.
 
-    Past M = max(N, 1e4), d(n^2) <= d(n)^(log2 3) <= n^e with
-    e = C ln 3 / ln ln n, C = 1.53794 (Nicolas and Robin 1983: d(n) <=
-    n^(C ln 2 / ln ln n) for n >= 3); e falls with n and is 0.761 at 1e4.
-    For s >= 2.8 the bound is the integral of u^(0.9 - s) from M.  Below,
-    e is taken per block a < n <= b, ln ln b = (16/15) ln ln a: the block is
-    at most (a - 1)^(e(a) - s) plus the integral of u^(e(a) - s) over
-    [a, b], until e(a) - s + 1 <= -(s - 1)/2 leaves one integral to
-    infinity.  In logs, L = ln a.
+    Neither rule uses the identity under test.  For s >= 2.8: past 1e4,
+    d(n^2) <= d(n)^(log2 3) <= n^(C ln 3 / ln ln n) <= n^0.9, C = 1.53794
+    (Nicolas and Robin 1983: d(n) <= n^(C ln 2 / ln ln n) for n >= 3), and
+    the sum is at most the integral of u^(0.9 - s) from M.  Below 2.8, by
+    Rankin's trick: d(n^2) <= d_3(n), since 2a + 1 <= C(a + 2, 2), and for
+    1 < sigma <= s each n > M has n^-s <= M^(sigma - s) n^-sigma, so the sum
+    is at most M^(sigma - s) zeta(sigma)^3 <= M^(sigma - s) (sigma / (sigma - 1))^3.
+    sigma = (1 + sqrt(1 + 12 / ln M)) / 2 minimizes it; sigma is capped at s.
     """
-    crude_from = max(N, 10**4)
-    exponent = mpf(s) - mpf("0.9") - 1
-    if s >= 2.8:  # e <= 0.9 past 1e4 meets the blocks' stop rule at once
-        bound = mp.power(crude_from, -exponent) / exponent
-    else:
-        with mp.workprec(80):
-            bound = _blockwise_tail(mpf(s), mp.ln(crude_from))
-    if N < crude_from:
-        with mp.workprec(80):
-            for n, v in enumerate(values[N + 1: crude_from + 1].tolist(), N + 1):
-                bound += v * mp.power(n, -s)
-    return bound
-
-
-def _blockwise_tail(s: mpf, L: mpf) -> mpf:
-    """_tail_bound's blocks past a = e^L."""
-    bound, exponent = mpf(0), mpf("1.53794") * mp.ln(3)
-    while True:
-        beta = exponent / mp.ln(L) - s + 1  # block terms are u^(beta - 1)
-        bound += mp.exp((beta - 1) * (L - 1))  # (a - 1)^(beta - 1), a - 1 >= a/e
-        if beta <= -(s - 1) / 2:
-            return bound + mp.exp(beta * L) / -beta
-        step = L ** mpf(1 / 15) * L - L  # ln(b/a)
-        bound += mp.exp(beta * L) * (mp.expm1(beta * step) / beta if beta else step)
-        L += step
+    if s >= 2.8:
+        exponent = mpf(s) - mpf("0.9") - 1
+        return mp.power(M, -exponent) / exponent
+    sigma = min(mpf(s), (1 + mp.sqrt(1 + 12 / mp.ln(M))) / 2)
+    return mp.power(M, sigma - s) * (sigma / (sigma - 1)) ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Dirichlet-series identity check at real s > 1")
     p.add_argument("s", type=finite_float)
     p.add_argument("N", type=int)
-    _command(p, cmd_dirichlet_verify, "precision_bits")
+    _command(p, cmd_dirichlet_verify)
 
     return parser
 

@@ -309,12 +309,12 @@ def test_each_subcommand_takes_only_the_settings_it_reads():
         "perron decay": {"output_dir", "c", "T"},
         "perron residue": {"precision_bits", "center_re", "center_im",
                            "radius", "x", "nodes", "verify_radius"},
-        "dirichlet-verify": {"precision_bits"},
+        "dirichlet-verify": set(),
     }
     found = {name: {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
              for name, p in _subcommands(cli.build_parser())}
     assert found == expected
-    assert sum(map(len, found.values())) == 39
+    assert sum(map(len, found.values())) == 38
 
 
 def test_readme_flag_table_matches_parser():
@@ -677,33 +677,73 @@ def test_dirichlet_verify(capsys):
         assert abs(mpf(payload["partial_sum"]) - direct) < mpf("1e-24")
 
 
-@pytest.mark.parametrize("s", ["1.5", "1.9", "1.000825"])
+@pytest.mark.parametrize("s", ["1.0001", "1.000825", "1.1", "1.3", "1.5", "1.9", "2.5"])
 def test_dirichlet_verify_below_s_2(capsys, s):
-    """The tail past N stays a finite positive bound for every s > 1 the
-    command accepts, down to the smallest."""
-    payload = run_json(capsys, "dirichlet-verify", s, "2000")
-    assert payload["pass"] is True
-    assert 0 < float(payload["difference"]) <= float(payload["tail_bound"])
-    assert mp.isfinite(mpf(payload["tail_bound"]))
+    """Below s = 2.8 the tail past N is Rankin's bound plus the exact terms
+    to 1e4: it covers the difference and stays within 50x of it (39x at
+    worst), so the check is not vacuous near s = 1."""
+    for N in ("1", "2000", "10000"):
+        payload = run_json(capsys, "dirichlet-verify", s, N)
+        assert payload["pass"] is True
+        difference, tail = float(payload["difference"]), float(payload["tail_bound"])
+        assert 0 < difference <= tail <= 50 * difference, (N, difference, tail)
+
+
+@pytest.mark.parametrize("s, n, extra", [("2", 4, 1), ("3", 4, 1), ("1.1", 1, 1400)],
+                         ids=["s2_d4", "s3_d4", "s1.1_d1"])
+def test_dirichlet_verify_fails_on_corrupt_values(capsys, monkeypatch, s, n, extra):
+    """A partial sum that is too large fails, however loose the tail bound:
+    the terms are positive, so closed - partial may not fall below the
+    rounding slack.  At s = 1.1, 1400 too many reads difference = -694,
+    whose size the tail bound 1331 would cover."""
+    build = sieve.build_sieve
+
+    def corrupt(limit, rule):
+        values = build(limit, rule)
+        values[n] += extra
+        return values
+
+    monkeypatch.setattr(sieve, "build_sieve", corrupt)
+    code, captured = run(capsys, "dirichlet-verify", s, "10000")
+    payload = json.loads(captured.out)
+    assert code == 1 and payload["pass"] is False
+    assert float(payload["difference"]) < 0
 
 
 def test_dirichlet_verify_degenerate(capsys):
+    """N = 1 gets a pass claim like any other N; N = 0 exits 2."""
     payload = run_json(capsys, "dirichlet-verify", "3", "1")
-    assert "pass" not in payload
-    assert "degenerate" in payload["note"]
+    assert payload["pass"] is True and payload["partial_sum"] == "1.0"
     code, captured = run(capsys, "dirichlet-verify", "3", "0")
     assert code == 2
     assert json.loads(captured.err)["error"] == "DomainError"
 
 
 @pytest.mark.parametrize("s", ["1.0001", "1.00001"])
-def test_dirichlet_verify_rejects_s_too_close_to_1(s):
-    """The tail walk would not finish for these s, so they exit 2 at once."""
-    proc = _python("-m", "divisorlab.cli", "dirichlet-verify", s, "10", timeout=30)
-    assert proc.returncode == 2
-    err = json.loads(proc.stderr)
-    assert err["error"] == "DomainError"
-    assert err["message"].endswith("the smallest s accepted is 1.000825")
+def test_dirichlet_verify_near_s_1(capsys, s):
+    """s close to 1 passes in well under a second: past 1e4 the tail is
+    (s / (s - 1))^3, 1e12 at s = 1.0001."""
+    start = time.perf_counter()
+    payload = run_json(capsys, "dirichlet-verify", s, "10")
+    assert time.perf_counter() - start < 1.0
+    assert payload["pass"] is True
+    assert 0 < float(payload["difference"]) <= float(payload["tail_bound"])
+    assert float(payload["tail_bound"]) < 2 * (float(s) / (float(s) - 1)) ** 3
+
+
+def test_dirichlet_verify_rejects_large_n_before_sieving(capsys, monkeypatch):
+    """N past 1e7 exits 2 before the sieve runs: the n^-s table holds about
+    175 bytes per n."""
+    def no_sieve(*args):
+        raise AssertionError("sieved")
+
+    monkeypatch.setattr(sieve, "build_sieve", no_sieve)
+    start = time.perf_counter()
+    code, captured = run(capsys, "dirichlet-verify", "3", str(10**7 + 1))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err) == {"error": "DomainError",
+                                        "message": "N must be between 1 and 10000000"}
 
 
 def test_error_exit_code_and_payload(capsys):
