@@ -17,11 +17,13 @@ fails if the file holds fewer; the ordinates are used as written.  The
 formula subcommands sum every zero they take.  --zeros needs a zeros path,
 and only d_square has a zero sum, so the other functions do not take it.
 
-All numeric output is serialized in decimal with explicit digit counts.  A
-subcommand takes only the run settings (the _SETTINGS flags) its handler
-reads; each is given by its flag and nothing else.  Float arguments must be
-finite.  A failed run, a file it cannot read or write included, prints
-{"error", "message"} JSON on stderr and exits 2.
+Every subcommand works at zeta.DEFAULT_PRECISION (128 bits) except
+constants, whose --precision-bits sets its working precision.  All numeric
+output is serialized in decimal with explicit digit counts.  A subcommand
+takes only the run settings (the _SETTINGS flags) its handler reads; each is
+given by its flag and nothing else.  Float arguments must be finite.  A
+failed run, a file it cannot read or write included, prints {"error",
+"message"} JSON on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -60,23 +62,21 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _import_zeros(path, count: int | None,
-                  precision: int = zeta_engine.DEFAULT_PRECISION):
+def _import_zeros(path, count: int | None):
     if path is None:
         raise DomainError("no zeros path; pass --zeros-path")
-    return zeros.import_zeros(path, limit_count=count, precision=precision)
+    return zeros.import_zeros(path, limit_count=count)
 
 
 def _coefficients(args, table: zeros.ZeroTable):
     """The table's coefficients, from the cache when one exists, else
     computed and, given a cache path, cached."""
     if args.cache_path and Path(args.cache_path).exists():
-        coeffs = zeros.load_cache(args.cache_path, table, args.precision_bits)
+        coeffs = zeros.load_cache(args.cache_path, table)
     else:
-        coeffs = zeros.coefficients_for_table(table, args.precision_bits)
+        coeffs = zeros.coefficients_for_table(table)
         if args.cache_path:
-            zeros.persist_cache(table, coeffs, args.cache_path,
-                                args.precision_bits)
+            zeros.persist_cache(table, coeffs, args.cache_path)
     return coeffs
 
 
@@ -127,9 +127,8 @@ def cmd_zeros_import(args) -> int:
 
 
 def cmd_zeros_coeffs(args) -> int:
-    coeffs = _coefficients(args, _import_zeros(args.zeros_path, args.count,
-                                               args.precision_bits))
-    with mp.workprec(args.precision_bits + 16):
+    coeffs = _coefficients(args, _import_zeros(args.zeros_path, args.count))
+    with mp.workprec(zeta_engine.DEFAULT_PRECISION + 16):
         sum_2_abs = sum(2 * abs(c.coefficient) for c in coeffs)
     _emit({
         "count": len(coeffs),
@@ -152,10 +151,9 @@ def cmd_formula_compare(args) -> int:
     grid = log_grid(args.grid_start, args.grid_stop, args.grid_count)
     coeffs = None
     if d_square and (args.zeros_path or args.zeros is not None):
-        coeffs = _coefficients(args, _import_zeros(args.zeros_path, args.zeros,
-                                                   args.precision_bits))
+        coeffs = _coefficients(args, _import_zeros(args.zeros_path, args.zeros))
     report = compare(grid, function=function, mode=args.mode,
-                     zero_coefficients=coeffs, precision=args.precision_bits)
+                     zero_coefficients=coeffs)
     out = _output_dir(args)
     csv_path = out / f"compare_{function.value}.csv"
     json_path = out / f"compare_{function.value}.json"
@@ -167,8 +165,7 @@ def cmd_formula_compare(args) -> int:
 
 def cmd_formula_conjecture(args) -> int:
     grid = log_grid(args.grid_start, args.grid_stop, args.grid_count)
-    coeffs = _coefficients(args, _import_zeros(args.zeros_path, args.zeros,
-                                               args.precision_bits))
+    coeffs = _coefficients(args, _import_zeros(args.zeros_path, args.zeros))
     scan = conjecture_scan(grid, coeffs, epsilon=args.epsilon)
     out = _output_dir(args) / "conjecture_scan.json"
     payload = {
@@ -209,7 +206,6 @@ def cmd_perron_decay(args) -> int:
 def cmd_perron_residue(args) -> int:
     center = complex(args.center_re, args.center_im)
     value = perron.residue_by_circle(center, args.radius, args.x, args.nodes,
-                                     args.precision_bits,
                                      verify_radius=args.verify_radius)
     _emit({"center": [args.center_re, args.center_im], "radius": args.radius,
            "x": args.x, "real": _num(value.real), "imag": _num(value.imag)})
@@ -322,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "zero sums, and Perron contour verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    zeros_settings = ("precision_bits", "zeros_path", "cache_path")
+    zeros_settings = ("zeros_path", "cache_path")
 
     p = sub.add_parser("sum", help="exact prefix sum")
     p.add_argument("function", choices=[f.value for f in ArithmeticFunction])
@@ -378,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=finite_float, required=True)
     p.add_argument("--nodes", type=int, default=128)
     p.add_argument("--verify-radius", action="store_true")
-    _command(p, cmd_perron_residue, "precision_bits")
+    _command(p, cmd_perron_residue)
 
     p = sub.add_parser("dirichlet-verify",
                        help="Dirichlet-series identity check at real s > 1")

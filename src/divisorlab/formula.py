@@ -33,7 +33,6 @@ from .errors import DomainError
 from .series import main_term, main_term_coefficients, residue_coefficients
 from .sieve import _ROUTES, ArithmeticFunction, prefix_sums_at
 from .zeros import ZeroTermCoefficient
-from .zeta import DEFAULT_PRECISION
 
 CSV_COLUMNS = ["x", "S", "main", "zero_sum", "zeros_used", "E", "E_x14", "E_x13"]
 
@@ -119,7 +118,6 @@ def compare(
     function: ArithmeticFunction = ArithmeticFunction.D_SQUARE,
     mode: str = "exact",
     zero_coefficients: list[ZeroTermCoefficient] | None = None,
-    precision: int = DEFAULT_PRECISION,
 ) -> ErrorReport:
     """Exact prefix sums versus the analytic decomposition over a grid.
 
@@ -149,7 +147,7 @@ def compare(
     sums = prefix_sums_at(function, floors)
 
     if function is ArithmeticFunction.D_SQUARE:
-        coefficients = main_term_coefficients(mode, precision=precision)
+        coefficients = main_term_coefficients(mode)
         terms = (coefficients.A1, coefficients.A2, coefficients.A3)
         constant = coefficients.constant_term
         if not zero_terms:
@@ -158,12 +156,12 @@ def compare(
                 "whole zero sum"
             )
     else:
-        terms, constant = residue_coefficients(j, mode, precision), 0
+        terms, constant = residue_coefficients(j, mode), 0
 
     zero_sums = zero_sum_terms(np.array(xs), zero_terms)
     for x, fl, zs in zip(xs, floors, zero_sums.tolist()):
         s_exact = sums[fl]
-        main = float(main_term(x, terms, constant, precision))
+        main = float(main_term(x, terms, constant))
         e = float(s_exact) - main - zs
         report.rows.append(ReportRow(
             x=x, S_exact=s_exact, main=main, zero_sum=zs,

@@ -125,13 +125,11 @@ def main_term(x, terms: tuple, constant=0,
                  + constant)
 
 
-def residue_main_term(
-    x,
-    precision: int = DEFAULT_PRECISION,
-) -> tuple[MainTermCoefficients, mpf]:
-    """d(n^2)'s exact-mode coefficients and its residue at s = 1 at this x."""
-    coeffs = main_term_coefficients("exact", precision)
-    return coeffs, main_term(x, (coeffs.A1, coeffs.A2, coeffs.A3), 0, precision)
+def residue_main_term(x) -> tuple[MainTermCoefficients, mpf]:
+    """d(n^2)'s exact-mode coefficients and its residue at s = 1 at this x,
+    at DEFAULT_PRECISION."""
+    coeffs = main_term_coefficients("exact")
+    return coeffs, main_term(x, (coeffs.A1, coeffs.A2, coeffs.A3))
 
 
 @functools.cache

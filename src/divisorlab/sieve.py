@@ -274,55 +274,3 @@ def prefix_sums_at(function: ArithmeticFunction, xs: Iterable[int]) -> dict[int,
     _check_limit(cuts[-1])
     return _prefix_sums(function, cuts)
 
-
-def trial_factorize(n: int) -> list[tuple[int, int]]:
-    """Trial-division factorization; the independent oracle for the sieve."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    factors = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            a = 0
-            while m % p == 0:
-                m //= p
-                a += 1
-            factors.append((p, a))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        factors.append((m, 1))
-    return factors
-
-
-def identity_check_range(limit: int) -> bool:
-    """Verify all three convolution identities for every n <= limit.
-
-    d(n^2) = sum_{d|n} 2^omega(d), 2^omega(n) = sum_{d|n} |mu(d)| and
-    d(n)^2 = sum_{d|n} d(d^2): one value table per function from the sieve,
-    each divisor sum formed by one harmonic pass h[d::d] += g[d].
-    """
-    needed = (
-        ArithmeticFunction.D_SQUARE,
-        ArithmeticFunction.TWO_OMEGA,
-        ArithmeticFunction.MU_SQUARED,
-        ArithmeticFunction.D_SQUARED,
-    )
-    tables = {f: build_sieve(limit, f) for f in needed}
-
-    def convolve_with_one(g: np.ndarray) -> np.ndarray:
-        h = np.zeros(limit + 1, dtype=np.int64)
-        for d in range(1, limit + 1):
-            h[d::d] += g[d]
-        return h
-
-    pairs = [
-        (ArithmeticFunction.TWO_OMEGA, ArithmeticFunction.D_SQUARE),
-        (ArithmeticFunction.MU_SQUARED, ArithmeticFunction.TWO_OMEGA),
-        (ArithmeticFunction.D_SQUARE, ArithmeticFunction.D_SQUARED),
-    ]
-    for g_fn, f_fn in pairs:
-        h = convolve_with_one(tables[g_fn])
-        if not np.array_equal(h[1:], tables[f_fn][1:]):
-            return False
-    return True

@@ -68,6 +68,18 @@ def file_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _finite_decimal(text: str, lineno: int) -> mpf:
+    """text as an mpf at the working precision; nan, inf or anything else
+    that is not a finite decimal is a parse error at lineno."""
+    try:
+        value = mpf(text)
+        if mp.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise ZeroFileParseError(f"not a finite decimal: {text!r}", lineno)
+
+
 def import_zeros(
     path,
     limit_count: int | None = None,
@@ -77,6 +89,7 @@ def import_zeros(
 
     limit_count, when given, keeps the first limit_count ordinates; it must
     be at least 1, and a file with fewer ordinates raises ZeroDataError.
+    A line that is not a finite decimal is a parse error.
     The ordinates are kept as written: coefficient_for needs them polished.
     """
     if limit_count is not None and limit_count < 1:
@@ -89,10 +102,7 @@ def import_zeros(
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            try:
-                value = mpf(line)
-            except ValueError:
-                raise ZeroFileParseError(f"not a decimal ordinate: {line!r}", lineno)
+            value = _finite_decimal(line, lineno)
             if ordinates and value <= ordinates[-1]:
                 raise ZeroFileParseError(
                     f"ordinate {line} not strictly greater than the previous one",
@@ -184,7 +194,9 @@ def load_cache(path, table: ZeroTable,
     precision of at least `precision` bits, holds fewer digits than
     cache_digits(precision) or fewer rows than the table, or lists an
     ordinate that differs from the table's in those digits (a polished or
-    differently rounded table).  The rows are read at all the cache's digits.
+    differently rounded table).  The rows are read at all the cache's digits,
+    and a field of a row served that is not a finite decimal is a parse
+    error at its line.
     """
     path = Path(path)
     rows = []
@@ -211,7 +223,7 @@ def load_cache(path, table: ZeroTable,
         parts = line.split()
         if len(parts) != 5:
             raise ZeroFileParseError("expected 5 fields", lineno)
-        rows.append(parts)
+        rows.append((lineno, parts))
     if digest is None:
         raise ZeroDataError(f"cache {path} has no source_digest header")
     if digest != table.source_digest:
@@ -238,8 +250,8 @@ def load_cache(path, table: ZeroTable,
         )
     coefficients = []
     with mp.workprec(max(precision, math.ceil(digits * math.log2(10))) + 16):
-        for k, (parts, gamma) in enumerate(zip(rows, table.ordinates), 1):
-            g, cre, cim, dre, dim = (mpf(p) for p in parts)
+        for k, ((lineno, parts), gamma) in enumerate(zip(rows, table.ordinates), 1):
+            g, cre, cim, dre, dim = (_finite_decimal(p, lineno) for p in parts)
             cached, wanted = (mp.nstr(v, need) for v in (g, gamma))
             if cached != wanted:
                 raise StaleCacheError(

@@ -17,11 +17,55 @@ DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 ZEROS_PATH = DATA_DIR / "zeros_first_100.txt"
 
 
+def trial_factorize(n: int) -> list[tuple[int, int]]:
+    """Trial-division factorization [(p, a), ...] of n >= 1; the independent
+    oracle for the sieve."""
+    assert n >= 1, n
+    factors = []
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            a = 0
+            while m % p == 0:
+                m //= p
+                a += 1
+            factors.append((p, a))
+        p += 1 if p == 2 else 2
+    if m > 1:
+        factors.append((m, 1))
+    return factors
+
+
 def evaluate(function, factorization) -> int:
     """f(n) from an exact factorization [(p, a), ...] of n, as the product of
-    the local factors f(p^a); with sieve.trial_factorize, the oracle for
+    the local factors f(p^a); with trial_factorize, the oracle for
     build_sieve's per-n values."""
     return math.prod(sieve._local_factor(function, a) for _, a in factorization)
+
+
+def identity_check_range(limit: int) -> bool:
+    """Verify all three convolution identities for every n <= limit.
+
+    d(n^2) = sum_{d|n} 2^omega(d), 2^omega(n) = sum_{d|n} |mu(d)| and
+    d(n)^2 = sum_{d|n} d(d^2): one value table per function from
+    sieve.build_sieve, each divisor sum formed by one harmonic pass
+    h[d::d] += g[d].
+    """
+    AF = sieve.ArithmeticFunction
+    tables = {f: sieve.build_sieve(limit, f)
+              for f in (AF.D_SQUARE, AF.TWO_OMEGA, AF.MU_SQUARED, AF.D_SQUARED)}
+
+    def convolve_with_one(g: np.ndarray) -> np.ndarray:
+        h = np.zeros(limit + 1, dtype=np.int64)
+        for d in range(1, limit + 1):
+            h[d::d] += g[d]
+        return h
+
+    pairs = [(AF.TWO_OMEGA, AF.D_SQUARE), (AF.MU_SQUARED, AF.TWO_OMEGA),
+             (AF.D_SQUARE, AF.D_SQUARED)]
+    return all(np.array_equal(convolve_with_one(tables[g])[1:], tables[f][1:])
+               for g, f in pairs)
 
 
 @functools.cache

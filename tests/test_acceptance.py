@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from conftest import evaluate
+from conftest import evaluate, identity_check_range, trial_factorize
 from divisorlab import cli, perron, series, sieve, zeta as zeta_engine
 from divisorlab.formula import compare, log_grid
 from divisorlab.sieve import ArithmeticFunction as AF
@@ -29,7 +29,7 @@ def report(index: int, label: str, ok: bool, detail: str) -> None:
 def test_01_exact_prefix_sums_exhaustive():
     limit = 10**4
     oracle_values = [
-        evaluate(AF.D_SQUARE, sieve.trial_factorize(n))
+        evaluate(AF.D_SQUARE, trial_factorize(n))
         for n in range(1, limit + 1)
     ]
     oracle_cumsum = np.cumsum(oracle_values)
@@ -48,7 +48,7 @@ def test_01_exact_prefix_sums_exhaustive():
 @pytest.mark.slow
 def test_02_convolution_identities_to_1e6():
     t0 = time.perf_counter()
-    ok_identities = sieve.identity_check_range(10**6)
+    ok_identities = identity_check_range(10**6)
     elapsed = time.perf_counter() - t0
     ok = bool(ok_identities) and elapsed < 60.0
     report(2, "three convolution identities for all n <= 1e6", ok,

@@ -18,6 +18,7 @@ from mpmath import mp, mpf
 
 from divisorlab import cli, perron, series, sieve, zeros
 from divisorlab import zeta as zeta_engine
+from divisorlab.errors import PrecisionError
 
 from conftest import ZEROS_PATH, perron_reference
 
@@ -125,6 +126,27 @@ def test_benchmark_tracer_sees_every_engine_call(capsys, monkeypatch, tmp_path):
     assert traced == tracer.mp_calls > 0
 
 
+def test_benchmark_argv_parse(monkeypatch, tmp_path):
+    """Every command line the benchmark's three workloads, imported unedited
+    from perfbench/, hand to the CLI parses with this parser.  run_cli is
+    replaced by a recorder, so no command runs; the rectangle op, which
+    calls perron directly, runs as it is."""
+    monkeypatch.syspath_prepend(str(ZEROS_PATH.parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    recorded = []
+    monkeypatch.setattr(workloads, "run_cli",
+                        lambda argv: recorded.append(argv) or (0, "{}"))
+    root = ZEROS_PATH.parent.parent
+    for build in workloads.WORKLOADS.values():
+        workload = build(3, root, tmp_path)
+        for op in ([workload.setup] if workload.setup else []) + workload.ops:
+            op.run()
+    assert len(recorded) == 14
+    parser = cli.build_parser()
+    for argv in recorded:
+        assert callable(parser.parse_args(argv).handler), argv
+
+
 def test_zeros_import(capsys):
     payload = run_json(capsys, "zeros", "import", "--zeros-path", str(ZEROS_PATH),
                        "--count", "5")
@@ -166,17 +188,43 @@ def test_zeros_coeffs_serves_the_requested_count(capsys, tmp_path, zero_table,
     assert json.loads(captured.err)["error"] == "StaleCacheError"
 
 
-def test_zeros_coeffs_cache_below_requested_precision(capsys, tmp_path):
-    """A cache written at 128 bits exits 2 for a 192-bit request and still
-    serves 128 bits."""
-    cache = tmp_path / "coeffs.txt"
-    argv = ["zeros", "coeffs", "--count", "3", "--zeros-path", str(ZEROS_PATH),
-            "--cache-path", str(cache)]
-    written = run_json(capsys, *argv)
-    code, captured = run(capsys, *argv, "--precision-bits", "192")
-    assert code == 2
-    assert json.loads(captured.err)["error"] == "StaleCacheError"
-    assert run_json(capsys, *argv)["first_coefficient"] == written["first_coefficient"]
+@pytest.mark.parametrize("bad", ["nan", "inf", "+inf"])
+@pytest.mark.parametrize("command", [["zeros", "import"], ["formula", "compare"]],
+                         ids=["import", "compare"])
+def test_non_finite_ordinate_exits_2(capsys, tmp_path, command, bad):
+    """A zero file whose third ordinate is not finite exits 2 naming that
+    line, before any coefficient or output is made."""
+    path, out = tmp_path / "zeros.txt", tmp_path / "out"
+    path.write_text(f"14.13472514173469379\n21.022039638771554993\n{bad}\n")
+    writes = ["--output-dir", str(out)] if command[0] == "formula" else []
+    code, captured = run(capsys, *command, "--zeros-path", str(path), *writes)
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ZeroFileParseError",
+        "message": f"line 3: not a finite decimal: {bad!r}"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan"])
+def test_corrupt_cache_field_exits_2(capsys, tmp_path, bad):
+    """A cache row whose re_coeff reads abc or nan exits 2 naming its line;
+    unchecked, abc ended in a traceback and nan in a NaN zero sum on every
+    row."""
+    cache, out = tmp_path / "coeffs.txt", tmp_path / "out"
+    zero_args = ["--zeros-path", str(ZEROS_PATH), "--cache-path", str(cache)]
+    run_json(capsys, "zeros", "coeffs", "--count", "3", *zero_args)
+    lines = cache.read_text().splitlines()
+    fields = lines[4].split()
+    fields[1] = bad
+    lines[4] = " ".join(fields)
+    cache.write_text("\n".join(lines) + "\n")
+    code, captured = run(capsys, "formula", "compare", "--zeros", "3", "--grid-count",
+                         "2", "--grid-stop", "1e4", "--output-dir", str(out), *zero_args)
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ZeroFileParseError",
+        "message": f"line 5: not a finite decimal: {bad!r}"}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -293,7 +341,7 @@ def _subcommands(parser, path=()):
 
 
 def test_each_subcommand_takes_only_the_settings_it_reads():
-    zeros_settings = {"precision_bits", "zeros_path", "cache_path"}
+    zeros_settings = {"zeros_path", "cache_path"}
     expected = {
         "sum": set(),
         "constants": {"precision_bits"},
@@ -307,14 +355,29 @@ def test_each_subcommand_takes_only_the_settings_it_reads():
             "epsilon"},
         "perron integral": {"c", "T"},
         "perron decay": {"output_dir", "c", "T"},
-        "perron residue": {"precision_bits", "center_re", "center_im",
-                           "radius", "x", "nodes", "verify_radius"},
+        "perron residue": {"center_re", "center_im", "radius", "x", "nodes",
+                           "verify_radius"},
         "dirichlet-verify": set(),
     }
     found = {name: {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
              for name, p in _subcommands(cli.build_parser())}
     assert found == expected
-    assert sum(map(len, found.values())) == 38
+    assert sum(map(len, found.values())) == 34
+
+
+@pytest.mark.parametrize("command", [
+    ["zeros", "coeffs"],
+    ["formula", "compare"],
+    ["formula", "conjecture"],
+    ["perron", "residue", "--center-re", "1", "--radius", "0.2", "--x", "1000.5"],
+], ids=["zeros_coeffs", "formula_compare", "formula_conjecture", "perron_residue"])
+def test_precision_bits_only_on_constants(capsys, command):
+    """These subcommands work at the default 128 bits; their output does not
+    change at higher precision, so none takes --precision-bits."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--precision-bits", "128"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --precision-bits 128" in capsys.readouterr().err
 
 
 def test_readme_flag_table_matches_parser():
@@ -587,15 +650,21 @@ def test_perron_residue_unsettled_circle_exits_2(capsys):
     assert err["error"] == "QuadratureError" and "nodes = 128" in err["message"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["perron", "residue", "--center-re", "1", "--radius", "0.2", "--x", "1000.5"],
-    ["zeros", "coeffs", "--count", "2", "--zeros-path", str(ZEROS_PATH)],
-    ["constants"],
-], ids=["perron_residue", "zeros_coeffs", "constants"])
-def test_precision_floor(capsys, argv):
-    code, captured = run(capsys, *argv, "--precision-bits", "8")
-    assert code == 2
-    assert json.loads(captured.err)["error"] == "PrecisionError"
+@pytest.mark.parametrize("case", ["perron_residue", "zeros_coeffs", "constants"])
+def test_precision_floor(capsys, zero_table, case):
+    """8 bits is below the engine's floor.  constants takes it by its flag
+    and exits 2; the circle and the zero coefficient, which the CLI runs at
+    128 bits, take it by their library precision parameter."""
+    if case == "constants":
+        code, captured = run(capsys, "constants", "--precision-bits", "8")
+        assert code == 2
+        assert json.loads(captured.err)["error"] == "PrecisionError"
+        return
+    with pytest.raises(PrecisionError):
+        if case == "perron_residue":
+            perron.residue_by_circle(1.0, 0.2, 1000.5, precision=8)
+        else:
+            zeros.coefficient_for(zero_table.ordinates[0], precision=8)
 
 
 def test_perron_decay(capsys, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import evaluate
+from conftest import evaluate, identity_check_range, trial_factorize
 from divisorlab import sieve
 from divisorlab.errors import CapacityError, DomainError
 from divisorlab.sieve import ArithmeticFunction as AF
@@ -37,8 +37,8 @@ def identity_check(n: int) -> tuple[bool, bool, bool]:
         2^omega == sum over d | n of |mu(d)|
         d(n)^2  == sum over d | n of d(d^2)
     """
-    divs = [sieve.trial_factorize(d) for d in divisors(n)]
-    fac_n = sieve.trial_factorize(n)
+    divs = [trial_factorize(d) for d in divisors(n)]
+    fac_n = trial_factorize(n)
     lhs1 = evaluate(AF.D_SQUARE, fac_n)
     rhs1 = sum(evaluate(AF.TWO_OMEGA, f) for f in divs)
     lhs2 = evaluate(AF.TWO_OMEGA, fac_n)
@@ -55,7 +55,7 @@ def test_sieve_matches_trial_division(rule):
     assert values[0] == 0
     edges = [e + d for e in (2**18, 2**19) for d in (-1, 0, 1)]
     for n in list(range(1, 1001)) + edges + [999983, 10**6]:
-        assert values[n] == evaluate(rule, sieve.trial_factorize(n)), n
+        assert values[n] == evaluate(rule, trial_factorize(n)), n
 
 
 def test_sieve_block_joins(monkeypatch):
@@ -73,18 +73,18 @@ def test_sieve_block_joins(monkeypatch):
     [(1, 1), (6, 9), (8, 7), (12, 15), (36, 25)],
 )
 def test_d_square_values(n, expected):
-    assert evaluate(AF.D_SQUARE, sieve.trial_factorize(n)) == expected
+    assert evaluate(AF.D_SQUARE, trial_factorize(n)) == expected
 
 
 def test_d_square_against_divisor_enumeration():
     for n in range(1, 200):
-        val = evaluate(AF.D_SQUARE, sieve.trial_factorize(n))
+        val = evaluate(AF.D_SQUARE, trial_factorize(n))
         assert val == brute_divisor_count(n * n)
 
 
 def test_evaluate_all_functions_small():
     # 360 = 2^3 3^2 5
-    f = sieve.trial_factorize(360)
+    f = trial_factorize(360)
     assert evaluate(AF.D_SQUARE, f) == 7 * 5 * 3
     assert evaluate(AF.TWO_OMEGA, f) == 8
     assert evaluate(AF.MU_SQUARED, f) == 0
@@ -104,7 +104,7 @@ def test_prefix_sum_matches_naive_oracle(function):
     oracle = 0
     values = sieve.build_sieve(limit, function)
     for n in range(1, limit + 1):
-        oracle += evaluate(function, sieve.trial_factorize(n))
+        oracle += evaluate(function, trial_factorize(n))
         assert int(values[:n + 1].sum()) == oracle
     assert sieve.prefix_sum(function, limit) == oracle
 
@@ -113,7 +113,7 @@ def test_prefix_sum_increments_by_point_values():
     running = 0
     vals = sieve.build_sieve(300, AF.D_SQUARE)
     for x in range(1, 301):
-        running += evaluate(AF.D_SQUARE, sieve.trial_factorize(x))
+        running += evaluate(AF.D_SQUARE, trial_factorize(x))
         assert running == int(vals[:x + 1].sum())
 
 
@@ -175,7 +175,7 @@ def test_mobius_matches_trial_division():
     # mu(k) for every k the 1e8 sums below use
     mu = sieve._mobius(10**4)
     for k in range(1, 10**4 + 1):
-        exps = [a for _, a in sieve.trial_factorize(k)]
+        exps = [a for _, a in trial_factorize(k)]
         assert mu[k] == (0 if any(a > 1 for a in exps) else (-1) ** len(exps))
 
 
@@ -212,8 +212,8 @@ def test_identity_check_examples():
     assert identity_check(6) == (True, True, True)
     # the n=6 numbers the identities pin down
     divs = divisors(6)
-    assert sum(evaluate(AF.TWO_OMEGA, sieve.trial_factorize(d)) for d in divs) == 9
-    assert sum(evaluate(AF.D_SQUARE, sieve.trial_factorize(d)) for d in divs) == 16
+    assert sum(evaluate(AF.TWO_OMEGA, trial_factorize(d)) for d in divs) == 9
+    assert sum(evaluate(AF.D_SQUARE, trial_factorize(d)) for d in divs) == 16
 
 
 def test_identity_check_small_range():
@@ -224,7 +224,7 @@ def test_identity_check_small_range():
 def test_identity_check_range_agrees_with_pointwise():
     pointwise = all(all(identity_check(n)) for n in range(1, 3001))
     assert pointwise
-    assert sieve.identity_check_range(3000) == pointwise
+    assert identity_check_range(3000) == pointwise
 
 
 @pytest.mark.parametrize("function", [AF.D_SQUARE, AF.TWO_OMEGA,
@@ -241,9 +241,9 @@ def test_identity_check_range_rejects_a_corrupted_table(monkeypatch, function):
         return values
 
     monkeypatch.setattr(sieve, "build_sieve", corrupted)
-    assert not sieve.identity_check_range(3000)
-    assert not sieve.identity_check_range(2310)
-    assert sieve.identity_check_range(2309)
+    assert not identity_check_range(3000)
+    assert not identity_check_range(2310)
+    assert identity_check_range(2309)
 
 
 def test_prefix_sums_at_multiple_cuts():

@@ -43,6 +43,16 @@ class TestImport:
             zeros.import_zeros(p)
         assert exc.value.line_number == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "+inf"])
+    def test_non_finite_ordinate_rejected(self, tmp_path, bad):
+        """A non-finite ordinate after two good ones is a parse error at its
+        line; nan would otherwise pass every ordering check."""
+        p = tmp_path / "z.txt"
+        p.write_text(f"14.13472514173469379\n21.022039638771554993\n{bad}\n")
+        with pytest.raises(ZeroFileParseError, match="not a finite decimal") as exc:
+            zeros.import_zeros(p)
+        assert exc.value.line_number == 3
+
     def test_monotonicity_enforced(self, tmp_path):
         p = tmp_path / "z.txt"
         p.write_text("21.0220396388\n14.1347251417\n")
@@ -233,3 +243,19 @@ class TestCache:
         with pytest.raises(ZeroFileParseError) as exc:
             zeros.load_cache(bad, table)
         assert exc.value.line_number == 2
+
+    @pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
+    def test_non_finite_cache_field_rejected(self, tmp_path, zeros_path, bad):
+        """A row field of a served row that is not a finite decimal is a
+        parse error at its line, not a ValueError or a nan coefficient."""
+        table = zeros.import_zeros(zeros_path, limit_count=3)
+        cache = tmp_path / "coeffs.txt"
+        zeros.persist_cache(table, zeros.coefficients_for_table(table), cache)
+        lines = cache.read_text().splitlines()
+        fields = lines[5].split()
+        fields[1] = bad  # re_coeff of the second zero
+        lines[5] = " ".join(fields)
+        cache.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ZeroFileParseError, match=f"not a finite decimal: '{bad}'") as exc:
+            zeros.load_cache(cache, table)
+        assert exc.value.line_number == 6

@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
 
+from conftest import trial_factorize
 from divisorlab import zeta as engine
-from divisorlab.sieve import trial_factorize
 from divisorlab.errors import (
     DomainError,
     HeightRangeError,
