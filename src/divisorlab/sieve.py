@@ -15,9 +15,11 @@ where D_j(y) = sum_{n <= y} d_j(n) counts ordered j-tuples with product
 D_j(y) is read from a cumulative table of d_j for y up to a limit Y, chosen
 from the largest cut point X as max(X^(2/3), min(X, 2^16)), capped at 2^22
 entries, and evaluated by the Dirichlet hyperbola method above Y.  All cut
-points are handled together, one numpy array per squarefree k, and results
-are returned as Python integers (every intermediate fits int64 below
-LIMIT_CAP).
+points are handled together in one pass over the (squarefree k, cut) pairs,
+a chunk of k rows at a time, each chunk at most max(_CHUNK, number of cuts)
+pairs: a chunk's pairs with x // k^2 <= Y read the table in one gather, and
+only the rest go one by one to the hyperbola.  Results are returned as
+Python integers (every intermediate fits int64 below LIMIT_CAP).
 
 build_sieve(limit, rule) factors every n <= limit by the primes up to
 sqrt(limit) and returns the int64 array of f(0..limit), f(0) = 0.  It gives
@@ -35,7 +37,6 @@ below.  It gives 2a + 1 for d(n^2), 2 for 2^omega, [a = 1] for |mu|,
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from enum import Enum
 from math import isqrt
 from typing import Iterable
@@ -53,7 +54,8 @@ _BLOCK = 1 << 18
 #: Largest D_j table (32 MiB of int64); above it the hyperbola method takes over.
 _TABLE_CAP = 1 << 22
 
-#: Terms the hyperbola method expands into flat arrays at a time.
+#: Entries per 2-D working array: the hyperbola method's flat term arrays
+#: and the prefix sums' (k, cut) pairs.
 _CHUNK = 1 << 18
 
 
@@ -240,21 +242,24 @@ def _summatory_table(j: int, limit: int) -> np.ndarray:
 
 
 def _prefix_sums(function: ArithmeticFunction, cuts: list[int]) -> dict[int, int]:
-    """sum mu(k) D_j(x // k^2) at ascending cut points."""
+    """sum mu(k) D_j(x // k^2) at ascending cut points, a chunk of k rows at
+    a time.  A pair with k^2 > x reads table[0] = 0."""
     j, all_k = _ROUTES[function]
     x_max = cuts[-1]
     y_max = _table_limit(x_max)
     table = _summatory_table(j, y_max)
     mu = _mobius(isqrt(x_max) if all_k else 1)
+    ks = np.flatnonzero(mu)
     xs = np.array(cuts, dtype=np.int64)
     total = np.zeros(len(xs), dtype=np.int64)
-    for k in np.flatnonzero(mu).tolist():
-        start = bisect_left(cuts, k * k)
-        ys = xs[start:] // (k * k)
-        split = int(np.searchsorted(ys, y_max, side="right"))
-        total[start: start + split] += mu[k] * table[ys[:split]]
-        for i, y in enumerate(ys[split:].tolist(), start + split):
-            total[i] += mu[k] * divisor_summatory(j, y)
+    rows = max(1, _CHUNK // len(xs))
+    for lo in range(0, len(ks), rows):
+        k = ks[lo: lo + rows]
+        ys = xs // (k * k)[:, None]
+        near = ys <= y_max
+        total += (mu[k, None] * table[np.where(near, ys, 0)]).sum(axis=0)
+        for row, i in zip(*np.nonzero(~near)):
+            total[i] += mu[k[row]] * divisor_summatory(j, int(ys[row, i]))
     return dict(zip(cuts, total.tolist()))
 
 

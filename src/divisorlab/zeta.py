@@ -285,9 +285,10 @@ def zeta_with_derivatives(
     """[zeta(s), zeta'(s), ..., zeta^(kmax)(s)] in one Euler-Maclaurin pass.
     At s = 1, those of zeta(s) - 1/(s-1): the m-th is (-1)^m gamma_m.
 
-    _powers is zeta_pair's: (wp, rows), rows() returning the Re n^-s,
-    Im n^-s and ln n lists of dirichlet_powers_fixed for at least the N this
-    call picks, at a scale wp at least its own.
+    _powers is zeta_pair's: (plan, wp, rows), with plan this call's
+    _engine_plan and rows() returning the Re n^-s, Im n^-s and ln n lists
+    of dirichlet_powers_fixed for at least the plan's N, at a scale wp at
+    least the plan's.
     """
     global _calls
     _calls += 1
@@ -300,7 +301,10 @@ def zeta_with_derivatives(
             raise HeightRangeError(
                 f"|Im s| = {t_abs} exceeds the evaluation cap {DEFAULT_HEIGHT_CAP}"
             )
-        N, J, prec, wp = _engine_plan(z, kmax, precision)
+        if _powers is None:
+            N, J, prec, wp = _engine_plan(z, kmax, precision)
+        else:
+            (N, J, prec, _), wp, rows = _powers
         mp.prec = prec  # until the workprec block exits
         K = kmax + 1
 
@@ -308,7 +312,6 @@ def zeta_with_derivatives(
         if _powers is None:
             re, im, ln = dirichlet_powers_fixed(z, N, wp)
         else:
-            wp, rows = _powers
             re, im, ln = (column[:N] for column in rows())
         out = []
         for k in range(K):
@@ -391,9 +394,9 @@ def zeta_pair(s, kmax_s: int = 0, kmax_2s: int = 0,
     if abs(float(double.imag)) > DEFAULT_HEIGHT_CAP:
         raise HeightRangeError(f"|Im 2s| = {abs(float(double.imag))} exceeds "
                                f"the evaluation cap {DEFAULT_HEIGHT_CAP}")
-    N1, _, _, wp1 = _engine_plan(z, kmax_s, precision)
-    N2, _, _, wp2 = _engine_plan(double, kmax_2s, precision)
-    wp = max(wp1, wp2)
+    plan1 = _engine_plan(z, kmax_s, precision)
+    plan2 = _engine_plan(double, kmax_2s, precision)
+    N1, N2, wp = plan1[0], plan2[0], max(plan1[3], plan2[3])
     rows = functools.cache(lambda: dirichlet_powers_fixed(z, max(N1, N2), wp))
 
     def squares():
@@ -401,8 +404,8 @@ def zeta_pair(s, kmax_s: int = 0, kmax_2s: int = 0,
         return ([(x * x - y * y) >> wp for x, y in zip(re, im)],
                 [(2 * x * y) >> wp for x, y in zip(re, im)], ln)
 
-    return (zeta_with_derivatives(z, kmax_s, precision, (wp, rows)),
-            zeta_with_derivatives(double, kmax_2s, precision, (wp, squares)))
+    return (zeta_with_derivatives(z, kmax_s, precision, (plan1, wp, rows)),
+            zeta_with_derivatives(double, kmax_2s, precision, (plan2, wp, squares)))
 
 
 def zeta(s, precision: int = DEFAULT_PRECISION) -> mpc:

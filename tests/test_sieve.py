@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import evaluate, identity_check_range, trial_factorize
 from divisorlab import sieve
 from divisorlab.errors import CapacityError, DomainError
+from divisorlab.formula import log_grid
 from divisorlab.sieve import ArithmeticFunction as AF
 
 
@@ -161,14 +162,67 @@ def test_prefix_sums_at_dense_cuts(function):
     assert [got[x] for x in range(1, 5001)] == oracle.tolist()
 
 
-def test_prefix_sums_at_sparse_cuts_to_2e6():
-    limit = 2 * 10**6
+SPARSE_LIMIT = 2 * 10**6
+
+
+def sparse_cuts() -> list[int]:
+    """60 random cuts to 2e6, with 1, the limit and both sides of 2^16."""
     rng = np.random.default_rng(11)
-    cuts = sorted(set(rng.integers(1, limit, 60).tolist()) | {1, 65536, 65537, limit})
+    return sorted(set(rng.integers(1, SPARSE_LIMIT, 60).tolist())
+                  | {1, 65536, 65537, SPARSE_LIMIT})
+
+
+@pytest.fixture(scope="module")
+def cumsums():
+    """The sieve_cumsum oracle to 2e6 for every function."""
+    return {function: sieve_cumsum(function, SPARSE_LIMIT) for function in AF}
+
+
+def test_prefix_sums_at_sparse_cuts_to_2e6(cumsums):
+    cuts = sparse_cuts()
     for function in AF:
-        oracle = sieve_cumsum(function, limit)
         got = sieve.prefix_sums_at(function, cuts)
-        assert got == {x: int(oracle[x - 1]) for x in cuts}, function
+        assert got == {x: int(cumsums[function][x - 1]) for x in cuts}, function
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_prefix_sums_join_across_chunks(monkeypatch, cumsums, chunk):
+    """The (k, cut) pairs summed a chunk of k rows at a time give the
+    oracle's sums whatever _CHUNK is."""
+    monkeypatch.setattr(sieve, "_CHUNK", chunk)
+    # 5000 cuts, more than _CHUNK: every chunk is a single k row
+    for function in AF:
+        got = sieve.prefix_sums_at(function, range(1, 5001))
+        assert [got[x] for x in range(1, 5001)] == cumsums[function][:5000].tolist()
+    # one cut: chunks of _CHUNK k rows, 608 squarefree k in all
+    for function in AF:
+        assert sieve.prefix_sum(function, 10**6) == cumsums[function][10**6 - 1]
+    # Y = 2^10 sends most pairs to the hyperbola.  d(n)^2 (j = 4) is left to
+    # test_table_and_hyperbola_agree_at_1e8: its 2e6 run takes 3 s at _CHUNK = 1.
+    monkeypatch.setattr(sieve, "_table_limit", lambda x_max: 2**10)
+    cuts = sparse_cuts()
+    for function in (AF.D_SQUARE, AF.TWO_OMEGA, AF.MU_SQUARED, AF.D):
+        got = sieve.prefix_sums_at(function, cuts)
+        assert got == {x: int(cumsums[function][x - 1]) for x in cuts}, function
+
+
+def test_only_far_pairs_take_the_hyperbola(monkeypatch):
+    """divisor_summatory gets exactly the pairs with x // k^2 > Y: 8 at 1e7,
+    47 on the 25-point log grid to 1e7."""
+    calls = []
+    summatory = sieve.divisor_summatory
+
+    def spy(j, y):
+        calls.append(y)
+        return summatory(j, y)
+
+    monkeypatch.setattr(sieve, "divisor_summatory", spy)
+    sieve.prefix_sum(AF.D_SQUARE, 10**7)
+    assert len(calls) == 8 and min(calls) > sieve._table_limit(10**7)
+    calls.clear()
+    grid = [int(x) for x in log_grid(1e3, 1e7, 25)]
+    sieve.prefix_sums_at(AF.D_SQUARE, grid)
+    assert len(calls) == 47 and min(calls) > sieve._table_limit(grid[-1])
 
 
 def test_mobius_matches_trial_division():

@@ -287,6 +287,17 @@ class TestZetaPair:
                 for got, want in zip(at_s + at_2s, want_s + want_2s):
                     assert abs(got - want) <= bound * max(1, abs(want)), (s, got, want)
 
+    def test_one_plan_per_engine_call(self, monkeypatch):
+        # zeta_pair plans s and 2s once and hands each call its plan
+        plans = []
+        plan = engine._engine_plan
+        monkeypatch.setattr(engine, "_engine_plan",
+                            lambda *args: plans.append(args) or plan(*args))
+        engine.zeta_pair(mpc(0.25, 7), 0, 1)
+        assert len(plans) == 2
+        engine.zeta_with_derivatives(mpc(0.25, 7), 1)
+        assert len(plans) == 3
+
     def test_pole_guard_and_height_cap(self):
         for s in (1, 0.5, mpc(0.5, 0), mpc(1, 0)):
             with pytest.raises(PoleError):
