@@ -5,30 +5,33 @@ Everything is built on one Euler-Maclaurin continuation
     zeta(s) = sum_{n<N} n^-s + N^(1-s)/(s-1) + N^-s/2
               + sum_{j=1..J} B_2j/(2j)! * s(s+1)...(s+2j-2) * N^(1-s-2j) + R,
 
-with the least N + J for which a model of |R| at the given precision, |Im s|
-and Re s stays below the last retained bit.  Derivatives in s come from the
-same pass: every term is carried as a Taylor jet (its coefficients
-f^(k)(s)/k!), exponentials as value * rate^k / k! and products by one
-truncated Cauchy product, so the derivative values stay consistent with the
-base evaluation.  At s = 1 the pole term's 1/(s-1) is left out, so the jet
-is that of zeta(s) - 1/(s-1), whose Taylor coefficients are the Stieltjes
-constants: zeta(1+h) = 1/h + sum_m (-1)^m gamma_m h^m / m!.
+with the least N + J for which Backlund's bound on |R| (a Cauchy estimate
+of it on a small circle about s for a derivative jet) stays below the last
+retained bit; the bound's log is taken in closed form, so each J costs O(1).
+Derivatives in s come from the same pass, as exact integer sums: the
+Dirichlet sum gives sum n^-s (ln n)^k, the exponentials N^-s times powers of
+L = ln N, and each product its binomial sum with integer coefficients, so
+the derivative values stay consistent with the base evaluation.  At s = 1
+the pole term's 1/(s-1) is left out, so the jet is that of
+zeta(s) - 1/(s-1), whose Taylor coefficients are the Stieltjes constants:
+zeta(1+h) = 1/h + sum_m (-1)^m gamma_m h^m / m!.
 
 The multiprecision engine works at precision + 24 bits, lifted by
 -Re s log2 N left of 0, where terms grow like N^-Re s, and by log2 ln N per
 derivative order: the pieces cancel by those bits where the result is small.
-It runs its two long loops in fixed point: Python integers at the scale
-2^wp, wp = the working precision plus log2 N guard bits for the sum.  The
-Dirichlet sum is multiplicative: with p the smallest prime dividing n,
-n^-s = p^-s (n/p)^-s and ln n = ln p + ln(n/p), so only the primes below N
-pay for an exp and a cos/sin, and their fixed-point logs, which do not
+Once (N, J) are chosen it stays in Python integers at the scale 2^wp,
+wp = the working precision plus log2 N guard bits for the sum, and each
+output becomes an mpc once, at the end.  The Dirichlet sum is
+multiplicative: with p the smallest prime dividing n, n^-s = p^-s (n/p)^-s
+and ln n = ln p + ln(n/p), so only the primes below N pay for an exp and,
+unless s is real, a cos/sin, and their fixed-point logs, which do not
 depend on s, are kept per (p, wp); a composite costs one complex integer
-product.  The jet sums n^-s (ln n)^k and applies (-1)^k / k! once.  The
-Bernoulli terms share the factor N^(-1-s), so they are summed as one jet
+product.  One more fixed-point exp gives E = N^-s, which the pole term, N^-s
+/ 2 and N^(-1-s) read as E N, E / 2 and E / N; 1/(s-1) is one integer
+quotient, taken at a scale at which s - 1 is exact.  The Bernoulli terms
+share the factor N^(-1-s), so they are summed as one jet
 sum_j B_2j/(2j)! Q_j(s) with Q_j = N^(2-2j) P_j(s), scaled by N^-2 per step,
-from one fixed-point coefficient table per (J, precision).  Each jet entry
-becomes an mpc once; the pole term, N^-s / 2 and N^(-1-s) stay in mpc and
-share one complex exp, E = N^-s, as E N, E / 2 and E / N.  The
+from one fixed-point coefficient table per (J, precision).  The
 smallest-prime-factor table and the logs hold integers only; no mp value
 outlives a call.
 
@@ -98,60 +101,108 @@ def reset_call_count() -> None:
     _calls = 0
 
 
-def _em_parameters(precision: int, t_abs: float, sigma: float) -> tuple[int, int]:
-    """Choose (N, J) with the least N + J whose Euler-Maclaurin remainder is
-    below 2^-(precision+8).
+#: Least Dirichlet cutoff N.  Far right of the critical strip the bound
+#: alone would take N down to 2, where the float64 table has no prime row.
+_MIN_CUTOFF = 20
 
-    The remainder behaves like ((|t| + 2J) / (2 pi N))^(2J) N^(1-sigma).  At
-    a given J, setting it to 2^-(precision+12) gives N in closed form,
-    _em_log_cutoff.  With the floors N >= 2J, N >= 20 and J >= 12, N + J
-    (N before it is rounded up) first falls and then rises in J, so a walk
-    over J from an estimate of the turning point ends at the least N + J
-    after a few steps.
+#: Radius of the circle about s on which Cauchy's estimate bounds the
+#: remainder of a jet's higher coefficients.
+_CAUCHY_RADIUS = 0.25
+
+_LN2 = math.log(2.0)
+_LOG_2PI = math.log(2 * math.pi)
+_LOG_MIN_CUTOFF = math.log(_MIN_CUTOFF)
+_LOG_2_ZETA_4 = math.log(math.pi ** 4 / 45)  # 2 zeta(2J + 2) <= 2 zeta(4), J >= 1
+
+
+def _em_parameters(precision: int, t_abs: float, sigma: float,
+                   kmax: int = 0) -> tuple[int, int]:
+    """(N, J) with the least N + J, N >= _MIN_CUTOFF, for which Backlund's
+    bound on the Euler-Maclaurin remainder is at most 2^-(precision+12).
+
+    For Re w > -2J-1 (Backlund, Acta Math. 41, 1918; Edwards, Riemann's
+    Zeta Function, 1974, 6.4)
+
+        |R_J(w)| <= |w+2J+1| / (Re w+2J+1) 2 zeta(2J+2) / (2 pi)^(2J+2)
+                    |w (w+1) ... (w+2J)| N^(-Re w-2J-1).
+
+    A jet of order kmax > 0 bounds its Taylor coefficients of order up to
+    kmax by Cauchy's estimate, delta^-kmax times the bound's maximum on the
+    circle |w - s| = delta, where |w+k| <= |s+k| + delta and
+    Re w >= sigma - delta.  For sigma + k >= 0, |s+k| + delta is at most
+    |sigma + delta + k + i(|t| + delta)|, whose log f(k) increases in k, so
+    the sum of the logs from k0 = ceil(-sigma) to 2J is at most the integral
+    of f from k0 to 2J + 1, in closed form; the terms below k0 are summed as
+    they are.  Each J then costs O(1): ln N_J, the least real N meeting the
+    target, is (ln of the bound at N = 1 plus the target) / (Re w + 2J + 1).
+
+    g(J) = max(_MIN_CUTOFF, N_J) + J falls and then rises in J, and the least
+    N + J is ceil(g) at the least integer point of g.  Newton steps from an
+    estimate find the turning point, where e^h h' = -1 for h = ln N_J, or
+    the J where N_J meets the floor; a unit walk from there ends at the
+    least integer point.
     """
-    target = (precision + 12) * math.log(2.0)
-    a = max(0.0, 1.0 - sigma)
-    lowest = max(12, int(a / 2) + 1)  # 2J > a
+    delta = _CAUCHY_RADIUS if kmax else 0.0
+    c = t_abs + delta
+    cc = c * c
+    k0 = max(0, math.ceil(-sigma))
+    x0 = sigma + delta + k0
+    target = (precision + 12) * _LN2
+    const = target + _LOG_2_ZETA_4 - 2 * _LOG_2PI
+    if kmax:
+        const -= kmax * math.log(delta)
+    if k0:
+        const += sum(math.log(math.hypot(sigma + k, t_abs) + delta) for k in range(k0))
+    if x0 or c:
+        const -= x0 * math.log(x0 * x0 + cc) / 2 - x0 + c * math.atan2(x0, c)
+    u = sigma + delta + 1  # x = sigma + delta + 2J + 1, the integral's end
+    lowest = max(1, (k0 + 1) // 2, math.floor(delta - u / 2) + 1)
 
-    def cutoff(J: int) -> float:
-        return max(math.exp(_em_log_cutoff(target, t_abs, a, J)), 2 * J, 20)
+    def log_cutoff(J):
+        """ln N_J, and x, x^2 + c^2, its log and Re w + 2J + 1 at J."""
+        x = u + 2 * J
+        r = x * x + cc
+        lg = math.log(r)
+        b = x - 2 * delta
+        return ((x + 1) * lg / 2 - x + c * math.atan2(x, c) - math.log(b)
+                - 2 * J * _LOG_2PI + const) / b, x, r, lg, b
 
-    J = max(lowest, _em_order_estimate(target, t_abs, a))
-    N = cutoff(J)
-    for step in (1, -1):
-        start = J
-        while J + step >= lowest:
-            M = cutoff(J + step)
-            if M + step >= N:
+    J = max(lowest, target / 4 + math.sqrt(t_abs * target) / 4.5)
+    for _ in range(8):
+        h, x, r, lg, b = log_cutoff(J)
+        h1 = (lg + 2 * x / r - 2 / b - 2 * _LOG_2PI - 2 * h) / b
+        if not h1 < 0:  # N_J and g rise from here on
+            if J == lowest:
                 break
-            J, N = J + step, M
-        if J != start:
+            J = lowest
+            continue
+        to = J - (h - _LOG_MIN_CUTOFF) / h1  # where N_J meets the floor
+        if h > _LOG_MIN_CUTOFF:
+            h2 = (4 * x / r + 4 * (cc - x * x) / (r * r) + 4 / (b * b) - 4 * h1) / b
+            slope = h1 + h2 / h1  # of h + ln(-h'), zero where g turns
+            if not slope < 0:
+                break
+            to = min(to, J - (h + math.log(-h1)) / slope)
+        to = max(lowest, to)
+        done = abs(to - J) < 0.5
+        J = to
+        if done:
             break
+
+    def cutoff(J):
+        return max(_MIN_CUTOFF, math.exp(log_cutoff(J)[0]))
+
+    J = max(lowest, math.floor(J))
+    N, M = cutoff(J), cutoff(J + 1)
+    step = 1 if M + 1 < N else -1
+    if step == 1:
+        J, N = J + 1, M
+    while J + step >= lowest:
+        M = cutoff(J + step)
+        if M + step >= N:
+            break
+        J, N = J + step, M
     return math.ceil(N), J
-
-
-def _em_log_cutoff(target: float, t_abs: float, a: float, J: int) -> float:
-    """ln N at which ((t + 2J) / (2 pi N))^(2J) N^a = e^-target; 2J > a."""
-    return ((2 * J * math.log((t_abs + 2 * J) / (2 * math.pi)) + target)
-            / (2 * J - a))
-
-
-def _em_order_estimate(target: float, t_abs: float, a: float) -> int:
-    """Near the J of least N + J.  Two fixed-point steps on the stationarity
-    condition N ((target + a ln N) / (2 J^2) - 2 / (t + 2J)) = 1, from
-    J = target / 4; where the N >= 2J floor binds there, two more on the
-    crossing N = 2J, J = (target + a ln 2J) / (2 ln(4 pi J / (t + 2J)))."""
-    J = max(target / 4, a / 2 + 1)
-    for _ in range(2):
-        log_n = _em_log_cutoff(target, t_abs, a, J)
-        N = math.exp(log_n)
-        J = max(math.sqrt((target + a * log_n) * N
-                          / (2 * (1 + 2 * N / (t_abs + 2 * J)))), a / 2 + 1)
-    if N < 2 * J:
-        for _ in range(2):
-            J = ((target + a * math.log(2 * J))
-                 / (2 * math.log(4 * math.pi * J / (t_abs + 2 * J))))
-    return round(J)
 
 
 @functools.cache
@@ -165,14 +216,6 @@ def _bernoulli_fraction(j: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # Taylor jets: [f(s), f'(s), f''(s)/2!, ..., f^(k)(s)/k!], truncated
 # ---------------------------------------------------------------------------
-
-def _exp_jet(value, rate, K: int) -> list:
-    """Jet of value * exp(rate * h) at h = 0: value rate^k / k!, k < K."""
-    jet = [value]
-    for k in range(1, K):
-        jet.append(jet[-1] * (rate / k))
-    return jet
-
 
 def jet_mul(a, b) -> list:
     """Jet of a product (Cauchy product), truncated to the shorter jet."""
@@ -214,13 +257,24 @@ def _log_fixed(p: int, wp: int) -> int:
     return to_fixed(mpf_log(from_int(p), wp + 8), wp)
 
 
+def _power_fixed(sre: int, sim: int, log: int, wp: int) -> tuple[int, int]:
+    """(Re, Im) of exp(-s log) at the scale 2^wp, from s = (sre + i sim) 2^-wp
+    and log at the same scale: one exp and, unless s is real, one cos/sin."""
+    u = exp_fixed(-(sre * log) >> wp, wp)
+    if not sim:
+        return u, 0
+    cos, sin = cos_sin_fixed(-(sim * log) >> wp, wp)
+    return (u * cos) >> wp, (u * sin) >> wp
+
+
 def dirichlet_powers_fixed(s, size: int, wp: int) -> tuple[list, list, list]:
     """n^-s and ln n for 1 <= n < size as integers at the scale 2^wp.
 
     Returns the lists (Re n^-s, Im n^-s, ln n), each floor(value 2^wp) up to
     a few units; entry 0 is 0.  s is an mpc, read exactly.  Only the primes
-    pay for a log, an exp and a cos/sin: for a composite n with smallest
-    prime factor p, n^-s = p^-s (n/p)^-s and ln n = ln p + ln(n/p).
+    pay for a log, an exp and, unless s is real, a cos/sin: for a composite n
+    with smallest prime factor p, n^-s = p^-s (n/p)^-s and
+    ln n = ln p + ln(n/p).
     """
     sre, sim = to_fixed(s.real._mpf_, wp), to_fixed(s.imag._mpf_, wp)
     re, im, ln = [0] * size, [0] * size, [0] * size
@@ -231,9 +285,7 @@ def dirichlet_powers_fixed(s, size: int, wp: int) -> tuple[list, list, list]:
         p = spf[n]
         if p == n:
             ln[n] = log = _log_fixed(n, wp)
-            u = exp_fixed(-(sre * log) >> wp, wp)
-            cos, sin = cos_sin_fixed(-(sim * log) >> wp, wp)
-            re[n], im[n] = (u * cos) >> wp, (u * sin) >> wp
+            re[n], im[n] = _power_fixed(sre, sim, log, wp)
         else:
             m = n // p
             a, b, c, d = re[p], im[p], re[m], im[m]
@@ -270,7 +322,7 @@ def _engine_plan(z: mpc, kmax: int, precision: int) -> tuple[int, int, int, int]
     precision + 24.  wp adds guard bits for summing N terms.
     """
     sigma = float(z.real)
-    N, J = _em_parameters(precision, abs(float(z.imag)), sigma)
+    N, J = _em_parameters(precision, abs(float(z.imag)), sigma, kmax)
     prec = (precision + 24 + math.ceil(max(0.0, -sigma) * math.log2(N))
             + kmax * math.ceil(math.log2(math.log(N))))
     return N, J, prec, prec + N.bit_length()
@@ -307,40 +359,65 @@ def zeta_with_derivatives(
             (N, J, prec, _), wp, rows = _powers
         mp.prec = prec  # until the workprec block exits
         K = kmax + 1
+        one = 1 << wp
+        sre, sim = to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
 
-        # sum_n n^-s (ln n)^k; the jet coefficient is (-1)^k / k! of it.
+        # Each piece adds its k-th derivative along -s, which is (-1)^k
+        # times its k-th derivative in s, at the scale 2^wp: along -s, n^-s
+        # grows at the rate ln n and N^-s at L = ln N.  The Dirichlet sum
+        # sum_n n^-s (ln n)^k:
         if _powers is None:
             re, im, ln = dirichlet_powers_fixed(z, N, wp)
         else:
             re, im, ln = (column[:N] for column in rows())
-        out = []
-        for k in range(K):
-            if k:
-                re = [(x * log) >> wp for x, log in zip(re, ln)]
-                im = [(y * log) >> wp for y, log in zip(im, ln)]
-            out.append(_from_fixed(sum(re), sum(im), wp)
-                       * (mpf(-1) ** k / math.factorial(k)))
+        out_re, out_im = [sum(re)], [sum(im)]
+        for _ in range(kmax):
+            re = [(x * log) >> wp for x, log in zip(re, ln)]
+            im = [(y * log) >> wp for y, log in zip(im, ln)]
+            out_re.append(sum(re))
+            out_im.append(sum(im))
 
-        L = mp.ln(N)
-        E = mp.exp(-z * L)  # N^-s; the pieces read N^(1-s) = E N, N^(-1-s) = E / N
+        L = _log_fixed(N, wp)
+        lpow = [one]  # L^i
+        for _ in range(K):
+            lpow.append((lpow[-1] * L) >> wp)
+        Ere, Eim = _power_fixed(sre, sim, L, wp)  # E = N^-s
         if z == 1:
-            # N^-h/h - 1/h = (N^-h - 1)/h = sum_k (-L)^(k+1) h^k / (k+1)!
-            pieces = [_exp_jet(1, -L, K + 1)[1:]]
+            # N^-h/h - 1/h = (N^-h - 1)/h, h = s - 1, whose k-th derivative
+            # along -s is -L^(k+1)/(k+1)
+            for k in range(K):
+                out_re[k] -= lpow[k + 1] // (k + 1)
         else:
-            # N^(1-s)/(s-1), with 1/(s-1+h) = sum_k (-1)^k h^k / (s-1)^(k+1)
-            v = 1 / (z - 1)
-            pole = [v]
-            for _ in range(1, K):
-                pole.append(pole[-1] * -v)
-            pieces = [jet_mul(_exp_jet(E * N, -L, K), pole)]
-        pieces.append(_exp_jet(E / 2, -L, K))  # N^-s / 2
+            # N^(1-s)/(s-1): E N times sum_i C(k,i) L^i (k-i)! v^(k-i+1),
+            # v = 1/(s-1), read at a scale at which s - 1 is exact, so that
+            # near the pole v keeps wp significant bits.
+            w2 = max(wp, -z.real._mpf_[2], -z.imag._mpf_[2])
+            dre = to_fixed(z.real._mpf_, w2) - (1 << w2)
+            dim = to_fixed(z.imag._mpf_, w2)
+            den = dre * dre + dim * dim
+            vre, vim = (dre << (w2 + wp)) // den, (-dim << (w2 + wp)) // den
+            vpow = [(one, 0), (vre, vim)]  # v^m
+            for _ in range(kmax):
+                a, b = vpow[-1]
+                vpow.append(((a * vre - b * vim) >> wp, (a * vim + b * vre) >> wp))
+            ENre, ENim = Ere * N, Eim * N
+            for k in range(K):
+                xr = xi = 0
+                for i in range(k + 1):
+                    a, b = vpow[k - i + 1]
+                    c = math.perm(k, k - i) * lpow[i]
+                    xr += c * a
+                    xi += c * b
+                out_re[k] += (xr * ENre - xi * ENim) >> (2 * wp)
+                out_im[k] += (xr * ENim + xi * ENre) >> (2 * wp)
+        for k in range(K):  # N^-s / 2
+            out_re[k] += (Ere * lpow[k]) >> (wp + 1)
+            out_im[k] += (Eim * lpow[k]) >> (wp + 1)
 
         # Bernoulli corrections sum_j B_2j/(2j)! P_j(s) N^(1-s-2j), folded as
-        # N^(-1-s) sum_j B_2j/(2j)! Q_j(s) with Q_j = N^(2-2j) P_j: one jet
-        # product.  The jet of Q_j grows by one quadratic factor
-        # (s+2j-3+h)(s+2j-2+h) / N^2 = (q + dq h + h^2) / N^2 per j.
-        one = 1 << wp
-        sre, sim = to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
+        # N^(-1-s) sum_j B_2j/(2j)! Q_j(s) with Q_j = N^(2-2j) P_j: the jet of
+        # the sum, then one product.  The jet of Q_j grows by one quadratic
+        # factor (s+2j-3+h)(s+2j-2+h) / N^2 = (q + dq h + h^2) / N^2 per j.
         qre = ((sre * sre - sim * sim) >> wp) + 3 * sre + 2 * one  # j = 2
         qim = ((2 * sre * sim) >> wp) + 3 * sim
         dqre, dqim = 2 * sre + 3 * one, 2 * sim
@@ -367,12 +444,19 @@ def zeta_with_derivatives(
             for a in range(K):
                 tre[a] += coeff * Qre[a]
                 tim[a] += coeff * Qim[a]
-        tail = [_from_fixed(x, y, wp + bits) for x, y in zip(tre, tim)]
-        pieces.append(jet_mul(tail, _exp_jet(E / N, -L, K)))
-        for piece in pieces:
-            for k, c in enumerate(piece):
-                out[k] += c
-        return [+(c * math.factorial(k)) for k, c in enumerate(out)]
+        # The tail's jet t_i at 2^(wp+bits), times N^(-1-s) = E / N:
+        # sum_i C(k,i) i! (-1)^i t_i L^(k-i), times E / N.
+        shift = 2 * wp + bits
+        for k in range(K):
+            xr = xi = 0
+            for i in range(k + 1):
+                c = (-1) ** i * math.perm(k, i) * lpow[k - i]
+                xr += c * tre[i]
+                xi += c * tim[i]
+            out_re[k] += ((xr * Ere - xi * Eim) >> shift) // N
+            out_im[k] += ((xr * Eim + xi * Ere) >> shift) // N
+        return [_from_fixed(x, y, wp) if k % 2 == 0 else _from_fixed(-x, -y, wp)
+                for k, (x, y) in enumerate(zip(out_re, out_im))]
 
 
 def zeta_pair(s, kmax_s: int = 0, kmax_2s: int = 0,

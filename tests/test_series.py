@@ -80,9 +80,14 @@ def test_geometric_and_exponential_building_blocks():
         assert g[k] == (-1) ** k
     x = mpf("7.25")
     lam = mp.ln(x)
-    e = zeta_engine._exp_jet(mpc(1), lam, 7)  # exp((s-1) log x)
+    e = [mpc(1)]  # exp((s-1) log x): lam^k / k!
+    for k in range(1, 7):
+        e.append(e[-1] * (lam / k))
     for k in range(7):
         assert abs(e[k] - lam**k / mp.factorial(k)) < mpf("1e-32")
+    square = jet_mul(e, e)  # x^(s-1) squared is (x^2)^(s-1)
+    for k in range(7):
+        assert abs(square[k] - (2 * lam)**k / mp.factorial(k)) < mpf("1e-30")
 
 
 def test_cube_principal_part():

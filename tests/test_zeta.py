@@ -19,6 +19,7 @@ import mpmath
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from conftest import trial_factorize
 from divisorlab import zeta as engine
@@ -335,18 +336,26 @@ def test_factor_groups_match_trial_division():
 
 
 def _height_for_cutoff(N: int, precision: int, sigma: float) -> float:
-    """A height |t| <= 1000 at which the (N, J) rule picks exactly this N.
+    """A height |t| below the cap at which the (N, J) rule picks exactly this
+    N for the value alone (kmax = 0).
 
-    N is not monotone in t (it drops where J steps up), so this scans: whole
-    units up to the first height with a cutoff of at least N, then that last
-    unit in steps of 1e-3, over which the cutoff moves by less than 1.
+    N is not monotone in t (it drops where J steps up), so this scans whole
+    units up to the cap and, in each unit whose ends' cutoffs bracket N,
+    steps of 1e-3, over which the cutoff moves by less than 1 between the
+    J steps.
     """
     def cutoff(t):
-        return engine._em_parameters(precision, t, sigma)[0]
+        return engine._em_parameters(precision, float(t), sigma)[0]
 
-    top = next(t for t in range(1001) if cutoff(float(t)) >= N)
-    return next(t for t in np.linspace(max(top - 1, 0), top, 1001)
-                if cutoff(float(t)) == N)
+    low = cutoff(0)
+    for top in range(1, int(engine.DEFAULT_HEIGHT_CAP) + 1):
+        high = cutoff(top)
+        if min(low, high) <= N <= max(low, high):
+            hit = next((t for t in np.linspace(top - 1, top, 1001) if cutoff(t) == N), None)
+            if hit is not None:
+                return float(hit)
+        low = high
+    raise AssertionError(f"no height below the cap picks N = {N}")
 
 
 @pytest.mark.slow
@@ -381,6 +390,91 @@ def test_every_order_against_mpmath():
                 with mp.workprec(500):
                     err = abs(value - want[k]) / abs(want[k])
                 assert err <= mpf(2) ** (8 - prec), (prec, s, kmax, k)
+
+
+def _backlund_bound(s, kmax: int, N: int, J: int):
+    """Backlund's bound on the Euler-Maclaurin remainder at (N, J), with the
+    rule's Cauchy radius delta = 1/4 for kmax > 0: delta^-kmax times
+    (|s+2J+1| + delta) / (sigma - delta + 2J + 1) |B_2J+2| / (2J+2)!
+    prod_{k <= 2J} (|s+k| + delta) N^-(sigma - delta + 2J + 1), in mpmath at
+    300 bits with the exact product."""
+    with mp.workprec(300):
+        delta = mpf(1) / 4 if kmax else mpf(0)
+        s = mpc(s)
+        product = mpf(1)
+        for k in range(2 * J + 1):
+            product *= abs(s + k) + delta
+        b = s.real - delta + 2 * J + 1
+        return (delta ** -kmax * (abs(s + 2 * J + 1) + delta) / b
+                * abs(mp.bernoulli(2 * J + 2)) / mp.factorial(2 * J + 2)
+                * product * mpf(N) ** -b)
+
+
+def test_parameter_rule_meets_backlund_bound():
+    """At the (N, J) the rule returns, Backlund's bound is at most
+    2^-(precision+12), and, wherever N is above its floor of 20, at least
+    2^-(precision+40): a looser bound would pick a larger N unnoticed.  At
+    s = -2 the product holds the factor |s + 2| = 0, so the bound is 0
+    there."""
+    for precision in (53, 64, 128, 192, 256):
+        for sigma in (-2, 0.25, 0.5, 1, 2, 4, 110):
+            for t in (0, 7, 118, 400, 1000, 5000):
+                for kmax in (0, 2, 4):
+                    N, J = engine._em_parameters(precision, float(t), float(sigma), kmax)
+                    bound = _backlund_bound(mpc(sigma, t), kmax, N, J)
+                    point = (precision, sigma, t, kmax, N, J)
+                    assert bound <= mpf(2) ** -(precision + 12), point
+                    if N > 20 and (sigma, t, kmax) != (-2, 0, 0):
+                        assert bound >= mpf(2) ** -(precision + 40), point
+
+
+def test_engine_plan_picks():
+    """The rule's picks at three points that the benchmark workloads run:
+    a residue circle node near 1, the zeta_pair of the 100th zero's
+    coefficient, and a float64 batch at 4 + 800i.  The former model took
+    N = 54, 129 and 216 there."""
+    node = 1 + mpf("0.2") * mp.expjpi(mpf(3) / 8)
+    assert engine._engine_plan(node, 0, 128)[0] <= 32
+    gamma_100 = mpf("236.52422966581620580")
+    rho_half = mpc(mpf("0.25"), gamma_100 / 2)
+    plans = engine._engine_plan(rho_half, 0, 128), engine._engine_plan(2 * rho_half, 1, 128)
+    assert max(plan[0] for plan in plans) <= 100
+    assert engine._engine_plan(mpc(4, 800), 0, 53)[0] <= 190
+
+
+def test_near_the_pole_against_mpmath():
+    """Within 2^(8-prec) relative of mpmath at 600 bits, every order, at
+    points as close to s = 1 as 1e-15.  The first four are doubles, which the
+    engine reads exactly; the last carries a full mantissa below 2^-50, which
+    a pole term read at the scale 2^-wp would cut to about 100 bits: 1/(s-1)
+    is read at a scale at which s - 1 is exact."""
+    prec = 128
+    points = [mpc(1, 1e-6), mpc(1 - 1e-6, 0), mpc(complex(1 + 1e-12, 1e-12)),
+              mpc(1, 1e-15), mpc(1, mpf("1e-15"))]
+    for s in points:
+        with mp.workprec(600):
+            want = [mpmath.zeta(s, derivative=k) for k in range(5)]
+        for kmax in range(5):
+            got = engine.zeta_with_derivatives(s, kmax, prec)
+            for k, value in enumerate(got):
+                with mp.workprec(600):
+                    err = abs(value - want[k]) / abs(want[k])
+                assert err <= mpf(2) ** (8 - prec), (s, kmax, k)
+
+
+def test_real_s_rows_match_the_cos_sin_path():
+    """For real s the prime rows skip the cos/sin; the rows are the bits the
+    full path, exp times cos/sin of a zero phase, gives."""
+    wp, size = 160, 2000
+    re, im, ln = engine.dirichlet_powers_fixed(mpc(3, 0), size, wp)
+    sre = 3 << wp
+    cos, sin = cos_sin_fixed(0, wp)  # of the phase -(Im s) ln p = 0
+    spf = engine._smallest_prime_factors(2048)
+    for n in range(2, size):
+        if spf[n] == n:
+            u = exp_fixed(-(sre * ln[n]) >> wp, wp)
+            assert (re[n], im[n]) == ((u * cos) >> wp, (u * sin) >> wp), n
+    assert not any(im)
 
 
 def test_result_independent_of_ambient_precision():
@@ -538,9 +632,10 @@ class TestZetaF64:
         engine.zeta_f64(np.array([2.0 + 10j, 0.6 - 800j, 4.0 + 300j]))
         assert chosen == [((53, 800.0, 0.6), em_parameters(53, 800.0, 0.6))]
         assert sizes == [chosen[0][1][1]]
-        # the least N + J at |t| = 800: (216, 57), where the former
-        # J = (precision + 16) // 4 rule took (500, 17)
-        assert em_parameters(53, 800.0, 4.0)[0] == 216
+        # the least N + J at |t| = 800 under Backlund's bound: (170, 45),
+        # where the former model's least took (216, 57) and the rule before
+        # it, J = (precision + 16) // 4, took (500, 17)
+        assert em_parameters(53, 800.0, 4.0) == (170, 45)
 
     # The Perron layer's contours: the abscissa lines, the rectangle's sides
     # and its horizontal edges at t = +-50.
