@@ -14,8 +14,9 @@ Subcommands
 
 A zero count K (--count, --zeros) takes the first K zeros of the file and
 fails if the file holds fewer; the ordinates are used as written.  The
-formula subcommands sum every zero they take.  --zeros needs a zeros path,
-and only d_square has a zero sum, so the other functions do not take it.
+formula subcommands sum every zero they take.  --zeros needs a zeros path.
+formula compare takes zeros for d_square only: two_omega and mu_squared have
+zero sums and s = 0 residues too, but compare leaves both in their E.
 
 Every subcommand works at zeta.DEFAULT_PRECISION (128 bits) except
 constants, whose --precision-bits sets its working precision.  All numeric
@@ -94,19 +95,19 @@ def cmd_sum(args) -> int:
 def cmd_constants(args) -> int:
     prec = args.precision_bits
     with mp.workprec(prec + 16):
-        paper = series.main_term_coefficients("paper", precision=prec)
-        exact = series.main_term_coefficients("exact", precision=prec)
-        a1p, a2p = series.residue_coefficients(2, "paper", prec)
+        paper = series.main_term_coefficients(3, "paper", prec)
+        exact = series.main_term_coefficients(3, "exact", prec)
+        a1p, a2p = series.main_term_coefficients(2, "paper", prec).terms
         at_one, at_two, _ = series.constant_jets(prec)
         payload = {
             "precision_bits": prec,
             "gamma": {str(m): _num((-1) ** m * at_one[m].real) for m in range(5)},
             "zeta_2": _num(at_two[0].real),
             "zeta_prime_2": _num(at_two[1].real),
-            "zeta_0_squared": _num(series.residue_at_zero(prec)),
+            "zeta_0_squared": _num(exact.at_zero),
             "main_terms": {
-                "paper": {k: _num(getattr(paper, k)) for k in ("A1", "A2", "A3")},
-                "exact": {k: _num(getattr(exact, k)) for k in ("A1", "A2", "A3")},
+                "paper": dict(zip(("A1", "A2", "A3"), map(_num, paper.terms))),
+                "exact": dict(zip(("A1", "A2", "A3"), map(_num, exact.terms))),
                 "A2_mode_shift": _num(series.a2_mode_shift(prec)),
             },
             "companion": {"A1_prime": _num(a1p), "A2_prime": _num(a2p)},
@@ -212,7 +213,7 @@ def cmd_perron_residue(args) -> int:
     return 0
 
 
-#: Largest N dirichlet-verify accepts: its n^-s table holds about 175 bytes per n.
+#: Largest N dirichlet-verify accepts: its n^-s table holds about 85 bytes per n.
 MAX_VERIFY_N = 10**7
 
 #: Each n^-s row of dirichlet_powers_fixed at real s > 1 is within this many

@@ -12,11 +12,12 @@ ErrorReport over a grid of half-integer x, with E normalized by x^(1/4) and
 x^(1/3).  Both compare() and conjecture_scan() sum every zero they are
 given: which zeros enter is settled when the zero table is imported.
 
-Companion modes: the squarefree-divisor sum (main term A1' x log x + A2' x,
-no zero sum) and the squarefree-indicator sum (main term x / zeta(2)).
-Every main term is series.residue_coefficients(j, mode) for the j of
-sieve's route, zeta^j(s) / zeta(2s), evaluated by series.main_term; only the
-divisor-square sum adds the residue at s = 0.
+Companion modes: the squarefree-divisor sum (2^omega, main term
+A1' x log x + A2' x) and the squarefree-indicator sum (|mu|, x / zeta(2)).
+Every main term is series.main_term_coefficients(j, mode) for the j of
+sieve's route, zeta^j(s) / zeta(2s), evaluated by series.main_term.  The
+companions also have zero sums and s = 0 residues (-1/2 and 1), which
+compare still leaves in their E.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
-from .series import main_term, main_term_coefficients, residue_coefficients
+from .series import main_term, main_term_coefficients
 from .sieve import _ROUTES, ArithmeticFunction, prefix_sums_at
 from .zeros import ZeroTermCoefficient
 
@@ -123,11 +124,11 @@ def compare(
 
     The exact sums come from one prefix_sums_at call for the whole grid
     (sum mu(k) D_j(x // k^2), one D_j table); the main term is the residue
-    at s = 1 for the same j, plus the residue 1/4 at s = 0 for the
-    divisor-square function.  Only that function has a zero sum: the sum
-    over every given zero, one array product over the grid.  Given no zeros,
-    it warns that E still holds the whole zero sum; the other functions take
-    no zeros.
+    at s = 1 for the same j.  Only the divisor-square function takes zeros,
+    and only it adds its residue 1/4 at s = 0: its zero sum is the sum over
+    every given zero, one array product over the grid, and given no zeros it
+    warns that E still holds the whole zero sum.  The companions' zero sums
+    and s = 0 residues (1 for mu_squared, -1/2 for two_omega) stay in E.
     """
     xs = sorted(float(x) for x in x_grid)
     if xs[0] <= 1:
@@ -140,28 +141,24 @@ def compare(
             f"no analytic main term implemented for {function.value}; "
             "it is sieve/identity checked only"
         )
+    takes_zeros = function is ArithmeticFunction.D_SQUARE
     zero_terms = list(zero_coefficients or ())
-    if zero_terms and function is not ArithmeticFunction.D_SQUARE:
+    if zero_terms and not takes_zeros:
         raise DomainError(f"{function.value} has no zero sum; it takes no zeros")
+    if takes_zeros and not zero_terms:
+        report.warnings.append(
+            "no zero coefficients given: E = S - main still holds the "
+            "whole zero sum"
+        )
     floors = [int(x) for x in xs]
     sums = prefix_sums_at(function, floors)
-
-    if function is ArithmeticFunction.D_SQUARE:
-        coefficients = main_term_coefficients(mode)
-        terms = (coefficients.A1, coefficients.A2, coefficients.A3)
-        constant = coefficients.constant_term
-        if not zero_terms:
-            report.warnings.append(
-                "no zero coefficients given: E = S - main still holds the "
-                "whole zero sum"
-            )
-    else:
-        terms, constant = residue_coefficients(j, mode), 0
+    residues = main_term_coefficients(j, mode)
+    constant = residues.at_zero if takes_zeros else 0
 
     zero_sums = zero_sum_terms(np.array(xs), zero_terms)
     for x, fl, zs in zip(xs, floors, zero_sums.tolist()):
         s_exact = sums[fl]
-        main = float(main_term(x, terms, constant))
+        main = float(main_term(x, residues.terms, constant))
         e = float(s_exact) - main - zs
         report.rows.append(ReportRow(
             x=x, S_exact=s_exact, main=main, zero_sum=zs,

@@ -44,7 +44,7 @@ from mpmath import mp, mpc, mpf
 
 from .errors import (ContourError, ConventionError, DomainError, HeightRangeError,
                      QuadratureError)
-from . import sieve, zeta as zeta_engine
+from . import series, sieve, zeta as zeta_engine
 from .zeta import DEFAULT_HEIGHT_CAP, DEFAULT_PRECISION, dirichlet_quotient_f64
 
 MIN_NODES = 64
@@ -416,7 +416,6 @@ def rectangle_consistency(x: float) -> RectangleCheck:
     -top and conj(top).
     """
     _require_half_convention(x)
-    from .series import residue_main_term
 
     def edge(start: complex, direction: complex, length: float) -> complex:
         return complex(_segment_integrals(start, direction, [length], x, kronrod=False)[0][0])
@@ -425,7 +424,7 @@ def rectangle_consistency(x: float) -> RectangleCheck:
     left_edge = -edge(_RECT_LEFT, 1j, _RECT_T).imag / math.pi
     top = edge(_RECT_LEFT + 1j * _RECT_T, 1.0, _RECT_RIGHT - _RECT_LEFT)
     contour = right_edge + left_edge - top.imag / math.pi
-    residue_value = float(residue_main_term(x)[1])
+    residue_value = float(series.residue_main_term(x)[1])
     return RectangleCheck(
         contour_value=contour,
         residue_value=residue_value,

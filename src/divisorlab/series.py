@@ -14,8 +14,10 @@ constants (its h^(m+1) entry is (-1)^m gamma_m / m!); q(1+h); and
 1/(1+h) = (1, -1, 1, ...) for the 1/s factor.  With r_i the h^i
 coefficient of that product the residue is
 x sum_i r_i (log x)^(j-1-i) / (j-1-i)!, so for d(n^2) it is
-x (r0 (log x)^2 / 2 + r1 log x + r2).  residue_coefficients is that one
-routine for every j, and main_term the one evaluator of such a polynomial.
+x (r0 (log x)^2 / 2 + r1 log x + r2).  The simple pole at s = 0 adds the
+constant zeta^j(0) q(0) = zeta(0)^(j-1): 1/4 for d(n^2), -1/2 for 2^omega
+and 1 for |mu|.  main_term_coefficients is that one routine for every j and
+both poles, and main_term the one evaluator of such a polynomial.
 
 Two coefficient modes are exposed.  The 'paper' mode freezes 1/zeta(2s) at
 its value 1/zeta(2), which yields for d(n^2)
@@ -48,36 +50,29 @@ MODES = ("paper", "exact")
 
 @dataclass(frozen=True)
 class MainTermCoefficients:
-    """Coefficients of x log^2 x, x log x, x in the smooth part of the
-    divisor-square sum, plus the constant contributed by the residue at
-    s = 0."""
+    """The residues of zeta^j(s) q(s) x^s / s: at s = 1 the coefficients of
+    x (log x)^(j-1), ..., x log x, x (terms, highest power of log first), and
+    at s = 0 the constant zeta(0)^(j-1) (at_zero)."""
 
-    A1: mpf
-    A2: mpf
-    A3: mpf
-    constant_term: mpf
-    mode: str  # 'paper' or 'exact'
+    terms: tuple[mpf, ...]
+    at_zero: mpf
 
 
-def residue_at_zero(precision: int = DEFAULT_PRECISION) -> mpf:
-    """Residue of F(s) x^s / s at s = 0: zeta(0)^2 = 1/4, independent of x."""
-    with mp.workprec(precision + 16):
-        z0 = constant_jets(precision)[2][0]
-        return +(z0 * z0).real
-
-
-def residue_coefficients(j: int, mode: str,
-                         precision: int = DEFAULT_PRECISION) -> tuple[mpf, ...]:
-    """Residue at s = 1 of zeta^j(s) q(s) x^s / s for 1 <= j <= 3, as the
-    coefficients of x (log x)^(j-1), ..., x log x, x.
+def main_term_coefficients(j: int, mode: str,
+                           precision: int = DEFAULT_PRECISION) -> MainTermCoefficients:
+    """The residues of zeta^j(s) q(s) x^s / s at s = 1 and s = 0, 1 <= j <= 3.
 
     q = 1/zeta(2s) is frozen at 1/zeta(2) in 'paper' mode and expanded in
-    'exact' mode.  The coefficients are r_i / (j-1-i)!, r the first j terms
-    of the jet product (1, gamma_0, -gamma_1, ...)^j q(1+h) / (1+h).
+    'exact' mode.  The s = 1 coefficients are r_i / (j-1-i)!, r the first j
+    terms of the jet product (1, gamma_0, -gamma_1, ...)^j q(1+h) / (1+h).
+    At s = 0, zeta^j(0) / zeta(0) is zeta(0)^(j-1) in either mode: 1 for
+    |mu|, -1/2 for 2^omega and 1/4 for d(n^2).
     """
+    if not 1 <= j <= 3:
+        raise DomainError("j must be 1, 2 or 3")
     if mode not in MODES:
         raise DomainError("mode must be 'paper' or 'exact'")
-    at_one, at_two, _ = constant_jets(precision)
+    at_one, at_two, at_zero = constant_jets(precision)
     with mp.workprec(precision + 16):
         e = [mpc(1)] + [at_one[m] / math.factorial(m) for m in range(j - 1)]
         if mode == "exact":
@@ -88,26 +83,10 @@ def residue_coefficients(j: int, mode: str,
         for _ in range(j - 1):
             r = jet_mul(r, e)
         r = jet_mul(jet_mul(r, q), [(-1) ** k for k in range(j)])
-        return tuple(+(r[i] / math.factorial(j - 1 - i)).real for i in range(j))
-
-
-def main_term_coefficients(
-    mode: str,
-    precision: int = DEFAULT_PRECISION,
-) -> MainTermCoefficients:
-    """Residue data of d(n^2) in either coefficient mode: A1, A2, A3 from
-    residue_coefficients(3, mode, precision), and the residue at s = 0.
-    Computed once per (mode, precision) per process: the fields are
-    immutable mpf values."""
-    return _main_term_coefficients(mode, precision)
-
-
-@functools.cache
-def _main_term_coefficients(mode: str, precision: int) -> MainTermCoefficients:
-    a1, a2, a3 = residue_coefficients(3, mode, precision)
-    return MainTermCoefficients(
-        A1=a1, A2=a2, A3=a3, constant_term=residue_at_zero(precision), mode=mode
-    )
+        return MainTermCoefficients(
+            terms=tuple(+(r[i] / math.factorial(j - 1 - i)).real for i in range(j)),
+            at_zero=+(at_zero[0] ** (j - 1)).real,
+        )
 
 
 def main_term(x, terms: tuple, constant=0,
@@ -126,10 +105,10 @@ def main_term(x, terms: tuple, constant=0,
 
 
 def residue_main_term(x) -> tuple[MainTermCoefficients, mpf]:
-    """d(n^2)'s exact-mode coefficients and its residue at s = 1 at this x,
-    at DEFAULT_PRECISION."""
-    coeffs = main_term_coefficients("exact")
-    return coeffs, main_term(x, (coeffs.A1, coeffs.A2, coeffs.A3))
+    """d(n^2)'s exact-mode residues and its residue at s = 1 at this x, at
+    DEFAULT_PRECISION."""
+    residues = main_term_coefficients(3, "exact")
+    return residues, main_term(x, residues.terms)
 
 
 @functools.cache

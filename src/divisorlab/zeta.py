@@ -26,12 +26,13 @@ multiplicative: with p the smallest prime dividing n, n^-s = p^-s (n/p)^-s
 and ln n = ln p + ln(n/p), so only the primes below N pay for an exp and,
 unless s is real, a cos/sin, and their fixed-point logs, which do not
 depend on s, are kept per (p, wp); a composite costs one complex integer
-product.  One more fixed-point exp gives E = N^-s, which the pole term, N^-s
-/ 2 and N^(-1-s) read as E N, E / 2 and E / N; 1/(s-1) is one integer
-quotient, taken at a scale at which s - 1 is exact.  The Bernoulli terms
-share the factor N^(-1-s), so they are summed as one jet
-sum_j B_2j/(2j)! Q_j(s) with Q_j = N^(2-2j) P_j(s), scaled by N^-2 per step,
-from one fixed-point coefficient table per (J, precision).  The
+product.  The ln n list, which only the derivative sums read, is built
+apart and only for kmax > 0.  One more fixed-point exp gives E = N^-s,
+which the pole term, N^-s / 2 and N^(-1-s) read as E N, E / 2 and E / N;
+1/(s-1) is one integer quotient, taken at a scale at which s - 1 is exact.
+The Bernoulli terms share the factor N^(-1-s), so they are summed as one
+jet sum_j B_2j/(2j)! Q_j(s) with Q_j = N^(2-2j) P_j(s), scaled by N^-2 per
+step, from one fixed-point coefficient table per (J, precision).  The
 smallest-prime-factor table and the logs hold integers only; no mp value
 outlives a call.
 
@@ -267,31 +268,39 @@ def _power_fixed(sre: int, sim: int, log: int, wp: int) -> tuple[int, int]:
     return (u * cos) >> wp, (u * sin) >> wp
 
 
-def dirichlet_powers_fixed(s, size: int, wp: int) -> tuple[list, list, list]:
-    """n^-s and ln n for 1 <= n < size as integers at the scale 2^wp.
+def dirichlet_powers_fixed(s, size: int, wp: int) -> tuple[list, list]:
+    """n^-s for 1 <= n < size as integers at the scale 2^wp.
 
-    Returns the lists (Re n^-s, Im n^-s, ln n), each floor(value 2^wp) up to
-    a few units; entry 0 is 0.  s is an mpc, read exactly.  Only the primes
-    pay for a log, an exp and, unless s is real, a cos/sin: for a composite n
-    with smallest prime factor p, n^-s = p^-s (n/p)^-s and
-    ln n = ln p + ln(n/p).
+    Returns the lists (Re n^-s, Im n^-s), each floor(value 2^wp) up to a few
+    units; entry 0 is 0.  s is an mpc, read exactly.  Only the primes pay
+    for a log, an exp and, unless s is real, a cos/sin: for a composite n
+    with smallest prime factor p, n^-s = p^-s (n/p)^-s.
     """
     sre, sim = to_fixed(s.real._mpf_, wp), to_fixed(s.imag._mpf_, wp)
-    re, im, ln = [0] * size, [0] * size, [0] * size
+    re, im = [0] * size, [0] * size
     if size > 1:
         re[1] = 1 << wp
     spf = _smallest_prime_factors(1 << (size - 1).bit_length())
     for n in range(2, size):
         p = spf[n]
         if p == n:
-            ln[n] = log = _log_fixed(n, wp)
-            re[n], im[n] = _power_fixed(sre, sim, log, wp)
+            re[n], im[n] = _power_fixed(sre, sim, _log_fixed(n, wp), wp)
         else:
             m = n // p
             a, b, c, d = re[p], im[p], re[m], im[m]
             re[n], im[n] = (a * c - b * d) >> wp, (a * d + b * c) >> wp
-            ln[n] = ln[p] + ln[m]
-    return re, im, ln
+    return re, im
+
+
+def dirichlet_logs_fixed(size: int, wp: int) -> list:
+    """ln n for 1 <= n < size at the scale 2^wp, entry 0 is 0: the prime
+    rows' _log_fixed, and ln p + ln(n/p) for a composite n, p = spf[n]."""
+    ln = [0] * size
+    spf = _smallest_prime_factors(1 << (size - 1).bit_length())
+    for n in range(2, size):
+        p = spf[n]
+        ln[n] = _log_fixed(n, wp) if p == n else ln[p] + ln[n // p]
+    return ln
 
 
 @functools.cache
@@ -337,10 +346,10 @@ def zeta_with_derivatives(
     """[zeta(s), zeta'(s), ..., zeta^(kmax)(s)] in one Euler-Maclaurin pass.
     At s = 1, those of zeta(s) - 1/(s-1): the m-th is (-1)^m gamma_m.
 
-    _powers is zeta_pair's: (plan, wp, rows), with plan this call's
-    _engine_plan and rows() returning the Re n^-s, Im n^-s and ln n lists
-    of dirichlet_powers_fixed for at least the plan's N, at a scale wp at
-    least the plan's.
+    _powers is zeta_pair's: (plan, wp, rows, logs), with plan this call's
+    _engine_plan, rows() the lists of dirichlet_powers_fixed and logs(), read
+    only for kmax > 0, that of dirichlet_logs_fixed, each for at least the
+    plan's N, at a scale wp at least the plan's.
     """
     global _calls
     _calls += 1
@@ -356,7 +365,7 @@ def zeta_with_derivatives(
         if _powers is None:
             N, J, prec, wp = _engine_plan(z, kmax, precision)
         else:
-            (N, J, prec, _), wp, rows = _powers
+            (N, J, prec, _), wp, rows, logs = _powers
         mp.prec = prec  # until the workprec block exits
         K = kmax + 1
         one = 1 << wp
@@ -367,10 +376,12 @@ def zeta_with_derivatives(
         # grows at the rate ln n and N^-s at L = ln N.  The Dirichlet sum
         # sum_n n^-s (ln n)^k:
         if _powers is None:
-            re, im, ln = dirichlet_powers_fixed(z, N, wp)
+            re, im = dirichlet_powers_fixed(z, N, wp)
+            logs = functools.partial(dirichlet_logs_fixed, N, wp)
         else:
-            re, im, ln = (column[:N] for column in rows())
+            re, im = (column[:N] for column in rows())
         out_re, out_im = [sum(re)], [sum(im)]
+        ln = logs() if kmax else ()  # zip stops at re's N entries
         for _ in range(kmax):
             re = [(x * log) >> wp for x, log in zip(re, ln)]
             im = [(y * log) >> wp for y, log in zip(im, ln)]
@@ -482,14 +493,15 @@ def zeta_pair(s, kmax_s: int = 0, kmax_2s: int = 0,
     plan2 = _engine_plan(double, kmax_2s, precision)
     N1, N2, wp = plan1[0], plan2[0], max(plan1[3], plan2[3])
     rows = functools.cache(lambda: dirichlet_powers_fixed(z, max(N1, N2), wp))
+    logs = functools.cache(lambda: dirichlet_logs_fixed(max(N1, N2), wp))
 
     def squares():
-        re, im, ln = (column[:N2] for column in rows())
+        re, im = (column[:N2] for column in rows())
         return ([(x * x - y * y) >> wp for x, y in zip(re, im)],
-                [(2 * x * y) >> wp for x, y in zip(re, im)], ln)
+                [(2 * x * y) >> wp for x, y in zip(re, im)])
 
-    return (zeta_with_derivatives(z, kmax_s, precision, (plan1, wp, rows)),
-            zeta_with_derivatives(double, kmax_2s, precision, (plan2, wp, squares)))
+    return (zeta_with_derivatives(z, kmax_s, precision, (plan1, wp, rows, logs)),
+            zeta_with_derivatives(double, kmax_2s, precision, (plan2, wp, squares, logs)))
 
 
 def zeta(s, precision: int = DEFAULT_PRECISION) -> mpc:

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from mpmath import mp
+import mpmath
+from mpmath import mp, mpf
 
 from divisorlab import sieve, zeros
 from divisorlab.zeta import dirichlet_quotient_f64
@@ -89,6 +90,30 @@ def perron_reference(x: float, c: float, T: float) -> float:
     and Gauss-Kronrod rule; F is shared by every x at the same (c, T)."""
     t, wf = _reference_line(c, T)
     return float((wf * np.exp((c + 1j * t) * math.log(x))).sum().imag / math.pi)
+
+
+@functools.cache
+def residue_jet(j: int, mode: str) -> tuple:
+    """The first j Taylor coefficients in h of (h zeta(1+h))^j / (1+h)
+    times 1/zeta(2+2h), frozen at 1/zeta(2) in paper mode, at 90 digits
+    from mpmath's Stieltjes constants and derivatives of zeta at 2;
+    (h zeta(1+h)) = 1 + gamma_0 h - gamma_1 h^2 + ..."""
+
+    def mul(a, b):
+        return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(j)]
+
+    with mp.workdps(90):
+        z = [mpmath.zeta(2, derivative=k) * 2**k / math.factorial(k)
+             for k in range(j)]  # zeta(2 + 2h)
+        q = [1 / z[0]]
+        for n in range(1, j):
+            q.append(-sum(z[i] * q[n - i] for i in range(1, n + 1)) / z[0]
+                     if mode == "exact" else mpf(0))
+        r = mul(q, [(-1) ** k for k in range(j)])  # 1/(1+h)
+        e = [mpf(1), mpmath.stieltjes(0), -mpmath.stieltjes(1)][:j]
+        for _ in range(j):
+            r = mul(r, e)
+        return tuple(r)
 
 
 @pytest.fixture(scope="session")

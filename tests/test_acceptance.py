@@ -77,7 +77,7 @@ def test_04_analytic_constants():
         e_g1 = abs(zeta_engine.stieltjes(1, 160) - gamma_1)
         target = 3 / mp.pi**2
         e_a1 = max(
-            abs(series.main_term_coefficients(m, precision=160).A1 - target)
+            abs(series.main_term_coefficients(3, m, 160).terms[0] - target)
             for m in ("paper", "exact")
         )
     ok = (e_z2 < mpf("1e-20") and e_z0 < mpf("1e-15")
@@ -113,9 +113,9 @@ def test_05_residue_oracle_equivalence(zero_coefficients):
 
 
 def test_06_mode_discrepancy_closed_form():
-    paper = series.main_term_coefficients("paper")
-    exact = series.main_term_coefficients("exact")
-    shift = exact.A2 - paper.A2
+    paper = series.main_term_coefficients(3, "paper")
+    exact = series.main_term_coefficients(3, "exact")
+    shift = exact.terms[1] - paper.terms[1]
     e_closed = abs(shift - series.a2_mode_shift())
     ok = abs(shift) > 0 and e_closed < mpf("1e-10")
     report(6, "A2 mode discrepancy matches -2 zeta'(2)/zeta(2)^2", ok,

@@ -61,7 +61,6 @@ def test_constants_engine_calls(capsys):
     """On fresh caches one constants run makes 3 engine calls: the jets at
     s = 1 to order 4, at s = 2 to order 2 and at s = 0, which every printed
     value reads.  Each gamma_m prints as stieltjes(m) does."""
-    series._main_term_coefficients.cache_clear()
     series.constant_jets.cache_clear()
     zeta_engine.reset_call_count()
     payload = run_json(capsys, "constants", "--precision-bits", "64")
@@ -102,8 +101,10 @@ def test_module_attribute_sees_every_engine_call(capsys, monkeypatch, zero_table
 def test_benchmark_tracer_sees_every_engine_call(capsys, monkeypatch, tmp_path):
     """The benchmark's tracer, imported unedited from perfbench/, installs
     its wrappers on the names it targets and, around the CLI runs the
-    benchmark makes, traces as many mp engine calls as call_count() counts.
-    A refactor that drops a name or parameter it binds fails here."""
+    benchmark makes, traces as many mp engine calls as call_count() counts,
+    and sees one main-term residue call under each formula compare, for
+    every function.  A refactor that drops a name or parameter it binds
+    fails here."""
     monkeypatch.syspath_prepend(str(ZEROS_PATH.parent.parent / "perfbench"))
     tracing = importlib.import_module("tracing")
     zeros_args = ["--zeros", "5", "--zeros-path", str(ZEROS_PATH),
@@ -114,6 +115,10 @@ def test_benchmark_tracer_sees_every_engine_call(capsys, monkeypatch, tmp_path):
         ["perron", "residue", "--center-re", "1", "--radius", "0.2",
          "--x", "1000.5"],
         ["formula", "compare", "--grid-stop", "1e4", *zeros_args],
+        ["formula", "compare", "--grid-stop", "1e4", "--function", "two_omega",
+         "--output-dir", str(tmp_path)],
+        ["formula", "compare", "--grid-stop", "1e4", "--function", "mu_squared",
+         "--output-dir", str(tmp_path)],
         ["formula", "conjecture", "--grid-stop", "1e4", *zeros_args],
         ["perron", "decay", "100.5", "--T", "50", "100", "--output-dir", str(tmp_path)],
     ]
@@ -124,6 +129,12 @@ def test_benchmark_tracer_sees_every_engine_call(capsys, monkeypatch, tmp_path):
     assert codes == [0] * len(runs)
     traced = sum(1 for span in tracer.spans if span.name == "zeta.mp")
     assert traced == tracer.mp_calls > 0
+    compares = [i for i, span in enumerate(tracer.spans)
+                if span.name == "formula.compare"]
+    residues = [span.parent for span in tracer.spans
+                if span.name == "series.main_term_coefficients"]
+    assert len(compares) == 3
+    assert all(residues.count(i) == 1 for i in compares)
 
 
 def test_benchmark_argv_parse(monkeypatch, tmp_path):

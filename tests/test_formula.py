@@ -3,11 +3,9 @@ exact bookkeeping of the error decomposition."""
 
 import cmath
 import csv
-import functools
 import json
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from mpmath import mp, mpf
@@ -16,6 +14,8 @@ from divisorlab import formula, series, sieve
 from divisorlab.errors import DomainError
 from divisorlab.formula import ReportRow, compare, log_grid
 from divisorlab.sieve import ArithmeticFunction as AF
+
+from conftest import residue_jet
 
 
 class TestGrid:
@@ -39,40 +39,12 @@ class TestGrid:
             log_grid(10, 100, 1)
 
 
-def _terms(coeffs):
-    return coeffs.A1, coeffs.A2, coeffs.A3
-
-
-@functools.cache
-def _residue_jet(j: int, mode: str) -> tuple:
-    """The first j Taylor coefficients in h of (h zeta(1+h))^j / (1+h)
-    times 1/zeta(2+2h), frozen at 1/zeta(2) in paper mode, at 90 digits
-    from mpmath's Stieltjes constants and derivatives of zeta at 2;
-    (h zeta(1+h)) = 1 + gamma_0 h - gamma_1 h^2 + ..."""
-
-    def mul(a, b):
-        return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(j)]
-
-    with mp.workdps(90):
-        z = [mpmath.zeta(2, derivative=k) * 2**k / math.factorial(k)
-             for k in range(j)]  # zeta(2 + 2h)
-        q = [1 / z[0]]
-        for n in range(1, j):
-            q.append(-sum(z[i] * q[n - i] for i in range(1, n + 1)) / z[0]
-                     if mode == "exact" else mpf(0))
-        r = mul(q, [(-1) ** k for k in range(j)])  # 1/(1+h)
-        e = [mpf(1), mpmath.stieltjes(0), -mpmath.stieltjes(1)][:j]
-        for _ in range(j):
-            r = mul(r, e)
-        return tuple(r)
-
-
 def _residue_oracle(function: AF, mode: str, x: float):
     """The main term compare writes for function at x, at 90 digits: the
-    h^(j-1) coefficient of x^(1+h) times _residue_jet, plus 1/4 for
+    h^(j-1) coefficient of x^(1+h) times residue_jet, plus 1/4 for
     d(n^2)."""
     j = {AF.D_SQUARE: 3, AF.TWO_OMEGA: 2, AF.MU_SQUARED: 1}[function]
-    r = _residue_jet(j, mode)
+    r = residue_jet(j, mode)
     with mp.workdps(90):
         lx = mp.ln(mpf(x))
         value = sum(r[i] * x * lx ** (j - 1 - i) / math.factorial(j - 1 - i)
@@ -99,14 +71,14 @@ class TestMainValue:
 
     def test_constant_flag(self):
         coeffs, _ = series.residue_main_term(100.5)
-        with_c = series.main_term(100.5, _terms(coeffs), coeffs.constant_term)
-        without = series.main_term(100.5, _terms(coeffs))
+        with_c = series.main_term(100.5, coeffs.terms, coeffs.at_zero)
+        without = series.main_term(100.5, coeffs.terms)
         assert abs(with_c - without - 0.25) < 1e-12
 
     def test_domain(self):
         coeffs, _ = series.residue_main_term(100.5)
         with pytest.raises(DomainError):
-            series.main_term(1.0, _terms(coeffs))
+            series.main_term(1.0, coeffs.terms)
 
 
 class TestZeroSum:

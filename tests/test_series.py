@@ -1,6 +1,7 @@
 """Jet arithmetic against an exact integer-convolution oracle, and the
 residue coefficients against closed forms, mpmath and contour quadrature."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -12,6 +13,8 @@ from mpmath import mp, mpc, mpf
 from divisorlab import series, zeta as zeta_engine
 from divisorlab.errors import DomainError
 from divisorlab.zeta import jet_inverse, jet_mul
+
+from conftest import residue_jet
 
 
 def make(coeffs):
@@ -114,27 +117,51 @@ def test_inverse_zeta_2s_taylor():
     assert abs(q[1] + 2 * zp2 / z2**2) < mpf("1e-30")
 
 
+def _residues_by_mpmath(j: int, mode: str):
+    """The s = 1 coefficients and the s = 0 residue from mpmath alone:
+    residue_jet's r_i / (j-1-i)! and zeta(0)^(j-1), at 90 digits."""
+    r = residue_jet(j, mode)
+    with mp.workdps(90):
+        return ([r[i] / math.factorial(j - 1 - i) for i in range(j)],
+                mpmath.zeta(0) ** (j - 1))
+
+
+@pytest.mark.parametrize("mode", series.MODES)
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_residues_against_mpmath(j, mode):
+    """Both residues of zeta^j(s)/zeta(2s) x^s/s for every j and mode,
+    against mpmath's Stieltjes constants, zeta derivatives at 2 and zeta(0);
+    at s = 0 they are 1 for |mu|, -1/2 for 2^omega and 1/4 for d(n^2)."""
+    got = series.main_term_coefficients(j, mode)
+    terms, at_zero = _residues_by_mpmath(j, mode)
+    assert len(got.terms) == j
+    for i, (value, want) in enumerate(zip(got.terms, terms)):
+        assert abs(value - want) < mpf("1e-28"), i
+    assert abs(got.at_zero - at_zero) < mpf("1e-28")
+    assert abs(at_zero - (1, mpf(-1) / 2, mpf(1) / 4)[j - 1]) < mpf("1e-28")
+
+
 class TestMainTermCoefficients:
     def test_paper_mode_closed_forms(self):
-        c = series.main_term_coefficients("paper")
+        a1, a2, a3 = series.main_term_coefficients(3, "paper").terms
         g0 = zeta_engine.stieltjes(0)
         g1 = zeta_engine.stieltjes(1)
         z2 = zeta_engine.zeta(2).real
-        assert abs(c.A1 - 1 / (2 * z2)) < mpf("1e-30")
-        assert abs(c.A2 - (6 * g0 - 2) / (2 * z2)) < mpf("1e-30")
-        assert abs(c.A3 - (6 * g0**2 - 6 * g0 - 6 * g1 + 2) / (2 * z2)) < mpf("1e-28")
+        assert abs(a1 - 1 / (2 * z2)) < mpf("1e-30")
+        assert abs(a2 - (6 * g0 - 2) / (2 * z2)) < mpf("1e-30")
+        assert abs(a3 - (6 * g0**2 - 6 * g0 - 6 * g1 + 2) / (2 * z2)) < mpf("1e-28")
 
     def test_leading_coefficient_both_modes(self):
         # A1 = 3/pi^2 regardless of how 1/zeta(2s) is treated
         target = 3 / mp.pi**2
         for mode in ("paper", "exact"):
-            c = series.main_term_coefficients(mode)
-            assert abs(c.A1 - target) < mpf("1e-28")
+            a1 = series.main_term_coefficients(3, mode).terms[0]
+            assert abs(a1 - target) < mpf("1e-28")
 
     def test_mode_discrepancy_closed_form(self):
-        paper = series.main_term_coefficients("paper")
-        exact = series.main_term_coefficients("exact")
-        shift = exact.A2 - paper.A2
+        paper = series.main_term_coefficients(3, "paper")
+        exact = series.main_term_coefficients(3, "exact")
+        shift = exact.terms[1] - paper.terms[1]
         assert abs(shift) > mpf("0.5")  # the omission is not small
         assert abs(shift - series.a2_mode_shift()) < mpf("1e-20")
 
@@ -143,7 +170,7 @@ class TestMainTermCoefficients:
         and zeta derivatives alone: with q = 1/zeta(2s) expanded at s = 1,
         A1 = q0/2, A2 = q1 + (3g - 1) q0, A3 = q2 + (3g - 1) q1
         + (3g^2 - 3g - 3g_1 + 1) q0."""
-        c = series.main_term_coefficients("exact")
+        c = series.main_term_coefficients(3, "exact")
         with mp.workdps(40):
             g0, g1 = mpmath.stieltjes(0), mpmath.stieltjes(1)
             z0, z1, z2 = (mpmath.zeta(2, derivative=k) for k in range(3))
@@ -153,34 +180,37 @@ class TestMainTermCoefficients:
             want = (q0 / 2, q1 + (3 * g0 - 1) * q0,
                     q2 + (3 * g0 - 1) * q1
                     + (3 * g0**2 - 3 * g0 - 3 * g1 + 1) * q0)
-        for name, value in zip(("A1", "A2", "A3"), want):
-            assert abs(getattr(c, name) - value) < mpf("1e-25"), name
+        for name, value, target in zip(("A1", "A2", "A3"), c.terms, want):
+            assert abs(value - target) < mpf("1e-25"), name
 
     def test_constant_term_is_quarter(self):
-        c = series.main_term_coefficients("exact")
-        assert abs(c.constant_term - mpf("0.25")) < mpf("1e-30")
-        assert abs(series.residue_at_zero() - mpf("0.25")) < mpf("1e-30")
+        for mode in series.MODES:
+            c = series.main_term_coefficients(3, mode)
+            assert abs(c.at_zero - mpf("0.25")) < mpf("1e-30"), mode
 
     def test_computed_once_per_mode_and_precision(self):
-        """A repeat call at the same (mode, precision) makes no zeta calls and
-        returns the same object; the other mode at the same precision reads
-        the same three jets, and another precision computes them anew."""
-        series._main_term_coefficients.cache_clear()
+        """The three jets are computed once per precision: a repeat call, the
+        other mode and another j at the same precision make no zeta calls and
+        give the same values, and another precision computes them anew."""
         series.constant_jets.cache_clear()
         zeta_engine.reset_call_count()
-        first = series.main_term_coefficients("exact", precision=72)
+        first = series.main_term_coefficients(3, "exact", precision=72)
         assert zeta_engine.call_count() == 3  # the s = 1, s = 2 and s = 0 jets
         zeta_engine.reset_call_count()
-        assert series.main_term_coefficients("exact", 72) is first
-        paper = series.main_term_coefficients("paper", precision=72)
-        assert zeta_engine.call_count() == 0 and paper.mode == "paper"
-        finer = series.main_term_coefficients("exact", precision=80)
+        assert series.main_term_coefficients(3, "exact", 72) == first
+        series.main_term_coefficients(3, "paper", precision=72)
+        series.main_term_coefficients(1, "exact", precision=72)
+        assert zeta_engine.call_count() == 0
+        finer = series.main_term_coefficients(3, "exact", precision=80)
         assert zeta_engine.call_count() == 3
-        assert abs(finer.A3 - first.A3) < mpf(2) ** -64
+        assert abs(finer.terms[2] - first.terms[2]) < mpf(2) ** -64
 
     def test_error_paths(self):
         with pytest.raises(DomainError):
-            series.main_term_coefficients("frozen")
+            series.main_term_coefficients(3, "frozen")
+        for j in (0, 4):
+            with pytest.raises(DomainError):
+                series.main_term_coefficients(j, "exact")
         with pytest.raises(DomainError):
             series.residue_main_term(1.0)
 
@@ -201,14 +231,14 @@ def test_theorem_A_companion_constants():
     with mp.workdps(40):
         inv_z2 = 6 / mpmath.pi**2
         a2_paper = (2 * mpmath.euler - 1) * inv_z2
-    a1p, a2p = series.residue_coefficients(2, "paper")
+    a1p, a2p = series.main_term_coefficients(2, "paper").terms
     assert abs(a1p - inv_z2) < mpf("1e-28")
     assert abs(a2p - a2_paper) < mpf("1e-28")
-    e1, e2 = series.residue_coefficients(2, "exact")
+    e1, e2 = series.main_term_coefficients(2, "exact").terms
     assert abs(e1 - inv_z2) < mpf("1e-28")
     assert abs(e2 - (a2p + series.a2_mode_shift())) < mpf("1e-30")
     for mode in series.MODES:
-        (c,) = series.residue_coefficients(1, mode)
+        (c,) = series.main_term_coefficients(1, mode).terms
         assert abs(c - inv_z2) < mpf("1e-28"), mode
     with pytest.raises(DomainError):
-        series.residue_coefficients(2, "neither")
+        series.main_term_coefficients(2, "neither")

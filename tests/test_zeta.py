@@ -466,7 +466,8 @@ def test_real_s_rows_match_the_cos_sin_path():
     """For real s the prime rows skip the cos/sin; the rows are the bits the
     full path, exp times cos/sin of a zero phase, gives."""
     wp, size = 160, 2000
-    re, im, ln = engine.dirichlet_powers_fixed(mpc(3, 0), size, wp)
+    re, im = engine.dirichlet_powers_fixed(mpc(3, 0), size, wp)
+    ln = engine.dirichlet_logs_fixed(size, wp)
     sre = 3 << wp
     cos, sin = cos_sin_fixed(0, wp)  # of the phase -(Im s) ln p = 0
     spf = engine._smallest_prime_factors(2048)
@@ -512,7 +513,8 @@ def test_dirichlet_powers_fixed_against_mpmath():
     2^-(wp-8) (1 + (1 + |s| ln n) |n^-s|)."""
     wp = 160
     for s in (mpc(3, 0), mpc(0.5, 236.52), mpc(-2, 998.3)):
-        re, im, ln = engine.dirichlet_powers_fixed(s, 1200, wp)
+        re, im = engine.dirichlet_powers_fixed(s, 1200, wp)
+        ln = engine.dirichlet_logs_fixed(1200, wp)
         assert (re[0], im[0], ln[0], re[1], im[1], ln[1]) == (0, 0, 0, 1 << wp, 0, 0)
         with mp.workprec(300):
             for n in range(2, 1200):
@@ -521,6 +523,28 @@ def test_dirichlet_powers_fixed_against_mpmath():
                 bound = mpf(2) ** (8 - wp) * (1 + (1 + abs(s) * mp.ln(n)) * abs(want))
                 assert abs(got - want) <= bound, (s, n)
                 assert abs(mpf((ln[n], -wp)) - mp.ln(n)) <= mpf(2) ** (8 - wp), n
+
+
+def test_logs_built_only_for_derivative_jets(monkeypatch):
+    """The ln n list is built only by calls with kmax > 0, and once per
+    zeta_pair however many of its two calls read it."""
+    built = []
+    logs = engine.dirichlet_logs_fixed
+
+    def spy(size, wp):
+        built.append(size)
+        return logs(size, wp)
+
+    monkeypatch.setattr(engine, "dirichlet_logs_fixed", spy)
+    s = mpc(0.25, 7.0673)
+    for run, want in ((lambda: engine.zeta(s), 0),
+                      (lambda: engine.zeta_with_derivatives(s, 2), 1),
+                      (lambda: engine.zeta_pair(s, 0, 0), 0),
+                      (lambda: engine.zeta_pair(s, 0, 1), 1),
+                      (lambda: engine.zeta_pair(s, 2, 1), 1)):
+        built.clear()
+        run()
+        assert len(built) == want
 
 
 def test_dirichlet_sum_guard_bits(monkeypatch):
@@ -539,7 +563,7 @@ def test_dirichlet_sum_guard_bits(monkeypatch):
                     (128, mpc(-1.9, 0.5)), (192, mpc(0.5, 236.52))):
         engine.zeta(s, prec)
         z, N, wp = calls[-1]
-        re, im, _ = powers(z, N, wp)
+        re, im = powers(z, N, wp)
         with mp.workprec(prec + 200):
             got = mpc(mpf((sum(re), -wp)), mpf((sum(im), -wp)))
             want = mp.fsum(mp.power(n, -z) for n in range(1, N))
