@@ -41,7 +41,7 @@ from mpmath import mp, mpc, mpf
 from .errors import DivisorLabError, DomainError
 from . import perron, series, sieve, zeros
 from . import zeta as zeta_engine
-from .formula import compare, conjecture_scan, log_grid
+from .formula import check_takes_zeros, compare, conjecture_scan, log_grid
 from .sieve import ArithmeticFunction
 
 DIGITS = 20
@@ -146,9 +146,8 @@ def cmd_zeros_coeffs(args) -> int:
 def cmd_formula_compare(args) -> int:
     function = ArithmeticFunction(args.function)
     d_square = function is ArithmeticFunction.D_SQUARE
-    if not d_square and args.zeros is not None:
-        raise DomainError(f"{function.value} has no zero sum; --zeros applies "
-                          "to d_square only")
+    if args.zeros is not None:
+        check_takes_zeros(function)
     grid = log_grid(args.grid_start, args.grid_stop, args.grid_count)
     coeffs = None
     if d_square and (args.zeros_path or args.zeros is not None):

@@ -114,6 +114,14 @@ def zero_sum_terms(x, terms: list[ZeroTermCoefficient]):
     return float(total) if xs.ndim == 0 else total
 
 
+def check_takes_zeros(function: ArithmeticFunction) -> None:
+    """Raise DomainError unless compare sums zeros for function.  Only
+    d_square's are summed; a companion's zero sum stays in its E."""
+    if function is not ArithmeticFunction.D_SQUARE:
+        raise DomainError(f"compare sums zeros for d_square only; "
+                          f"{function.value}'s zero sum stays in E")
+
+
 def compare(
     x_grid,
     function: ArithmeticFunction = ArithmeticFunction.D_SQUARE,
@@ -143,8 +151,8 @@ def compare(
         )
     takes_zeros = function is ArithmeticFunction.D_SQUARE
     zero_terms = list(zero_coefficients or ())
-    if zero_terms and not takes_zeros:
-        raise DomainError(f"{function.value} has no zero sum; it takes no zeros")
+    if zero_terms:
+        check_takes_zeros(function)
     if takes_zeros and not zero_terms:
         report.warnings.append(
             "no zero coefficients given: E = S - main still holds the "

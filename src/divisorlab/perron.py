@@ -4,17 +4,22 @@ bookkeeping check.
 
 F(conj s) = conj F(s), so only the upper half of each edge mirrored in the
 real axis is integrated.  Every straight edge goes through one nested
-segment quadrature: composite 16-point Gauss-Legendre on panels at most a
-quarter period of x^(it) wide and of one width between two heights, every
-height a panel edge, laid out from x and the heights alone and evaluated in
-vectorized float64 on the grid of panel midpoints plus node offsets.  The
-integral up to each height is a prefix sum of panel integrals, so a sweep
-over T evaluates F(s) once per node for all heights together.  Perron values
-extend each panel's Gauss rule to the 33-point Gauss-Kronrod rule (Laurie's
-algorithm) and return the Kronrod value; its gap to the embedded Gauss value,
-which reads the same F evaluations, is checked at every T and reported with
-an error bound that adds float64 rounding.  The rectangle evaluates the
-Gauss nodes only.
+segment quadrature: composite 16-point Gauss-Legendre on panels at most half
+a period of x^(it) wide and at most their distance to the nearest pole of
+F(s) x^s / s, every height a panel edge.  Each panel's Bernstein ellipse
+with rho = 2 + sqrt(5) (semi-minor axis one panel width) then stays in the
+region where the integrand is analytic, and the 16-point rule errs by about
+rho^-32, 1e-20 relative.  Near s = 1 the panels widen geometrically away
+from the pole, so a line close to it takes a few dozen more panels, not a
+number that grows like 1 / (c - 1).  The layout depends on x, the heights
+and the line alone, and is evaluated in vectorized float64 on the grid of
+panel midpoints plus node offsets.  The integral up to each height is a
+prefix sum of panel integrals, so a sweep over T evaluates F(s) once per
+node for all heights together.  Perron values extend each panel's Gauss
+rule to the 33-point Gauss-Kronrod rule (Laurie's algorithm) and return the
+Kronrod value; its gap to the embedded Gauss value, which reads the same F
+evaluations, is checked at every T and reported with an error bound that
+adds float64 rounding.  The rectangle evaluates the Gauss nodes only.
 
 Circles use the trapezoid rule in multiprecision, which is spectrally
 accurate on periodic contours: with N nodes, principal parts are integrated
@@ -42,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp, mpc, mpf
 
-from .errors import (ContourError, ConventionError, DomainError, HeightRangeError,
-                     QuadratureError)
+from .errors import (CapacityError, ContourError, ConventionError, DomainError,
+                     HeightRangeError, QuadratureError)
 from . import series, sieve, zeta as zeta_engine
 from .zeta import DEFAULT_HEIGHT_CAP, DEFAULT_PRECISION, dirichlet_quotient_f64
 
@@ -55,9 +60,14 @@ GAUSS_ORDER = 16
 MIN_PANELS = 64
 #: Float64 F nodes per zeta batch: a short stretch of height, so the N each
 #: batch picks from its tallest node stays near its own.  A batch is whole
-#: panels of one stretch between heights, 31 Kronrod panels (1023 nodes) or
-#: 64 Gauss panels, read by F as n^-s tables of 31 midpoints and 33 offsets.
+#: panels of one width, 31 Kronrod panels (1023 nodes) or 64 Gauss panels,
+#: read by F as n^-s tables of 31 midpoints and 33 offsets; at x = 1000.5 a
+#: Kronrod batch of half-period panels spans 14.1 in t.
 _BATCH_NODES = 1024
+#: Most panels on one straight edge, checked before any array is allocated:
+#: a Kronrod pass over them holds two complex arrays of 132 MiB each.  A
+#: line to the height cap 1e4 stays below it while ln x is below 82.
+_MAX_PANELS = 2 ** 18
 #: float64 machine epsilon, for the rounding terms of the Perron error bound.
 _EPS = 2.0 ** -52
 
@@ -182,26 +192,68 @@ def _panel_integrals(start: complex, direction: complex, stretches, x: float,
             size.sum(axis=1), (phase * phase).sum(axis=1))
 
 
+def _pole_distance(start: complex, direction: complex, lo: float, hi: float) -> float:
+    """Distance from the segment s = start + direction u, lo <= u <= hi, of a
+    unit direction, to the nearest pole of F(s) x^s / s: s = 1, or the
+    half-plane Re s <= 1/2, which holds s = 0 and every pole rho/2 of
+    1/zeta(2s) whether or not the Riemann hypothesis holds."""
+    edge = min((start + direction * lo).real, (start + direction * hi).real) - 0.5
+    u = min(max(((1.0 - start) * direction.conjugate()).real, lo), hi)
+    return min(edge, abs(start + direction * u - 1.0))
+
+
+def _layout(start: complex, direction: complex, heights: list[float],
+            x: float) -> tuple[list[tuple[float, float, int]], np.ndarray]:
+    """Panels of the segment s = start + direction u from u = 0 to the last
+    of the ascending heights, for a unit direction and a segment right of
+    Re s = 1/2: stretches (lo, hi, count), each cut into count panels of one
+    width, and the number of panels below each height.
+
+    Every height is a stretch edge.  A panel is at most half a period of
+    x^(it) wide, at most its stretch's _pole_distance, and narrow enough
+    that the first height spans at least MIN_PANELS panels.  Half a period
+    makes omega h = pi/2 on a panel of half-width h, so x^(it) grows by at
+    most e^pi on its Bernstein ellipse; the terms n^-it of F, which
+    oscillate faster than x^(it) for small x, are held by the pole distance,
+    since the ellipse stays right of Re s = 1/2, where F is analytic.
+    Where the pole distance d at u is below that width and still grows past
+    u + 2d, two panels of width d cover u..u + 2d and the rest of the
+    stretch starts over there, so the panels widen geometrically away from
+    s = 1.  More than _MAX_PANELS panels raise CapacityError.
+    """
+    period = 2.0 * math.pi / abs(math.log(x))
+    widest = min(period / 2.0, heights[0] / MIN_PANELS)
+    stretches, ends, panels = [], [], 0
+    for lo, hi in zip([0.0, *heights], heights):
+        while lo < hi:
+            near = _pole_distance(start, direction, lo, hi)
+            cut = lo + 2.0 * near
+            if near < widest and cut < hi and _pole_distance(start, direction,
+                                                             cut, hi) > near:
+                stretches.append((lo, cut, 2))
+            else:
+                cut = hi
+                stretches.append((lo, hi, math.ceil((hi - lo) / min(widest, near))))
+            panels += stretches[-1][2]
+            lo = cut
+        if panels > _MAX_PANELS:
+            raise CapacityError(f"the segment from {start} needs {panels} panels up "
+                                f"to u = {hi} at x = {x}, above the cap {_MAX_PANELS}")
+        ends.append(panels)
+    return stretches, np.array(ends)
+
+
 def _segment_integrals(start: complex, direction: complex, heights: list[float],
                        x: float, kronrod: bool = True):
     """integral of F(s) x^s / s ds along s = start + direction u from u = 0
-    to each of the ascending heights.
+    to each of the ascending heights, on the panels of _layout.
 
-    Panels are at most a quarter period of x^(it) wide, narrower where needed
-    so that the first height spans at least MIN_PANELS of them, and each
-    height is a panel edge: the stretch between two heights is cut into
-    panels of one width.  The frequency is floored at 4: below x = e^4 the
-    terms n^-it of F itself oscillate faster than x^(it).  Returns (gauss,
-    kronrod, rounding) arrays over the heights: gauss from the 16-point Gauss
-    rule on every panel, kronrod from the 33-point Gauss-Kronrod rule that
-    extends it, and perron_sweep's rounding terms; the last two are None
-    unless kronrod is set.
+    Returns (gauss, kronrod, rounding) arrays over the heights: gauss from
+    the 16-point Gauss rule on every panel, kronrod from the 33-point
+    Gauss-Kronrod rule that extends it, and perron_sweep's rounding terms;
+    the last two are None unless kronrod is set.
     """
-    period = 2.0 * math.pi / max(math.log(x), 4.0)
-    width = min(period / 4.0, heights[0] / MIN_PANELS)
-    stretches = [(lo, hi, math.ceil((hi - lo) / width))
-                 for lo, hi in zip([0.0, *heights], heights)]
-    ends = np.cumsum([count for _, _, count in stretches])
+    stretches, ends = _layout(start, direction, heights, x)
 
     def prefix(panels):
         # Pairwise sums between heights; a running sum over every panel

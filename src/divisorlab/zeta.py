@@ -274,7 +274,8 @@ def dirichlet_powers_fixed(s, size: int, wp: int) -> tuple[list, list]:
     Returns the lists (Re n^-s, Im n^-s), each floor(value 2^wp) up to a few
     units; entry 0 is 0.  s is an mpc, read exactly.  Only the primes pay
     for a log, an exp and, unless s is real, a cos/sin: for a composite n
-    with smallest prime factor p, n^-s = p^-s (n/p)^-s.
+    with smallest prime factor p, n^-s = p^-s (n/p)^-s, one complex product
+    or, at real s, where every Im entry is 0, one real product.
     """
     sre, sim = to_fixed(s.real._mpf_, wp), to_fixed(s.imag._mpf_, wp)
     re, im = [0] * size, [0] * size
@@ -285,10 +286,12 @@ def dirichlet_powers_fixed(s, size: int, wp: int) -> tuple[list, list]:
         p = spf[n]
         if p == n:
             re[n], im[n] = _power_fixed(sre, sim, _log_fixed(n, wp), wp)
-        else:
+        elif sim:
             m = n // p
             a, b, c, d = re[p], im[p], re[m], im[m]
             re[n], im[n] = (a * c - b * d) >> wp, (a * d + b * c) >> wp
+        else:
+            re[n] = (re[p] * re[n // p]) >> wp
     return re, im
 
 

@@ -559,8 +559,8 @@ def test_zero_shortfall_rejected(capsys, tmp_path, argv):
 @pytest.mark.parametrize("function", ["two_omega", "mu_squared"])
 @pytest.mark.parametrize("argv", [["--zeros", "5"]], ids=["zeros"])
 def test_companion_zero_options_rejected(capsys, tmp_path, function, argv):
-    """The companion functions have no zero sum, so --zeros exits 2;
-    a zeros path or cache path is accepted and unused."""
+    """compare sums zeros for d_square only, so a companion's --zeros
+    exits 2; a zeros path or cache path is accepted and unused."""
     base = ["formula", "compare", "--function", function, "--grid-count", "2",
             "--grid-stop", "1e4", "--zeros-path", str(ZEROS_PATH),
             "--cache-path", str(tmp_path / "cache.txt"),
@@ -568,7 +568,9 @@ def test_companion_zero_options_rejected(capsys, tmp_path, function, argv):
     code, captured = run(capsys, *base, *argv)
     assert code == 2
     err = json.loads(captured.err)
-    assert err["error"] == "DomainError" and "no zero sum" in err["message"]
+    assert err["error"] == "DomainError"
+    assert err["message"] == (f"compare sums zeros for d_square only; "
+                              f"{function}'s zero sum stays in E")
     assert not (tmp_path / "out").exists()
     assert run_json(capsys, *base)["warnings"] == []
     assert not (tmp_path / "cache.txt").exists()
@@ -577,8 +579,8 @@ def test_companion_zero_options_rejected(capsys, tmp_path, function, argv):
 def test_formula_compare_without_zeros_warns(capsys, monkeypatch, tmp_path):
     """From an empty directory, with no zeros flag, d_square's E keeps the
     whole zero sum, and the report says so; DIVISORLAB_ZEROS, even naming a
-    missing file, is not read.  A companion function, which has no zero sum,
-    does not warn."""
+    missing file, is not read.  A companion function, whose zero sum
+    compare leaves in E, does not warn."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("DIVISORLAB_ZEROS", str(tmp_path / "missing.txt"))
     payload = run_json(capsys, "formula", "compare", "--grid-count", "2",

@@ -174,7 +174,10 @@ class TestCompare:
             assert "no zero coefficients" in report.warnings[0]
 
     def test_companion_takes_no_zeros(self, zero_coefficients):
-        with pytest.raises(DomainError, match="no zero sum"):
+        """compare sums zeros for d_square only: a companion's zero sum
+        stays in its E, so zeros given for it are refused."""
+        with pytest.raises(DomainError,
+                           match="d_square only; two_omega's zero sum stays in E"):
             compare([1000.5], function=AF.TWO_OMEGA,
                     zero_coefficients=zero_coefficients[:5])
 

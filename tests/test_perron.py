@@ -11,6 +11,7 @@ from mpmath import mp, mpc, mpf
 from divisorlab import perron, series, sieve, zeros
 from divisorlab import zeta as zeta_engine
 from divisorlab.errors import (
+    CapacityError,
     ContourError,
     ConventionError,
     DomainError,
@@ -89,6 +90,56 @@ class TestPerronTruncated:
         assert bounds[0] <= 1e-9
         assert bounds[0] >= abs(values[0] - perron_reference(100.5, 1.1, 5.0))
 
+    def test_near_pole_line(self):
+        """At c = 1.1 the line passes 0.1 from the pole at s = 1, so its
+        first panels are 0.1 wide, not half a period (0.45): the bound is
+        about 1.5e-10 and covers the fine reference.  Quarter-period panels
+        give a Kronrod-Gauss gap of 1.5e-7 here, and half-period panels with
+        no distance cap a bound of about 1.9e-3."""
+        values, _, bounds = perron.perron_sweep(1000.5, 1.1, [100.0])
+        assert bounds[0] <= 1e-9
+        assert bounds[0] >= abs(values[0] - perron_reference(1000.5, 1.1, 100.0))
+
+    @pytest.mark.parametrize("c", [1.1, 1.0 + 1e-9, math.nextafter(1.0, 2.0)])
+    def test_graded_layout_near_pole(self, c):
+        """Near s = 1 the panels widen geometrically: each is at most its
+        stretch's distance to the pole, recomputed here, and at most half a
+        period, and every height is a stretch edge.  Up to T = 100, where a
+        line far from the pole takes 220 half-period panels in 2 stretches,
+        c = 1.1 takes 223 in 4 and c = 1 + 2^-52 takes 284 in 35, not
+        ~1e16."""
+        heights = [50.0, 100.0]
+        stretches, ends = perron._layout(c, 1j, heights, 1000.5)
+        assert stretches[0][0] == 0.0
+        assert all(a[1] == b[0] for a, b in zip(stretches, stretches[1:]))
+        assert set(heights) <= {hi for _, hi, _ in stretches}
+        assert list(ends) == [sum(n for _, hi, n in stretches if hi <= T)
+                              for T in heights]
+        half_period = math.pi / math.log(1000.5)
+        for lo, hi, count in stretches:
+            width = (hi - lo) / count
+            assert width <= min(half_period, c - 0.5, math.hypot(c - 1.0, lo)) * (1 + 1e-12)
+        assert ends[-1] <= 284 and len(stretches) <= 35
+
+    def test_line_next_to_pole_refused(self, monkeypatch):
+        """At c = 1 + 1e-9 the graded layout takes 257 panels to T = 100, but
+        F reaches 1e27 near t = 0 and the panel integrals cancel far below
+        float64 rounding, so the gap check refuses the line."""
+        count = _count_f_nodes(monkeypatch)
+        with pytest.raises(QuadratureError, match="T = 100"):
+            perron.perron_sweep(1000.5, 1.0 + 1e-9, [100.0])
+        assert sum(count) == 257 * 33
+
+    def test_panel_cap(self, monkeypatch):
+        """A layout of more than _MAX_PANELS panels on one edge is refused
+        before any F call: a first height of 1e-6 would make panels 1.6e-8
+        wide up to T = 1000, 6.4e10 of them."""
+        monkeypatch.setattr(perron, "dirichlet_quotient_f64", None)
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="panels"):
+            perron.perron_sweep(1000.5, 2.0, [1e-6, 1000.0])
+        assert time.perf_counter() - start < 0.5
+
     def test_node_doubling_raises_below_gap(self, monkeypatch):
         # The coarse and fine grids differ by rounding at least; a tolerance
         # below that gap must fail, and the default must pass.
@@ -98,21 +149,25 @@ class TestPerronTruncated:
             perron.perron_truncated(10.5, 2.0, 50.0)
 
     @pytest.mark.parametrize("x, c, T", [
-        (2.5, 1.2, 300.0), pytest.param(4.5, 1.1, 1000.0, marks=pytest.mark.slow)])
+        (2.5, 1.2, 300.0), (2.5, 3.0, 300.0),
+        pytest.param(4.5, 1.1, 1000.0, marks=pytest.mark.slow)])
     def test_small_x_lines(self, x, c, T):
-        """Below x = e^4 the n^-it terms of F set the panel width, not x^(it);
-        with panels a quarter period of x^(it) wide these lines fail the
-        quadrature check."""
+        """For small x the terms n^-it of F oscillate faster than x^(it),
+        whose half period is 3.4 at x = 2.5; the pole distance holds the
+        panels to at most c - 1/2 (0.7, 2.5 and 0.6 here, graded down to
+        c - 1 near t = 0), and the bound covers the fine reference."""
         exact = sieve.prefix_sum(AF.D_SQUARE, int(x))
         values, _, bounds = perron.perron_sweep(x, c, [T])
         assert bounds[0] >= abs(values[0] - perron_reference(x, c, T))
         assert abs(values[0] - exact) < 20.0 * x ** c / T
 
     def test_panel_layout(self, monkeypatch):
-        """Every height is a panel edge, panels are at most a quarter period
-        of x^(it) wide and of one width between two heights, and F sees the
-        33 Gauss-Kronrod nodes of every panel, each once, as a grid of panel
-        midpoints plus that width's node offsets within one stretch."""
+        """Every height is a panel edge, panels are of one width between two
+        heights, at most half a period of x^(it) and at most the stretch's
+        distance to the nearest pole, and F sees the 33 Gauss-Kronrod nodes
+        of every panel, each once, as a grid of panel midpoints plus that
+        width's node offsets within one stretch.  At c = 2 the first stretch
+        is 1 from s = 1, the later ones 1.5 from Re s = 1/2."""
         grids, seen = [], []
         panel_integrals = perron._panel_integrals
         quotient = perron.dirichlet_quotient_f64
@@ -133,12 +188,14 @@ class TestPerronTruncated:
         assert [(lo, hi) for lo, hi, _ in stretches] == [(0.0, 10.0), (10.0, 25.0),
                                                          (25.0, 40.0)]
         assert stretches[0][2] >= perron.MIN_PANELS
-        quarter = 2 * math.pi / math.log(100.5) / 4
+        period = 2 * math.pi / math.log(100.5)
         nodes, _, _ = perron._kronrod_rule()
         want, got = [], []
         for lo, hi, count in stretches:
             h = (hi - lo) / (2 * count)
-            assert 2 * h <= quarter * (1 + 1e-12)
+            pole = min(1.5, math.hypot(1.0, lo))
+            assert 2 * h <= period / 2 * (1 + 1e-12)
+            assert 2 * h <= pole * (1 + 1e-12)
             mid = 2.0 + 1j * (lo + h * np.arange(1, 2 * count, 2))
             want.append(np.add.outer(mid, 1j * h * nodes))
             stretch = [(s, offsets) for s, offsets in seen if lo < s[0].imag < hi]
@@ -174,23 +231,30 @@ class TestPerronTruncated:
         assert abs(2 * v15[0, -1] ** 2 - 0.022935322010529224963732008058970) < 1e-15
 
     def test_decay_node_count(self, monkeypatch):
-        """The perron_lines decay sweep at x = 1000.5 evaluates F at 1760
-        panels of 33 nodes on the upper half-line: 58,080 nodes."""
+        """The perron_lines decay sweep at x = 1000.5 cuts the upper
+        half-line into panels half a period, 2 pi / ln x / 2 = 0.4548, wide
+        (the poles are 1 or more away): 110 + 110 + 220 + 440 = 880 panels of
+        33 nodes, 29,040 nodes."""
         count = _count_f_nodes(monkeypatch)
         perron.truncation_decay(1000.5, 2.0, [50, 100, 200, 400])
-        assert sum(count) == 58_080
+        assert sum(count) == 29_040
         assert max(count) <= 1024
 
     def test_perron_lines_pass_node_count(self, monkeypatch):
-        """A whole perron_lines pass at x = 1000.5 (the decay sweep, the
-        c = 1.5 integral to T = 100 and the rectangle: two sides of 220
-        panels and a top of MIN_PANELS, 16 Gauss nodes each) evaluates F at
-        58,080 + 14,520 + 8,064 = 80,664 nodes, at most 1024 per call."""
+        """A whole perron_lines pass at x = 1000.5 evaluates F at 47,116
+        nodes, at most 1024 per call: the decay sweep's 29,040; the c = 1.5
+        integral to T = 100, 220 half-period panels of 33 nodes (s = 1 is
+        0.5 away), 7,260; and the rectangle's 16 Gauss nodes per panel on
+        676 panels, 10,816.  Its right side at 1.25 is 0.25 from s = 1: two
+        panels of 0.25 up to t = 0.5, where the distance is 0.56, then 109
+        half-period panels; its left side at 0.6 is 0.1 from Re s = 1/2, 501
+        panels, since 0.6 - 0.5 rounds below 0.1; its top spans MIN_PANELS
+        panels."""
         count = _count_f_nodes(monkeypatch)
         perron.truncation_decay(1000.5, 2.0, [50, 100, 200, 400])
         perron.perron_sweep(1000.5, 1.5, [100.0])
         perron.rectangle_consistency(1000.5)
-        assert sum(count) == 80_664
+        assert sum(count) == 47_116
         assert max(count) <= 1024
 
     @pytest.mark.parametrize("c, pinned", [
