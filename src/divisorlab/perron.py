@@ -15,11 +15,11 @@ number that grows like 1 / (c - 1).  The layout depends on x, the heights
 and the line alone, and is evaluated in vectorized float64 on the grid of
 panel midpoints plus node offsets.  The integral up to each height is a
 prefix sum of panel integrals, so a sweep over T evaluates F(s) once per
-node for all heights together.  Perron values extend each panel's Gauss
-rule to the 33-point Gauss-Kronrod rule (Laurie's algorithm) and return the
-Kronrod value; its gap to the embedded Gauss value, which reads the same F
-evaluations, is checked at every T and reported with an error bound that
-adds float64 rounding.  The rectangle evaluates the Gauss nodes only.
+node for all heights together.  Every edge, a Perron line or a side of the
+rectangle, extends each panel's Gauss rule to the 33-point Gauss-Kronrod
+rule (Laurie's algorithm) and returns the Kronrod value; its gap to the
+embedded Gauss value, which reads the same F evaluations, is checked at
+every height and reported with an error bound that adds float64 rounding.
 
 Circles use the trapezoid rule in multiprecision, which is spectrally
 accurate on periodic contours: with N nodes, principal parts are integrated
@@ -60,13 +60,14 @@ GAUSS_ORDER = 16
 MIN_PANELS = 64
 #: Float64 F nodes per zeta batch: a short stretch of height, so the N each
 #: batch picks from its tallest node stays near its own.  A batch is whole
-#: panels of one width, 31 Kronrod panels (1023 nodes) or 64 Gauss panels,
-#: read by F as n^-s tables of 31 midpoints and 33 offsets; at x = 1000.5 a
-#: Kronrod batch of half-period panels spans 14.1 in t.
+#: panels of one width, 31 Kronrod panels (1023 nodes), read by F as n^-s
+#: tables of 31 midpoints and 33 offsets; at x = 1000.5 a batch of
+#: half-period panels spans 14.1 in t.
 _BATCH_NODES = 1024
 #: Most panels on one straight edge, checked before any array is allocated:
-#: a Kronrod pass over them holds two complex arrays of 132 MiB each.  A
-#: line to the height cap 1e4 stays below it while ln x is below 82.
+#: a pass over them keeps four sums per panel, 12 MiB, and the nodes of one
+#: batch at a time.  A line to the height cap 1e4 stays below it while ln x
+#: is below 82.
 _MAX_PANELS = 2 ** 18
 #: float64 machine epsilon, for the rounding terms of the Perron error bound.
 _EPS = 2.0 ** -52
@@ -79,7 +80,7 @@ GAP_TOL = 1.0e-6
 _FIXED_POLES = (0.0 + 0.0j, 1.0 + 0.0j)
 
 #: rectangle_consistency's height T and right and left abscissae.
-_RECT_T, _RECT_RIGHT, _RECT_LEFT = 50.0, 1.25, 0.6
+_RECT_T, _RECT_RIGHT, _RECT_LEFT = 50.0, 1.25, 0.85
 
 
 def _kronrod_extension(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,50 +147,46 @@ def _kronrod_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, kronrod, gauss
 
 
-def _panel_integrals(start: complex, direction: complex, stretches, x: float,
-                     kronrod: bool) -> tuple[np.ndarray, ...]:
+def _panel_integrals(start: complex, direction: complex, stretches,
+                     x: float) -> tuple[np.ndarray, ...]:
     """integral of F(s) x^s / s ds along s = start + direction u over each
     panel, where each stretch (lo, hi, count) of u is cut into count panels
     of one width.
 
     Returns gauss, kronrod and the two rounding sums of perron_sweep over
-    the panels, in order.  With kronrod, F is evaluated once at each of the
-    33 Kronrod nodes per panel and all four read those values; without it,
-    only at the 16 embedded Gauss nodes, and the last three are None.  F is
-    evaluated per batch of panels within one stretch, on the grid of their
-    midpoints plus the node offsets they share.  Stretches ascend, so each
-    batch sits at a similar height and the float64 zeta picks its N there.
+    the panels, in order, all four read from one F evaluation at each of
+    the 33 Kronrod nodes per panel.  F is evaluated per batch of panels
+    within one stretch, on the grid of their midpoints plus the node
+    offsets they share, and each batch is reduced to its panel sums before
+    the next.  Stretches ascend, so each batch sits at a similar height and
+    the float64 zeta picks its N there.
     """
     nodes, k_weights, g_weights = _kronrod_rule()
-    if not kronrod:
-        nodes = nodes[1::2]
     rows = _BATCH_NODES // len(nodes)
     log_x = math.log(x)
     panels = sum(count for _, _, count in stretches)
-    s = np.empty((panels, len(nodes)), dtype=np.complex128)
-    f = np.empty_like(s)
-    log_n, half = np.empty(panels), np.empty(panels)
+    (gauss, kronrod), (size, phase) = np.empty((2, panels), complex), np.empty((2, panels))
     first = 0
     for lo, hi, count in stretches:
-        half[first: first + count] = h = (hi - lo) / (2 * count)
-        offsets = direction * h * nodes
+        h = (hi - lo) / (2 * count)
+        scale = direction * h
+        offsets = scale * nodes
         mid = start + direction * (lo + h * np.arange(1, 2 * count, 2))
         for i in range(0, count, rows):
             base = mid[i: i + rows]
             batch = slice(first + i, first + i + len(base))
-            s[batch] = grid = np.add.outer(base, offsets)
-            f[batch] = dirichlet_quotient_f64(base, offsets) * np.exp(grid * log_x) / grid
-            log_n[batch] = math.log(zeta_engine._em_rule(grid.ravel())[0])
+            grid = np.add.outer(base, offsets)
+            f = dirichlet_quotient_f64(base, offsets) * np.exp(grid * log_x) / grid
+            log_n = math.log(zeta_engine._em_rule(grid.ravel())[0])
+            # Elementwise sums, not BLAS products: see dirichlet_quotient_f64.
+            gauss[batch] = scale * (f[:, 1::2] * g_weights).sum(axis=1)
+            kronrod[batch] = scale * (f * k_weights).sum(axis=1)
+            weighted = np.abs(f) * k_weights * h
+            turns = weighted * np.abs(grid.imag) * (log_x + 3.0 * log_n)
+            size[batch] = weighted.sum(axis=1)
+            phase[batch] = (turns * turns).sum(axis=1)
         first += count
-    # Elementwise sums, not BLAS products: see dirichlet_quotient_f64.
-    scale = direction * half
-    if not kronrod:
-        return scale * (f * g_weights).sum(axis=1), None, None, None
-    size = np.abs(f) * k_weights * half[:, None]
-    phase = size * np.abs(s.imag) * (log_x + 3.0 * log_n)[:, None]
-    return (scale * (f[:, 1::2] * g_weights).sum(axis=1),
-            scale * (f * k_weights).sum(axis=1),
-            size.sum(axis=1), (phase * phase).sum(axis=1))
+    return gauss, kronrod, size, phase
 
 
 def _pole_distance(start: complex, direction: complex, lo: float, hi: float) -> float:
@@ -244,14 +241,16 @@ def _layout(start: complex, direction: complex, heights: list[float],
 
 
 def _segment_integrals(start: complex, direction: complex, heights: list[float],
-                       x: float, kronrod: bool = True):
+                       x: float, edge: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """integral of F(s) x^s / s ds along s = start + direction u from u = 0
     to each of the ascending heights, on the panels of _layout.
 
-    Returns (gauss, kronrod, rounding) arrays over the heights: gauss from
-    the 16-point Gauss rule on every panel, kronrod from the 33-point
-    Gauss-Kronrod rule that extends it, and perron_sweep's rounding terms;
-    the last two are None unless kronrod is set.
+    Returns (kronrod, gaps, bounds) arrays over the heights: the 33-point
+    Gauss-Kronrod values, and for the part Im(value) / pi that a Perron
+    line or a rectangle side contributes, the gap to the embedded 16-point
+    Gauss value and the error bound of perron_sweep.  A gap above
+    GAP_TOL * max(1, |Im(value)| / pi) or a non-finite bound raises
+    QuadratureError, which names the edge: "<edge> = <height>".
     """
     stretches, ends = _layout(start, direction, heights, x)
 
@@ -260,13 +259,24 @@ def _segment_integrals(start: complex, direction: complex, heights: list[float],
         # would add rounding like sqrt(panels) eps |value|.
         return np.cumsum([part.sum() for part in np.split(panels, ends[:-1])])
 
-    gauss, extended, size, phase = _panel_integrals(start, direction, stretches,
-                                                    x, kronrod)
-    if extended is None:
-        return prefix(gauss), None, None
     count = (2 * GAUSS_ORDER + 1) * ends
-    rounding = _EPS * (np.log2(count) * prefix(size) + np.sqrt(prefix(phase)))
-    return prefix(gauss), prefix(extended), rounding
+    with np.errstate(over="ignore", invalid="ignore"):  # at large c; checked below
+        gauss, kronrod, size, phase = map(prefix, _panel_integrals(start, direction,
+                                                                   stretches, x))
+        values = kronrod.imag / math.pi
+        gaps = np.abs(values - gauss.imag / math.pi)
+        bounds = gaps + _EPS * (np.log2(count) * size + np.sqrt(phase)) / math.pi
+    # not (gap <= tolerance), so that a NaN gap fails too.
+    failed = np.flatnonzero(~(gaps <= GAP_TOL * np.maximum(1.0, np.abs(values)))
+                            | ~np.isfinite(bounds))
+    if failed.size:
+        k = failed[0]
+        raise QuadratureError(
+            f"the Gauss-Kronrod and Gauss values on {edge} = {heights[k]} "
+            f"differ by {gaps[k]:.3e} (tolerance {GAP_TOL:.1e} relative), "
+            f"error bound {bounds[k]:.3e}"
+        )
+    return kronrod, gaps, bounds
 
 
 def _require_half_convention(x: float) -> None:
@@ -305,22 +315,9 @@ def perron_sweep(x: float, c: float, T_list) -> tuple[np.ndarray, np.ndarray, np
         raise DomainError("heights T must be strictly ascending")
     if heights[-1] > DEFAULT_HEIGHT_CAP:
         raise HeightRangeError(f"T = {heights[-1]} exceeds the cap {DEFAULT_HEIGHT_CAP}")
-    with np.errstate(over="ignore", invalid="ignore"):  # at large c; checked below
-        gauss, kronrod, rounding = _segment_integrals(c, 1j, heights, x)
-        values = kronrod.imag / math.pi
-        gaps = np.abs(values - gauss.imag / math.pi)
-        bounds = gaps + rounding / math.pi
-    # not (gap <= tolerance), so that a NaN gap fails too.
-    failed = np.flatnonzero(~(gaps <= GAP_TOL * np.maximum(1.0, np.abs(values)))
-                            | ~np.isfinite(bounds))
-    if failed.size:
-        k = failed[0]
-        raise QuadratureError(
-            f"the Gauss-Kronrod and Gauss Perron values at T = {heights[k]} "
-            f"differ by {gaps[k]:.3e} (tolerance {GAP_TOL:.1e} relative), "
-            f"error bound {bounds[k]:.3e}"
-        )
-    return values, gaps, bounds
+    kronrod, gaps, bounds = _segment_integrals(c, 1j, heights, x,
+                                               f"the line Re s = {c} up to T")
+    return kronrod.imag / math.pi, gaps, bounds
 
 
 def perron_truncated(x: float, c: float, T: float) -> complex:
@@ -328,11 +325,8 @@ def perron_truncated(x: float, c: float, T: float) -> complex:
 
     The lower half-line is the conjugate of the upper one, so the value is
     real by construction and its imaginary part is 0.0; only the upper
-    half-line is integrated, on at least MIN_PANELS panels of the 16-point
-    Gauss rule extended to the 33-point Gauss-Kronrod rule.  The gap between
-    the Kronrod value and its embedded Gauss value guards the quadrature; a
-    gap beyond GAP_TOL raises QuadratureError (see perron_sweep, which also
-    returns the gap and an error bound).
+    half-line is integrated, by perron_sweep, which also returns the
+    Gauss-Kronrod gap it checks and an error bound.
     """
     return complex(perron_sweep(x, c, [T])[0][0])
 
@@ -448,33 +442,42 @@ def truncation_decay(x: float, c: float,
 @dataclass(frozen=True)
 class RectangleCheck:
     """Residue bookkeeping on a pole-free-edge rectangle enclosing s = 1.
-    edge_magnitudes["bottom"] equals ["top"]: the sides are conjugates."""
+    edge_magnitudes["bottom"] equals ["top"]: the sides are conjugates.
+    error_bound is the sum of the right, left and top sides' perron_sweep
+    error bounds, and bounds the contour value's quadrature error."""
 
     contour_value: float
     residue_value: float
     edge_magnitudes: dict
     discrepancy: float
+    error_bound: float
 
 
 def rectangle_consistency(x: float) -> RectangleCheck:
     """Counterclockwise rectangle integral versus the enclosed residue at s = 1.
 
-    The rectangle spans left = 0.6 <= sigma <= right = 1.25 and
+    The rectangle spans left = 0.85 <= sigma <= right = 1.25 and
     |t| <= T = 50.  Since 1/2 < left < 1 < right it encloses the order-3 pole
     at s = 1 and nothing else; the zero poles on Re s = 1/4 and the pole at
     s = 0 stay outside and are tested individually by circles.  With
     up(sigma) the integral from sigma to sigma + iT and top the one from
     left + iT to right + iT, the sides are 2i Im up(right), -2i Im up(left),
-    -top and conj(top).
+    -top and conj(top).  Each of the three is a Perron line's quadrature,
+    with its gap check and error bound; a side whose gap fails raises
+    QuadratureError naming it.
     """
     _require_half_convention(x)
 
-    def edge(start: complex, direction: complex, length: float) -> complex:
-        return complex(_segment_integrals(start, direction, [length], x, kronrod=False)[0][0])
+    def side(name: str, start: complex, direction: complex, length: float):
+        kronrod, _, bounds = _segment_integrals(start, direction, [length], x,
+                                                f"the rectangle's {name} side, length L")
+        return complex(kronrod[0]), float(bounds[0])
 
-    right_edge = edge(_RECT_RIGHT, 1j, _RECT_T).imag / math.pi
-    left_edge = -edge(_RECT_LEFT, 1j, _RECT_T).imag / math.pi
-    top = edge(_RECT_LEFT + 1j * _RECT_T, 1.0, _RECT_RIGHT - _RECT_LEFT)
+    right, right_bound = side("right", _RECT_RIGHT, 1j, _RECT_T)
+    left, left_bound = side("left", _RECT_LEFT, 1j, _RECT_T)
+    top, top_bound = side("top", _RECT_LEFT + 1j * _RECT_T, 1.0, _RECT_RIGHT - _RECT_LEFT)
+    right_edge = right.imag / math.pi
+    left_edge = -left.imag / math.pi
     contour = right_edge + left_edge - top.imag / math.pi
     residue_value = float(series.residue_main_term(x)[1])
     return RectangleCheck(
@@ -487,4 +490,5 @@ def rectangle_consistency(x: float) -> RectangleCheck:
             "bottom": abs(top) / (2.0 * math.pi),
         },
         discrepancy=abs(contour - residue_value),
+        error_bound=right_bound + left_bound + top_bound,
     )

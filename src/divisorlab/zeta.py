@@ -349,8 +349,8 @@ def zeta_with_derivatives(
     """[zeta(s), zeta'(s), ..., zeta^(kmax)(s)] in one Euler-Maclaurin pass.
     At s = 1, those of zeta(s) - 1/(s-1): the m-th is (-1)^m gamma_m.
 
-    _powers is zeta_pair's: (plan, wp, rows, logs), with plan this call's
-    _engine_plan, rows() the lists of dirichlet_powers_fixed and logs(), read
+    _powers is zeta_pair's: (plan, wp, re, im, ln), with plan this call's
+    _engine_plan, re and im the lists of dirichlet_powers_fixed and ln, read
     only for kmax > 0, that of dirichlet_logs_fixed, each for at least the
     plan's N, at a scale wp at least the plan's.
     """
@@ -367,8 +367,10 @@ def zeta_with_derivatives(
             )
         if _powers is None:
             N, J, prec, wp = _engine_plan(z, kmax, precision)
+            re, im = dirichlet_powers_fixed(z, N, wp)
+            ln = dirichlet_logs_fixed(N, wp) if kmax else ()
         else:
-            (N, J, prec, _), wp, rows, logs = _powers
+            (N, J, prec, _), wp, re, im, ln = _powers
         mp.prec = prec  # until the workprec block exits
         K = kmax + 1
         one = 1 << wp
@@ -378,13 +380,8 @@ def zeta_with_derivatives(
         # times its k-th derivative in s, at the scale 2^wp: along -s, n^-s
         # grows at the rate ln n and N^-s at L = ln N.  The Dirichlet sum
         # sum_n n^-s (ln n)^k:
-        if _powers is None:
-            re, im = dirichlet_powers_fixed(z, N, wp)
-            logs = functools.partial(dirichlet_logs_fixed, N, wp)
-        else:
-            re, im = (column[:N] for column in rows())
+        re, im = re[:N], im[:N]
         out_re, out_im = [sum(re)], [sum(im)]
-        ln = logs() if kmax else ()  # zip stops at re's N entries
         for _ in range(kmax):
             re = [(x * log) >> wp for x, log in zip(re, ln)]
             im = [(y * log) >> wp for y, log in zip(im, ln)]
@@ -478,7 +475,7 @@ def zeta_pair(s, kmax_s: int = 0, kmax_2s: int = 0,
     """The jets [zeta^(k)(s)], k <= kmax_s, and [zeta^(k)(2s)], k <= kmax_2s,
     as two engine calls that read one n^-s table.
 
-    The table is built once, by the first call, to the larger of the two
+    The table is built once, before either call, to the larger of the two
     calls' N and at the larger of their fixed-point scales; the 2s call sums
     its rows squared, n^-2s = (n^-s)^2, with the same ln n.  Raises
     PoleError at s = 1 and at 2s = 1, where the engine would return the
@@ -495,16 +492,12 @@ def zeta_pair(s, kmax_s: int = 0, kmax_2s: int = 0,
     plan1 = _engine_plan(z, kmax_s, precision)
     plan2 = _engine_plan(double, kmax_2s, precision)
     N1, N2, wp = plan1[0], plan2[0], max(plan1[3], plan2[3])
-    rows = functools.cache(lambda: dirichlet_powers_fixed(z, max(N1, N2), wp))
-    logs = functools.cache(lambda: dirichlet_logs_fixed(max(N1, N2), wp))
-
-    def squares():
-        re, im = (column[:N2] for column in rows())
-        return ([(x * x - y * y) >> wp for x, y in zip(re, im)],
-                [(2 * x * y) >> wp for x, y in zip(re, im)])
-
-    return (zeta_with_derivatives(z, kmax_s, precision, (plan1, wp, rows, logs)),
-            zeta_with_derivatives(double, kmax_2s, precision, (plan2, wp, squares, logs)))
+    re, im = dirichlet_powers_fixed(z, max(N1, N2), wp)
+    ln = dirichlet_logs_fixed(max(N1, N2), wp) if kmax_s or kmax_2s else ()
+    re2 = [(x * x - y * y) >> wp for x, y in zip(re[:N2], im[:N2])]
+    im2 = [(2 * x * y) >> wp for x, y in zip(re[:N2], im[:N2])]
+    return (zeta_with_derivatives(z, kmax_s, precision, (plan1, wp, re, im, ln)),
+            zeta_with_derivatives(double, kmax_2s, precision, (plan2, wp, re2, im2, ln)))
 
 
 def zeta(s, precision: int = DEFAULT_PRECISION) -> mpc:

@@ -169,6 +169,6 @@ def test_09_companion_sum_shapes():
 
 def test_10_rectangle_consistency():
     check = perron.rectangle_consistency(1000.5)
-    ok = check.discrepancy < 1e-6
+    ok = check.discrepancy <= check.error_bound
     report(10, "rectangle contour vs enclosed residue", ok,
-           f"discrepancy={check.discrepancy:.2e}")
+           f"discrepancy={check.discrepancy:.2e}, error bound={check.error_bound:.2e}")

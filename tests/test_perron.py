@@ -3,6 +3,7 @@ small-circle residues against series closed forms, and the rectangle check."""
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,9 +173,9 @@ class TestPerronTruncated:
         panel_integrals = perron._panel_integrals
         quotient = perron.dirichlet_quotient_f64
 
-        def spy(start, direction, stretches, x, kronrod):
-            grids.append((start, direction, list(stretches), kronrod))
-            return panel_integrals(start, direction, stretches, x, kronrod)
+        def spy(start, direction, stretches, x):
+            grids.append((start, direction, list(stretches)))
+            return panel_integrals(start, direction, stretches, x)
 
         def spy_f(s, offsets):
             seen.append((s.copy(), offsets.copy()))
@@ -183,7 +184,7 @@ class TestPerronTruncated:
         monkeypatch.setattr(perron, "_panel_integrals", spy)
         monkeypatch.setattr(perron, "dirichlet_quotient_f64", spy_f)
         perron.truncation_decay(100.5, 2.0, [10, 25, 40])
-        assert [(s, d, k) for s, d, _, k in grids] == [(2.0, 1j, True)]
+        assert [(s, d) for s, d, _ in grids] == [(2.0, 1j)]
         stretches = grids[0][2]
         assert [(lo, hi) for lo, hi, _ in stretches] == [(0.0, 10.0), (10.0, 25.0),
                                                          (25.0, 40.0)]
@@ -241,21 +242,37 @@ class TestPerronTruncated:
         assert max(count) <= 1024
 
     def test_perron_lines_pass_node_count(self, monkeypatch):
-        """A whole perron_lines pass at x = 1000.5 evaluates F at 47,116
+        """A whole perron_lines pass at x = 1000.5 evaluates F at 46,860
         nodes, at most 1024 per call: the decay sweep's 29,040; the c = 1.5
         integral to T = 100, 220 half-period panels of 33 nodes (s = 1 is
-        0.5 away), 7,260; and the rectangle's 16 Gauss nodes per panel on
-        676 panels, 10,816.  Its right side at 1.25 is 0.25 from s = 1: two
-        panels of 0.25 up to t = 0.5, where the distance is 0.56, then 109
-        half-period panels; its left side at 0.6 is 0.1 from Re s = 1/2, 501
-        panels, since 0.6 - 0.5 rounds below 0.1; its top spans MIN_PANELS
+        0.5 away), 7,260; and the rectangle's 33 Kronrod nodes per panel on
+        111 + 145 + 64 = 320 panels, 10,560.  Its right side at 1.25 is 0.25
+        from s = 1: 2 panels of 0.25 up to t = 0.5, where the distance is
+        0.56, then 109 half-period panels; its left side at 0.85 is 0.15 from
+        s = 1 and 0.35 from Re s = 1/2: 2 panels of 0.15 up to t = 0.3, 2 of
+        0.34 up to t = 0.97, then 141 of 0.35; its top spans MIN_PANELS
         panels."""
         count = _count_f_nodes(monkeypatch)
         perron.truncation_decay(1000.5, 2.0, [50, 100, 200, 400])
         perron.perron_sweep(1000.5, 1.5, [100.0])
         perron.rectangle_consistency(1000.5)
-        assert sum(count) == 47_116
+        assert sum(count) == 46_860
         assert max(count) <= 1024
+
+    def test_edge_memory(self):
+        """Each F batch is reduced to its panel sums before the next, so an
+        edge holds four numbers per panel, not its nodes: a line to T = 2000
+        at x = 1000.5 (4,400 panels) peaks at 12.4 MiB traced, most of it
+        F's own contraction of one batch, against 16.7 MiB when the whole
+        edge's nodes and F values were kept to the end."""
+        perron.perron_sweep(1000.5, 2.0, [2000.0])  # the tables F caches
+        tracemalloc.start()
+        try:
+            perron.perron_sweep(1000.5, 2.0, [2000.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14.5 * 2 ** 20
 
     @pytest.mark.parametrize("c, pinned", [
         (2.0, {50.0: 22159.279011468636, 100.0: 21793.328974773543,
@@ -524,6 +541,19 @@ class TestRectangle:
         assert set(check.edge_magnitudes) == {"right", "left", "top", "bottom"}
         assert check.contour_value == pytest.approx(check.residue_value,
                                                     abs=1e-6)
+
+    @pytest.mark.parametrize("x", [100.5, 950.5, 1000.5, 1049.5])
+    def test_discrepancy_within_bound(self, x):
+        """The three sides' summed error bound, about 1.2e-10 at x near 1000
+        and 8e-12 at 100.5, covers the distance to the residue."""
+        check = perron.rectangle_consistency(x)
+        assert check.discrepancy <= check.error_bound <= 1e-9
+
+    def test_gap_check_can_fail(self, monkeypatch):
+        """Every side runs the lines' gap check, which names the side."""
+        monkeypatch.setattr(perron, "GAP_TOL", 1e-18)
+        with pytest.raises(QuadratureError, match="rectangle's right side"):
+            perron.rectangle_consistency(1000.5)
 
     def test_integer_x_rejected(self):
         with pytest.raises(ConventionError):
