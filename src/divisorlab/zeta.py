@@ -616,24 +616,25 @@ def _em_tail(s: np.ndarray, N: int, J: int) -> np.ndarray:
     N^(-1-s) = E / N.  The corrections are folded as in the multiprecision
     engine, N^(-1-s) sum_j B_2j/(2j)! Q_j(s) with Q_j = N^(2-2j) P_j(s), and
     summed by Horner from j = J down, each ratio Q_j / Q_(j-1) =
-    (s + 2j - 3)(s + 2j - 2) step = s^2 step + (4j - 5) s step + const,
-    step = N^-2.  Q_j grows and B_2j/(2j)! falls like (2 pi)^(2j), past the
-    float64 range for j near 190, so each ratio is carried times 2^-5 and the
-    coefficient times 2^5j, both exact scalings.
+    (s + 2j - 3)(s + 2j - 2) step, step = N^-2.  The next ratio is this one
+    less (4s + 8j - 14) step, a difference that itself falls by 8 step per
+    j, so each j costs four array operations.  Q_j grows and B_2j/(2j)!
+    falls like (2 pi)^(2j), past the float64 range for j near 190, so each
+    ratio is carried times 2^-5 and the coefficient times 2^5j, both exact
+    scalings.
     """
     E = np.exp(-s * math.log(N))
     bern = _bernoulli_f64(J)
     step = 2.0 ** -5 / (N * N)
     s_step = s * step
-    s2_step = s * s_step
-    ratio = np.empty_like(s)
+    ratio = (s + (2 * J - 3)) * (s_step + (2 * J - 2) * step)
+    diff = 4.0 * s_step + (8 * J - 14) * step
     horner = np.full_like(s, bern[J - 1])
     for j in range(J, 1, -1):
-        np.multiply(s_step, 4 * j - 5, out=ratio)
-        ratio += s2_step
-        ratio += (2 * j - 3) * (2 * j - 2) * step
         horner *= ratio
         horner += bern[j - 2]
+        ratio -= diff
+        diff -= 8.0 * step
     # Q_1 = s, carried times 2^-5 like every ratio.
     return E * (N / (s - 1) + 0.5 + horner * s * (2.0 ** -5 / N))
 

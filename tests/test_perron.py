@@ -93,7 +93,7 @@ class TestPerronTruncated:
 
     def test_near_pole_line(self):
         """At c = 1.1 the line passes 0.1 from the pole at s = 1, so its
-        first panels are 0.1 wide, not half a period (0.45): the bound is
+        first panels are 0.1 wide, not one period (0.91): the bound is
         about 1.5e-10 and covers the fine reference.  Quarter-period panels
         give a Kronrod-Gauss gap of 1.5e-7 here, and half-period panels with
         no distance cap a bound of about 1.9e-3."""
@@ -104,11 +104,11 @@ class TestPerronTruncated:
     @pytest.mark.parametrize("c", [1.1, 1.0 + 1e-9, math.nextafter(1.0, 2.0)])
     def test_graded_layout_near_pole(self, c):
         """Near s = 1 the panels widen geometrically: each is at most its
-        stretch's distance to the pole, recomputed here, and at most half a
+        stretch's distance to the pole, recomputed here, and at most one
         period, and every height is a stretch edge.  Up to T = 100, where a
-        line far from the pole takes 220 half-period panels in 2 stretches,
-        c = 1.1 takes 223 in 4 and c = 1 + 2^-52 takes 284 in 35, not
-        ~1e16."""
+        line far from the pole takes 128 panels of 50 / MIN_PANELS in 2
+        stretches, c = 1.1 takes 171 in 4 and c = 1 + 2^-52 takes 265 in
+        35, not ~1e16."""
         heights = [50.0, 100.0]
         stretches, ends = perron._layout(c, 1j, heights, 1000.5)
         assert stretches[0][0] == 0.0
@@ -116,20 +116,20 @@ class TestPerronTruncated:
         assert set(heights) <= {hi for _, hi, _ in stretches}
         assert list(ends) == [sum(n for _, hi, n in stretches if hi <= T)
                               for T in heights]
-        half_period = math.pi / math.log(1000.5)
+        period = 2 * math.pi / math.log(1000.5)
         for lo, hi, count in stretches:
             width = (hi - lo) / count
-            assert width <= min(half_period, c - 0.5, math.hypot(c - 1.0, lo)) * (1 + 1e-12)
-        assert ends[-1] <= 284 and len(stretches) <= 35
+            assert width <= min(period, c - 0.5, math.hypot(c - 1.0, lo)) * (1 + 1e-12)
+        assert ends[-1] <= 265 and len(stretches) <= 35
 
     def test_line_next_to_pole_refused(self, monkeypatch):
-        """At c = 1 + 1e-9 the graded layout takes 257 panels to T = 100, but
+        """At c = 1 + 1e-9 the graded layout takes 237 panels to T = 100, but
         F reaches 1e27 near t = 0 and the panel integrals cancel far below
         float64 rounding, so the gap check refuses the line."""
         count = _count_f_nodes(monkeypatch)
         with pytest.raises(QuadratureError, match="T = 100"):
             perron.perron_sweep(1000.5, 1.0 + 1e-9, [100.0])
-        assert sum(count) == 257 * 33
+        assert sum(count) == 237 * 33
 
     def test_panel_cap(self, monkeypatch):
         """A layout of more than _MAX_PANELS panels on one edge is refused
@@ -154,7 +154,7 @@ class TestPerronTruncated:
         pytest.param(4.5, 1.1, 1000.0, marks=pytest.mark.slow)])
     def test_small_x_lines(self, x, c, T):
         """For small x the terms n^-it of F oscillate faster than x^(it),
-        whose half period is 3.4 at x = 2.5; the pole distance holds the
+        whose period is 6.9 at x = 2.5; the pole distance holds the
         panels to at most c - 1/2 (0.7, 2.5 and 0.6 here, graded down to
         c - 1 near t = 0), and the bound covers the fine reference."""
         exact = sieve.prefix_sum(AF.D_SQUARE, int(x))
@@ -164,7 +164,7 @@ class TestPerronTruncated:
 
     def test_panel_layout(self, monkeypatch):
         """Every height is a panel edge, panels are of one width between two
-        heights, at most half a period of x^(it) and at most the stretch's
+        heights, at most one period of x^(it) and at most the stretch's
         distance to the nearest pole, and F sees the 33 Gauss-Kronrod nodes
         of every panel, each once, as a grid of panel midpoints plus that
         width's node offsets within one stretch.  At c = 2 the first stretch
@@ -195,7 +195,7 @@ class TestPerronTruncated:
         for lo, hi, count in stretches:
             h = (hi - lo) / (2 * count)
             pole = min(1.5, math.hypot(1.0, lo))
-            assert 2 * h <= period / 2 * (1 + 1e-12)
+            assert 2 * h <= period * (1 + 1e-12)
             assert 2 * h <= pole * (1 + 1e-12)
             mid = 2.0 + 1j * (lo + h * np.arange(1, 2 * count, 2))
             want.append(np.add.outer(mid, 1j * h * nodes))
@@ -231,32 +231,55 @@ class TestPerronTruncated:
         assert abs(x15[-1] - 0.991455371120812639206854697526329) < 1e-15
         assert abs(2 * v15[0, -1] ** 2 - 0.022935322010529224963732008058970) < 1e-15
 
+    def test_one_period_panels_at_rounding(self):
+        """Panels one period of x^(it) wide keep the 16-point Gauss rule at
+        float64 rounding: on the layouts of Re s = 2 and 3 to T = 400 at
+        x = 1000.5 and 1e6 + 0.5, every panel's |K - G| is at most 1e-12 of
+        its sum |w f| (8.1e-14 at worst).  Four-period panels are not: on
+        the one of these lines whose pole distance admits them, Re s = 3 at
+        x = 1e6 + 0.5 (1.82 wide, 2 from s = 1), the median reads 6.1e-11."""
+        for x in (1000.5, 1e6 + 0.5):
+            period = 2 * math.pi / math.log(x)
+            for c in (2.0, 3.0):
+                stretches, _ = perron._layout(c, 1j, [400.0], x)
+                assert max((hi - lo) / n for lo, hi, n in stretches) >= 0.99 * period
+                gauss, kronrod, size, _ = perron._panel_integrals(c, 1j, stretches, x)
+                assert np.all(np.abs(kronrod - gauss) <= 1e-12 * size), (x, c)
+        x, c = 1e6 + 0.5, 3.0
+        width = 4 * 2 * math.pi / math.log(x)
+        assert width <= perron._pole_distance(c, 1j, 0.0, 400.0)
+        stretches = [(0.0, 400.0, math.ceil(400.0 / width))]
+        gauss, kronrod, size, _ = perron._panel_integrals(c, 1j, stretches, x)
+        assert np.median(np.abs(kronrod - gauss) / size) > 1e-12
+
     def test_decay_node_count(self, monkeypatch):
         """The perron_lines decay sweep at x = 1000.5 cuts the upper
-        half-line into panels half a period, 2 pi / ln x / 2 = 0.4548, wide
-        (the poles are 1 or more away): 110 + 110 + 220 + 440 = 880 panels of
-        33 nodes, 29,040 nodes."""
+        half-line into panels 50 / MIN_PANELS = 0.78 wide, the MIN_PANELS
+        floor being below one period, 2 pi / ln x = 0.9095 (the poles are 1
+        or more away): 64 + 64 + 128 + 256 = 512 panels of 33 nodes, 16,896
+        nodes."""
         count = _count_f_nodes(monkeypatch)
         perron.truncation_decay(1000.5, 2.0, [50, 100, 200, 400])
-        assert sum(count) == 29_040
+        assert sum(count) == 16_896
         assert max(count) <= 1024
 
     def test_perron_lines_pass_node_count(self, monkeypatch):
-        """A whole perron_lines pass at x = 1000.5 evaluates F at 46,860
-        nodes, at most 1024 per call: the decay sweep's 29,040; the c = 1.5
-        integral to T = 100, 220 half-period panels of 33 nodes (s = 1 is
-        0.5 away), 7,260; and the rectangle's 33 Kronrod nodes per panel on
-        111 + 145 + 64 = 320 panels, 10,560.  Its right side at 1.25 is 0.25
+        """A whole perron_lines pass at x = 1000.5 evaluates F at 29,733
+        nodes, at most 1024 per call, 33 Gauss-Kronrod nodes per panel: the
+        decay sweep's 512 panels, 16,896; the c = 1.5 integral to T = 100,
+        111 panels, 3,663: s = 1 is 0.5 away, so 2 panels of 0.5 up to
+        t = 1, then 109 of 0.908, under one period (0.9095); and the
+        rectangle's 69 + 145 + 64 = 278 panels, 9,174.  Its right side at 1.25 is 0.25
         from s = 1: 2 panels of 0.25 up to t = 0.5, where the distance is
-        0.56, then 109 half-period panels; its left side at 0.85 is 0.15 from
-        s = 1 and 0.35 from Re s = 1/2: 2 panels of 0.15 up to t = 0.3, 2 of
-        0.34 up to t = 0.97, then 141 of 0.35; its top spans MIN_PANELS
-        panels."""
+        0.56, 2 of 0.56 up to t = 1.62, then 65 of 0.75, its distance to
+        Re s = 1/2; its left side at 0.85 is 0.15 from s = 1 and 0.35 from
+        Re s = 1/2: 2 panels of 0.15 up to t = 0.3, 2 of 0.34 up to
+        t = 0.97, then 141 of 0.35; its top spans MIN_PANELS panels."""
         count = _count_f_nodes(monkeypatch)
         perron.truncation_decay(1000.5, 2.0, [50, 100, 200, 400])
         perron.perron_sweep(1000.5, 1.5, [100.0])
         perron.rectangle_consistency(1000.5)
-        assert sum(count) == 46_860
+        assert sum(count) == 29_733
         assert max(count) <= 1024
 
     def test_edge_memory(self):
@@ -538,7 +561,6 @@ class TestRectangle:
     def test_consistency_small_x(self):
         check = perron.rectangle_consistency(100.5)
         assert check.discrepancy < 1e-6
-        assert set(check.edge_magnitudes) == {"right", "left", "top", "bottom"}
         assert check.contour_value == pytest.approx(check.residue_value,
                                                     abs=1e-6)
 
