@@ -2,7 +2,7 @@
 
 Modules:
     sieve    exact prefix sums by mu * D_j; one factorization sieve call
-    zeta     multiprecision and float64 zeta, Stieltjes constants, zero polishing
+    zeta     multiprecision and float64 zeta, Stieltjes constants
     series   main-term residues from three cached zeta jets, one evaluator
     zeros    zero-table ingestion and explicit-formula coefficients
     formula  explicit-formula assembly and error reports

@@ -25,10 +25,6 @@ class HeightRangeError(DivisorLabError, ValueError):
     """Imaginary part beyond the configured evaluation cap."""
 
 
-class RefinementError(DivisorLabError, ArithmeticError):
-    """Zero-polishing iteration failed to converge."""
-
-
 class ZeroFileParseError(DivisorLabError, ValueError):
     """Malformed zero-ordinate file; carries the offending line number."""
 
@@ -50,7 +46,8 @@ class ContourError(DivisorLabError, ArithmeticError):
 
 
 class QuadratureError(DivisorLabError, ArithmeticError):
-    """Node-doubling check failed to confirm quadrature convergence."""
+    """The Gauss-Kronrod gap or bound on a straight edge, or the nested
+    trapezoid levels on a circle, failed to confirm convergence."""
 
 
 class ConventionError(DivisorLabError, ValueError):

@@ -139,7 +139,7 @@ def compare(
     and s = 0 residues (1 for mu_squared, -1/2 for two_omega) stay in E.
     """
     xs = sorted(float(x) for x in x_grid)
-    if xs[0] <= 1:
+    if not xs or xs[0] <= 1:
         raise DomainError("grid points must exceed 1")
     report = ErrorReport(function=function, mode=mode)
 

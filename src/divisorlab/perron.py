@@ -317,7 +317,7 @@ def perron_sweep(x: float, c: float, T_list) -> tuple[np.ndarray, np.ndarray, np
     heights = [float(T) for T in T_list]
     if c <= 1:
         raise DomainError("abscissa c must exceed 1 (absolute convergence)")
-    if not (heights[0] > 0 and math.isfinite(heights[-1])):
+    if not (heights and heights[0] > 0 and math.isfinite(heights[-1])):
         raise DomainError("height T must be positive and finite")
     if not all(b > a for a, b in zip(heights, heights[1:])):  # False at a NaN
         raise DomainError("heights T must be strictly ascending")

@@ -90,7 +90,8 @@ def import_zeros(
     limit_count, when given, keeps the first limit_count ordinates; it must
     be at least 1, and a file with fewer ordinates raises ZeroDataError.
     A line that is not a finite decimal is a parse error.
-    The ordinates are kept as written: coefficient_for needs them polished.
+    The ordinates are kept as written: the package does not polish them, so
+    the file must hold each to |zeta(rho)| < 1e-8, as coefficient_for checks.
     """
     if limit_count is not None and limit_count < 1:
         raise DomainError(f"zero count must be >= 1, got {limit_count}")
@@ -126,8 +127,9 @@ def import_zeros(
 def coefficient_for(gamma, precision: int = DEFAULT_PRECISION) -> ZeroTermCoefficient:
     """Explicit-formula coefficient for the zero at ordinate gamma.
 
-    gamma must be positive and already polished (|zeta(1/2 + i gamma)| <
-    1e-8); the zero at -gamma enters the zero sum as the conjugate term.
+    gamma must be positive, and the package does not polish ordinates:
+    |zeta(1/2 + i gamma)| < 1e-8 must hold as given.  The zero at -gamma
+    enters the zero sum as the conjugate term.
     zeta(rho/2) and the jet zeta(rho), zeta'(rho) come from one zeta_pair
     at rho/2.
     """

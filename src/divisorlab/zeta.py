@@ -43,7 +43,7 @@ residue circles and the zero coefficients zeta^3(rho/2) / (rho/2 2 zeta'(rho))
 read their values from it.
 
 Also here: the Stieltjes constants gamma_0..gamma_8, read from one jet of
-the engine at s = 1, and Newton polishing of critical-line zero ordinates.
+the engine at s = 1.
 
 A vectorized float64 evaluator is provided for contour quadrature, where
 thousands of nodes are needed at only double accuracy.  It picks (N, J) by
@@ -67,19 +67,14 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 
 import numpy as np
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_int, mpf_log, to_fixed
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
-from .errors import (
-    DomainError,
-    HeightRangeError,
-    PoleError,
-    PrecisionError,
-    RefinementError,
-)
+from .errors import DomainError, HeightRangeError, PoleError, PrecisionError
 
 DEFAULT_PRECISION = 128
 
@@ -112,14 +107,15 @@ _CAUCHY_RADIUS = 0.25
 
 _LN2 = math.log(2.0)
 _LOG_2PI = math.log(2 * math.pi)
-_LOG_MIN_CUTOFF = math.log(_MIN_CUTOFF)
 _LOG_2_ZETA_4 = math.log(math.pi ** 4 / 45)  # 2 zeta(2J + 2) <= 2 zeta(4), J >= 1
 
 
-def _em_parameters(precision: int, t_abs: float, sigma: float,
-                   kmax: int = 0) -> tuple[int, int]:
-    """(N, J) with the least N + J, N >= _MIN_CUTOFF, for which Backlund's
-    bound on the Euler-Maclaurin remainder is at most 2^-(precision+12).
+def _cutoffs(precision: int, t_abs: float, sigma: float,
+             kmax: int) -> tuple[int, int, Callable[[int], float]]:
+    """(lowest, estimate, cutoff) of the (N, J) rule at sigma + i t_abs: the
+    least J the bound holds for, the J the walk starts from, and J -> N_J,
+    the least real N >= _MIN_CUTOFF for which Backlund's bound on the
+    Euler-Maclaurin remainder is at most 2^-(precision+12).
 
     For Re w > -2J-1 (Backlund, Acta Math. 41, 1918; Edwards, Riemann's
     Zeta Function, 1974, 6.4)
@@ -134,14 +130,8 @@ def _em_parameters(precision: int, t_abs: float, sigma: float,
     |sigma + delta + k + i(|t| + delta)|, whose log f(k) increases in k, so
     the sum of the logs from k0 = ceil(-sigma) to 2J is at most the integral
     of f from k0 to 2J + 1, in closed form; the terms below k0 are summed as
-    they are.  Each J then costs O(1): ln N_J, the least real N meeting the
-    target, is (ln of the bound at N = 1 plus the target) / (Re w + 2J + 1).
-
-    g(J) = max(_MIN_CUTOFF, N_J) + J falls and then rises in J, and the least
-    N + J is ceil(g) at the least integer point of g.  Newton steps from an
-    estimate find the turning point, where e^h h' = -1 for h = ln N_J, or
-    the J where N_J meets the floor; a unit walk from there ends at the
-    least integer point.
+    they are.  Each J then costs O(1): ln N_J is (ln of the bound at N = 1
+    plus the target) / (Re w + 2J + 1).
     """
     delta = _CAUCHY_RADIUS if kmax else 0.0
     c = t_abs + delta
@@ -159,41 +149,27 @@ def _em_parameters(precision: int, t_abs: float, sigma: float,
     u = sigma + delta + 1  # x = sigma + delta + 2J + 1, the integral's end
     lowest = max(1, (k0 + 1) // 2, math.floor(delta - u / 2) + 1)
 
-    def log_cutoff(J):
-        """ln N_J, and x, x^2 + c^2, its log and Re w + 2J + 1 at J."""
+    def cutoff(J: int) -> float:
         x = u + 2 * J
-        r = x * x + cc
-        lg = math.log(r)
         b = x - 2 * delta
-        return ((x + 1) * lg / 2 - x + c * math.atan2(x, c) - math.log(b)
-                - 2 * J * _LOG_2PI + const) / b, x, r, lg, b
+        return max(_MIN_CUTOFF, math.exp(
+            ((x + 1) * math.log(x * x + cc) / 2 - x + c * math.atan2(x, c)
+             - math.log(b) - 2 * J * _LOG_2PI + const) / b))
 
-    J = max(lowest, target / 4 + math.sqrt(t_abs * target) / 4.5)
-    for _ in range(8):
-        h, x, r, lg, b = log_cutoff(J)
-        h1 = (lg + 2 * x / r - 2 / b - 2 * _LOG_2PI - 2 * h) / b
-        if not h1 < 0:  # N_J and g rise from here on
-            if J == lowest:
-                break
-            J = lowest
-            continue
-        to = J - (h - _LOG_MIN_CUTOFF) / h1  # where N_J meets the floor
-        if h > _LOG_MIN_CUTOFF:
-            h2 = (4 * x / r + 4 * (cc - x * x) / (r * r) + 4 / (b * b) - 4 * h1) / b
-            slope = h1 + h2 / h1  # of h + ln(-h'), zero where g turns
-            if not slope < 0:
-                break
-            to = min(to, J - (h + math.log(-h1)) / slope)
-        to = max(lowest, to)
-        done = abs(to - J) < 0.5
-        J = to
-        if done:
-            break
+    estimate = math.floor(target / 4 + math.sqrt(t_abs * target) / 4.5)
+    return lowest, max(lowest, estimate), cutoff
 
-    def cutoff(J):
-        return max(_MIN_CUTOFF, math.exp(log_cutoff(J)[0]))
 
-    J = max(lowest, math.floor(J))
+def _em_parameters(precision: int, t_abs: float, sigma: float,
+                   kmax: int = 0) -> tuple[int, int]:
+    """(N, J) with the least N + J, N >= _MIN_CUTOFF, for which Backlund's
+    bound on the Euler-Maclaurin remainder is at most 2^-(precision+12).
+
+    g(J) = N_J + J, with N_J from _cutoffs, falls and then rises in J, and
+    the least N + J is ceil(g) at the least integer point of g, which a unit
+    walk from the estimate finds.
+    """
+    lowest, J, cutoff = _cutoffs(precision, t_abs, sigma, kmax)
     N, M = cutoff(J), cutoff(J + 1)
     step = 1 if M + 1 < N else -1
     if step == 1:
@@ -519,43 +495,6 @@ def stieltjes(m: int, precision: int = DEFAULT_PRECISION) -> mpf:
         raise DomainError("Stieltjes index must satisfy 0 <= m <= 8")
     with mp.workprec(precision + 24):
         return +((-1) ** m * zeta_with_derivatives(1, m, precision)[m].real)
-
-
-# ---------------------------------------------------------------------------
-# Zero polishing
-# ---------------------------------------------------------------------------
-
-def refine_zero(approx_ordinate, precision: int = DEFAULT_PRECISION) -> mpf:
-    """Polish a critical-line zero ordinate by Newton iteration on zeta.
-
-    The start value must be within 0.05 of a true simple zero ordinate.
-    Returns gamma with |zeta(1/2 + i gamma)| < 1e-10.
-    """
-    t0 = mpf(approx_ordinate)
-    if t0 <= 10:
-        raise DomainError("zero ordinates of interest are > 10")
-    if float(t0) > DEFAULT_HEIGHT_CAP:
-        raise HeightRangeError(f"ordinate {t0} exceeds the cap {DEFAULT_HEIGHT_CAP}")
-    with mp.workprec(precision + 24):
-        z = mpc(mpf("0.5"), t0)
-        tol = mpf(2) ** (-(precision - 4))
-        for _ in range(50):
-            val, der = zeta_with_derivatives(z, 1, precision)[:2]
-            if der == 0:
-                raise RefinementError("vanishing derivative during Newton step")
-            step = val / der
-            z = z - step
-            if abs(z.imag - t0) > mpf("0.5"):
-                raise RefinementError("Newton iteration left the start basin")
-            if abs(step) < tol:
-                break
-        else:
-            raise RefinementError("no convergence in 50 iterations")
-        gamma = z.imag
-        check = abs(zeta(mpc(mpf("0.5"), gamma), precision))
-        if check >= mpf("1e-10"):
-            raise RefinementError(f"polished point not a zero: |zeta| = {check}")
-        return +gamma
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,9 @@ class TestCompare:
     def test_unsupported_function(self):
         with pytest.raises(DomainError):
             compare([100.5], function=AF.D_SQUARED)
+        for grid in ([], [1.0, 100.5]):
+            with pytest.raises(DomainError, match="grid points must exceed 1"):
+                compare(grid)
 
     def test_csv_and_json_outputs(self, tmp_path, zero_coefficients):
         report = compare([100.5, 1000.5], zero_coefficients=zero_coefficients[:20])

@@ -542,7 +542,7 @@ class TestTruncationDecay:
             perron.truncation_decay(100.5, 2.0, [-50, 100])
         with pytest.raises(DomainError):
             perron.truncation_decay(100.5, 2.0, [float("nan"), 100])
-        for heights in ([50, float("nan")], [50, float("nan"), 100], [50, float("inf")]):
+        for heights in ([], [50, float("nan")], [50, float("nan"), 100], [50, float("inf")]):
             with pytest.raises(DomainError):
                 perron.perron_sweep(100.5, 2.0, heights)
         with pytest.raises(ConventionError):

@@ -6,8 +6,6 @@ Oracles used here:
   - mp.euler and mpmath.stieltjes for the Stieltjes constants,
   - the functional equation zeta(s) = chi(s) zeta(1-s), with chi from
     mpmath's gamma function,
-  - sign-change bisection of the Hardy Z function (via mpmath.siegelz) for
-    zero ordinates,
   - mpmath's own zeta as a fully separate implementation for spot values.
 """
 
@@ -23,12 +21,7 @@ from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from conftest import trial_factorize
 from divisorlab import zeta as engine
-from divisorlab.errors import (
-    DomainError,
-    HeightRangeError,
-    PoleError,
-    RefinementError,
-)
+from divisorlab.errors import DomainError, HeightRangeError, PoleError
 
 
 def series_zeta_oracle(s: float, terms: int = 200000):
@@ -199,43 +192,6 @@ class TestFunctionalEquation:
     def test_chi_pole_proximity(self):
         with pytest.raises(PoleError):
             chi(mpc(3, 1e-9))  # 1-s within 1e-6 of -2
-
-
-class TestRefineZero:
-    def siegelz_bisect(self, lo: float, hi: float) -> float:
-        """Independent oracle: bisection on Hardy Z sign changes."""
-        with mp.workprec(80):
-            flo = mpmath.siegelz(lo)
-            assert flo * mpmath.siegelz(hi) < 0
-            a, b = mpf(lo), mpf(hi)
-            for _ in range(120):
-                mid = (a + b) / 2
-                if mpmath.siegelz(mid) * flo > 0:
-                    a = mid
-                else:
-                    b = mid
-            return float((a + b) / 2)
-
-    @pytest.mark.parametrize("approx,window", [
-        (14.13, (14.0, 14.3)),
-        (21.02, (20.9, 21.1)),
-    ])
-    def test_against_bisection_oracle(self, approx, window):
-        refined = engine.refine_zero(approx)
-        oracle = self.siegelz_bisect(*window)
-        assert abs(float(refined) - oracle) < 1e-12
-
-    def test_postcondition(self):
-        gamma = engine.refine_zero(25.01)
-        assert abs(engine.zeta(mpc(mpf("0.5"), gamma))) < mpf("1e-10")
-
-    def test_known_ordinates(self):
-        assert abs(engine.refine_zero(14.13) - mpf("14.134725141734695")) < mpf("1e-12")
-        assert abs(engine.refine_zero(21.02) - mpf("21.022039638771555")) < mpf("1e-12")
-
-    def test_bad_start(self):
-        with pytest.raises((RefinementError, DomainError)):
-            engine.refine_zero(5.0)
 
 
 def test_laurent_reconstruction_of_zeta_near_1():
@@ -426,6 +382,76 @@ def test_parameter_rule_meets_backlund_bound():
                     assert bound <= mpf(2) ** -(precision + 12), point
                     if N > 20 and (sigma, t, kmax) != (-2, 0, 0):
                         assert bound >= mpf(2) ** -(precision + 40), point
+
+
+def test_parameter_rule_picks_the_least_sum():
+    """No J from the least the bound allows up to N + J gives a smaller
+    ceil(N_J) + J than the rule's pick, with N_J, floored at 20, read from
+    the rule's own _cutoffs: over the Backlund test's grid, at 2048 bits too,
+    and at 4 + 800i and 53 bits, the float64 batch of the Perron line
+    c = 2 at T = 400 doubled.  An N_J past the float range is no smaller."""
+    def least(precision, t, sigma, kmax=0):
+        lowest, _, cutoff = engine._cutoffs(precision, t, sigma, kmax)
+        N, J = engine._em_parameters(precision, t, sigma, kmax)
+        assert N == math.ceil(cutoff(J)), (precision, sigma, t, kmax)
+        for j in range(lowest, N + J + 1):
+            try:
+                total = math.ceil(cutoff(j)) + j
+            except OverflowError:
+                continue
+            assert total >= N + J, (precision, sigma, t, kmax, j)
+        return N, J
+
+    for precision in (53, 64, 128, 192, 256, 2048):
+        for sigma in (-2, 0.25, 0.5, 1, 2, 4, 110):
+            for t in (0, 7, 118, 400, 1000, 5000):
+                for kmax in (0, 2, 4):
+                    least(precision, float(t), float(sigma), kmax)
+    assert least(53, 800.0, 4.0) == (170, 45)
+
+
+def _walk_length(monkeypatch, *args) -> int:
+    """N_J evaluations of one _em_parameters call."""
+    count = 0
+    cutoffs = engine._cutoffs
+
+    def spy(*rule_args):
+        lowest, J, cutoff = cutoffs(*rule_args)
+
+        def counted(j):
+            nonlocal count
+            count += 1
+            return cutoff(j)
+        return lowest, J, counted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_cutoffs", spy)
+        engine._em_parameters(*args)
+    return count
+
+
+def test_parameter_rule_walk_length(monkeypatch):
+    """The walk from the estimate evaluates N_J at most once more than it
+    did when pinned, at points the benchmark workloads run: the float64
+    Perron lines at 53 bits, Re s = 0.85..3 and |t| <= 400, and 4 + 800i,
+    the line c = 2 at T = 400 doubled; at 128 bits, a residue circle node
+    near 1 and its double, and rho/2 and rho, with the jet to order 1 there,
+    of zeros 1 and 100.  A worse estimate walks further."""
+    heights = (0, 1, 10, 50, 100, 200, 400)
+    pinned = {0.85: (7, 8, 9, 4, 3, 4, 6), 1.25: (7, 8, 9, 4, 4, 3, 5),
+              1.5: (7, 8, 9, 5, 4, 3, 4), 2: (7, 8, 9, 5, 5, 4, 3),
+              3: (8, 9, 10, 6, 7, 6, 6)}
+    for sigma, counts in pinned.items():
+        for t, count in zip(heights, counts):
+            assert _walk_length(monkeypatch, 53, float(t), float(sigma)) <= count + 1, (sigma, t)
+    assert _walk_length(monkeypatch, 53, 800.0, 4.0) <= 11 + 1
+    node = 1 + mpf("0.2") * mp.expjpi(mpf(3) / 8)
+    for z in (node, 2 * node):
+        assert _walk_length(monkeypatch, 128, abs(float(z.imag)), float(z.real)) <= 5 + 1
+    for gamma, (half, whole) in ((14.134725141734694, (8, 7)),
+                                 (236.52422966581620, (4, 6))):
+        assert _walk_length(monkeypatch, 128, gamma / 2, 0.25) <= half + 1, gamma
+        assert _walk_length(monkeypatch, 128, gamma, 0.5, 1) <= whole + 1, gamma
 
 
 def test_engine_plan_picks():
