@@ -20,10 +20,10 @@ vectorized float64 on the grid of panel midpoints plus node offsets.  The
 integral up to each height is a prefix sum of panel integrals, so a sweep
 over T evaluates F(s) once per node for all heights together.  Every edge,
 a Perron line or a side of the rectangle, extends each panel's Gauss rule
-to the 33-point Gauss-Kronrod rule (Laurie's algorithm) and returns the
-Kronrod value; its gap to the embedded Gauss value, which reads the same F
-evaluations, is checked at every height and reported with an error bound
-that adds float64 rounding.
+to the 33-point Gauss-Kronrod rule and returns the Kronrod value; its gap
+to the embedded Gauss value, which reads the same F evaluations, is checked
+at every height and reported with an error bound that adds float64
+rounding.
 
 Circles use the trapezoid rule in multiprecision, which is spectrally
 accurate on periodic contours: with N nodes, principal parts are integrated
@@ -80,48 +80,12 @@ _EPS = 2.0 ** -52
 #: values, relative to max(1, |value|).
 GAP_TOL = 1.0e-6
 
-#: Known fixed poles of F(s) x^s / s on the desk-scale window.
-_FIXED_POLES = (0.0 + 0.0j, 1.0 + 0.0j)
+#: Known fixed poles of F(s) x^s / s on the desk-scale window: s = 1, 0 and
+#: -1, where zeta(2s) vanishes (zeta(-2) = 0) and zeta(-1) = -1/12 does not.
+_FIXED_POLES = (-1.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j)
 
 #: rectangle_consistency's height T and right and left abscissae.
 _RECT_T, _RECT_RIGHT, _RECT_LEFT = 50.0, 1.25, 0.85
-
-
-def _kronrod_extension(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Recurrence coefficients of the (2n + 1)-point Kronrod extension of the
-    n-point Gauss rule, by Laurie's algorithm (Math. Comp. 66, 1997).
-
-    a, b hold 2n + 1 monic recurrence coefficients p_{k+1} = (x - a_k) p_k
-    - b_k p_{k-1} of the measure, b_0 its mass; the first n of each are
-    kept, the rest are overwritten with the Jacobi-Kronrod matrix's.
-    """
-    a, b = a.copy(), b.copy()
-    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
-    t[1] = b[n + 1]
-    for m in range(n - 1):
-        u = 0.0
-        for k in range((m + 1) // 2, -1, -1):
-            l = m - k
-            u += (a[k + n + 1] - a[l]) * t[k + 1] + b[k + n + 1] * s[k] - b[l] * s[k + 1]
-            s[k + 1] = u
-        s, t = t, s
-    s[1:] = s[:-1].copy()
-    for m in range(n - 1, 2 * n - 2):
-        u = 0.0
-        for k in range(m + 1 - n, (m - 1) // 2 + 1):
-            l = m - k
-            j = n - 1 - l
-            u += -(a[k + n + 1] - a[l]) * t[j + 1] - b[k + n + 1] * s[j + 1] + b[l] * s[j + 2]
-            s[j + 1] = u
-        if m % 2 == 0:
-            k = m // 2
-            a[k + n + 1] = a[l] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
-        else:
-            k = (m + 1) // 2
-            b[k + n + 1] = s[j + 1] / s[j + 2]
-        s, t = t, s
-    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
-    return a, b
 
 
 @functools.cache
@@ -130,24 +94,30 @@ def _kronrod_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     nodes, their Kronrod weights, and the weights of the embedded Gauss rule
     at the odd-indexed nodes.
 
-    The Kronrod nodes and weights are the eigenvalues and squared first
-    eigenvector components of the Jacobi-Kronrod matrix of the Legendre
-    recurrence.  The embedded nodes are set to numpy's Newton-polished
-    Gauss-Legendre nodes (they agree with the eigenvalues to about 2e-16),
-    so the Gauss rule alone is exactly the GAUSS_ORDER-point one.  Built on
-    first use: importing numpy.polynomial adds about 1.5 MiB and 25 ms,
-    which runs that integrate no line should not pay.
+    With n = GAUSS_ORDER, two conditions fix it: the new nodes are the roots
+    of E = P_(n+1) + sum_(k<=n) c_k P_k, orthogonal to P_n P_m for m <= n
+    (integrals of degree <= 3n + 1, exact by the (2n + 2)-point Gauss rule),
+    and the rule is exact on P_0 .. P_2n.  For Legendre weight the roots of
+    E interlace with the Gauss nodes (Szego 1935; Monegato, SIAM Review 24,
+    1982), so each is bisected in its own gap.  The embedded rule is numpy's.
+    Built on first use: importing numpy.polynomial adds about 1.5 MiB and
+    25 ms, which runs that integrate no line should not pay.
     """
-    n = GAUSS_ORDER
-    k = np.arange(1, 2 * n + 1, dtype=float)
-    a = np.zeros(2 * n + 1)
-    b = np.concatenate(([2.0], k * k / (4.0 * k * k - 1.0)))
-    a, b = _kronrod_extension(n, a, b)
-    off = np.sqrt(b[1:])
-    nodes, vectors = np.linalg.eigh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
-    kronrod = b[0] * vectors[0] ** 2
-    gauss_nodes, gauss = np.polynomial.legendre.leggauss(n)
-    nodes[1::2] = gauss_nodes
+    n, legendre = GAUSS_ORDER, np.polynomial.legendre
+    gauss_nodes, gauss = legendre.leggauss(n)
+    t, w = legendre.leggauss(2 * n + 2)
+    p = legendre.legvander(t, n + 1)
+    # Elementwise sums, not BLAS products: see dirichlet_quotient_f64.
+    moments = ((w * p[:, n])[:, None, None] * p[:, :n + 1, None] * p[:, None, :]).sum(axis=0)
+    stieltjes = np.append(np.linalg.solve(moments[:, :n + 1], -moments[:, n + 1]), 1.0)
+    lo, hi = np.append(-1.0, gauss_nodes), np.append(gauss_nodes, 1.0)
+    sign = np.sign(legendre.legval(lo, stieltjes))
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        right = np.sign(legendre.legval(mid, stieltjes)) == sign
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    nodes = np.sort(np.concatenate(((lo + hi) / 2, gauss_nodes)))
+    kronrod = np.linalg.solve(legendre.legvander(nodes, 2 * n).T, 2.0 * np.eye(2 * n + 1)[0])
     return nodes, kronrod, gauss
 
 
@@ -357,9 +327,11 @@ def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
     nodes costs m/2 + 1 F evaluations if it is the coarsest and m/4
     otherwise, and the value is real, t_0 + t_{m/2} + 2 Re sum_{0<j<m/2} t_j
     over m.  Each F reads zeta(s) and zeta(2s) from one zeta_pair; at
-    s = 1/2, on a circle through the pole of zeta(2s), F is 0.  With
-    verify_radius the integral is repeated at half the radius; disagreement
-    signals that the circle and its half do not enclose the same poles.
+    s = 1/2, on a circle through the pole of zeta(2s), F is 0.  A circle
+    passing within 1e-3 of s = -1, 0 or 1 raises ContourError before any
+    evaluation.  With verify_radius the integral is repeated at half the
+    radius; disagreement signals that the circle and its half do not
+    enclose the same poles.
     """
     if not 0 < x < math.inf:
         raise DomainError(f"x = {x} must be positive and finite")
