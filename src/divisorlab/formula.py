@@ -28,12 +28,13 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
+from . import lazy_import
 from .errors import DomainError
 from .series import main_term, main_term_coefficients
 from .sieve import _ROUTES, ArithmeticFunction, prefix_sums_at
 from .zeros import ZeroTermCoefficient
+
+np = lazy_import("numpy")
 
 CSV_COLUMNS = ["x", "S", "main", "zero_sum", "zeros_used", "E", "E_x14", "E_x13"]
 

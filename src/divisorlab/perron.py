@@ -48,13 +48,14 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from mpmath import mp, mpc, mpf
 
 from .errors import (CapacityError, ContourError, ConventionError, DomainError,
                      HeightRangeError, QuadratureError)
-from . import series, sieve, zeta as zeta_engine
+from . import lazy_import, series, sieve, zeta as zeta_engine
 from .zeta import DEFAULT_HEIGHT_CAP, DEFAULT_PRECISION, dirichlet_quotient_f64
+
+np = lazy_import("numpy")
 
 MIN_NODES = 64
 #: Fewest nodes in the coarsest nested level of a circle quadrature.
@@ -80,12 +81,27 @@ _EPS = 2.0 ** -52
 #: values, relative to max(1, |value|).
 GAP_TOL = 1.0e-6
 
-#: Known fixed poles of F(s) x^s / s on the desk-scale window: s = 1, 0 and
-#: -1, where zeta(2s) vanishes (zeta(-2) = 0) and zeta(-1) = -1/12 does not.
-_FIXED_POLES = (-1.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j)
-
 #: rectangle_consistency's height T and right and left abscissae.
 _RECT_T, _RECT_RIGHT, _RECT_LEFT = 50.0, 1.25, 0.85
+
+
+def _real_poles_near(center: complex, radius: float) -> list[complex]:
+    """Real poles of F(s) x^s / s that a circle can pass within 1e-3 of.
+
+    The real poles are s = 1, 0 and the negative odd integers, where
+    zeta(2s) vanishes and zeta(s) does not; at the negative even integers F
+    has a double zero.  On each side of Re c, |c - p| is monotone in real p,
+    so the real pole nearest the circle brackets a point where the circle
+    meets the real line, Re c -+ sqrt(r^2 - Im c^2) (Re c if it misses the
+    line): the list is -1, 0, 1 and the odd integers bracketing either point.
+    """
+    half = math.sqrt(max(radius - abs(center.imag), 0.0) * (radius + abs(center.imag)))
+    poles = {-1, 0, 1}
+    for crossing in (center.real - half, center.real + half):
+        if -math.inf < crossing < -1:
+            odd = 2 * math.floor((crossing + 1) / 2) - 1
+            poles |= {odd, odd + 2}
+    return [complex(p) for p in sorted(poles)]
 
 
 @functools.cache
@@ -328,10 +344,10 @@ def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
     otherwise, and the value is real, t_0 + t_{m/2} + 2 Re sum_{0<j<m/2} t_j
     over m.  Each F reads zeta(s) and zeta(2s) from one zeta_pair; at
     s = 1/2, on a circle through the pole of zeta(2s), F is 0.  A circle
-    passing within 1e-3 of s = -1, 0 or 1 raises ContourError before any
-    evaluation.  With verify_radius the integral is repeated at half the
-    radius; disagreement signals that the circle and its half do not
-    enclose the same poles.
+    passing within 1e-3 of s = 1, 0 or a negative odd integer raises
+    ContourError before any evaluation.  With verify_radius the integral is
+    repeated at half the radius; disagreement signals that the circle and
+    its half do not enclose the same poles.
     """
     if not 0 < x < math.inf:
         raise DomainError(f"x = {x} must be positive and finite")
@@ -340,7 +356,7 @@ def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
                           f"got {nodes}")
     if radius <= 0:
         raise DomainError("radius must be positive")
-    for pole in _FIXED_POLES:
+    for pole in _real_poles_near(complex(center), radius):
         if abs(abs(complex(center) - pole) - radius) < 1.0e-3:
             raise ContourError(f"circle passes within 1e-3 of the pole at {pole}")
     with mp.workprec(precision + 16):

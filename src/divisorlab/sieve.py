@@ -41,9 +41,10 @@ from enum import Enum
 from math import isqrt
 from typing import Iterable
 
-import numpy as np
-
+from . import lazy_import
 from .errors import CapacityError, DomainError
+
+np = lazy_import("numpy")
 
 #: Documented sieve limit cap: keeps sqrt(limit) sieving and memory planning safe.
 LIMIT_CAP = 1 << 40

@@ -69,12 +69,14 @@ import functools
 import math
 from collections.abc import Callable
 
-import numpy as np
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_int, mpf_log, to_fixed
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
+from . import lazy_import
 from .errors import DomainError, HeightRangeError, PoleError, PrecisionError
+
+np = lazy_import("numpy")  # used by the float64 section only
 
 DEFAULT_PRECISION = 128
 

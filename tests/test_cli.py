@@ -480,6 +480,51 @@ def test_cli_import_loads_no_process_pool():
     assert _python("-c", probe).stdout.strip() == "[]"
 
 
+#: Runs each JSON argv through cli.main in one fresh interpreter and prints,
+#: after the import and after each run, the exit code and the numpy
+#: submodules loaded so far.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from divisorlab import cli
+def loaded():
+    return [m for m in sys.modules if m.startswith("numpy.")]
+report = [[0, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    report.append([code, loaded()])
+print(json.dumps(report))
+"""
+
+
+def test_multiprecision_subcommands_never_load_numpy(tmp_path):
+    """numpy is bound lazily, so importing the CLI and running the
+    subcommands that never compute with it load no numpy submodule."""
+    argvs = [["--help"], ["constants", "--precision-bits", "128"],
+             ["zeros", "coeffs", "--count", "5", "--zeros-path", str(ZEROS_PATH),
+              "--cache-path", str(tmp_path / "cache.txt")],
+             ["perron", "residue", "--center-re", "1", "--radius", "0.2", "--x", "1000.5"]]
+    result = _python("-c", _NUMPY_PROBE, json.dumps(argvs))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[0, []]] * (len(argvs) + 1)
+    assert (tmp_path / "cache.txt").exists()
+
+
+@pytest.mark.parametrize("argv", ["sum d_square 1000000",
+                                  "perron integral 950.5 --c 1.5 --T 100"])
+def test_lazy_numpy_output_matches_in_process(capsys, argv):
+    """A fresh interpreter loads numpy at its first array operation and
+    prints what the same run prints here, where numpy is already loaded."""
+    code, captured = run(capsys, *argv.split())
+    assert code == 0, captured.err
+    result = _python("-m", "divisorlab.cli", *argv.split())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == captured.out
+
+
 def test_every_float_argument_is_finite_checked():
     floats = [a for _, p in _subcommands(cli.build_parser()) for a in p._actions
               if a.type in (float, cli.finite_float)]

@@ -387,6 +387,16 @@ class TestCircleResidues:
             expected = mp.zeta(-1) ** 3 / (2 * mp.zeta(-2, derivative=1)) * (-1 / mpf(x))
         assert abs(got - expected) / abs(expected) < mpf("1e-30")
 
+    @pytest.mark.parametrize("x", [10.5, 1000.5])
+    def test_pole_at_minus_three(self, x):
+        """The next trivial zero of zeta(2s), at s = -3, gives a simple pole
+        with residue zeta(-3)^3 / (2 zeta'(-6)) times x^-3 / -3."""
+        got = perron.residue_by_circle(-3.0, 0.2, x)
+        with mp.workprec(160):
+            expected = (mp.zeta(-3) ** 3 / (2 * mp.zeta(-6, derivative=1))
+                        * mpf(x) ** -3 / -3)
+        assert abs(got - expected) / abs(expected) < mpf("1e-30")
+
     def test_first_zero_pole_matches_coefficient(self, zero_coefficients):
         c = zero_coefficients[0]
         x = 1000.0
@@ -436,10 +446,18 @@ class TestCircleResidues:
             perron.residue_by_circle(-0.3 + 0j, 0.3005, 10.5)
         with pytest.raises(ContourError, match=r"pole at \(1\+0j\)"):
             perron.residue_by_circle(1.2 + 0.1j, abs(0.2 + 0.1j) - 0.0009, 10.5)
-        # centre -1.3, radius 0.3 passes through the pole at s = -1
+        # centres -1.3, -3.3 and -5.3, radius 0.3, pass through the poles at
+        # s = -1, -3 and -5; the last circle, about -2 + 0.5i, passes within
+        # 1e-3 of s = -3
         zeta_engine.reset_call_count()
         with pytest.raises(ContourError, match=r"pole at \(-1\+0j\)"):
             perron.residue_by_circle(-1.3 + 0j, 0.3, 10.5)
+        with pytest.raises(ContourError, match=r"pole at \(-3\+0j\)"):
+            perron.residue_by_circle(-3.3 + 0j, 0.3, 10.5)
+        with pytest.raises(ContourError, match=r"pole at \(-5\+0j\)"):
+            perron.residue_by_circle(-5.3 + 0j, 0.3, 10.5)
+        with pytest.raises(ContourError, match=r"pole at \(-3\+0j\)"):
+            perron.residue_by_circle(-2 + 0.5j, abs(1 + 0.5j) + 0.0009, 10.5)
         assert zeta_engine.call_count() == 0
 
 
