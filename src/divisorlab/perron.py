@@ -32,8 +32,8 @@ to the nearest other singularity.  Since the error falls geometrically,
 nested levels of nodes measure their own error: each level doubles the last,
 which squares the error up to a constant, so with d1 and d0 the changes at the
 last two levels the error left is about d1 (d1 / d0)^2.  The sum stops at the
-first level where that is below 2^-precision; a circle with no such level
-raises QuadratureError.  The nodes sit at the angles 2 pi j / n.
+first level where that is below 2^-DEFAULT_PRECISION; a circle with no such
+level raises QuadratureError.  The nodes sit at the angles 2 pi j / n.
 About a real centre the nodes mirror in the real axis, so only those with
 angle in [0, pi] are evaluated and each mirrored term is added as the
 conjugate: a circle that stops at 64 of 128 nodes evaluates F 33 times.
@@ -326,7 +326,6 @@ def perron_truncated(x: float, c: float, T: float) -> complex:
 
 
 def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
-                      precision: int = DEFAULT_PRECISION,
                       verify_radius: bool = False) -> mpc:
     """(1/2 pi i) contour integral of F(s) x^s / s on a circle, by trapezoid.
 
@@ -336,13 +335,13 @@ def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
     those nodes, from the coarsest level of at least MIN_LEVEL nodes, each
     level adding the nodes the one before lacks, so there are at least
     three.  With d1 and d0 the changes at the last two levels, the sum stops
-    once d1 <= d0 and d1^3 / d0^2 <= 2^-precision max(1, |value|); a circle
-    whose levels run out first raises QuadratureError.  About a real centre
-    the integrand at the mirrored node conj(z) is the conjugate of its value
-    at z, so only the nodes at angles in [0, pi] are evaluated: a level of m
-    nodes costs m/2 + 1 F evaluations if it is the coarsest and m/4
-    otherwise, and the value is real, t_0 + t_{m/2} + 2 Re sum_{0<j<m/2} t_j
-    over m.  Each F reads zeta(s) and zeta(2s) from one zeta_pair; at
+    once d1 <= d0 and d1^3 / d0^2 <= 2^-DEFAULT_PRECISION max(1, |value|),
+    the precision F is evaluated at; a circle whose levels run out first
+    raises QuadratureError.  About a real centre the integrand at the
+    mirrored node conj(z) is the conjugate of its value at z, so only the
+    nodes at angles in [0, pi] are evaluated: a level of m nodes costs
+    m/2 + 1 F evaluations if it is the coarsest and m/4 otherwise, and the
+    value is real, t_0 + t_{m/2} + 2 Re sum_{0<j<m/2} t_j over m.  Each F reads zeta(s) and zeta(2s) from one zeta_pair; at
     s = 1/2, on a circle through the pole of zeta(2s), F is 0.  A circle
     passing within 1e-3 of s = 1, 0 or a negative odd integer raises
     ContourError before any evaluation.  With verify_radius the integral is
@@ -359,7 +358,7 @@ def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
     for pole in _real_poles_near(complex(center), radius):
         if abs(abs(complex(center) - pole) - radius) < 1.0e-3:
             raise ContourError(f"circle passes within 1e-3 of the pole at {pole}")
-    with mp.workprec(precision + 16):
+    with mp.workprec(DEFAULT_PRECISION + 16):
         c0 = mpc(center)
         r = mpf(radius)
         lx = mp.ln(mpf(x))
@@ -373,7 +372,7 @@ def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
                 z = c0 + w
                 if 2 * z == 1:  # 1/zeta(2s) vanishes at the pole of zeta(2s)
                     continue
-                (zs,), (z2s,) = zeta_engine.zeta_pair(z, 0, 0, precision)
+                (zs,), (z2s,) = zeta_engine.zeta_pair(z, 0, 0, DEFAULT_PRECISION)
                 term = zs ** 3 / z2s * mp.exp(z * lx) / z * w
                 if mirrored:  # nodes 0 and nodes/2 are their own mirrors
                     term = term.real if 2 * j % nodes == 0 else 2 * term.real
@@ -385,7 +384,7 @@ def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
             step *= 2
         total = node_sum(0, step)
         values = [total / (nodes // step)]
-        tol = mpf(2) ** -precision
+        tol = mpf(2) ** -DEFAULT_PRECISION
         while step > 1:
             step //= 2
             total += node_sum(step, 2 * step)
@@ -401,7 +400,7 @@ def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
                 f"{nodes}: the last level changed the value by {mp.nstr(d1, 3)}")
         result = +values[-1]
     if verify_radius:
-        inner = residue_by_circle(center, radius / 2.0, x, nodes, precision)
+        inner = residue_by_circle(center, radius / 2.0, x, nodes)
         scale = max(mpf(1), abs(result))
         if abs(result - inner) / scale > mpf("1e-8"):
             raise ContourError(

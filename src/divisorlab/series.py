@@ -89,12 +89,11 @@ def main_term_coefficients(j: int, mode: str,
         )
 
 
-def main_term(x, terms: tuple, constant=0,
-              precision: int = DEFAULT_PRECISION) -> mpf:
+def main_term(x, terms: tuple, constant=0) -> mpf:
     """x sum_i terms[i] (log x)^(len(terms) - 1 - i) + constant at
-    precision + 16 bits: for d(n^2), A1 x log^2 x + A2 x log x + A3 x plus
-    the s = 0 constant.  The one evaluator of every main term."""
-    with mp.workprec(precision + 16):
+    DEFAULT_PRECISION + 16 bits: for d(n^2), A1 x log^2 x + A2 x log x + A3 x
+    plus the s = 0 constant.  The one evaluator of every main term."""
+    with mp.workprec(DEFAULT_PRECISION + 16):
         xv = mpf(x)
         if xv <= 1:
             raise DomainError("x must be > 1")

@@ -11,11 +11,12 @@ zero is therefore
 
     A = zeta^3(1/4 + i gamma/2) / ((1/4 + i gamma/2) * 2 zeta'(1/2 + i gamma)).
 
-Cache format: '# source_digest <sha256>', '# precision_bits <P>' and
-'# digits <D>' headers, then one line per zero with ordinate, Re A, Im A,
-Re zeta', Im zeta' at D = ceil(P log10 2) + 3 significant digits.  A cache
-serves only requests at or below its precision, and only when its rows hold
-the digits the request needs.
+Everything here runs at DEFAULT_PRECISION, the working precision of the
+zero coefficients.  Cache format: '# source_digest <sha256>',
+'# precision_bits <P>' and '# digits <D>' headers, then one line per zero
+with ordinate, Re A, Im A, Re zeta', Im zeta' at D = CACHE_DIGITS
+significant digits.  A cache serves only when it records a precision of at
+least DEFAULT_PRECISION and its rows hold at least CACHE_DIGITS digits.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ from . import zeta as zeta_engine
 from .zeta import DEFAULT_PRECISION
 
 
-def cache_digits(precision: int) -> int:
-    """Significant digits a cache row needs to carry `precision` bits, with
-    three to spare."""
-    return math.ceil(precision * math.log10(2)) + 3
+#: Significant digits a cache row needs to carry DEFAULT_PRECISION bits,
+#: ceil(128 log10 2) + 3 = 42, with three to spare.
+CACHE_DIGITS = math.ceil(DEFAULT_PRECISION * math.log10(2)) + 3
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,8 @@ def _finite_decimal(text: str, lineno: int) -> mpf:
     raise ZeroFileParseError(f"not a finite decimal: {text!r}", lineno)
 
 
-def import_zeros(
-    path,
-    limit_count: int | None = None,
-    precision: int = DEFAULT_PRECISION,
-) -> ZeroTable:
-    """Parse and validate a zero-ordinate file, at precision + 16 bits.
+def import_zeros(path, limit_count: int | None = None) -> ZeroTable:
+    """Parse and validate a zero-ordinate file, at DEFAULT_PRECISION + 16 bits.
 
     limit_count, when given, keeps the first limit_count ordinates; it must
     be at least 1, and a file with fewer ordinates raises ZeroDataError.
@@ -98,7 +94,7 @@ def import_zeros(
     path = Path(path)
     digest = file_digest(path)
     ordinates: list[mpf] = []
-    with mp.workprec(precision + 16):
+    with mp.workprec(DEFAULT_PRECISION + 16):
         for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -124,7 +120,7 @@ def import_zeros(
     return ZeroTable(ordinates=tuple(ordinates), source_digest=digest)
 
 
-def coefficient_for(gamma, precision: int = DEFAULT_PRECISION) -> ZeroTermCoefficient:
+def coefficient_for(gamma) -> ZeroTermCoefficient:
     """Explicit-formula coefficient for the zero at ordinate gamma.
 
     gamma must be positive, and the package does not polish ordinates:
@@ -133,12 +129,12 @@ def coefficient_for(gamma, precision: int = DEFAULT_PRECISION) -> ZeroTermCoeffi
     zeta(rho/2) and the jet zeta(rho), zeta'(rho) come from one zeta_pair
     at rho/2.
     """
-    with mp.workprec(precision + 16):
+    with mp.workprec(DEFAULT_PRECISION + 16):
         g = mpf(gamma)
         if g <= 0:
             raise DomainError(f"zero ordinates must be positive, got {g}")
         rho_half = mpc(mpf("0.25"), g / 2)
-        (z_half,), (val, der) = zeta_engine.zeta_pair(rho_half, 0, 1, precision)
+        (z_half,), (val, der) = zeta_engine.zeta_pair(rho_half, 0, 1)
         if abs(val) >= mpf("1e-8"):
             raise DomainError(
                 f"ordinate {g} is not a polished zero: |zeta(rho)| = {abs(val)}"
@@ -157,23 +153,19 @@ def coefficient_for(gamma, precision: int = DEFAULT_PRECISION) -> ZeroTermCoeffi
         )
 
 
-def coefficients_for_table(
-    table: ZeroTable, precision: int = DEFAULT_PRECISION,
-) -> list[ZeroTermCoefficient]:
+def coefficients_for_table(table: ZeroTable) -> list[ZeroTermCoefficient]:
     """Coefficients for every table ordinate, in table order."""
-    return [coefficient_for(g, precision) for g in table.ordinates]
+    return [coefficient_for(g) for g in table.ordinates]
 
 
-def persist_cache(table: ZeroTable, coefficients, path,
-                  precision: int = DEFAULT_PRECISION) -> None:
+def persist_cache(table: ZeroTable, coefficients, path) -> None:
     """Write a human-inspectable coefficient cache keyed to the table digest
-    and the precision the coefficients were computed at, with as many digits
-    as that precision needs."""
-    digits = cache_digits(precision)
+    and the precision the coefficients were computed at, with the
+    CACHE_DIGITS digits that precision needs."""
     lines = [
         f"# source_digest {table.source_digest}",
-        f"# precision_bits {precision}",
-        f"# digits {digits}",
+        f"# precision_bits {DEFAULT_PRECISION}",
+        f"# digits {CACHE_DIGITS}",
         "# columns: gamma re_coeff im_coeff re_deriv im_deriv",
     ]
     for c in coefficients:
@@ -184,17 +176,16 @@ def persist_cache(table: ZeroTable, coefficients, path,
             c.derivative_at_zero.real,
             c.derivative_at_zero.imag,
         )
-        lines.append(" ".join(mp.nstr(v, digits) for v in fields))
+        lines.append(" ".join(mp.nstr(v, CACHE_DIGITS) for v in fields))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_cache(path, table: ZeroTable,
-               precision: int = DEFAULT_PRECISION) -> list[ZeroTermCoefficient]:
+def load_cache(path, table: ZeroTable) -> list[ZeroTermCoefficient]:
     """Cached coefficients for exactly the table's zeros, in table order.
 
     Fails if the cache was built from another zero file, does not record a
-    precision of at least `precision` bits, holds fewer digits than
-    cache_digits(precision) or fewer rows than the table, or lists an
+    precision of at least DEFAULT_PRECISION bits, holds fewer digits than
+    CACHE_DIGITS or fewer rows than the table, or lists an
     ordinate that differs from the table's in those digits (a polished or
     differently rounded table).  The rows are read at all the cache's digits,
     and a field of a row served that is not a finite decimal is a parse
@@ -235,26 +226,24 @@ def load_cache(path, table: ZeroTable,
         )
     if built_at is None:
         raise StaleCacheError(f"cache {path} records no precision_bits")
-    if built_at < precision:
+    if built_at < DEFAULT_PRECISION:
         raise StaleCacheError(
-            f"cache was built at {built_at} bits, {precision} were requested"
+            f"cache was built at {built_at} bits, {DEFAULT_PRECISION} were requested"
         )
-    need = cache_digits(precision)
     if digits is None:
         raise StaleCacheError(f"cache {path} records no digits")
-    if digits < need:
-        raise StaleCacheError(
-            f"cache rows hold {digits} digits, {need} are needed at {precision} bits"
-        )
+    if digits < CACHE_DIGITS:
+        raise StaleCacheError(f"cache rows hold {digits} digits, {CACHE_DIGITS} "
+                              f"are needed at {DEFAULT_PRECISION} bits")
     if len(rows) < len(table):
         raise StaleCacheError(
             f"cache holds {len(rows)} zeros, the table {len(table)}"
         )
     coefficients = []
-    with mp.workprec(max(precision, math.ceil(digits * math.log2(10))) + 16):
+    with mp.workprec(max(DEFAULT_PRECISION, math.ceil(digits * math.log2(10))) + 16):
         for k, ((lineno, parts), gamma) in enumerate(zip(rows, table.ordinates), 1):
             g, cre, cim, dre, dim = (_finite_decimal(p, lineno) for p in parts)
-            cached, wanted = (mp.nstr(v, need) for v in (g, gamma))
+            cached, wanted = (mp.nstr(v, CACHE_DIGITS) for v in (g, gamma))
             if cached != wanted:
                 raise StaleCacheError(
                     f"cached ordinate {k} is {cached}, the table's {wanted}")

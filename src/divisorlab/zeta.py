@@ -117,7 +117,8 @@ def _cutoffs(precision: int, t_abs: float, sigma: float,
     """(lowest, estimate, cutoff) of the (N, J) rule at sigma + i t_abs: the
     least J the bound holds for, the J the walk starts from, and J -> N_J,
     the least real N >= _MIN_CUTOFF for which Backlund's bound on the
-    Euler-Maclaurin remainder is at most 2^-(precision+12).
+    Euler-Maclaurin remainder is at most 2^-(precision+12), or inf where that
+    N is past the float range.
 
     For Re w > -2J-1 (Backlund, Acta Math. 41, 1918; Edwards, Riemann's
     Zeta Function, 1974, 6.4)
@@ -154,9 +155,12 @@ def _cutoffs(precision: int, t_abs: float, sigma: float,
     def cutoff(J: int) -> float:
         x = u + 2 * J
         b = x - 2 * delta
-        return max(_MIN_CUTOFF, math.exp(
-            ((x + 1) * math.log(x * x + cc) / 2 - x + c * math.atan2(x, c)
-             - math.log(b) - 2 * J * _LOG_2PI + const) / b))
+        try:
+            return max(_MIN_CUTOFF, math.exp(
+                ((x + 1) * math.log(x * x + cc) / 2 - x + c * math.atan2(x, c)
+                 - math.log(b) - 2 * J * _LOG_2PI + const) / b))
+        except OverflowError:  # far left of 0, at J near the least
+            return math.inf
 
     estimate = math.floor(target / 4 + math.sqrt(t_abs * target) / 4.5)
     return lowest, max(lowest, estimate), cutoff
@@ -169,10 +173,13 @@ def _em_parameters(precision: int, t_abs: float, sigma: float,
 
     g(J) = N_J + J, with N_J from _cutoffs, falls and then rises in J, and
     the least N + J is ceil(g) at the least integer point of g, which a unit
-    walk from the estimate finds.
+    walk from the estimate finds.  An N_J past the float range, inf, lies
+    where g still falls, so the walk starts above it.
     """
     lowest, J, cutoff = _cutoffs(precision, t_abs, sigma, kmax)
     N, M = cutoff(J), cutoff(J + 1)
+    while M == math.inf:
+        J, N, M = J + 1, M, cutoff(J + 2)
     step = 1 if M + 1 < N else -1
     if step == 1:
         J, N = J + 1, M

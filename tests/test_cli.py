@@ -103,8 +103,10 @@ def test_benchmark_tracer_sees_every_engine_call(capsys, monkeypatch, tmp_path):
     its wrappers on the names it targets and, around the CLI runs the
     benchmark makes, traces as many mp engine calls as call_count() counts,
     and sees one main-term residue call under each formula compare, for
-    every function.  A refactor that drops a name or parameter it binds
-    fails here."""
+    every function.  The runs include a circle with --verify-radius, whose
+    inner circle is a traced call under the outer one, and zeros coeffs
+    twice on one cache path, a cold write and then a load.  A refactor that
+    drops a name or parameter it binds fails here."""
     monkeypatch.syspath_prepend(str(ZEROS_PATH.parent.parent / "perfbench"))
     tracing = importlib.import_module("tracing")
     zeros_args = ["--zeros", "5", "--zeros-path", str(ZEROS_PATH),
@@ -121,6 +123,10 @@ def test_benchmark_tracer_sees_every_engine_call(capsys, monkeypatch, tmp_path):
          "--output-dir", str(tmp_path)],
         ["formula", "conjecture", "--grid-stop", "1e4", *zeros_args],
         ["perron", "decay", "100.5", "--T", "50", "100", "--output-dir", str(tmp_path)],
+        ["perron", "residue", "--center-re", "1", "--radius", "0.2",
+         "--x", "1000.5", "--verify-radius"],
+        *[["zeros", "coeffs", "--count", "3", "--zeros-path", str(ZEROS_PATH),
+           "--cache-path", str(tmp_path / "coeffs.txt")]] * 2,
     ]
     tracer = tracing.Tracer()
     with tracer.installed():
@@ -135,6 +141,11 @@ def test_benchmark_tracer_sees_every_engine_call(capsys, monkeypatch, tmp_path):
                 if span.name == "series.main_term_coefficients"]
     assert len(compares) == 3
     assert all(residues.count(i) == 1 for i in compares)
+    circles = [span for span in tracer.spans if span.name == "perron.residue_by_circle"]
+    assert len(circles) == 3 and tracer.spans[circles[2].parent] is circles[1]
+    assert [sum(span.name == name for span in tracer.spans)
+            for name in ("zeros.coefficient_for", "zeros.persist_cache",
+                         "zeros.load_cache")] == [2 * 5 + 3, 1, 1]
 
 
 def test_benchmark_argv_parse(monkeypatch, tmp_path):
@@ -708,21 +719,30 @@ def test_perron_residue_unsettled_circle_exits_2(capsys):
     assert err["error"] == "QuadratureError" and "nodes = 128" in err["message"]
 
 
-@pytest.mark.parametrize("case", ["perron_residue", "zeros_coeffs", "constants"])
-def test_precision_floor(capsys, zero_table, case):
-    """8 bits is below the engine's floor.  constants takes it by its flag
-    and exits 2; the circle and the zero coefficient, which the CLI runs at
-    128 bits, take it by their library precision parameter."""
+@pytest.mark.slow
+def test_perron_residue_far_left_of_zero(capsys):
+    """About -155.5 with radius 0.3 the circle encloses no pole of F, so the
+    residue is 0.  zeta(2s) near Re 2s = -311 takes an (N, J) whose least J
+    has an N_J past the float range; the command prints a value within the
+    circle's 2^-128 tolerance of 0, not a traceback."""
+    payload = run_json(capsys, "perron", "residue", "--center-re=-155.5",
+                       "--radius", "0.3", "--x", "10.5")
+    assert payload["imag"] == "0.0"
+    assert abs(float(payload["real"])) < 2.0 ** -128
+
+
+@pytest.mark.parametrize("case", ["constants", "main_term_coefficients"])
+def test_precision_floor(capsys, case):
+    """8 bits is below the engine's floor.  constants, the one path that
+    takes a precision, takes it by its flag and exits 2, and by the library
+    parameter of main_term_coefficients, which it calls."""
     if case == "constants":
         code, captured = run(capsys, "constants", "--precision-bits", "8")
         assert code == 2
         assert json.loads(captured.err)["error"] == "PrecisionError"
         return
     with pytest.raises(PrecisionError):
-        if case == "perron_residue":
-            perron.residue_by_circle(1.0, 0.2, 1000.5, precision=8)
-        else:
-            zeros.coefficient_for(zero_table.ordinates[0], precision=8)
+        series.main_term_coefficients(3, "exact", 8)
 
 
 def test_perron_decay(capsys, tmp_path):

@@ -13,6 +13,28 @@ from divisorlab.errors import (
 )
 
 
+def write_cache(path, table, bits: int, digits: int, coefficients) -> None:
+    """A cache in the format persist_cache writes, with the given headers and
+    each row's fields at `digits` significant digits."""
+    lines = [f"# source_digest {table.source_digest}", f"# precision_bits {bits}",
+             f"# digits {digits}"]
+    for c in coefficients:
+        fields = (c.ordinate, c.coefficient.real, c.coefficient.imag,
+                  c.derivative_at_zero.real, c.derivative_at_zero.imag)
+        lines.append(" ".join(mp.nstr(v, digits) for v in fields))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def mpmath_coefficient(gamma) -> zeros.ZeroTermCoefficient:
+    """The zero's coefficient from mpmath at the suite's 220 bits, the
+    independent oracle for coefficient_for."""
+    rho = mpc(mpf("0.5"), gamma)
+    der = mpmath.zeta(rho, derivative=1)
+    return zeros.ZeroTermCoefficient(ordinate=+gamma, rho_half=rho / 2,
+                                     coefficient=mpmath.zeta(rho / 2) ** 3 / (rho * der),
+                                     derivative_at_zero=der)
+
+
 class TestImport:
     def test_shipped_table(self, zero_table):
         assert len(zero_table) == 100
@@ -117,10 +139,6 @@ class TestCoefficient:
         with pytest.raises(DomainError):
             zeros.coefficient_for(14.2)  # off-zero by 0.07
 
-    def test_rederivation_stability(self, zero_coefficients):
-        redo = zeros.coefficient_for(zero_coefficients[3].ordinate, precision=192)
-        assert abs(redo.coefficient - zero_coefficients[3].coefficient) < mpf("1e-8")
-
 
 class TestCache:
     def test_round_trip(self, tmp_path, zeros_path):
@@ -177,47 +195,47 @@ class TestCache:
             zeros.load_cache(cache, moved)
 
     def test_cache_keyed_on_precision(self, tmp_path, zeros_path):
-        """A cache serves its own precision and below, never above."""
+        """A cache serves when it records the 128 bits the coefficients are
+        computed at, or more: a 64-bit header with 42-digit rows is refused,
+        and a 192-bit, 61-digit cache, as earlier versions could write,
+        serves its values read at all their digits, to 2^-180 relative."""
         table = zeros.import_zeros(zeros_path, limit_count=2)
         cache = tmp_path / "coeffs.txt"
-        zeros.persist_cache(table, zeros.coefficients_for_table(table, 128),
-                            cache, 128)
+        zeros.persist_cache(table, zeros.coefficients_for_table(table), cache)
         assert "# precision_bits 128" in cache.read_text().splitlines()
-        assert len(zeros.load_cache(cache, table, 128)) == 2
-        assert len(zeros.load_cache(cache, table, 64)) == 2
-        with pytest.raises(StaleCacheError, match="built at 128 bits"):
-            zeros.load_cache(cache, table, 192)
-
-    def test_cache_digits_follow_the_precision(self, tmp_path, zeros_path):
-        """A 192-bit cache carries its coefficients to 2^-180 relative, and
-        records the ceil(192 log10 2) + 3 = 61 digits it writes."""
-        table = zeros.import_zeros(zeros_path, limit_count=2, precision=192)
-        fresh = zeros.coefficients_for_table(table, 192)
-        cache = tmp_path / "coeffs.txt"
-        zeros.persist_cache(table, fresh, cache, 192)
-        assert "# digits 61" in cache.read_text().splitlines()
-        loaded = zeros.load_cache(cache, table, 192)
-        for a, b in zip(fresh, loaded):
+        assert len(zeros.load_cache(cache, table)) == 2
+        oracle = [mpmath_coefficient(g) for g in table.ordinates]
+        write_cache(cache, table, 64, 42, oracle)
+        with pytest.raises(StaleCacheError, match="built at 64 bits, 128 were requested"):
+            zeros.load_cache(cache, table)
+        write_cache(cache, table, 192, 61, oracle)
+        for a, b in zip(oracle, zeros.load_cache(cache, table)):
             for want, got in ((a.coefficient, b.coefficient),
                               (a.derivative_at_zero, b.derivative_at_zero)):
                 assert abs(got - want) <= mpf(2) ** -180 * abs(want)
+
+    def test_cache_digits_follow_the_precision(self, tmp_path, zeros_path):
+        """A cache records the ceil(128 log10 2) + 3 = 42 digits it writes at
+        128 bits, and carries its coefficients to 2^-130 relative."""
+        table = zeros.import_zeros(zeros_path, limit_count=2)
+        fresh = zeros.coefficients_for_table(table)
+        cache = tmp_path / "coeffs.txt"
+        zeros.persist_cache(table, fresh, cache)
+        assert "# digits 42" in cache.read_text().splitlines()
+        loaded = zeros.load_cache(cache, table)
+        for a, b in zip(fresh, loaded):
+            for want, got in ((a.coefficient, b.coefficient),
+                              (a.derivative_at_zero, b.derivative_at_zero)):
+                assert abs(got - want) <= mpf(2) ** -130 * abs(want)
 
     def test_cache_with_too_few_digits_rejected(self, tmp_path, zeros_path):
         """Rows at 30 digits (about 100 bits) cannot serve a 128-bit request,
         whatever precision the header records."""
         table = zeros.import_zeros(zeros_path, limit_count=2)
-        coeffs = zeros.coefficients_for_table(table, 128)
-        lines = [f"# source_digest {table.source_digest}", "# precision_bits 128",
-                 "# digits 30"]
-        for c in coeffs:
-            fields = (c.ordinate, c.coefficient.real, c.coefficient.imag,
-                      c.derivative_at_zero.real, c.derivative_at_zero.imag)
-            lines.append(" ".join(mp.nstr(v, 30) for v in fields))
         cache = tmp_path / "coeffs.txt"
-        cache.write_text("\n".join(lines) + "\n")
+        write_cache(cache, table, 128, 30, zeros.coefficients_for_table(table))
         with pytest.raises(StaleCacheError, match="30 digits, 42 are needed"):
-            zeros.load_cache(cache, table, 128)
-        assert len(zeros.load_cache(cache, table, 64)) == 2
+            zeros.load_cache(cache, table)
 
     def test_cache_without_precision_rejected(self, tmp_path, zeros_path):
         table = zeros.import_zeros(zeros_path, limit_count=2)

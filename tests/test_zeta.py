@@ -94,8 +94,15 @@ def test_precision_doubling_stability():
         assert abs(lo - hi) / abs(hi) < bound
 
 
+#: Points at 128 bits where the least J the (N, J) rule allows has an N_J
+#: past the float range, (s, kmax): the walk must start above those J.
+FAR_LEFT = ((mpc(-234, 7), 0), (mpc(-276, 7), 0), (mpc(-283.5, 0), 2), (mpc(-180, 7), 2))
+
+
 def test_against_independent_implementation():
-    for s in (mpc(0.25, 7.07), mpc(-1.5, 123.4), mpc(2.0, 0.3), mpc(0.6, 50)):
+    """At 128 bits within 1e-14 relative of mpmath, also far left of 0."""
+    for s in (mpc(0.25, 7.07), mpc(-1.5, 123.4), mpc(2.0, 0.3), mpc(0.6, 50),
+              *(s for s, kmax in FAR_LEFT if kmax == 0)):
         ours = engine.zeta(s, 128)
         theirs = mpmath.zeta(s)
         assert abs(ours - theirs) / abs(theirs) < mpf("1e-14")
@@ -371,17 +378,17 @@ def test_parameter_rule_meets_backlund_bound():
     2^-(precision+12), and, wherever N is above its floor of 20, at least
     2^-(precision+40): a looser bound would pick a larger N unnoticed.  At
     s = -2 the product holds the factor |s + 2| = 0, so the bound is 0
-    there."""
-    for precision in (53, 64, 128, 192, 256):
-        for sigma in (-2, 0.25, 0.5, 1, 2, 4, 110):
-            for t in (0, 7, 118, 400, 1000, 5000):
-                for kmax in (0, 2, 4):
-                    N, J = engine._em_parameters(precision, float(t), float(sigma), kmax)
-                    bound = _backlund_bound(mpc(sigma, t), kmax, N, J)
-                    point = (precision, sigma, t, kmax, N, J)
-                    assert bound <= mpf(2) ** -(precision + 12), point
-                    if N > 20 and (sigma, t, kmax) != (-2, 0, 0):
-                        assert bound >= mpf(2) ** -(precision + 40), point
+    there.  The FAR_LEFT points are checked at 128 bits."""
+    points = [(precision, mpc(sigma, t), kmax) for precision in (53, 64, 128, 192, 256)
+              for sigma in (-2, 0.25, 0.5, 1, 2, 4, 110)
+              for t in (0, 7, 118, 400, 1000, 5000) for kmax in (0, 2, 4)]
+    for precision, s, kmax in points + [(128, s, kmax) for s, kmax in FAR_LEFT]:
+        N, J = engine._em_parameters(precision, float(s.imag), float(s.real), kmax)
+        bound = _backlund_bound(s, kmax, N, J)
+        point = (precision, s, kmax, N, J)
+        assert bound <= mpf(2) ** -(precision + 12), point
+        if N > 20 and (s, kmax) != (-2, 0):
+            assert bound >= mpf(2) ** -(precision + 40), point
 
 
 def test_parameter_rule_picks_the_least_sum():
@@ -389,7 +396,8 @@ def test_parameter_rule_picks_the_least_sum():
     ceil(N_J) + J than the rule's pick, with N_J, floored at 20, read from
     the rule's own _cutoffs: over the Backlund test's grid, at 2048 bits too,
     and at 4 + 800i and 53 bits, the float64 batch of the Perron line
-    c = 2 at T = 400 doubled.  An N_J past the float range is no smaller."""
+    c = 2 at T = 400 doubled.  An N_J past the float range is no smaller,
+    and at the FAR_LEFT points the least J the bound allows has one."""
     def least(precision, t, sigma, kmax=0):
         lowest, _, cutoff = engine._cutoffs(precision, t, sigma, kmax)
         N, J = engine._em_parameters(precision, t, sigma, kmax)
@@ -408,6 +416,11 @@ def test_parameter_rule_picks_the_least_sum():
                 for kmax in (0, 2, 4):
                     least(precision, float(t), float(sigma), kmax)
     assert least(53, 800.0, 4.0) == (170, 45)
+    for s, kmax in FAR_LEFT:
+        sigma, t = float(s.real), float(s.imag)
+        least(128, t, sigma, kmax)
+        lowest, _, cutoff = engine._cutoffs(128, t, sigma, kmax)
+        assert cutoff(lowest) == math.inf, s
 
 
 def _walk_length(monkeypatch, *args) -> int:
