@@ -9,9 +9,12 @@ Modules:
     perron   contour quadrature verification
     cli      command-line interface
 
-``lazy_import`` binds numpy in sieve, zeta, perron and formula: numpy's own
-import runs at the first attribute access, so the multiprecision-only
-subcommands never load it.
+``lazy_import`` binds numpy in sieve, zeta, perron and formula, and mpmath
+and the five computation modules in cli: each runs at the first attribute
+access, so ``sum`` and ``--help`` never load mpmath, and the
+multiprecision-only subcommands never load numpy.  DEFAULT_PRECISION and
+MODES, which the CLI's parser reads, are defined here so that building the
+parser loads neither zeta nor series.
 """
 
 import importlib.util
@@ -19,10 +22,17 @@ import sys
 
 __version__ = "0.1.0"
 
+#: Working precision in bits of every computation except `constants`.
+DEFAULT_PRECISION = 128
+
+#: The main-term coefficient modes (see series).
+MODES = ("paper", "exact")
+
 
 def lazy_import(name: str):
     """The module `name`, run at its first attribute access (the LazyLoader
-    recipe of the importlib docs), or as it is if it is already imported."""
+    recipe of the importlib docs), or as it is if it is already imported.
+    A submodule is also bound on its package, as an import binds it."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
@@ -30,4 +40,7 @@ def lazy_import(name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    if package:
+        setattr(sys.modules[package], child, module)
     return module

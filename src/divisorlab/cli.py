@@ -18,13 +18,19 @@ formula subcommands sum every zero they take.  --zeros needs a zeros path.
 formula compare takes zeros for d_square only: two_omega and mu_squared have
 zero sums and s = 0 residues too, but compare leaves both in their E.
 
-Every subcommand works at zeta.DEFAULT_PRECISION (128 bits) except
+Every subcommand works at divisorlab.DEFAULT_PRECISION (128 bits) except
 constants, whose --precision-bits sets its working precision.  All numeric
 output is serialized in decimal with explicit digit counts.  A subcommand
 takes only the run settings (the _SETTINGS flags) its handler reads; each is
 given by its flag and nothing else.  Float arguments must be finite.  A
 failed run, a file it cannot read or write included, prints {"error",
 "message"} JSON on stderr and exits 2.
+
+Importing this module loads argparse, json and the sieve: mpmath and the
+computation modules (formula, perron, series, zeros, zeta) are bound by
+lazy_import and run at a handler's first use of them.  So --help and sum
+never load mpmath, and every other subcommand loads it with the modules it
+calls.
 """
 
 from __future__ import annotations
@@ -36,20 +42,30 @@ import sys
 from itertools import islice
 from pathlib import Path
 
-from mpmath import mp, mpc, mpf
-
+from . import DEFAULT_PRECISION, MODES, lazy_import, sieve
 from .errors import DivisorLabError, DomainError
-from . import perron, series, sieve, zeros
-from . import zeta as zeta_engine
-from .formula import check_takes_zeros, compare, conjecture_scan, log_grid
 from .sieve import ArithmeticFunction
+
+mpmath = lazy_import("mpmath")
+formula, perron, series, zeros, zeta_engine = (
+    lazy_import(f"divisorlab.{name}")
+    for name in ("formula", "perron", "series", "zeros", "zeta"))
 
 DIGITS = 20
 
 
+def __getattr__(name: str):
+    """compare and conjecture_scan, formula's, which the benchmark's tracer
+    looks up here; formula is loaded only when one is asked for."""
+    if name in ("compare", "conjecture_scan"):
+        return getattr(formula, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _num(value, digits: int = DIGITS) -> str:
     """`digits` significant digits; an mpf is formatted from all its bits."""
-    return mp.nstr(value if isinstance(value, mpf) else mpf(value), digits)
+    return mpmath.nstr(value if isinstance(value, mpmath.mpf) else mpmath.mpf(value),
+                       digits)
 
 
 def _output_dir(args) -> Path:
@@ -94,7 +110,7 @@ def cmd_sum(args) -> int:
 
 def cmd_constants(args) -> int:
     prec = args.precision_bits
-    with mp.workprec(prec + 16):
+    with mpmath.workprec(prec + 16):
         paper = series.main_term_coefficients(3, "paper", prec)
         exact = series.main_term_coefficients(3, "exact", prec)
         a1p, a2p = series.main_term_coefficients(2, "paper", prec).terms
@@ -129,7 +145,7 @@ def cmd_zeros_import(args) -> int:
 
 def cmd_zeros_coeffs(args) -> int:
     coeffs = _coefficients(args, _import_zeros(args.zeros_path, args.count))
-    with mp.workprec(zeta_engine.DEFAULT_PRECISION + 16):
+    with mpmath.workprec(DEFAULT_PRECISION + 16):
         sum_2_abs = sum(2 * abs(c.coefficient) for c in coeffs)
     _emit({
         "count": len(coeffs),
@@ -147,12 +163,12 @@ def cmd_formula_compare(args) -> int:
     function = ArithmeticFunction(args.function)
     d_square = function is ArithmeticFunction.D_SQUARE
     if args.zeros is not None:
-        check_takes_zeros(function)
-    grid = log_grid(args.grid_start, args.grid_stop, args.grid_count)
+        formula.check_takes_zeros(function)
+    grid = formula.log_grid(args.grid_start, args.grid_stop, args.grid_count)
     coeffs = None
     if d_square and (args.zeros_path or args.zeros is not None):
         coeffs = _coefficients(args, _import_zeros(args.zeros_path, args.zeros))
-    report = compare(grid, function=function, mode=args.mode,
+    report = formula.compare(grid, function=function, mode=args.mode,
                      zero_coefficients=coeffs)
     out = _output_dir(args)
     csv_path = out / f"compare_{function.value}.csv"
@@ -164,9 +180,9 @@ def cmd_formula_compare(args) -> int:
 
 
 def cmd_formula_conjecture(args) -> int:
-    grid = log_grid(args.grid_start, args.grid_stop, args.grid_count)
+    grid = formula.log_grid(args.grid_start, args.grid_stop, args.grid_count)
     coeffs = _coefficients(args, _import_zeros(args.zeros_path, args.zeros))
-    scan = conjecture_scan(grid, coeffs, epsilon=args.epsilon)
+    scan = formula.conjecture_scan(grid, coeffs, epsilon=args.epsilon)
     out = _output_dir(args) / "conjecture_scan.json"
     payload = {
         "epsilon": scan.epsilon,
@@ -232,25 +248,25 @@ def cmd_dirichlet_verify(args) -> int:
     if not 1 <= N <= MAX_VERIFY_N:
         raise DomainError(f"N must be between 1 and {MAX_VERIFY_N}")
     M = max(N, 10**4)
-    prec = zeta_engine.DEFAULT_PRECISION
+    prec = DEFAULT_PRECISION
     values = sieve.build_sieve(M, ArithmeticFunction.D_SQUARE)
-    with mp.workprec(prec + 16):
+    with mpmath.workprec(prec + 16):
         # n^-s in fixed point from the engine's multiplicative rule.  Since
         # d(n^2) <= 2n the weights sum below 2^(2 bitlen M); 8 more bits
         # absorb the few units of rounding in each n^-s.
-        wp = mp.prec + 2 * M.bit_length() + 8
-        powers = zeta_engine.dirichlet_powers_fixed(mpc(s), M + 1, wp)[0]
+        wp = mpmath.mp.prec + 2 * M.bit_length() + 8
+        powers = zeta_engine.dirichlet_powers_fixed(mpmath.mpc(s), M + 1, wp)[0]
         rows = zip(values.tolist(), powers)  # n = 0..M; row 0 is 0
-        partial = mpf((sum(v * p for v, p in islice(rows, N + 1)), -wp))
+        partial = mpmath.mpf((sum(v * p for v, p in islice(rows, N + 1)), -wp))
         # the exact terms N < n <= M, each rounded up by its row's units
-        tail_bound = (mpf((sum(v * (p + ROW_UNITS) for v, p in rows), -wp))
+        tail_bound = (mpmath.mpf((sum(v * (p + ROW_UNITS) for v, p in rows), -wp))
                       + _tail_bound(s, M))
         (zeta_s,), (zeta_2s,) = zeta_engine.zeta_pair(s, 0, 0, prec)
         closed = (zeta_s ** 3 / zeta_2s).real
         difference = closed - partial
         # the rows' units over the partial sum; four engine values to prec bits
-        slack = (mpf((ROW_UNITS * int(values[: N + 1].sum()), -wp))
-                 + closed * mpf(2) ** (3 - prec))
+        slack = (mpmath.mpf((ROW_UNITS * int(values[: N + 1].sum()), -wp))
+                 + closed * mpmath.mpf(2) ** (3 - prec))
     passed = -slack <= difference <= tail_bound
     _emit({
         "s": s, "N": N,
@@ -263,7 +279,7 @@ def cmd_dirichlet_verify(args) -> int:
     return 0 if passed else 1
 
 
-def _tail_bound(s: float, M: int) -> mpf:
+def _tail_bound(s: float, M: int) -> mpmath.mpf:
     """Upper bound on sum_{n>M} d(n^2) n^-s for s > 1 and M >= 1e4.
 
     Neither rule uses the identity under test.  For s >= 2.8: past 1e4,
@@ -276,10 +292,10 @@ def _tail_bound(s: float, M: int) -> mpf:
     sigma = (1 + sqrt(1 + 12 / ln M)) / 2 minimizes it; sigma is capped at s.
     """
     if s >= 2.8:
-        exponent = mpf(s) - mpf("0.9") - 1
-        return mp.power(M, -exponent) / exponent
-    sigma = min(mpf(s), (1 + mp.sqrt(1 + 12 / mp.ln(M))) / 2)
-    return mp.power(M, sigma - s) * (sigma / (sigma - 1)) ** 3
+        exponent = mpmath.mpf(s) - mpmath.mpf("0.9") - 1
+        return mpmath.power(M, -exponent) / exponent
+    sigma = min(mpmath.mpf(s), (1 + mpmath.sqrt(1 + 12 / mpmath.ln(M))) / 2)
+    return mpmath.power(M, sigma - s) * (sigma / (sigma - 1)) ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +312,11 @@ def finite_float(text: str) -> float:
 
 #: argparse keywords of each run setting's flag --<key with dashes>.
 _SETTINGS = {
-    "precision_bits": {"type": int, "default": zeta_engine.DEFAULT_PRECISION},
+    "precision_bits": {"type": int, "default": DEFAULT_PRECISION},
     "zeros_path": {},
     "cache_path": {},
     "output_dir": {"default": "."},
-    "mode": {"choices": series.MODES, "default": "exact"},
+    "mode": {"choices": MODES, "default": "exact"},
 }
 
 

@@ -84,12 +84,16 @@ class ErrorReport:
 
 
 def log_grid(start: float, stop: float, count: int) -> list[float]:
-    """Log-spaced grid snapped to half-integers n + 1/2, off the jumps of S."""
+    """Log-spaced grid snapped to half-integers n + 1/2, off the jumps of S.
+
+    The ends are snapped from start and stop themselves, not from the exp of
+    their logs, which can round below an integer (exp(log(1e3)) < 1e3).
+    """
     if not (1 <= start < stop) or count < 2:
         raise DomainError("need 1 <= start < stop and count >= 2")
     la, lb = math.log(start), math.log(stop)
-    xs = [math.floor(math.exp(la + (lb - la) * i / (count - 1))) + 0.5
-          for i in range(count)]
+    inner = [math.exp(la + (lb - la) * i / (count - 1)) for i in range(1, count - 1)]
+    xs = [math.floor(x) + 0.5 for x in (start, *inner, stop)]
     out = []
     for x in xs:  # snapping can collide at the low end
         if not out or x > out[-1]:

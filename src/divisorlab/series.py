@@ -40,12 +40,9 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
+from . import MODES, zeta as zeta_engine
 from .errors import DomainError
-from . import zeta as zeta_engine
 from .zeta import DEFAULT_PRECISION, jet_inverse, jet_mul
-
-#: The two coefficient modes.
-MODES = ("paper", "exact")
 
 
 @dataclass(frozen=True)

@@ -73,12 +73,10 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_int, mpf_log, to_fixed
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
-from . import lazy_import
+from . import DEFAULT_PRECISION, lazy_import
 from .errors import DomainError, HeightRangeError, PoleError, PrecisionError
 
 np = lazy_import("numpy")  # used by the float64 section only
-
-DEFAULT_PRECISION = 128
 
 #: Lowest working precision; below it the engines' guard bits are not enough.
 MIN_PRECISION = 64

@@ -491,14 +491,34 @@ def test_cli_import_loads_no_process_pool():
     assert _python("-c", probe).stdout.strip() == "[]"
 
 
+def test_lazily_bound_module_is_its_package_attribute():
+    """lazy_import binds a submodule on its package as an import does, so
+    `import divisorlab.zeros` after the CLI's import reaches it."""
+    probe = "import divisorlab.cli, divisorlab.zeros; print(divisorlab.zeros.CACHE_DIGITS)"
+    result = _python("-c", probe)
+    assert result.stdout.strip() == "42", result.stderr
+
+
 #: Runs each JSON argv through cli.main in one fresh interpreter and prints,
-#: after the import and after each run, the exit code and the numpy
-#: submodules loaded so far.
-_NUMPY_PROBE = """
+#: after the import and after each run, the exit code and what has run so
+#: far: "numpy" or "mpmath" once one of its submodules has, and each of the
+#: computation modules once its body has defined its names.  lazy_import
+#: leaves an unrun placeholder under a module's own sys.modules key, and any
+#: attribute access through the placeholder runs it, so its dict is read with
+#: object.__getattribute__.
+_LOAD_PROBE = """
 import contextlib, io, json, sys
 from divisorlab import cli
+BODIES = {"perron": "residue_by_circle", "zeta": "zeta_pair", "series": "main_term",
+          "zeros": "import_zeros", "formula": "compare"}
 def loaded():
-    return [m for m in sys.modules if m.startswith("numpy.")]
+    ran = sorted({m.split(".")[0] for m in sys.modules
+                  if m.startswith(("mpmath.", "numpy."))})
+    for name, defined in BODIES.items():
+        module = sys.modules.get("divisorlab." + name)
+        if module is not None and defined in object.__getattribute__(module, "__dict__"):
+            ran.append(name)
+    return ran
 report = [[0, loaded()]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -511,29 +531,70 @@ print(json.dumps(report))
 """
 
 
+def _load_report(*argvs) -> list:
+    result = _python("-c", _LOAD_PROBE, json.dumps(argvs))
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_start_up_loads_no_engine():
+    """Importing the CLI and building its parser run neither mpmath nor a
+    computation module, and an exact sum runs only numpy besides the sieve."""
+    assert _load_report(["--help"], ["sum", "d_square", "1000000"]) == [
+        [0, []], [0, []], [0, ["numpy"]]]
+
+
 def test_multiprecision_subcommands_never_load_numpy(tmp_path):
     """numpy is bound lazily, so importing the CLI and running the
     subcommands that never compute with it load no numpy submodule."""
     argvs = [["--help"], ["constants", "--precision-bits", "128"],
+             ["zeros", "import", "--zeros-path", str(ZEROS_PATH)],
              ["zeros", "coeffs", "--count", "5", "--zeros-path", str(ZEROS_PATH),
               "--cache-path", str(tmp_path / "cache.txt")],
              ["perron", "residue", "--center-re", "1", "--radius", "0.2", "--x", "1000.5"]]
-    result = _python("-c", _NUMPY_PROBE, json.dumps(argvs))
-    assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [[0, []]] * (len(argvs) + 1)
+    report = _load_report(*argvs)
+    assert len(report) == len(argvs) + 1
+    assert all(code == 0 and "numpy" not in ran for code, ran in report), report
     assert (tmp_path / "cache.txt").exists()
 
 
-@pytest.mark.parametrize("argv", ["sum d_square 1000000",
-                                  "perron integral 950.5 --c 1.5 --T 100"])
-def test_lazy_numpy_output_matches_in_process(capsys, argv):
-    """A fresh interpreter loads numpy at its first array operation and
-    prints what the same run prints here, where numpy is already loaded."""
-    code, captured = run(capsys, *argv.split())
+@pytest.mark.parametrize("argv", [
+    "sum d_square 1000000",
+    "perron integral 950.5 --c 1.5 --T 100",
+    "constants --precision-bits 128",
+    "zeros import --zeros-path {zeros}",
+    "zeros coeffs --count 5 --zeros-path {zeros} --cache-path {tmp}/cache.txt",
+    "formula compare --zeros 10 --zeros-path {zeros} --output-dir {tmp}",
+    "formula compare --function mu_squared --output-dir {tmp}",
+    "formula conjecture --zeros 10 --zeros-path {zeros} --output-dir {tmp}",
+    "perron decay 1000.5 --output-dir {tmp}",
+    "perron residue --center-re 1 --radius 0.2 --x 1000.5",
+    "perron residue --center-re 0.25 --center-im 7.0673625708673469 --radius 0.05 "
+    "--x 1000.5",
+    "dirichlet-verify 3 10000",
+])
+def test_lazy_numpy_output_matches_in_process(capsys, tmp_path, argv):
+    """A fresh interpreter loads mpmath, numpy and the computation modules
+    at their first use and prints and writes what the same run does here,
+    where all are loaded and the ambient precision is the tests' 220 bits.
+    Both runs start from an empty output directory, so neither reads a
+    cache the other wrote."""
+    args = argv.format(zeros=ZEROS_PATH, tmp=tmp_path).split()
+
+    def written() -> dict:
+        """The files the run wrote, removed so that the next run starts empty."""
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        for p in tmp_path.iterdir():
+            p.unlink()
+        return files
+
+    code, captured = run(capsys, *args)
     assert code == 0, captured.err
-    result = _python("-m", "divisorlab.cli", *argv.split())
+    files = written()
+    result = _python("-m", "divisorlab.cli", *args)
     assert result.returncode == 0, result.stderr
     assert result.stdout == captured.out
+    assert written() == files
 
 
 def test_every_float_argument_is_finite_checked():

@@ -25,6 +25,13 @@ class TestGrid:
         assert all(a < b for a, b in zip(grid, grid[1:]))
         assert grid[0] == 10.5
 
+    @pytest.mark.parametrize("start, stop", [(1e3, 1e6), (1e3, 1e7), (1e6, 1e7)])
+    def test_ends_snapped_from_start_and_stop(self, start, stop):
+        """exp(log(1e3)) and exp(log(1e6)) round below 1e3 and 1e6; the ends
+        are still the half-integers just above start and stop."""
+        grid = log_grid(start, stop, 13)
+        assert (grid[0], grid[-1]) == (start + 0.5, stop + 0.5)
+
     def test_collision_dedup(self):
         grid = log_grid(2, 4, 30)  # snapping collides heavily on a tiny span
         assert len(grid) == len(set(grid))
