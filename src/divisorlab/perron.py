@@ -372,7 +372,7 @@ def residue_by_circle(center, radius: float, x: float, nodes: int = 128,
                 z = c0 + w
                 if 2 * z == 1:  # 1/zeta(2s) vanishes at the pole of zeta(2s)
                     continue
-                (zs,), (z2s,) = zeta_engine.zeta_pair(z, 0, 0, DEFAULT_PRECISION)
+                (zs,), (z2s,) = zeta_engine.zeta_pair(z)
                 term = zs ** 3 / z2s * mp.exp(z * lx) / z * w
                 if mirrored:  # nodes 0 and nodes/2 are their own mirrors
                     term = term.real if 2 * j % nodes == 0 else 2 * term.real

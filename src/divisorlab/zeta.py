@@ -36,26 +36,30 @@ step, from one fixed-point coefficient table per (J, precision).  The
 smallest-prime-factor table and the logs hold integers only; no mp value
 outlives a call.
 
-zeta_pair returns the jets at s and at 2s as two engine calls that read one
-n^-s table, as the float64 F does: built to the larger N at the larger
-fixed-point scale, its rows squared for 2s.  The multiprecision F on the
-residue circles and the zero coefficients zeta^3(rho/2) / (rho/2 2 zeta'(rho))
-read their values from it.
+zeta_pair returns the jets at s and at 2s, at DEFAULT_PRECISION, as two
+engine calls that read one n^-s table, as the float64 F does: built to the
+larger N at the larger fixed-point scale, its rows squared for 2s.  The
+multiprecision F on the residue circles and the zero coefficients
+zeta^3(rho/2) / (rho/2 2 zeta'(rho)) read their values from it.
 
 Also here: the Stieltjes constants gamma_0..gamma_8, read from one jet of
 the engine at s = 1.
 
-A vectorized float64 evaluator is provided for contour quadrature, where
-thousands of nodes are needed at only double accuracy.  It picks (N, J) by
-the same rule as the multiprecision engine, at 53 bits, and folds its
-Bernoulli tail the same way, with Q_j and B_2j/(2j)! scaled by powers of two
-to stay in range at the height cap; its coefficients are the correctly
-rounded float64 values of the same exact fractions, one table per J,
-summed by Horner after one exp E = N^-s.  Its Dirichlet sum is
-multiplicative too: a table holds n^-s for a batch, one row per n; the prime
-rows take a complex exp and each composite row is the product of the rows
-of its smallest prime p and of n / p, one vectorized step per count of prime
-factors.  F(s) = zeta(s)^3 / zeta(2s) is evaluated on a grid b + o, as the
+Both engines refuse a Re s (of s or 2s) that is not finite or is below
+MIN_REAL_PART before planning: left of 0 a point's cost grows with -Re s.
+
+The float64 engine evaluates one function for contour quadrature, where
+thousands of nodes are needed at only double accuracy: F(s) =
+zeta(s)^3 / zeta(2s), on a flat batch or on a grid.  Each of its two zeta
+sums picks (N, J) by the same rule as the multiprecision engine, at 53
+bits, and folds its Bernoulli tail the same way, with Q_j and B_2j/(2j)!
+scaled by powers of two to stay in range at the height cap; its
+coefficients are the correctly rounded float64 values of the same exact
+fractions, one table per J, summed by Horner after one exp E = N^-s.  Its
+Dirichlet sum is multiplicative too: a table holds n^-s for a batch, one
+row per n; the prime rows take a complex exp and each composite row is the
+product of the rows of its smallest prime p and of n / p, one vectorized
+step per count of prime factors.  F is evaluated on a grid b + o, as the
 Perron panels are (midpoints b, node offsets o): n^-(b + o) = n^-b n^-o
 separates, as in Odlyzko and Schonhage's multiple evaluation of zeta on
 arithmetic progressions (Trans. AMS 309, 1988), so F contracts a table of
@@ -83,6 +87,10 @@ MIN_PRECISION = 64
 
 #: Cap on |Im s| of every multiprecision call; Riemann-Siegel large-height evaluation is out of scope.
 DEFAULT_HEIGHT_CAP = 1.0e4
+
+#: Floor on Re s of every evaluation, both engines': left of 0 the (N, J) rule's
+#: cost and the mp engine's working precision grow with -Re s.
+MIN_REAL_PART = -512.0
 
 # Engine call counter, used by cache-instrumentation tests.
 _calls = 0
@@ -172,8 +180,12 @@ def _em_parameters(precision: int, t_abs: float, sigma: float,
     g(J) = N_J + J, with N_J from _cutoffs, falls and then rises in J, and
     the least N + J is ceil(g) at the least integer point of g, which a unit
     walk from the estimate finds.  An N_J past the float range, inf, lies
-    where g still falls, so the walk starts above it.
+    where g still falls, so the walk starts above it.  Raises DomainError
+    for a sigma that is not finite or is below MIN_REAL_PART.
     """
+    if not MIN_REAL_PART <= sigma < math.inf:
+        raise DomainError(f"Re s = {sigma} is outside the evaluation range "
+                          f"[{MIN_REAL_PART}, inf)")
     lowest, J, cutoff = _cutoffs(precision, t_abs, sigma, kmax)
     N, M = cutoff(J), cutoff(J + 1)
     while M == math.inf:
@@ -453,10 +465,9 @@ def zeta_with_derivatives(
                 for k, (x, y) in enumerate(zip(out_re, out_im))]
 
 
-def zeta_pair(s, kmax_s: int = 0, kmax_2s: int = 0,
-              precision: int = DEFAULT_PRECISION) -> tuple[list[mpc], list[mpc]]:
+def zeta_pair(s, kmax_s: int = 0, kmax_2s: int = 0) -> tuple[list[mpc], list[mpc]]:
     """The jets [zeta^(k)(s)], k <= kmax_s, and [zeta^(k)(2s)], k <= kmax_2s,
-    as two engine calls that read one n^-s table.
+    at DEFAULT_PRECISION, as two engine calls that read one n^-s table.
 
     The table is built once, before either call, to the larger of the two
     calls' N and at the larger of their fixed-point scales; the 2s call sums
@@ -464,7 +475,7 @@ def zeta_pair(s, kmax_s: int = 0, kmax_2s: int = 0,
     PoleError at s = 1 and at 2s = 1, where the engine would return the
     regular part, and HeightRangeError past the cap on |Im 2s|.
     """
-    with mp.workprec(precision + 24):
+    with mp.workprec(DEFAULT_PRECISION + 24):
         z = mpc(s)
         double = 2 * z
     if z == 1 or double == 1:
@@ -472,15 +483,15 @@ def zeta_pair(s, kmax_s: int = 0, kmax_2s: int = 0,
     if abs(float(double.imag)) > DEFAULT_HEIGHT_CAP:
         raise HeightRangeError(f"|Im 2s| = {abs(float(double.imag))} exceeds "
                                f"the evaluation cap {DEFAULT_HEIGHT_CAP}")
-    plan1 = _engine_plan(z, kmax_s, precision)
-    plan2 = _engine_plan(double, kmax_2s, precision)
+    plan1 = _engine_plan(z, kmax_s, DEFAULT_PRECISION)
+    plan2 = _engine_plan(double, kmax_2s, DEFAULT_PRECISION)
     N1, N2, wp = plan1[0], plan2[0], max(plan1[3], plan2[3])
     re, im = dirichlet_powers_fixed(z, max(N1, N2), wp)
     ln = dirichlet_logs_fixed(max(N1, N2), wp) if kmax_s or kmax_2s else ()
     re2 = [(x * x - y * y) >> wp for x, y in zip(re[:N2], im[:N2])]
     im2 = [(2 * x * y) >> wp for x, y in zip(re[:N2], im[:N2])]
-    return (zeta_with_derivatives(z, kmax_s, precision, (plan1, wp, re, im, ln)),
-            zeta_with_derivatives(double, kmax_2s, precision, (plan2, wp, re2, im2, ln)))
+    return (zeta_with_derivatives(z, kmax_s, _powers=(plan1, wp, re, im, ln)),
+            zeta_with_derivatives(double, kmax_2s, _powers=(plan2, wp, re2, im2, ln)))
 
 
 def zeta(s, precision: int = DEFAULT_PRECISION) -> mpc:
@@ -596,23 +607,6 @@ def _bernoulli_f64(J: int) -> tuple[float, ...]:
 def _em_rule(s: np.ndarray) -> tuple[int, int]:
     """(N, J) for a flat batch by the shared rule at 53 bits."""
     return _em_parameters(53, float(np.abs(s.imag).max()), float(s.real.min()))
-
-
-def zeta_f64(s: np.ndarray) -> np.ndarray:
-    """Euler-Maclaurin zeta over an array of complex128 points.
-
-    Double accuracy only; meant for dense contour quadrature.  (N, J) follow
-    the multiprecision engine's rule, _em_parameters at 53 bits, with N
-    chosen from the batch's largest |Im s| and smallest Re s, so batches
-    grouped by height keep N local.
-    """
-    s = np.asarray(s, dtype=np.complex128)
-    if s.size == 0:
-        return np.zeros_like(s)
-    flat = s.reshape(-1)
-    N, J = _em_rule(flat)
-    out = _dirichlet_powers(flat, N)[1:].sum(axis=0) + _em_tail(flat, N, J)
-    return out.reshape(s.shape)
 
 
 def dirichlet_quotient_f64(s: np.ndarray, offsets: np.ndarray | None = None) -> np.ndarray:

@@ -792,6 +792,28 @@ def test_perron_residue_far_left_of_zero(capsys):
     assert abs(float(payload["real"])) < 2.0 ** -128
 
 
+@pytest.mark.parametrize("argv", [
+    ["perron", "integral", "10.5", "--c", "1e308"],
+    ["perron", "residue", "--center-re", "1e308", "--radius", "1", "--x", "10.5"],
+    ["dirichlet-verify", "1e308", "10"],
+    ["perron", "residue", "--center-re=-1000.5", "--radius", "0.3", "--x", "10.5"],
+    ["perron", "residue", "--center-re=-1e6", "--radius", "0.3", "--x", "10.5"],
+    ["perron", "residue", "--center-re=-1e308", "--radius", "0.3", "--x", "10.5"],
+])
+def test_real_part_outside_the_engines_range_exits_2(capsys, argv):
+    """Re s or Re 2s past the float range, or far left of the engines'
+    floor, is refused as a JSON error before any engine call: at 1e308 the
+    (N, J) rule met an infinite Re 2s, and at -1000.5 it ran past 20 s."""
+    zeta_engine.reset_call_count()
+    start = time.perf_counter()
+    code, captured = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "DomainError" and "evaluation range" in err["message"]
+    assert zeta_engine.call_count() == 0
+
+
 @pytest.mark.parametrize("case", ["constants", "main_term_coefficients"])
 def test_precision_floor(capsys, case):
     """8 bits is below the engine's floor.  constants, the one path that

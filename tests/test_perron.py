@@ -519,9 +519,9 @@ class TestNestedCircle:
         seen = []
         pair = zeta_engine.zeta_pair
 
-        def spy(s, kmax_s, kmax_2s, precision):
+        def spy(s, kmax_s=0, kmax_2s=0):
             seen.append(s)
-            return pair(s, kmax_s, kmax_2s, precision)
+            return pair(s, kmax_s, kmax_2s)
 
         monkeypatch.setattr(perron.zeta_engine, "zeta_pair", spy)
         got = perron.residue_by_circle(1.0, 0.2, 500.5, nodes=96)

@@ -83,6 +83,30 @@ def test_zeta_pole_and_height_cap():
         engine.zeta(mpc(0.5, 2.0e4))
 
 
+def test_real_part_floor(monkeypatch):
+    """Both engines refuse a Re s that is not finite or lies below
+    MIN_REAL_PART, in the (N, J) rule they share and before it plans: at
+    -1e308 its Cauchy sum alone would take 1e308 terms.  The floor itself is
+    planned; zeta_pair refuses s whose double lies below it before either
+    engine call, and F refuses a batch that reaches below it through 2s."""
+    floor = engine.MIN_REAL_PART
+    assert engine._em_parameters(128, 0.0, floor, 2) == (416, 701)
+    monkeypatch.setattr(engine, "_cutoffs", None)
+    for sigma in (math.nan, math.inf, -math.inf, -1e308, floor - 0.5):
+        for precision, kmax in ((53, 0), (128, 2)):
+            with pytest.raises(DomainError, match="evaluation range"):
+                engine._em_parameters(precision, 0.0, sigma, kmax)
+    monkeypatch.undo()
+    engine.reset_call_count()
+    with pytest.raises(DomainError, match=r"\[-512.0, inf\)"):
+        engine.zeta_pair(mpc(floor / 2 - 0.25, 3))
+    assert engine.call_count() == 0
+    with pytest.raises(DomainError):
+        engine.zeta(mpc(floor - 1, 3))
+    with pytest.raises(DomainError):
+        engine.dirichlet_quotient_f64(np.array([2.0 + 1j, floor / 2 - 0.25 + 3j]))
+
+
 def test_precision_doubling_stability():
     """zeta at 128 and 192 bits agrees to 2^-120 relative on a random sample."""
     rng = random.Random(20260824)
@@ -239,12 +263,12 @@ def _pair_points(zero_table):
 
 
 class TestZetaPair:
-    @pytest.mark.parametrize("precision", [64, 128, 192])
-    def test_matches_separate_calls(self, zero_table, precision):
+    def test_matches_separate_calls(self, zero_table):
+        precision = engine.DEFAULT_PRECISION
         bound = mpf(2) ** -(precision + 8)
         for s, *orders in _pair_points(zero_table):
             for kmax_s, kmax_2s in orders:
-                at_s, at_2s = engine.zeta_pair(s, kmax_s, kmax_2s, precision)
+                at_s, at_2s = engine.zeta_pair(s, kmax_s, kmax_2s)
                 want_s = engine.zeta_with_derivatives(s, kmax_s, precision)
                 want_2s = engine.zeta_with_derivatives(2 * mpc(s), kmax_2s, precision)
                 assert len(at_s) == kmax_s + 1 and len(at_2s) == kmax_2s + 1
@@ -627,30 +651,34 @@ class TestZetaF64:
     SIGMAS = (0.6, 1.25, 1.5, 2.0, 3.0, 4.0)
 
     def test_against_mpmath(self):
-        """Each point alone, so N is chosen from that point's own height.
+        """F = zeta^3(s) / zeta(2s), each point alone, so N is chosen from
+        that point's own height.
 
         Relative error is bounded by 1e-12 wherever |zeta| is bounded away
         from 0 (sigma >= 1.25).  At sigma = 0.6 |zeta| dips to ~0.1 and the
-        float64 phase rounding of t log n (~5e-13 absolute at t = 800) is
-        not relative to it, so there the bound is 1e-12 max(|zeta|, 1).
+        float64 phase rounding of t ln n (~5e-13 absolute at t = 800) is not
+        relative to it: as in test_against_mpmath_at_the_height_cap, F, which
+        carries zeta cubed, is held there to 3e-12 max(1, 1/|zeta|) relative.
         """
-        with mp.workdps(20):
+        with mp.workdps(25):
             for sigma in self.SIGMAS:
                 for t in range(-800, 801, 50):
-                    ours = complex(engine.zeta_f64(np.array([complex(sigma, t)]))[0])
-                    theirs = complex(mpmath.zeta(mpc(sigma, t)))
-                    scale = abs(theirs) if sigma > 1 else max(abs(theirs), 1.0)
-                    assert abs(ours - theirs) <= 1e-12 * scale, (sigma, t)
+                    z = mpc(sigma, t)
+                    zeta_s = mpmath.zeta(z)
+                    want = complex(zeta_s ** 3 / mpmath.zeta(2 * z))
+                    point = np.array([complex(sigma, t)])
+                    got = complex(engine.dirichlet_quotient_f64(point)[0])
+                    dip = 3 * max(1.0, 1.0 / abs(complex(zeta_s))) if sigma < 1 else 1.0
+                    assert abs(got - want) <= 1e-12 * dip * abs(want), (sigma, t)
 
     @pytest.mark.slow
     def test_against_mpmath_at_the_height_cap(self):
-        """zeta and F from 5000 to 10^4 in |t|, where zeta(2s) takes J near
-        240 Bernoulli terms and Q_j, B_2j/(2j)! alone would leave the float64
+        """F from 5000 to 10^4 in |t|, where zeta(2s) takes J near 240
+        Bernoulli terms and Q_j, B_2j/(2j)! alone would leave the float64
         range.  Relative bound 1e-11.  At sigma = 0.6 the float64 phase
         rounding of t ln p (up to ~5e-12 absolute here) is not relative to
-        |zeta|, which dips to ~0.4: as in test_against_mpmath, zeta is held to
-        1e-11 max(|zeta|, 1), and F, which carries zeta cubed, to three times
-        that relative to |zeta|."""
+        |zeta|, which dips to ~0.4: F, which carries zeta cubed, is held to
+        3e-11 max(1, 1/|zeta|) relative."""
         with mp.workdps(25):
             for sigma in (0.6, 1.5, 2.0, 4.0):
                 for t in range(5000, 10001, 1000):
@@ -658,47 +686,12 @@ class TestZetaF64:
                     zeta_s = complex(mpmath.zeta(z))
                     quotient = complex(mpmath.zeta(z) ** 3 / mpmath.zeta(2 * z))
                     dip = max(1.0, 1.0 / abs(zeta_s)) if sigma < 1 else 1.0
-                    for sign in (1, -1):  # zeta(conj s) = conj zeta(s)
+                    for sign in (1, -1):  # F(conj s) = conj F(s)
                         point = np.array([complex(sigma, sign * t)])
-                        want = zeta_s if sign > 0 else zeta_s.conjugate()
-                        got = complex(engine.zeta_f64(point)[0])
-                        assert abs(got - want) <= 1e-11 * dip * abs(want), point
                         want = quotient if sign > 0 else quotient.conjugate()
                         got = complex(engine.dirichlet_quotient_f64(point)[0])
                         bound = 1e-11 * (3 * dip if sigma < 1 else 1.0)
                         assert abs(got - want) <= bound * abs(want), point
-
-    def test_batch_shape_and_empty(self):
-        s = np.array([[2.0 + 1j, 3.0 - 5j], [0.6 + 100j, 1.5 + 0j]])
-        values = engine.zeta_f64(s)
-        assert values.shape == s.shape
-        for got, point in zip(values.ravel(), s.ravel()):
-            want = complex(engine.zeta(mpc(point.real, point.imag)))
-            assert abs(got - want) <= 1e-12 * abs(want)
-        assert engine.zeta_f64(np.array([], dtype=complex)).shape == (0,)
-
-    def test_uses_shared_parameter_rule(self, monkeypatch):
-        chosen, sizes = [], []
-        em_parameters = engine._em_parameters
-        bernoulli_f64 = engine._bernoulli_f64
-
-        def spy_em(*args):
-            chosen.append((args, em_parameters(*args)))
-            return chosen[-1][1]
-
-        def spy_bernoulli(J):
-            sizes.append(J)
-            return bernoulli_f64(J)
-
-        monkeypatch.setattr(engine, "_em_parameters", spy_em)
-        monkeypatch.setattr(engine, "_bernoulli_f64", spy_bernoulli)
-        engine.zeta_f64(np.array([2.0 + 10j, 0.6 - 800j, 4.0 + 300j]))
-        assert chosen == [((53, 800.0, 0.6), em_parameters(53, 800.0, 0.6))]
-        assert sizes == [chosen[0][1][1]]
-        # the least N + J at |t| = 800 under Backlund's bound: (170, 45),
-        # where the former model's least took (216, 57) and the rule before
-        # it, J = (precision + 16) // 4, took (500, 17)
-        assert em_parameters(53, 800.0, 4.0) == (170, 45)
 
     # The Perron layer's contours: the abscissa lines, the rectangle's sides
     # and its horizontal edges at t = +-50.
@@ -737,6 +730,10 @@ class TestZetaF64:
         s = np.array([[2.0 + 10j, 0.6 - 400j], [4.0 + 300j, 1.5 + 0j]])
         assert engine.dirichlet_quotient_f64(s).shape == s.shape
         assert chosen == [(53, 400.0, 0.6), (53, 800.0, 1.2)]
+        # the least N + J at |t| = 800 under Backlund's bound: (170, 45),
+        # where the former model's least took (216, 57) and the rule before
+        # it, J = (precision + 16) // 4, took (500, 17)
+        assert em_parameters(53, 800.0, 4.0) == (170, 45)
 
     # The Perron layer's panel grids: (start, direction, length) of each
     # abscissa line and of the rectangle's top edge, panels about 0.2 wide in
@@ -789,6 +786,14 @@ class TestZetaF64:
                             assert abs(got - want) <= tol * scale * abs(want), point
 
     def test_grid_shape_and_empty(self):
+        """The grid's shape is (s.size, offsets.size), and without offsets
+        the shape of s, 2-D or empty; a 2-D s gives the values of its flat
+        form."""
+        batch = np.array([[2.0 + 1j, 3.0 - 5j], [0.6 + 100j, 1.5 + 0j]])
+        values = engine.dirichlet_quotient_f64(batch)
+        assert values.shape == batch.shape
+        assert np.array_equal(values.ravel(), engine.dirichlet_quotient_f64(batch.ravel()))
+        assert engine.dirichlet_quotient_f64(np.array([], dtype=complex)).shape == (0,)
         s = np.array([2.0 + 1j, 1.5 - 30j])
         assert engine.dirichlet_quotient_f64(s, np.array([0.1j])).shape == (2, 1)
         assert engine.dirichlet_quotient_f64(s, np.array([], dtype=complex)).shape == (2, 0)
