@@ -693,6 +693,49 @@ class TestZetaF64:
                         bound = 1e-11 * (3 * dip if sigma < 1 else 1.0)
                         assert abs(got - want) <= bound * abs(want), point
 
+    def test_batch_shape_and_empty(self):
+        """Without offsets F keeps the shape of s, 2-D or empty; a 2-D s
+        gives the values of its flat form, each within 1e-12 relative of the
+        multiprecision zeta^3(s) / zeta(2s), 3e-12 max(1, 1/|zeta|) where
+        sigma < 1 as in test_against_mpmath."""
+        s = np.array([[2.0 + 1j, 3.0 - 5j], [0.6 + 100j, 1.5 + 0j]])
+        values = engine.dirichlet_quotient_f64(s)
+        assert values.shape == s.shape
+        assert np.array_equal(values.ravel(), engine.dirichlet_quotient_f64(s.ravel()))
+        for got, point in zip(values.ravel(), s.ravel()):
+            z = mpc(point.real, point.imag)
+            zeta_s = engine.zeta(z)
+            want = complex(zeta_s ** 3 / engine.zeta(2 * z))
+            dip = 3 * max(1.0, 1.0 / abs(complex(zeta_s))) if point.real < 1 else 1.0
+            assert abs(got - want) <= 1e-12 * dip * abs(want), point
+        assert engine.dirichlet_quotient_f64(np.array([], dtype=complex)).shape == (0,)
+
+    def test_uses_shared_parameter_rule(self, monkeypatch):
+        """A flat batch takes (N, J) for s and for 2s from the shared rule at
+        53 bits, at the batch's greatest |t| and least sigma, and a Bernoulli
+        table of each J."""
+        chosen, sizes = [], []
+        em_parameters = engine._em_parameters
+        bernoulli_f64 = engine._bernoulli_f64
+
+        def spy_em(*args):
+            chosen.append((args, em_parameters(*args)))
+            return chosen[-1][1]
+
+        def spy_bernoulli(J):
+            sizes.append(J)
+            return bernoulli_f64(J)
+
+        monkeypatch.setattr(engine, "_em_parameters", spy_em)
+        monkeypatch.setattr(engine, "_bernoulli_f64", spy_bernoulli)
+        engine.dirichlet_quotient_f64(np.array([2.0 + 10j, 0.6 - 800j, 4.0 + 300j]))
+        assert [args for args, _ in chosen] == [(53, 800.0, 0.6), (53, 1600.0, 1.2)]
+        assert sizes == [J for _, (N, J) in chosen]
+        # the least N + J at |t| = 800 under Backlund's bound: (170, 45),
+        # where the former model's least took (216, 57) and the rule before
+        # it, J = (precision + 16) // 4, took (500, 17)
+        assert em_parameters(53, 800.0, 4.0) == (170, 45)
+
     # The Perron layer's contours: the abscissa lines, the rectangle's sides
     # and its horizontal edges at t = +-50.
     CONTOURS = (
@@ -730,10 +773,6 @@ class TestZetaF64:
         s = np.array([[2.0 + 10j, 0.6 - 400j], [4.0 + 300j, 1.5 + 0j]])
         assert engine.dirichlet_quotient_f64(s).shape == s.shape
         assert chosen == [(53, 400.0, 0.6), (53, 800.0, 1.2)]
-        # the least N + J at |t| = 800 under Backlund's bound: (170, 45),
-        # where the former model's least took (216, 57) and the rule before
-        # it, J = (precision + 16) // 4, took (500, 17)
-        assert em_parameters(53, 800.0, 4.0) == (170, 45)
 
     # The Perron layer's panel grids: (start, direction, length) of each
     # abscissa line and of the rectangle's top edge, panels about 0.2 wide in
@@ -786,14 +825,6 @@ class TestZetaF64:
                             assert abs(got - want) <= tol * scale * abs(want), point
 
     def test_grid_shape_and_empty(self):
-        """The grid's shape is (s.size, offsets.size), and without offsets
-        the shape of s, 2-D or empty; a 2-D s gives the values of its flat
-        form."""
-        batch = np.array([[2.0 + 1j, 3.0 - 5j], [0.6 + 100j, 1.5 + 0j]])
-        values = engine.dirichlet_quotient_f64(batch)
-        assert values.shape == batch.shape
-        assert np.array_equal(values.ravel(), engine.dirichlet_quotient_f64(batch.ravel()))
-        assert engine.dirichlet_quotient_f64(np.array([], dtype=complex)).shape == (0,)
         s = np.array([2.0 + 1j, 1.5 - 30j])
         assert engine.dirichlet_quotient_f64(s, np.array([0.1j])).shape == (2, 1)
         assert engine.dirichlet_quotient_f64(s, np.array([], dtype=complex)).shape == (2, 0)
